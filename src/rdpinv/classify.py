@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import Polynomial
+from .poly import LinearSystem, Polynomial
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ def length_type(length: int) -> RdpType:
 
 
 # -- jet utilities ----------------------------------------------------------------
-
-
-def _truncate(p: Polynomial, d: int) -> Polynomial:
-    out = {m: c for m, c in p.terms.items() if sum(e for _, e in m) <= d}
-    return Polynomial(p.table, out)
 
 
 def _degree_part(p: Polynomial, d: int) -> Polynomial:
@@ -147,33 +142,18 @@ def _diagonalize(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
         d = q(pick, pick)
         out_vecs.append(pick)
         out_diag.append(d)
+        # keep dimension bookkeeping honest: project to an independent set
+        span = LinearSystem()
         nxt = []
         for v in remaining:
             coeff = q(pick, v) / d
             w = [a - coeff * b for a, b in zip(v, pick)]
-            if any(w):
+            if span.add(dict(enumerate(w))):
                 nxt.append(w)
-        # keep dimension bookkeeping honest: project to an independent set
-        remaining = _independent(nxt)
+        remaining = nxt
     # columns of the change matrix are the chosen vectors
     C = [[out_vecs[j][i] for j in range(len(out_vecs))] for i in range(n)]
     return C, out_diag
-
-
-def _independent(vecs: list[list[Fraction]]) -> list[list[Fraction]]:
-    out: list[list[Fraction]] = []
-    reduced: list[list[Fraction]] = []
-    for v in vecs:
-        w = list(v)
-        for r in reduced:
-            lead = next(i for i, x in enumerate(r) if x)
-            if w[lead]:
-                f = w[lead] / r[lead]
-                w = [a - f * b for a, b in zip(w, r)]
-        if any(w):
-            out.append(v)
-            reduced.append(w)
-    return out
 
 
 def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
@@ -361,7 +341,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     names = list(f.table.names[:3])
     if len(f.table) != 3:
         raise ValueError("classifier expects a three-variable polynomial table")
-    f = _truncate(f, jet_order)
+    f = f._trunc(jet_order)
     if f.constant_value() != 0:
         raise ValueError("the origin must lie on the surface")
     if not _degree_part(f, 1).is_zero:
@@ -374,7 +354,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     if rank == 0:
         raise NotRDPError("multiplicity at least three")
     f = _linear_change(f, change, names)
-    f = _truncate(f, jet_order)
+    f = f._trunc(jet_order)
     if rank == 2:
         g = _split_off_square(f, names[0], jet_order)
         g = _split_off_square(g, names[1], jet_order)
@@ -391,7 +371,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     if shape[0] == "distinct":
         return RdpType("D", 4)
     g = _straighten_double_factor(g, shape[1], y, z)
-    g = _truncate(g, jet_order)
+    g = g._trunc(jet_order)
     g3 = _degree_part(g, 3)
     yi = g.table.index_of(y)
     if shape[0] == "double":
@@ -521,7 +501,9 @@ def section_type(profile: ValuationProfile) -> SectionBound:
         if profile.order(f"gamma{n}") == 2 or profile.order(f"delta{2*n-2}") == 3:
             return SectionBound("D4", None)
         return SectionBound(None, None)
-    monomials = VERSAL_MONOMIALS[tname]
+    monomials = VERSAL_MONOMIALS.get(tname)
+    if monomials is None:
+        raise ValueError(f"no section bounds for type {tname!r}")
     orders = dict(profile.orders)
     if tname == "E7":
         orders = _tilde_orders_e7(orders)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -13,18 +12,12 @@ from pathlib import Path
 
 from . import classify as classify_mod
 from . import congruence, distpoly, envres
-from .poly import Polynomial, VarTable, parse
+from .poly import ParseError, Polynomial, VarTable, parse
 from .rootsys import Spec
 from .solvelist import RuleCache
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-
-
-def _cache(args) -> RuleCache:
-    if args.cache_dir:
-        return RuleCache(Path(args.cache_dir))
-    return RuleCache()
 
 
 def _emit(pairs: list[tuple[str, Polynomial]], fmt: str, out) -> None:
@@ -47,7 +40,7 @@ def coordinates_for(name: str, cache: RuleCache) -> list[tuple[str, Polynomial]]
 
 def cmd_invariants(args) -> int:
     try:
-        pairs = coordinates_for(args.type, _cache(args))
+        pairs = coordinates_for(args.type, RuleCache(args.cache_dir))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -124,7 +117,7 @@ def verify_relations(cache: RuleCache, out) -> int:
 
 
 def cmd_verify(args) -> int:
-    cache = _cache(args)
+    cache = RuleCache(args.cache_dir)
     target = args.target
     if target == "appendix0":
         return verify_appendix0(cache, sys.stdout)
@@ -140,13 +133,11 @@ def cmd_verify(args) -> int:
     return USAGE_ERROR
 
 
-def _run_case(label_dir: tuple[str, str]) -> tuple[str, bool, str, str, int]:
-    label, cache_dir = label_dir
-    case = congruence.key_case(label)
-    cache = RuleCache(cache_dir) if cache_dir else RuleCache()
-    res = congruence.key_constant(case, cache)
+def _run_case(case_dir: tuple[congruence.KeyCase, "str | None"]) -> tuple[str, bool, str, str, int]:
+    case, cache_dir = case_dir
+    res = congruence.key_constant(case, RuleCache(cache_dir))
     fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
-    return (label, res.ok, fmt(res.expected), fmt(res.computed), case.length)
+    return (case.label, res.ok, fmt(res.expected), fmt(res.computed), case.length)
 
 
 def cmd_congruence(args) -> int:
@@ -154,9 +145,12 @@ def cmd_congruence(args) -> int:
     if not all(labels):
         print("error: provide --case E7:v2 or --all", file=sys.stderr)
         return USAGE_ERROR
-    cache_dir = args.cache_dir or ""
+    try:
+        work = [(congruence.key_case(label), args.cache_dir) for label in labels]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return USAGE_ERROR
     jobs = max(1, args.jobs)
-    work = [(label, cache_dir) for label in labels]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_case, work))
@@ -172,10 +166,13 @@ def cmd_congruence(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.poly_file:
-        text = Path(args.poly_file).read_text().strip()
         table = VarTable(["X", "Y", "Z"], [1, 1, 1])
         try:
-            poly = parse(text, table)
+            poly = parse(Path(args.poly_file).read_text().strip(), table)
+        except (OSError, ParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        try:
             result = classify_mod.rdp_type(poly, jet_order=args.jet_order)
         except classify_mod.UndecidableError as exc:
             print(f"undecidable: {exc}", file=sys.stderr)
@@ -186,11 +183,15 @@ def cmd_classify(args) -> int:
         print(result.name)
         return 0
     if args.profile_file:
-        data = json.loads(Path(args.profile_file).read_text())
-        orders = {k: (float("inf") if v == "inf" else int(v))
-                  for k, v in data["orders"].items()}
-        profile = classify_mod.ValuationProfile(data["type"], orders)
-        bound = classify_mod.section_type(profile)
+        try:
+            data = json.loads(Path(args.profile_file).read_text())
+            orders = {k: (float("inf") if v == "inf" else int(v))
+                      for k, v in data["orders"].items()}
+            profile = classify_mod.ValuationProfile(data["type"], orders)
+            bound = classify_mod.section_type(profile)
+        except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            print(f"error: bad profile file: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         if bound.decided:
             witness = ""
             if bound.witness:
@@ -218,8 +219,9 @@ def main(argv=None) -> int:
         prog="rdpinv",
         description="Exact Weyl-invariant coordinates and versal forms for "
                     "ADE rational double points")
-    parser.add_argument("--cache-dir", default=os.environ.get("CACHE_DIR"),
-                        help="directory for expanded-rule caching")
+    parser.add_argument("--cache-dir",
+                        help="directory for expanded-rule caching (default: $CACHE_DIR, "
+                             "else ~/.cache/rdpinv)")
     sub = parser.add_subparsers(dest="command")
 
     p_inv = sub.add_parser("invariants", help="emit standard coordinate functions")

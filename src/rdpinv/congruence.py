@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .distpoly import g_from_f, standard_coords
+from .distpoly import g_from_f, rules_from_monic, standard_coords
 from .envres import VersalPipeline, eps_names
 from .poly import (
     AbsentVariableError,
+    InconsistentSystemError,
+    LinearSystem,
     NonLinearError,
     Polynomial,
     VarTable,
@@ -301,12 +303,6 @@ def coord_pullbacks(spec: Spec, s_rules: RuleSet,
     return {nm: rules[nm] for nm in wanted}
 
 
-def _rules_from_r(spec: Spec, r: Polynomial) -> RuleSet:
-    by_u = r.coeffs_in("U")
-    zero = r.table.zero()
-    return RuleSet.of([(f"s{i}", by_u.get(spec.n - i, zero)) for i in range(1, spec.n + 1)])
-
-
 def derive_restricted(spec: Spec, form: str = "plain",
                       cache: Optional[RuleCache] = None) -> RestrictedPoly:
     """Build the restricted polynomial of a type by triangular elimination.
@@ -326,13 +322,13 @@ def derive_restricted(spec: Spec, form: str = "plain",
             r = U ** n - table.var("lam1") ** n
         else:
             r = U ** n + table.var(f"lam{n}")
-        rules = _rules_from_r(spec, r)
+        rules = rules_from_monic(r, n)
         const = coord_pullbacks(spec, rules, cache, [constant_term_name(spec)])
         return RestrictedPoly(spec, r, rules, vanish, constant_term_name(spec),
                               const[constant_term_name(spec)])
     if spec.family == "D" and n % 2 == 0:
         r = U ** n - table.var(f"lam{n-1}") * U
-        rules = _rules_from_r(spec, r)
+        rules = rules_from_monic(r, n)
         pulls = coord_pullbacks(spec, rules, cache)
         for nm in vanish:
             if not pulls[nm].is_zero:
@@ -457,9 +453,7 @@ def case_param(case: KeyCase, cache: Optional[RuleCache] = None) -> RuleSet:
     by_u = pf.coeffs_in("U")
     if by_u.get(n) != LAM_TABLE.const(1) or max(by_u) != n:
         raise RestrictionError("pulled-back distinguished polynomial is not monic")
-    zero = LAM_TABLE.zero()
-    return RuleSet.of([(f"s{i}", by_u.get(n - i, zero).compact())
-                       for i in range(1, n + 1)])
+    return rules_from_monic(pf, n)
 
 
 def pullback_eps(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
@@ -537,29 +531,16 @@ def _solve_two_term(target: Polynomial, A: Polynomial, B: Polynomial) -> "tuple[
     target, A = target.compact()._align(A.compact())
     target, B = target._align(B.compact())
     target, A = target._align(A)
-    monos = set(A.terms) | set(B.terms) | set(target.terms)
-    c1 = c2 = None
-    # solve from two independent rows, then verify everywhere
-    rows = []
-    for m in monos:
-        rows.append((Fraction(A.terms.get(m, 0)), Fraction(B.terms.get(m, 0)),
-                     Fraction(target.terms.get(m, 0))))
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a1, b1, t1 = rows[i]
-            a2, b2, t2 = rows[j]
-            det = a1 * b2 - a2 * b1
-            if det:
-                c1 = (t1 * b2 - t2 * b1) / det
-                c2 = (a1 * t2 - a2 * t1) / det
-                break
-        if c1 is not None:
-            break
-    if c1 is None:
+    system = LinearSystem()
+    try:
+        for m in set(A.terms) | set(B.terms) | set(target.terms):
+            system.add({1: A.terms.get(m, 0), 2: B.terms.get(m, 0)}, target.terms.get(m, 0))
+    except InconsistentSystemError:
         return None
-    if target == c1 * A + c2 * B:
-        return (c1, c2)
-    return None
+    if system.rank < 2:
+        return None
+    c = system.solution()
+    return (c[1], c[2])
 
 
 def run_all_key_cases(cache: Optional[RuleCache] = None) -> list[KeyResult]:

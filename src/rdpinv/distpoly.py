@@ -368,6 +368,17 @@ def invariant_under_literal(spec: Spec, phi: Polynomial, generator: int,
     return back == phi
 
 
+def rules_from_monic(f: Polynomial, n: int) -> RuleSet:
+    """The rules s_i -> coefficient of U^(n-i) of a monic degree-n polynomial in U.
+
+    Each value is compacted to the variables it uses, so a stale U (or any
+    other unused name of f's table) cannot clash with a target table.
+    """
+    by_u = f.coeffs_in("U")
+    zero = f.table.zero()
+    return RuleSet.of([(f"s{i}", by_u.get(n - i, zero).compact()) for i in range(1, n + 1)])
+
+
 def split_params_D(n: int) -> tuple[RuleSet, RuleSet]:
     """s-parametrizations before/after the sign-swap generator of D_n.
 
@@ -386,12 +397,7 @@ def split_params_D(n: int) -> tuple[RuleSet, RuleSet]:
     tail = U ** 2 + ptab.var("aa") * U + ptab.var("bb")
     plain = head * tail
     flipped = head * (U ** 2 - ptab.var("aa") * U + ptab.var("bb"))
-
-    def rules_from(f: Polynomial) -> RuleSet:
-        by_u = f.coeffs_in("U")
-        return RuleSet.of([(f"s{i}", by_u.get(n - i, ptab.zero())) for i in range(1, n + 1)])
-
-    return rules_from(plain), rules_from(flipped)
+    return rules_from_monic(plain, n), rules_from_monic(flipped, n)
 
 
 def split_params_E(n: int) -> tuple[RuleSet, RuleSet]:
@@ -414,12 +420,7 @@ def split_params_E(n: int) -> tuple[RuleSet, RuleSet]:
     plain = f3 * frest
     shifted = (f3.substitute({"U": U - Fraction(2, 3) * p1})
                * frest.substitute({"U": U + Fraction(1, 3) * p1}))
-
-    def rules_from(f: Polynomial) -> RuleSet:
-        by_u = f.coeffs_in("U")
-        return RuleSet.of([(f"s{i}", by_u.get(n - i, ptab.zero())) for i in range(1, n + 1)])
-
-    return rules_from(plain), rules_from(shifted)
+    return rules_from_monic(plain, n), rules_from_monic(shifted, n)
 
 
 def invariant_under_split(spec: Spec, phi: Polynomial) -> bool:

@@ -22,8 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .poly import Polynomial, VarTable, parse
-from .solvelist import RuleCache, RuleSet, SolveList, get_cache
+from .poly import (
+    InconsistentSystemError,
+    LinearSystem,
+    Polynomial,
+    VarTable,
+    parse,
+    univar_divmod,
+)
+from .solvelist import RuleCache, RuleSet, SolveList
 
 S_MAX = {6: 6, 7: 7, 8: 8}
 XYZW_WEIGHTS = {6: (9, 7, 6, 3), 7: (15, 9, 7, 3), 8: (24, 16, 9, 3)}
@@ -161,6 +168,12 @@ class SexticSolveError(RuntimeError):
     """The base conditions did not cut out the expected solution family."""
 
 
+# sextic monomials with unknown coefficients; every other monomial is the
+# only one of its pull-back degree and carries that coefficient of psi^2
+_SEXTIC_FREE = ((3, 3, 0), (4, 2, 0), (3, 2, 1), (5, 1, 0), (4, 1, 1),
+                (3, 1, 2), (6, 0, 0), (5, 0, 1), (4, 0, 2), (3, 0, 3))
+
+
 def solve_e8_sextic() -> Polynomial:
     """Derive the weight-16 sextic generator for n = 8 from its base conditions.
 
@@ -173,169 +186,75 @@ def solve_e8_sextic() -> Polynomial:
     n = 8
     table = pipeline_table(n)
     psi = psi_n(n, table)
-    psi_sq = psi * psi
-    q = psi_sq.coeffs_in("U")
+    q = (psi * psi).coeffs_in("U")
 
-    monos = [(a, b, 6 - a - b) for b in range(6, -1, -1) for a in range(6 - b + 1)
-             if a + 3 * b <= 16]
-    sweight = {m: 16 - m[0] - 3 * m[1] for m in monos}
+    def mono(exps, names) -> Polynomial:
+        m = sorted((table.index_of(name), e) for name, e in zip(names, exps) if e)
+        return Polynomial(table, {tuple(m): 1})
+
+    s_names = [f"s{i}" for i in range(1, n + 1)]
     by_eta: dict[int, list[tuple[int, int, int]]] = {}
-    for m in monos:
-        by_eta.setdefault(m[0] + 3 * m[1], []).append(m)
+    for b in range(6, -1, -1):
+        for a in range(7 - b):
+            if a + 3 * b <= 16:
+                by_eta.setdefault(a + 3 * b, []).append((a, b, 6 - a - b))
 
-    free_blocks = [(3, 3, 0), (4, 2, 0), (3, 2, 1), (5, 1, 0), (4, 1, 1),
-                   (3, 1, 2), (6, 0, 0), (5, 0, 1), (4, 0, 2), (3, 0, 3)]
-    unknown_index: dict[tuple[tuple[int, int, int], tuple[int, ...]], int] = {}
-    for blk in free_blocks:
-        for sm in _weight_monomials(n, sweight[blk]):
-            unknown_index[(blk, sm)] = len(unknown_index)
-
-    def smono_poly(sm: tuple[int, ...]) -> Polynomial:
-        p = table.const(1)
-        for i, e in enumerate(sm, start=1):
-            if e:
-                p = p * table.var(f"s{i}") ** e
-        return p
-
-    # linear expressions over the unknowns: {index_or_None: coeff}, None = known part
-    LinPoly = dict  # s-mono (as exponent tuple) -> {unknown or None: Fraction}
-
-    def spoly_to_linknown(p: Polynomial) -> LinPoly:
-        out: LinPoly = {}
-        svec = [table.index_of(f"s{i}") for i in range(1, n + 1)]
-        pos = {idx: i for i, idx in enumerate(svec)}
-        for m, c in p.terms.items():
-            key = [0] * n
-            for i, e in m:
-                key[pos[i]] = e
-            out.setdefault(tuple(key), {})[None] = out.get(tuple(key), {}).get(None, 0) + c
-        return out
-
-    # coefficient of each sextic monomial as a linear expression in unknowns
-    coeff_expr: dict[tuple[int, int, int], LinPoly] = {}
+    # the first condition puts psi^2's U^j coefficient on the one fixed
+    # monomial of pullback degree j; every scalar unknown then moves an
+    # s-multiple of a free monomial against that carrier:
+    # sextic = known + sum_k c_k * basis[k]
+    known = table.zero()
+    basis: list[Polynomial] = []
+    block: list[tuple[int, int, int]] = []
     for j, cls in sorted(by_eta.items()):
         qj = q.get(j, table.zero())
-        frees = [m for m in cls if m in free_blocks]
-        fixed = [m for m in cls if m not in free_blocks]
-        for m in frees:
-            coeff_expr[m] = {sm: {unknown_index[(m, sm)]: Fraction(1)}
-                             for sm in _weight_monomials(n, sweight[m])}
-        if not fixed:
-            if not qj.is_zero:
-                raise SexticSolveError(f"degree {j} has no monomial to carry {qj.serialize()}")
-            continue
-        if len(fixed) != 1:
+        fixed = [m for m in cls if m not in _SEXTIC_FREE]
+        if len(fixed) > 1:
             raise SexticSolveError(f"degree {j} pins more than one monomial: {fixed}")
-        target = fixed[0]
-        expr = spoly_to_linknown(qj)
-        for m in frees:
-            for sm in _weight_monomials(n, sweight[m]):
-                expr.setdefault(sm, {})[unknown_index[(m, sm)]] = Fraction(-1)
-        coeff_expr[target] = expr
-    assert set(coeff_expr) == set(monos)
-    if coeff_expr[(1, 5, 0)].get((0,) * n, {}).get(None, 0) != 1:
+        if not fixed and not qj.is_zero:
+            raise SexticSolveError(f"degree {j} has no monomial to carry {qj.serialize()}")
+        carrier = mono(fixed[0], "xyz") if fixed else table.zero()
+        known = known + qj * carrier
+        for m in cls:
+            if m in _SEXTIC_FREE:
+                for sm in _weight_monomials(n, 16 - j):
+                    basis.append(mono(sm, s_names) * (mono(m, "xyz") - carrier))
+                    block.append(m)
+    if known.coeff_of({"x": 1, "y": 5}, "xyz") != 1:
         raise SexticSolveError("leading pullback coefficient is not monic")
 
-    # remainders U^m mod psi, m = 0..15
-    rem: list[dict[int, Polynomial]] = []
-    U = table.var("U")
-    cur = table.const(1)
-    for m in range(16):
-        rem.append(cur.coeffs_in("U"))
-        cur = cur * U
-        lead = cur.coeffs_in("U").get(n)
-        if lead is not None and not lead.is_zero:
-            cur = cur - lead * psi
-
-    # divisibility of the x-derivative pullback: 8 polynomial identities
-    rows: list[tuple[dict[int, Fraction], Fraction]] = []
-    eq_acc: dict[tuple[int, tuple[int, ...]], dict] = {}
-    for (a, b, c) in monos:
-        if a == 0:
-            continue
-        expr = coeff_expr[(a, b, c)]
-        rj = rem[a - 1 + 3 * b]
-        for ju, coeff_poly in rj.items():
-            for sm2, c2 in spoly_to_linknown(coeff_poly).items():
-                base2 = c2[None]
-                for sm1, lin in expr.items():
-                    combined = tuple(x + y for x, y in zip(sm1, sm2))
-                    slot = eq_acc.setdefault((ju, combined), {})
-                    for u, cu in lin.items():
-                        slot[u] = slot.get(u, 0) + a * cu * base2
-    for (_ju, _sm), lin in sorted(eq_acc.items()):
-        row = {u: Fraction(c) for u, c in lin.items() if u is not None and c != 0}
-        rhs = -Fraction(lin.get(None, 0))
-        if row or rhs:
-            rows.append((row, rhs))
-
-    n_unknowns = len(unknown_index)
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-
-    def reduce_and_insert(row: dict[int, Fraction], rhs: Fraction) -> None:
-        # pivot rows are stored without their pivot variable and contain no
-        # other pivot variables, so one pass over the original support wipes
-        # every pivot variable from the row
-        row = dict(row)
-        for var in sorted(row):
-            if var in row and row[var] and var in pivots:
-                prow, prhs = pivots[var]
-                factor = row.pop(var)
-                for v2, c2 in prow.items():
-                    row[v2] = row.get(v2, Fraction(0)) - factor * c2
-                    if not row[v2]:
-                        del row[v2]
-                rhs = rhs - factor * prhs
-        row = {v: c for v, c in row.items() if c}
-        if not row:
-            if rhs:
-                raise SexticSolveError("inconsistent linear system for the sextic")
-            return
-        pv = min(row)
-        inv = Fraction(1) / row[pv]
-        row = {v: c * inv for v, c in row.items() if v != pv}
-        rhs = rhs * inv
-        # keep earlier pivot rows fully reduced
-        for var, (prow, prhs) in list(pivots.items()):
-            if pv in prow:
-                f = prow.pop(pv)
-                for v2, c2 in row.items():
-                    prow[v2] = prow.get(v2, Fraction(0)) - f * c2
-                    if not prow[v2]:
-                        del prow[v2]
-                pivots[var] = (prow, prhs - f * rhs)
-        pivots[pv] = (row, rhs)
-
-    for row, rhs in rows:
-        reduce_and_insert(row, rhs)
-    nullity = n_unknowns - len(pivots)
-    expected = len(_weight_monomials(n, 4)) + len(_weight_monomials(n, 10))
-    if nullity != expected:
-        raise SexticSolveError(
-            f"solution family has dimension {nullity}, expected {expected}"
-        )
-    # normalization: kill the x^3*y^3 and x^6 coefficients entirely
-    for blk in ((3, 3, 0), (6, 0, 0)):
-        for sm in _weight_monomials(n, sweight[blk]):
-            reduce_and_insert({unknown_index[(blk, sm)]: Fraction(1)}, Fraction(0))
-    if len(pivots) != n_unknowns:
+    # the second condition: the remainder of the x-derivative's pullback
+    # modulo psi vanishes coefficient by coefficient
+    unknowns = [f"c{k}" for k in range(len(basis))]
+    ext = table.merged(VarTable(unknowns, [0] * len(unknowns)))
+    slot = {ext.index_of(name): k for k, name in enumerate(unknowns)}
+    generic = known.to_table(ext)
+    for name, p in zip(unknowns, basis):
+        generic = generic + ext.var(name) * p
+    _, rem = univar_divmod(eta_star(generic.derivative("x"), n), psi, "U")
+    system = LinearSystem()
+    try:
+        for cof in rem.coefficients_over(["U"] + s_names).values():
+            system.add({slot[m[0][0]]: c for m, c in cof.terms.items() if m},
+                       -cof.constant_value())
+        nullity = len(basis) - system.rank
+        expected = len(_weight_monomials(n, 4)) + len(_weight_monomials(n, 10))
+        if nullity != expected:
+            raise SexticSolveError(
+                f"solution family has dimension {nullity}, expected {expected}"
+            )
+        # normalization: kill the x^3*y^3 and x^6 coefficients entirely
+        for k, m in enumerate(block):
+            if m in ((3, 3, 0), (6, 0, 0)):
+                system.add({k: 1})
+    except InconsistentSystemError as exc:
+        raise SexticSolveError("inconsistent linear system for the sextic") from exc
+    if system.rank != len(basis):
         raise SexticSolveError("normalization did not make the sextic unique")
-    values = [Fraction(0)] * n_unknowns
-    for var, (row, rhs) in pivots.items():
-        if row:
-            raise SexticSolveError("elimination left a non-reduced pivot row")
-        values[var] = rhs
-
-    result = table.zero()
-    for m in monos:
-        xyz = table.var("x") ** m[0] * table.var("y") ** m[1] * table.var("z") ** m[2]
-        for sm, lin in coeff_expr[m].items():
-            total = Fraction(lin.get(None, 0))
-            for u, cu in lin.items():
-                if u is not None:
-                    total += cu * values[u]
-            if total:
-                result = result + total * smono_poly(sm) * xyz
+    result = known
+    for k, value in system.solution().items():
+        if value:
+            result = result + value * basis[k]
     return result
 
 
@@ -508,7 +427,7 @@ class VersalPipeline:
     """
 
     def __init__(self, n: int, param: Optional[RuleSet] = None,
-                 cache: Optional[RuleCache] = None, use_disk_cache: bool = True):
+                 cache: Optional[RuleCache] = None):
         if n not in (6, 7, 8):
             raise ValueError("versal pipeline handles n in {6, 7, 8}")
         self.n = n
@@ -517,18 +436,13 @@ class VersalPipeline:
             # never clash with the pipeline's own variable weights
             param = RuleSet.of([(v, p.compact()) for v, p in param.rules])
         self.param = param
-        self.cache = cache if cache is not None else (get_cache() if use_disk_cache else None)
+        self.cache = cache if cache is not None else RuleCache()
         self._memo: dict = {}
 
     def _apply_param(self, p: Polynomial) -> Polynomial:
         if self.param is None:
             return p
         return p.substitute(self.param.mapping())
-
-    def _expand(self, sl: SolveList, upto: Optional[int] = None) -> RuleSet:
-        if self.cache is not None:
-            return self.cache.expand(sl, upto=upto)
-        return sl.expand(upto=upto)
 
     # stage 1: generator rules -------------------------------------------------
 
@@ -559,7 +473,7 @@ class VersalPipeline:
     def bar_rules(self, extended: bool = False) -> RuleSet:
         key = ("bar", extended)
         if key not in self._memo:
-            self._memo[key] = self._expand(self.bar_solvelist(extended=extended))
+            self._memo[key] = self.cache.expand(self.bar_solvelist(extended=extended))
         return self._memo[key]
 
     # stage 3: the triangular psi system ------------------------------------------
@@ -600,7 +514,7 @@ class VersalPipeline:
             upto = names.index(upto_name) + 1
         key = ("versal", upto)
         if key not in self._memo:
-            self._memo[key] = self._expand(self.versal_solvelist(), upto=upto)
+            self._memo[key] = self.cache.expand(self.versal_solvelist(), upto=upto)
         return self._memo[key]
 
 

@@ -44,6 +44,10 @@ class AbsentVariableError(PolyError):
     """solve_linear target does not occur in the expression."""
 
 
+class InconsistentSystemError(PolyError):
+    """A linear system reduced a row to 0 == nonzero."""
+
+
 class ParseError(PolyError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -790,3 +794,66 @@ def exact_div(num: Polynomial, den: Polynomial, name: str) -> Polynomial:
     if not rem.is_zero:
         raise ValueError(f"division by {den.serialize()} in {name} leaves remainder")
     return quot
+
+
+# -- exact linear systems -----------------------------------------------------
+
+
+def _sub_scaled(row: dict, factor, other: dict) -> None:
+    """row -= factor * other in place, dropping zero entries."""
+    for v, c in other.items():
+        s = row.get(v, 0) - factor * c
+        if s:
+            row[v] = s
+        else:
+            row.pop(v, None)
+
+
+class LinearSystem:
+    """Sparse rational Gauss-Jordan elimination, one row at a time.
+
+    A row is a mapping unknown -> coefficient, read as sum c*u == rhs;
+    unknowns are any mutually orderable keys.  Pivot rows are kept fully
+    reduced: each is stored without its pivot and mentions no other pivot.
+    """
+
+    def __init__(self):
+        self._pivots: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add(self, row: Mapping, rhs=0) -> bool:
+        """Insert one equation; True when it was independent of the earlier ones.
+
+        Raises :class:`InconsistentSystemError` when it contradicts them.
+        """
+        row = {u: Fraction(c) for u, c in row.items() if c}
+        rhs = Fraction(rhs)
+        # pivot rows mention no pivot, so one pass over the original support
+        # clears every pivot from the row
+        for u in [u for u in row if u in self._pivots]:
+            factor = row.pop(u)
+            prow, prhs = self._pivots[u]
+            _sub_scaled(row, factor, prow)
+            rhs -= factor * prhs
+        if not row:
+            if rhs:
+                raise InconsistentSystemError("inconsistent linear system")
+            return False
+        pv = min(row)
+        inv = 1 / row.pop(pv)
+        row = {v: c * inv for v, c in row.items()}
+        rhs *= inv
+        for u, (prow, prhs) in self._pivots.items():
+            f = prow.pop(pv, None)
+            if f is not None:
+                _sub_scaled(prow, f, row)
+                self._pivots[u] = (prow, prhs - f * rhs)
+        self._pivots[pv] = (row, rhs)
+        return True
+
+    def solution(self) -> dict:
+        """Values of the pivot unknowns with every free unknown set to zero."""
+        return {u: rhs for u, (_, rhs) in self._pivots.items()}

@@ -59,6 +59,8 @@ class Spec:
 
     @staticmethod
     def from_name(name: str) -> "Spec":
+        if not name[1:].isdigit():
+            raise ValueError(f"malformed type name {name!r}")
         family, rank = name[0].upper(), int(name[1:])
         return Spec(family, rank + 1 if family == "A" else rank)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -27,6 +28,7 @@ from .poly import (
     AbsentVariableError,
     NonLinearError,
     Polynomial,
+    PolyError,
     VarTable,
     parse,
 )
@@ -224,14 +226,6 @@ class SolveList:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def expand(sl: SolveList, upto: Optional[int] = None) -> RuleSet:
-    return sl.expand(upto=upto)
-
-
-def pull_back(sl: SolveList, param: RuleSet) -> SolveList:
-    return sl.pull_back(param)
-
-
 # -- cache --------------------------------------------------------------------
 
 
@@ -253,16 +247,19 @@ class RuleCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[RuleSet]:
+        """The stored rules, or None when the entry is absent or unreadable."""
         hit = self._memory.get(key)
         if hit is not None:
             return hit
-        path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = json.loads(self.path_for(key).read_text())
+            if data.get("key") != key:
+                return None
+            rules = RuleSet.from_json(data["rules"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError, PolyError):
+            # a missing, truncated or garbled entry is a miss; expand()
+            # recomputes it and put() overwrites the file
             return None
-        data = json.loads(path.read_text())
-        if data.get("key") != key:
-            return None
-        rules = RuleSet.from_json(data["rules"])
         self._memory[key] = rules
         return rules
 
@@ -270,9 +267,16 @@ class RuleCache:
         self._memory[key] = rules
         self.directory.mkdir(parents=True, exist_ok=True)
         payload = {"format": "rdpinv-cache-v1", "key": key, "rules": rules.to_json()}
-        tmp = self.path_for(key).with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(self.path_for(key))
+        # a private temp file per writer, so concurrent writers of one key
+        # each publish a whole entry with one atomic rename
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, self.path_for(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def expand(self, sl: SolveList, upto: Optional[int] = None) -> RuleSet:
         key = sl.content_key(upto=upto)
@@ -282,15 +286,3 @@ class RuleCache:
         rules = sl.expand(upto=upto)
         self.put(key, rules)
         return rules
-
-
-_DEFAULT_CACHE = None
-
-
-def get_cache(directory: "Path | str | None" = None) -> RuleCache:
-    global _DEFAULT_CACHE
-    if directory is not None:
-        return RuleCache(directory)
-    if _DEFAULT_CACHE is None:
-        _DEFAULT_CACHE = RuleCache()
-    return _DEFAULT_CACHE

@@ -47,9 +47,23 @@ def test_invariants_e6_appendix_scaling(capsys, cache):
 
 
 def test_invariants_bad_type(capsys):
-    code, _, err = run(capsys, "invariants", "--type", "Q3")
-    assert code == 2
-    assert "error" in err
+    for name in ("Q3", ""):
+        code, _, err = run(capsys, "invariants", "--type", name)
+        assert code == 2
+        assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruence", "--case", "E9:v1"],
+    ["classify", "--poly-file", "{dir}/bad.txt"],
+    ["classify", "--profile-file", "{dir}/unknown_type.json"],
+])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")
+    (tmp_path / "unknown_type.json").write_text(json.dumps({"type": "E9", "orders": {"eps8": 1}}))
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_identities(capsys):

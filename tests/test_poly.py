@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rdpinv.poly import (
     AbsentVariableError,
+    InconsistentSystemError,
+    LinearSystem,
     NonLinearError,
     ParseError,
     Polynomial,
@@ -210,3 +212,91 @@ def test_compact_drops_unused_variables():
     p = V("s1") + V("t1")
     assert set(p.compact().table.names) == {"s1", "t1"}
     assert p.compact() == p
+
+
+# -- the shared exact linear solver ----------------------------------------------
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_system(draw):
+    """Rows over unknowns 0..n-1 that a hidden rational point satisfies."""
+    n = draw(st.integers(1, 5))
+    point = [draw(small_q) for _ in range(n)]
+    entry = st.one_of(st.just(Fraction(0)), small_q)
+    rows = [{u: c for u, c in enumerate(draw(st.lists(entry, min_size=n, max_size=n))) if c}
+            for _ in range(draw(st.integers(0, 7)))]
+    rows = [(row, sum(c * point[u] for u, c in row.items())) for row in rows]
+    weights = draw(st.lists(small_q, min_size=len(rows), max_size=len(rows)))
+    return n, rows, weights
+
+
+def _combine(rows, weights):
+    row, rhs = {}, Fraction(0)
+    for (r, b), w in zip(rows, weights):
+        for u, c in r.items():
+            row[u] = row.get(u, 0) + w * c
+        rhs += w * b
+    return row, rhs
+
+
+def _dense_rank(rows, n):
+    mat = [[row.get(u, Fraction(0)) for u in range(n)] for row, _ in rows]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_system())
+def test_linear_system_solution_satisfies_every_row(case):
+    n, rows, _ = case
+    system = LinearSystem()
+    for row, rhs in rows:
+        system.add(row, rhs)
+    sol = system.solution()
+    for row, rhs in rows:
+        assert sum(c * sol.get(u, 0) for u, c in row.items()) == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_system())
+def test_linear_system_rank_counts_independent_rows(case):
+    n, rows, weights = case
+    system = LinearSystem()
+    independent = sum(system.add(row, rhs) for row, rhs in rows)
+    assert system.rank == independent == _dense_rank(rows, n)
+    # a combination of earlier rows adds nothing
+    assert system.add(*_combine(rows, weights)) is False
+    assert system.rank == independent
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_system())
+def test_linear_system_perturbed_rhs_is_inconsistent(case):
+    n, rows, weights = case
+    system = LinearSystem()
+    for row, rhs in rows:
+        system.add(row, rhs)
+    row, rhs = _combine(rows, weights)
+    with pytest.raises(InconsistentSystemError):
+        system.add(row, rhs + 1)
+
+
+def test_linear_system_unique_solution():
+    system = LinearSystem()
+    assert system.add({"a": 1, "b": 1}, 3)
+    assert system.add({"a": 1, "b": -1}, Fraction(1, 2))
+    assert not system.add({"a": 2}, Fraction(7, 2))
+    assert system.rank == 2
+    assert system.solution() == {"a": Fraction(7, 4), "b": Fraction(5, 4)}

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rdpinv
 from rdpinv.envres import (
     VersalPipeline,
     eps_names,
@@ -191,6 +197,49 @@ def test_cache_file_carries_its_key(tmp_path):
     cache.expand(sl)
     payload = json.loads(cache.path_for(sl.content_key()).read_text())
     assert payload["key"] == sl.content_key()
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path):
+    table = VarTable(["X", "a", "b"], [1, 0, 0])
+    sl = SolveList.of(RuleSet.identity(), (table.var("a") + table.var("b")) * table.var("X"),
+                      [({"X": 1}, "a")], ("X",))
+    first = RuleCache(tmp_path).expand(sl)
+    path = RuleCache(tmp_path).path_for(sl.content_key())
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    fresh = RuleCache(tmp_path)
+    assert fresh.get(sl.content_key()) is None
+    assert fresh.expand(sl).mapping() == first.mapping()
+    # the recomputed entry replaced the broken file
+    assert path.read_text() == text
+    assert RuleCache(tmp_path).get(sl.content_key()).mapping() == first.mapping()
+
+
+_PUT_LOOP = """
+import sys, time
+from rdpinv.poly import VarTable
+from rdpinv.solvelist import RuleCache, RuleSet
+t = VarTable(["a"], [0])
+rules = RuleSet.of([("a", t.var("a") + 1)])
+cache = RuleCache(sys.argv[1])
+start = float(sys.argv[2])
+time.sleep(max(0.0, start - time.time()))
+while time.time() < start + 1.0:
+    cache.put("k", rules)
+"""
+
+
+def test_concurrent_writers_of_one_key(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rdpinv.__file__).resolve().parents[1]))
+    start = str(time.time() + 1.0)
+    procs = [subprocess.Popen([sys.executable, "-c", _PUT_LOOP, str(tmp_path), start],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    errors = [p.communicate(timeout=60)[1] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], errors
+    table = VarTable(["a"], [0])
+    assert RuleCache(tmp_path).get("k").mapping() == {"a": table.var("a") + 1}
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_chain_agrees_with_direct_substitution_at_random_points(pipe6):
