@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     return USAGE_ERROR
 
 
-def _run_case(case_dir: tuple[congruence.KeyCase, "str | None"]) -> tuple[str, bool, str, str, int]:
+def _run_case(case_dir: tuple[congruence.KeyCase, str | None]) -> tuple[str, bool, str, str, int]:
     case, cache_dir = case_dir
     res = congruence.key_constant(case, RuleCache(cache_dir))
     fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
