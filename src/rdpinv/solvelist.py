@@ -9,9 +9,17 @@ coefficient of the monomial, solving it for the unknown (which must occur
 linearly with a nonzero rational constant coefficient) and eliminating
 that unknown from the remaining coefficients.
 
+The substituted template is never built whole.  Its coefficients are
+computed in (Q[parameters, unknowns])[monomial variables] modulo the
+monomial ideal spanned by everything that divides none of the pairs'
+monomials: exponents only grow under multiplication, so such a term
+never reaches a pair's monomial, and dropping it (before or after any
+product) changes no coefficient that is read.  Typically this keeps a
+tenth of the image or less.
+
 Expanded rule sets can be persisted in a content-addressed cache keyed by
-a hash of (base, template, pairs, extraction variables), so repeated runs
-of the heavy eliminations are free.
+a hash of (base, template, pairs, extraction variables, expansion
+version), so repeated runs of the heavy eliminations are free.
 """
 
 from __future__ import annotations
@@ -19,17 +27,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .poly import (
     AbsentVariableError,
+    Mono,
     NonLinearError,
     Polynomial,
     PolyError,
     VarTable,
+    _mono_mul,
     parse,
 )
 
@@ -65,8 +77,13 @@ class RuleSet:
     def identity() -> "RuleSet":
         return RuleSet(())
 
-    def mapping(self) -> dict[str, Polynomial]:
+    @cached_property
+    def _by_name(self) -> dict[str, Polynomial]:
+        # built once; never handed out, so no caller can mutate it
         return dict(self.rules)
+
+    def mapping(self) -> dict[str, Polynomial]:
+        return dict(self._by_name)
 
     def domain(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.rules)
@@ -75,20 +92,17 @@ class RuleSet:
         return len(self.rules)
 
     def __getitem__(self, name: str) -> Polynomial:
-        for v, p in self.rules:
-            if v == name:
-                return p
-        raise KeyError(name)
+        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(v == name for v, _ in self.rules)
+        return name in self._by_name
 
     def apply(self, p: Polynomial) -> Polynomial:
-        return p.substitute(self.mapping())
+        return p.substitute(self._by_name)
 
     def compose(self, inner: "RuleSet") -> "RuleSet":
         """Rules whose application equals: apply ``inner``, then ``self``."""
-        m = self.mapping()
+        m = self._by_name
         out: list[tuple[str, Polynomial]] = []
         seen = set()
         for v, p in inner.rules:
@@ -134,6 +148,13 @@ def compose(outer: RuleSet, inner: RuleSet) -> RuleSet:
     return outer.compose(inner)
 
 
+# Part of every solve-list cache key.  Bump it whenever a change to the
+# expansion could give different rules for the same solve list (the order
+# of solving, the clean-up of late pairs, the rule format), so that entries
+# written by older code are never read.  A change that only computes the
+# same rules faster, such as the divisor truncation, keeps it.
+EXPANSION_VERSION = 1
+
 MonoSpec = tuple[tuple[str, int], ...]
 
 
@@ -141,6 +162,26 @@ def _mono_spec(mono: "Mapping[str, int] | MonoSpec") -> MonoSpec:
     if isinstance(mono, Mapping):
         return tuple(sorted((v, int(e)) for v, e in mono.items() if e))
     return tuple(sorted((v, int(e)) for v, e in mono if e))
+
+
+def _divisors(mono: Mono) -> list[Mono]:
+    out: list[Mono] = [()]
+    for i, e in mono:
+        out = [d + ((i, k),) if k else d for d in out for k in range(e + 1)]
+    return out
+
+
+Cells = dict[Mono, Polynomial]  # monomial-variable part -> cofactor
+
+
+def _add_product(acc: Cells, a: Cells, b: Cells, keep: set[Mono]) -> None:
+    """Add to ``acc`` the cells of a*b whose key is in ``keep``."""
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            k = _mono_mul(ka, kb)
+            if k in keep:
+                prod = pa * pb
+                acc[k] = acc[k] + prod if k in acc else prod
 
 
 @dataclass(frozen=True)
@@ -168,15 +209,57 @@ class SolveList:
         return SolveList(base, self.template.substitute(m), self.pairs, self.monomial_vars)
 
     def coefficient_equations(self) -> list[Polynomial]:
-        """The raw coefficients c_i before any unknown is eliminated."""
-        work = self.base.apply(self.template)
-        grouped = work.coefficients_over(self.monomial_vars)
-        table = work.table
-        keyed = {}
-        for m, p in grouped.items():
-            keyed[tuple(sorted((table.names[i], e) for i, e in m))] = p
+        """The raw coefficients c_i before any unknown is eliminated.
+
+        c_i is the coefficient of the i-th pair's monomial in
+        ``base.apply(template)`` viewed over the monomial variables.  Only
+        the terms that can reach one of these monomials are formed:
+        exponents only grow under multiplication, so a term whose
+        monomial-variable part divides no target contributes nothing to
+        any c_i, and neither does any product containing it.  Working
+        modulo the ideal of non-divisors is exact, and the result equals
+        reading the coefficients off the whole image.
+        """
+        template = self.template
+        live = [(v, p) for v, p in self.base.rules if v in template.table]
+        # the table of the whole image, so every c_i is over the same one
+        table = template.table
+        for _, p in live:
+            table = table.merged(p.table)
+        # a monomial off the monomial variables is never reached
+        targets = [tuple(sorted((table.index_of(v), e) for v, e in mono))
+                   if all(v in self.monomial_vars for v, _ in mono) else None
+                   for mono, _ in self.pairs]
+        keep = set().union(*(_divisors(t) for t in targets if t is not None))
+
+        def cells(p: Polynomial) -> Cells:
+            split = p.to_table(table).coefficients_over(self.monomial_vars)
+            return {k: c for k, c in split.items() if k in keep}
+
+        def times(a: Cells, b: Cells) -> Cells:
+            acc: Cells = {}
+            _add_product(acc, a, b, keep)
+            return {k: c for k, c in acc.items() if c}
+
+        ruled = {table.index_of(v): cells(p) for v, p in live}
+        products: dict[Mono, Cells] = {(): {(): table.const(1)}}
+
+        def product(key: Mono) -> Cells:
+            """The product of rule values whose exponents ``key`` lists."""
+            got = products.get(key)
+            if got is None:
+                i, e = key[-1]
+                got = times(product(key[:-1] + (((i, e - 1),) if e > 1 else ())), ruled[i])
+                products[key] = got
+            return got
+
+        wanted = {t for t in targets if t is not None}
+        found: Cells = {}
+        groups = template.to_table(table).coefficients_over(table.names[i] for i in ruled)
+        for key, cofactor in groups.items():
+            _add_product(found, cells(cofactor), product(key), wanted)
         zero = table.zero()
-        return [keyed.get(m, zero) for m, _ in self.pairs]
+        return [found.get(t, zero) for t in targets]
 
     def expand(self, upto: Optional[int] = None) -> RuleSet:
         """Solve the pairs in order, eliminating each unknown as found.
@@ -222,7 +305,8 @@ class SolveList:
         }
 
     def content_key(self, upto: Optional[int] = None) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True) + f"|upto={upto}"
+        payload = (json.dumps(self.to_json(), sort_keys=True)
+                   + f"|upto={upto}|expansion={EXPANSION_VERSION}")
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -251,14 +335,22 @@ class RuleCache:
         hit = self._memory.get(key)
         if hit is not None:
             return hit
+        path = self.path_for(key)
+        # a missing entry is a quiet miss; a truncated, garbled or foreign
+        # one is a miss with a warning: expand() recomputes it and put()
+        # overwrites the file
         try:
-            data = json.loads(self.path_for(key).read_text())
+            data = json.loads(path.read_text())
             if data.get("key") != key:
+                print(f"warning: rule cache entry {path} carries another key; recomputing",
+                      file=sys.stderr)
                 return None
             rules = RuleSet.from_json(data["rules"])
-        except (OSError, ValueError, LookupError, TypeError, AttributeError, PolyError):
-            # a missing, truncated or garbled entry is a miss; expand()
-            # recomputes it and put() overwrites the file
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, LookupError, TypeError, AttributeError, PolyError) as exc:
+            print(f"warning: rule cache entry {path} is unreadable ({type(exc).__name__});"
+                  " recomputing", file=sys.stderr)
             return None
         self._memory[key] = rules
         return rules

@@ -7,8 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdpinv
+from rdpinv import solvelist
+from rdpinv.distpoly import split_params_E
 from rdpinv.envres import (
     VersalPipeline,
     eps_names,
@@ -52,6 +55,100 @@ def test_ordering_violation_detected():
     with pytest.raises(ValidityViolation) as err:
         sl.expand()
     assert err.value.index == 1 and err.value.variable == "b"
+
+
+def _full_image_coefficients(sl):
+    """The pairs' coefficients read off the whole substituted template."""
+    image = sl.base.apply(sl.template)
+    names = image.table.names
+    grouped = {tuple(sorted((names[i], e) for i, e in m)): c
+               for m, c in image.coefficients_over(sl.monomial_vars).items()}
+    return [grouped.get(m, image.table.zero()) for m, _ in sl.pairs]
+
+
+class _FullImageSolveList(SolveList):
+    def coefficient_equations(self):
+        return _full_image_coefficients(self)
+
+
+def _assert_same_coefficients(sl):
+    got = sl.coefficient_equations()
+    want = _full_image_coefficients(sl)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        # same table too: the serialized rules depend on its variable order
+        assert g.table is w.table
+        assert g.terms == w.terms
+
+
+def _expansion_outcome(sl, upto):
+    try:
+        return sl.expand(upto=upto).to_json()
+    except ValidityViolation as exc:
+        return (exc.index, exc.variable, exc.reason)
+    except KeyError as exc:  # an unknown missing from every table
+        return repr(exc)
+
+
+_NAMES = ("x", "y", "z", "A", "B", "s", "a", "b", "c")
+_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                    st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def _random_solve_lists(draw):
+    weight = {v: draw(st.integers(0, 3)) for v in _NAMES}
+    exponent = st.sampled_from([0, 0, 1, 2])
+
+    def poly(table, names, max_terms):
+        p = table.zero()
+        for _ in range(draw(st.integers(0, max_terms))):
+            term = table.const(draw(_COEFFS))
+            for v in names:
+                if v in table:
+                    term = term * table.var(v) ** draw(exponent)
+            p = p + term
+        return p
+
+    # rule values live on their own smallest tables; the template's table
+    # holds the monomial variables, the unknowns and, in a drawn order,
+    # some of the rest
+    full = VarTable(_NAMES, [weight[v] for v in _NAMES])
+    base = RuleSet.of([("A", poly(full, ("x", "y", "s", "a", "b"), 4).compact()),
+                       ("B", poly(full, ("x", "z", "A", "s", "c"), 4).compact())])
+    names = draw(st.permutations(
+        ["x", "y", "z", "a", "b", "c"] + draw(st.lists(st.sampled_from("ABs"), unique=True))))
+    table = VarTable(names, [weight[v] for v in names])
+    template = poly(table, ("A", "B", "x", "y", "a", "b", "c", "s"), 4)
+    for u in ("a", "b", "c"):  # some unknowns occur with a constant pivot
+        template = template + table.var(u) * poly(table, ("A", "B", "x", "y", "s"), 2) \
+            + table.var(u) * poly(table, ("x", "y", "z"), 1)
+    # targets: mostly monomials the image reaches, sometimes any monomial
+    image = base.apply(template)
+    names = image.table.names
+    reached = [tuple((names[i], e) for i, e in m)
+               for m in image.coefficients_over(("x", "y", "z"))]
+    anywhere = st.builds(lambda *e: tuple(zip("xyz", e)), *[st.integers(0, 3)] * 3)
+    monos = draw(st.lists(st.sampled_from(reached) | anywhere if reached else anywhere,
+                          min_size=1, max_size=4))
+    unknowns = draw(st.permutations(["a", "b", "c"])) + ["s"]
+    return SolveList.of(base, template, list(zip(monos, unknowns)), ("x", "y", "z"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_solve_lists(), st.integers(0, 4))
+def test_coefficients_equal_full_image_coefficients(sl, upto):
+    _assert_same_coefficients(sl)
+    oracle = _FullImageSolveList(sl.base, sl.template, sl.pairs, sl.monomial_vars)
+    for k in (None, upto):
+        assert _expansion_outcome(sl, k) == _expansion_outcome(oracle, k)
+
+
+@pytest.mark.parametrize("param", [None, "moved"])
+def test_e6_coefficients_equal_full_image_coefficients(param, cache):
+    pipe = VersalPipeline(6, param=split_params_E(6)[1] if param else None, cache=cache)
+    for sl in (pipe.bar_solvelist(), pipe.psi_solvelist(), pipe.versal_solvelist()):
+        _assert_same_coefficients(sl)
 
 
 def test_compose_identity_and_associativity():
@@ -199,7 +296,7 @@ def test_cache_file_carries_its_key(tmp_path):
     assert payload["key"] == sl.content_key()
 
 
-def test_truncated_cache_entry_is_recomputed(tmp_path):
+def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
     table = VarTable(["X", "a", "b"], [1, 0, 0])
     sl = SolveList.of(RuleSet.identity(), (table.var("a") + table.var("b")) * table.var("X"),
                       [({"X": 1}, "a")], ("X",))
@@ -208,11 +305,37 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     fresh = RuleCache(tmp_path)
+    capsys.readouterr()
     assert fresh.get(sl.content_key()) is None
+    warning = capsys.readouterr().err.splitlines()
+    assert len(warning) == 1 and warning[0].startswith("warning: ") \
+        and path.name in warning[0]
     assert fresh.expand(sl).mapping() == first.mapping()
     # the recomputed entry replaced the broken file
     assert path.read_text() == text
     assert RuleCache(tmp_path).get(sl.content_key()).mapping() == first.mapping()
+
+
+def test_absent_entry_is_a_quiet_miss_and_a_foreign_one_warns(tmp_path, capsys):
+    cache = RuleCache(tmp_path)
+    assert cache.get("absent") is None
+    assert capsys.readouterr() == ("", "")
+    table = VarTable(["a"], [0])
+    cache.put("k", RuleSet.of([("a", table.var("a"))]))
+    cache.path_for("other").write_text(cache.path_for("k").read_text())
+    assert RuleCache(tmp_path).get("other") is None
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("warning: ")
+
+
+def test_expansion_version_is_part_of_the_key(monkeypatch):
+    table = VarTable(["X", "a"], [1, 0])
+    sl = SolveList.of(RuleSet.identity(), (table.var("a") + 1) * table.var("X"),
+                      [({"X": 1}, "a")], ("X",))
+    before = sl.content_key(), sl.content_key(upto=1)
+    monkeypatch.setattr(solvelist, "EXPANSION_VERSION", solvelist.EXPANSION_VERSION + 1)
+    after = sl.content_key(), sl.content_key(upto=1)
+    assert before[0] != after[0] and before[1] != after[1]
 
 
 _PUT_LOOP = """
