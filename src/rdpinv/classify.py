@@ -2,10 +2,10 @@
 
 ``rdp_type`` decides the type of an isolated surface double point from a
 sufficiently long jet of its defining polynomial: rank of the quadratic
-part, then the factorization shape of the residual binary cubic, then
-orders of the fully reduced tail.  All reductions are exact formal
-coordinate changes truncated at the caller's jet order; square roots are
-never needed because the tree only consumes ranks, factor multiplicities
+part, then the factorization shape of the residual binary cubic (read
+off its Hessian), then orders of the fully reduced tail.  All reductions
+are exact formal shears truncated at the caller's jet order; square roots
+are never needed because the tree only consumes ranks, factor multiplicities
 and vanishing orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
@@ -156,98 +156,78 @@ def _diagonalize(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
     return C, out_diag
 
 
+def _coeff_in(p: Polynomial, var: str, k: int) -> Polynomial:
+    """The terms of degree ``k`` in ``var``, with ``var`` removed."""
+    return p.coeffs_in(var).get(k, p.table.zero())
+
+
+def _lowered(m: tuple, i: int, k: int) -> tuple:
+    """The monomial ``m`` divided by the ``k``-th power of variable ``i``."""
+    return tuple((j, e - k if j == i else e) for j, e in m if j != i or e > k)
+
+
+def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
+    """Formal shears ``var -> var + shift`` until no term asks for one.
+
+    ``shift_for(m, c)`` maps a term to the (monomial, coefficient) it adds
+    to the shift, or to None.  Each pass removes the whole offending layer
+    at once and strictly raises its minimal degree, so truncation at total
+    degree ``d`` ends the loop (the splitting lemma, term by term).
+    """
+    x = g.table.var(var)
+    while True:
+        shift = {}
+        for m, c in g.terms.items():
+            s = shift_for(m, c)
+            if s is not None:
+                shift[s[0]] = s[1]
+        if not shift:
+            return g
+        g = g.substitute({var: x + Polynomial(g.table, shift)}, max_total_degree=d)
+
+
 def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     """Kill every term with positive degree in ``var`` except its pure square.
 
     Assumes the quadratic part of p is a*var^2 + (rank-deficient rest in the
-    other variables); batched formal shear substitutions remove the whole
-    offending layer at once, and each pass strictly raises the minimal
-    offending degree, so at most d passes run before truncation wins.
+    other variables); returns the part free of ``var``.
     """
-    table = p.table
-    vidx = table.index_of(var)
-    a = p.terms.get(((vidx, 2),))
+    vidx = p.table.index_of(var)
+    square = ((vidx, 2),)
+    a = p.terms.get(square)
     if not a:
         raise ValueError("expected a pure square term")
-    x = table.var(var)
-    while True:
-        offending = {}
-        for m, c in p.terms.items():
-            e = dict(m).get(vidx, 0)
-            if e == 0 or m == ((vidx, 2),):
-                continue
-            rest = tuple((i, ee) if i != vidx else (i, ee - 1) for i, ee in m)
-            rest = tuple((i, ee) for i, ee in rest if ee)
-            offending[rest] = Fraction(c, -2 * a)
-        if not offending:
-            break
-        shift = Polynomial(table, offending)
-        p = p.substitute({var: x + shift}, max_total_degree=d)
-    return Polynomial(table, {m: c for m, c in p.terms.items() if dict(m).get(vidx, 0) == 0})
+
+    def complete_square(m, c):
+        if m != square and dict(m).get(vidx, 0):
+            return _lowered(m, vidx, 1), Fraction(c, -2 * a)
+
+    return _coeff_in(_shear(p, var, d, complete_square), var, 0)
 
 
 def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
     """Factor multiplicities of a nonzero binary cubic over the closure.
 
-    Returns ('distinct',), ('double', h) with the rational double factor,
-    or ('triple', h).
+    For a*y^3 + b*y^2*z + c*y*z^2 + d*z^3 the Hessian is, up to a constant,
+    A*y^2 + B*y*z + C*z^2 with A = b^2 - 3ac, B = bc - 9ad, C = c^2 - 3bd.
+    It vanishes exactly for a cube, and otherwise is a square (the square of
+    the repeated factor) exactly when a factor repeats.  Returns
+    ('distinct',), ('double', h) with the rational double factor, or
+    ('triple', h).
     """
     table = g3.table
-    yi, zi = table.index_of(y), table.index_of(z)
-    coeff = [Fraction(0)] * 4  # coefficient of y^k z^(3-k)
-    for m, c in g3.terms.items():
-        k = dict(m).get(yi, 0)
-        coeff[k] = Fraction(c)
-    # univariate f(t) = g3(t, 1); infinity accounts for a drop in degree
-    f = list(coeff)
-    while f and f[-1] == 0:
-        f.pop()
-    deg = len(f) - 1
-    inf_mult = 3 - deg
-
-    def poly_gcd(a, b):
-        a, b = list(a), list(b)
-        while b and any(b):
-            while a and a[-1] == 0:
-                a.pop()
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            lead = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            a = [ai - lead * (b[i - shift] if 0 <= i - shift < len(b) else 0)
-                 for i, ai in enumerate(a)]
-            while a and a[-1] == 0:
-                a.pop()
-            a, b = b, a
-        return a or [Fraction(0)]
-
-    fp = [i * f[i] for i in range(1, len(f))] if deg >= 1 else []
-    g = poly_gcd(f, fp) if fp else [Fraction(1)]
-    while len(g) > 1 and g[-1] == 0:
-        g.pop()
-    gcd_deg = len(g) - 1 if any(g) else 0
-    # triple cases
-    if inf_mult == 3:
-        return ("triple", table.var(z))
-    if inf_mult == 0 and gcd_deg == 2:
-        root = -g[1] / (2 * g[2]) if g[2] else -g[0] / g[1]
-        return ("triple", table.var(y) - root * table.var(z))
-    # double cases
-    if inf_mult == 2:
-        return ("double", table.var(z))
-    if gcd_deg == 1:
-        root = -g[0] / g[1]
-        return ("double", table.var(y) - root * table.var(z))
-    if inf_mult == 1 and deg == 2 and gcd_deg == 0:
-        return ("distinct",)
-    if gcd_deg == 0 and inf_mult <= 1:
-        return ("distinct",)
-    raise NotRDPError("degenerate cubic factorization")
+    yi = table.index_of(y)
+    coeff = [Fraction(0)] * 4  # a, b, c, d: coefficients of y^(3-k) z^k
+    for m, v in g3.terms.items():
+        coeff[3 - dict(m).get(yi, 0)] = Fraction(v)
+    a, b, c, d = coeff
+    A, B, C = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+    yv, zv = table.var(y), table.var(z)
+    if A == B == C == 0:
+        return ("triple", yv + b / (3 * a) * zv if a else zv)
+    if B * B == 4 * A * C:
+        return ("double", yv + B / (2 * A) * zv if A else zv)
+    return ("distinct",)
 
 
 def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> Polynomial:
@@ -265,69 +245,38 @@ def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> P
     return g.substitute(rules)
 
 
-def _reduce_tail_D(g: Polynomial, y: str, z: str, c3, d: int) -> tuple[Optional[int], Polynomial]:
+def _absorb(yi: int, keep: tuple, scale: Fraction):
+    """Shift rule absorbing each y^a z^b with a >= 2, except ``keep``, into the cubic."""
+
+    def rule(m, c):
+        if m != keep and dict(m).get(yi, 0) >= 2:
+            return _lowered(m, yi, 2), -Fraction(c) / scale
+
+    return rule
+
+
+def _reduce_tail_D(g: Polynomial, y: str, z: str, c3, d: int) -> Optional[int]:
     """Normalize g = c3*y^2 z + higher; return the order of the pure-z tail."""
-    table = g.table
-    yi, zi = table.index_of(y), table.index_of(z)
-    yv, zv = table.var(y), table.var(z)
-    # absorb y^a z^b with a >= 2 (except y^2 z) into the cubic via z-shifts
-    while True:
-        shift_terms = {}
-        for m, c in g.terms.items():
-            exps = dict(m)
-            a, b = exps.get(yi, 0), exps.get(zi, 0)
-            if a >= 2 and (a, b) != (2, 1):
-                mono = tuple(sorted(((yi, a - 2), (zi, b))))
-                mono = tuple((i, e) for i, e in mono if e)
-                shift_terms[mono] = Fraction(-c, 1) / c3
-        if not shift_terms:
-            break
-        g = g.substitute({z: zv + Polynomial(table, shift_terms)}, max_total_degree=d)
-    # kill the y-linear tail via y-shifts
-    while True:
-        shift_terms = {}
-        for m, c in g.terms.items():
-            exps = dict(m)
-            if exps.get(yi, 0) == 1:
-                b = exps.get(zi, 0)
-                if b <= 1:
-                    raise NotRDPError("unexpected low-order mixed term in the reduced tail")
-                shift_terms[((zi, b - 1),)] = Fraction(-c, 2) / c3
-        if not shift_terms:
-            break
-        g = g.substitute({y: yv + Polynomial(table, shift_terms)}, max_total_degree=d)
-    tail = Polynomial(table, {m: c for m, c in g.terms.items()
-                              if dict(m).get(yi, 0) == 0})
-    return _order(tail), g
+    yi, zi = g.table.index_of(y), g.table.index_of(z)
+
+    def kill_linear(m, c):
+        exps = dict(m)
+        if exps.get(yi, 0) == 1:
+            b = exps.get(zi, 0)
+            if b <= 1:
+                raise NotRDPError("unexpected low-order mixed term in the reduced tail")
+            return ((zi, b - 1),), Fraction(-c, 2) / c3
+
+    g = _shear(g, z, d, _absorb(yi, ((yi, 2), (zi, 1)), c3))
+    g = _shear(g, y, d, kill_linear)
+    return _order(_coeff_in(g, y, 0))
 
 
 def _reduce_tail_E(g: Polynomial, y: str, z: str, c3, d: int) -> tuple[Optional[int], Optional[int]]:
     """Normalize g = c3*y^3 + y*B(z) + C(z); return (ord B, ord C)."""
-    table = g.table
-    yi, zi = table.index_of(y), table.index_of(z)
-    yv, zv = table.var(y), table.var(z)
-    while True:
-        shift_terms = {}
-        for m, c in g.terms.items():
-            exps = dict(m)
-            a, b = exps.get(yi, 0), exps.get(zi, 0)
-            if a >= 2 and (a, b) != (3, 0):
-                mono = tuple(sorted(((yi, a - 2), (zi, b))))
-                mono = tuple((i, e) for i, e in mono if e)
-                shift_terms[mono] = Fraction(-c, 3) / c3
-        if not shift_terms:
-            break
-        g = g.substitute({y: yv + Polynomial(table, shift_terms)}, max_total_degree=d)
-    B = table.zero()
-    C = table.zero()
-    for m, c in g.terms.items():
-        exps = dict(m)
-        a = exps.get(yi, 0)
-        if a == 1:
-            B = B + Polynomial(table, {tuple((i, e) for i, e in m if i != yi): c})
-        elif a == 0:
-            C = C + Polynomial(table, {m: c})
-    return _order(B), _order(C)
+    yi = g.table.index_of(y)
+    g = _shear(g, y, d, _absorb(yi, ((yi, 3),), 3 * c3))
+    return _order(_coeff_in(g, y, 1)), _order(_coeff_in(g, y, 0))
 
 
 def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
@@ -378,7 +327,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         c3 = g3.terms.get(((yi, 2), (g.table.index_of(z), 1)))
         if not c3:
             raise NotRDPError("double factor did not straighten")
-        order, _ = _reduce_tail_D(g, y, z, Fraction(c3), jet_order)
+        order = _reduce_tail_D(g, y, z, Fraction(c3), jet_order)
         if order is None:
             raise UndecidableError(jet_order, "pure tail vanishes to jet order")
         return RdpType("D", order + 1)

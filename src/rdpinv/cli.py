@@ -13,7 +13,7 @@ from pathlib import Path
 from . import classify as classify_mod
 from . import congruence, distpoly, envres
 from .poly import ParseError, Polynomial, VarTable, parse
-from .rootsys import Spec
+from .rootsys import Spec, supported_splits
 from .solvelist import RuleCache
 
 USAGE_ERROR = 2
@@ -32,8 +32,7 @@ def _emit(pairs: list[tuple[str, Polynomial]], fmt: str, out) -> None:
 def coordinates_for(name: str, cache: RuleCache) -> list[tuple[str, Polynomial]]:
     spec = Spec.from_name(name)
     if spec.family == "E" and spec.n >= 6:
-        rules = envres.VersalPipeline(spec.n, cache=cache).versal_rules()
-        return [(nm, rules[nm]) for nm in envres.eps_names(spec.n)]
+        return list(envres.versal_coeffs(spec.n, cache).items())
     coords = distpoly.standard_coords(spec)
     return [(nm, poly.compact()) for nm, poly in coords.items()]
 
@@ -71,11 +70,10 @@ def _report(lines: list[tuple[str, bool]], out) -> int:
 
 def verify_appendix(n: int, cache: RuleCache, out) -> int:
     golden = load_golden(f"appendix{1 if n == 6 else 2}", envres.pipeline_table(n))
-    rules = envres.VersalPipeline(n, cache=cache).versal_rules()
     lines = []
-    for nm in envres.eps_names(n):
+    for nm, got in envres.versal_coeffs(n, cache).items():
         mult, want = golden[nm]
-        lines.append((f"appendix E{n} {nm} (x{mult})", mult * rules[nm] == want))
+        lines.append((f"appendix E{n} {nm} (x{mult})", mult * got == want))
     return _report(lines, out)
 
 
@@ -108,8 +106,6 @@ def verify_relations(cache: RuleCache, out) -> int:
     for name in ["A2", "A3", "A4", "A5", "A6", "A7", "A8", "D2", "D3", "D4", "D5",
                  "D6", "D7", "D8", "E3", "E4", "E5", "E6", "E7", "E8"]:
         spec = Spec.from_name(name)
-        from .rootsys import supported_splits
-
         for k in supported_splits(spec):
             rep = congruence.dist_relation(spec, k)
             lines.append((f"relation {name} at v{k}", rep.ok))

@@ -243,14 +243,6 @@ class RestrictionError(RuntimeError):
     pass
 
 
-def _coord_items_by_weight(spec: Spec, coords: dict[str, Polynomial]) -> list[tuple[str, int, Polynomial]]:
-    out = []
-    for name, phi in coords.items():
-        out.append((name, phi.homogeneous_weight(), phi))
-    out.sort(key=lambda item: (item[1], item[0]))
-    return out
-
-
 def scf_names(spec: Spec) -> list[str]:
     if spec.family == "A":
         return [f"alpha{i}" for i in range(2, spec.n + 1)]
@@ -541,7 +533,3 @@ def _solve_two_term(target: Polynomial, A: Polynomial, B: Polynomial) -> "tuple[
         return None
     c = system.solution()
     return (c[1], c[2])
-
-
-def run_all_key_cases(cache: Optional[RuleCache] = None) -> list[KeyResult]:
-    return [key_constant(case, cache) for case in KEY_CASES]

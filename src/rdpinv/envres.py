@@ -10,7 +10,8 @@ coefficients eps_i as exact polynomials in s_1..s_n.
 
 For n = 7, 8 the versal stage sets z = 0 before expanding (the relevant
 extraction monomials never involve z), which shrinks the computation by
-orders of magnitude; the E8 barred stage is z-free as well.
+orders of magnitude; the E8 barred stage is z-free as well.  The
+generators drop z before the parameter pull-back, not after it.
 
 All heavy expansions stream through the content-addressed rule cache.
 """
@@ -140,10 +141,6 @@ class GoodGenSet:
     Yb: Polynomial
     Zb: Polynomial
     Wb: Polynomial
-
-    def as_rules(self) -> RuleSet:
-        return RuleSet.of([("Xb", self.Xb), ("Yb", self.Yb),
-                           ("Zb", self.Zb), ("Wb", self.Wb)])
 
 
 # scalar unknowns of the weight-16 sextic live on partitions of s-weights
@@ -453,10 +450,11 @@ class VersalPipeline:
             rules = []
             for name, p in (("Xb", gens.Xb), ("Yb", gens.Yb),
                             ("Zb", gens.Zb), ("Wb", gens.Wb)):
-                p = self._apply_param(p)
+                # no parameter involves z, so dropping it first only
+                # shrinks what the parameter is substituted into
                 if z_zero:
                     p = p.substitute({"z": 0})
-                rules.append((name, p))
+                rules.append((name, self._apply_param(p)))
             self._memo[key] = RuleSet.of(rules)
         return self._memo[key]
 

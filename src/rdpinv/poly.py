@@ -20,7 +20,6 @@ names carry equal weights; the tables are merged by name.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -101,9 +100,6 @@ class VarTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    def weight_of(self, name: str) -> int:
-        return self.weights[self._index[name]]
 
     def __len__(self) -> int:
         return len(self.names)
@@ -361,17 +357,6 @@ class Polynomial:
             elif w != mw:
                 return None
         return w
-
-    def weight_parts(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(self.table.mono_weight(m), {})[m] = c
-        return {w: Polynomial(self.table, t) for w, t in sorted(parts.items())}
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
 
     def degree_in(self, name: str) -> int:
         idx = self.table._index.get(name)
@@ -747,10 +732,6 @@ def parse(text: str, table: VarTable) -> Polynomial:
         if i < n and tokens[i][0] != "op":
             raise ParseError(f"expected operator, got {tokens[i][1]!r}", tokens[i][2])
     return Polynomial(table, acc)
-
-
-def poly_json_dumps(p: Polynomial) -> str:
-    return json.dumps(p.to_json(), sort_keys=True)
 
 
 # -- univariate-style helpers -------------------------------------------------

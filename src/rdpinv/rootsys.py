@@ -83,9 +83,6 @@ class Spec:
         hi = self.n + 1
         return VarTable([f"vs{i}" for i in range(hi)], [1] * hi)
 
-    def s_table(self) -> VarTable:
-        return VarTable([f"s{i}" for i in range(1, self.n + 1)], list(range(1, self.n + 1)))
-
 
 def t_vars(spec: Spec) -> list[Polynomial]:
     t = spec.t_table()

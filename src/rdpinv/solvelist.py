@@ -85,9 +85,6 @@ class RuleSet:
     def mapping(self) -> dict[str, Polynomial]:
         return dict(self._by_name)
 
-    def domain(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.rules)
-
     def __len__(self) -> int:
         return len(self.rules)
 
@@ -112,10 +109,6 @@ class RuleSet:
             if v not in seen:
                 out.append((v, p))
         return RuleSet(tuple(out))
-
-    def restricted(self, names: Iterable[str]) -> "RuleSet":
-        names = set(names)
-        return RuleSet(tuple((v, p) for v, p in self.rules if v in names))
 
     def to_json(self) -> dict:
         tables: list[VarTable] = []

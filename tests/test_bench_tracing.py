@@ -1,0 +1,43 @@
+"""The benchmark's tracer still installs on the package and counts the classifier.
+
+``bench/tracing.py`` wraps functions and methods of rdpinv by name, so a
+rename in the kernel or the classifier would break ``--trace 1`` without
+failing anything else.  The tracer runs in a subprocess, since it replaces
+the package's functions for the rest of the interpreter's life.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from rdpinv.classify import rdp_type
+from rdpinv.poly import VarTable, parse
+table = VarTable(["X", "Y", "Z"], [1, 1, 1])
+name = rdp_type(parse("-X^2 - 2*X*Y^2 - Y^2*Z + Z^4", table), jet_order=10).name
+spans = [{"name": n, "start": s, "end": e, "parent": p, "attrs": a}
+         for n, s, e, p, a in tracer.spans]
+print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
+"""
+
+
+def test_tracer_installs_and_counts_one_classification(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["type"] == "D5"
+    metrics = result["metrics"]
+    assert metrics["classify.rdp_type_s"] > 0
+    assert metrics["poly.substitute_calls"] >= metrics["classify.jet_substitutions"] >= 1
+    assert metrics["poly.mul_truncated_calls"] >= 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rdpinv.classify import (
     COLUMNS,
@@ -10,6 +11,7 @@ from rdpinv.classify import (
     SectionBound,
     UndecidableError,
     ValuationProfile,
+    _binary_cubic_shape,
     length_type,
     rdp_type,
     section_type,
@@ -63,6 +65,57 @@ def test_random_linear_changes(text, want):
     for _ in range(5):
         moved = base.substitute(random_linear_rules(rng), max_total_degree=10)
         assert rdp_type(moved, jet_order=10).name == want
+
+
+def random_triangular_rules(rng):
+    """X -> X + a(Y, Z), Y -> Y + b(Z), with a and b of degrees 2 and 3."""
+    X, Y, Z = (T.var(v) for v in "XYZ")
+    a = sum((rng.randint(-2, 2) * m for m in (Y**2, Y*Z, Z**2, Y**3, Y**2*Z, Y*Z**2, Z**3)),
+            T.zero())
+    b = sum((rng.randint(-2, 2) * m for m in (Z**2, Z**3)), T.zero())
+    return {"X": X + a, "Y": Y + b}
+
+
+@pytest.mark.parametrize("text,want", NORMAL_FORMS)
+def test_random_triangular_changes(text, want):
+    rng = random.Random(f"triangular {text} {want}")
+    base = P(text)
+    for _ in range(3):
+        moved = base.substitute(random_triangular_rules(rng), max_total_degree=10)
+        moved = moved.substitute(random_linear_rules(rng), max_total_degree=10)
+        assert rdp_type(moved, jet_order=10).name == want
+
+
+def linear_forms():
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.tuples(coeff, coeff).filter(lambda l: any(l))
+
+
+def proportional(l, m):
+    return l[0] * m[1] == l[1] * m[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["distinct", "double", "triple"]), linear_forms(), linear_forms(),
+       linear_forms())
+def test_binary_cubic_shape_of_products(shape, l1, l2, l3):
+    Y, Z = T.var("Y"), T.var("Z")
+    form = lambda l: l[0] * Y + l[1] * Z
+    if shape == "distinct":
+        assume(not (proportional(l1, l2) or proportional(l1, l3) or proportional(l2, l3)))
+        cubic = form(l1) * form(l2) * form(l3)
+    elif shape == "double":
+        assume(not proportional(l1, l2))
+        cubic = form(l1) ** 2 * form(l2)
+    else:
+        cubic = form(l1) ** 3
+    got = _binary_cubic_shape(cubic, "Y", "Z")
+    assert got[0] == shape
+    if shape != "distinct":
+        h = got[1]
+        hy, hz = (h.terms.get(((T.index_of(v), 1),), 0) for v in "YZ")
+        assert (hy, hz) != (0, 0) and len(h.terms) == bool(hy) + bool(hz)
+        assert proportional((hy, hz), l1)
 
 
 def test_smooth_point():

@@ -18,6 +18,9 @@ from rdpinv.envres import (
 )
 from rdpinv.poly import parse, univar_divmod
 from rdpinv.cli import load_golden
+from rdpinv.congruence import KEY_CASES, case_param
+from rdpinv.distpoly import split_params_E
+from rdpinv.solvelist import RuleSet
 
 
 def P(n, text):
@@ -137,6 +140,37 @@ def test_mod_m_coefficient_extraction_example(pipe6):
     reduced = reduce_mod_m(pipe6.rbar_pi(z_zero=False).apply(phibar_template(6)))
     coeff = reduced.coeff_of({"x": 2, "y": 6, "z": 1}, ["x", "y", "z"])
     assert coeff == pipeline_table(6).var("phib1")
+
+
+def _rbar_param_first(pipe, z_zero):
+    """Generator rules pulled back through the parameter before z is dropped."""
+    gens = good_gens_bar(pipe.n)
+    rules = []
+    for name in ("Xb", "Yb", "Zb", "Wb"):
+        p = pipe._apply_param(getattr(gens, name))
+        rules.append((name, p.substitute({"z": 0}) if z_zero else p))
+    return RuleSet.of(rules)
+
+
+def _assert_same_rules(got, want):
+    assert [v for v, _ in got.rules] == [v for v, _ in want.rules]
+    for (_, p), (_, q) in zip(got.rules, want.rules):
+        assert p.table is q.table and p.terms == q.terms
+    assert got.canonical_bytes() == want.canonical_bytes()
+
+
+@pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: c.label)
+def test_rbar_drops_z_before_the_key_case_parameter(case, cache):
+    pipe = VersalPipeline(case.parent, param=case_param(case, cache), cache=cache)
+    for z_zero in (False, True):
+        _assert_same_rules(pipe.rbar_pi(z_zero), _rbar_param_first(pipe, z_zero))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_rbar_drops_z_before_the_split_parameters(n, cache):
+    for param in split_params_E(n):
+        pipe = VersalPipeline(n, param=param, cache=cache)
+        _assert_same_rules(pipe.rbar_pi(True), _rbar_param_first(pipe, True))
 
 
 def test_psi_values(pipe6, pipe7, pipe8):
