@@ -172,10 +172,12 @@ def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
     ``shift_for(m, c)`` maps a term to the (monomial, coefficient) it adds
     to the shift, or to None.  Each pass removes the whole offending layer
     at once and strictly raises its minimal degree, so truncation at total
-    degree ``d`` ends the loop (the splitting lemma, term by term).
+    degree ``d`` ends the loop within ``d`` passes (the splitting lemma,
+    term by term).  A shift rule that breaks this raises RuntimeError
+    instead of looping on ever larger coefficients.
     """
     x = g.table.var(var)
-    while True:
+    for passes in range(d + 1):
         shift = {}
         for m, c in g.terms.items():
             s = shift_for(m, c)
@@ -183,7 +185,10 @@ def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
                 shift[s[0]] = s[1]
         if not shift:
             return g
+        if passes == d:
+            break
         g = g.substitute({var: x + Polynomial(g.table, shift)}, max_total_degree=d)
+    raise RuntimeError(f"shear in {var} still asks for a shift after {d} passes")
 
 
 def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:

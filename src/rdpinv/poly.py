@@ -427,8 +427,26 @@ class Polynomial:
                    max_total_degree: "int | None" = None) -> "Polynomial":
         """Simultaneous substitution; variables without rules pass through.
 
-        With ``max_total_degree`` every intermediate product is truncated
-        to that total degree, which keeps jet computations polynomial-sized.
+        The result lives on this table merged with every rule value's table.
+        A rule value of at most one term (zero, a constant, a scaled
+        monomial) is applied to each term directly.  The other ruled
+        variables present in the input, v1, ..., vk, go through one
+        recursive Horner scheme: split the terms by their exponent of v1,
+        substitute v2..vk into each block, and combine the blocks from the
+        top exponent down as ``acc = acc * r(v1) + block_e``.  Each block
+        comes from the input, so a rule value that contains ruled variables
+        (a swap, a reflection) is never substituted into again.  The
+        innermost variable is the one whose value uses the fewest variables,
+        and each further one adds the fewest new ones, so the inner results
+        stay small; for the E6 reflection on t1..t6 that is t6 outermost.
+
+        With ``max_total_degree`` the result is the full result truncated
+        to that total degree.  Degrees only add under multiplication, so a
+        block multiplied by ``vi^e`` is needed only up to the budget minus
+        ``e * low(r(vi))``, the lowest total degree in the value: each
+        Horner step is a ``mul_truncated`` at that budget, and a term whose
+        image cannot reach below the budget is dropped before any product
+        is formed.  This keeps jet computations polynomial-sized.
         """
         live = {n: r for n, r in rules.items() if n in self.table}
         if not live:
@@ -437,63 +455,84 @@ class Polynomial:
         for r in live.values():
             if isinstance(r, Polynomial):
                 table = table.merged(r.table)
-        ruled: dict[int, Polynomial] = {}
+        # the merged table lists this table's names first, so indices agree
+        direct: dict[int, tuple] = {}  # index -> (monomial, coefficient) or None
+        horner: dict[int, Polynomial] = {}
         for n, r in live.items():
-            if not isinstance(r, Polynomial):
-                r = table.const(r)
-            ruled[self.table.index_of(n)] = r.to_table(table)
-        mapping = [table.index_of(n) for n in self.table.names]
-        one = table.const(1)
+            r = r.to_table(table) if isinstance(r, Polynomial) else table.const(r)
+            i = self.table.index_of(n)
+            if len(r.terms) <= 1:
+                direct[i] = next(iter(r.terms.items()), None)
+            else:
+                horner[i] = r
+        present = {i for m in self.terms for i, _ in m}
+        uses = {i: {j for m in r.terms for j, _ in m} for i, r in horner.items() if i in present}
+        # innermost first, each time the value that brings the fewest new
+        # variables into the inner results: they stay over fewer variables
+        order: list[int] = []
+        seen: set[int] = set()
+        while uses:
+            i = min(uses, key=lambda i: (len(uses[i] - seen), i))
+            seen |= uses.pop(i)
+            order.append(i)
+        order.reverse()
+        slot = {i: k for k, i in enumerate(order)}
+        values = [horner[i] for i in order]
+        lows = [min(sum(e for _, e in m) for m in r.terms) for r in values]
         bound = max_total_degree
 
-        def trunc(p: Polynomial) -> Polynomial:
-            if bound is None:
-                return p
-            return p._trunc(bound)
-
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def rpow(i: int, e: int) -> Polynomial:
-            p = pow_cache.get((i, e))
-            if p is None:
-                if bound is None:
-                    p = ruled[i] ** e
-                elif e == 1:
-                    p = trunc(ruled[i])
-                else:
-                    p = rpow(i, e - 1).mul_truncated(ruled[i], bound)
-                pow_cache[(i, e)] = p
-            return p
-
-        prod_cache: dict[Mono, Polynomial] = {(): one}
-        acc: dict = {}
+        # split the terms by their exponents of the Horner variables; the
+        # rest of each term, with the direct rules applied, forms the block
+        blocks: dict[tuple, dict] = {}
         for m, c in self.terms.items():
+            key = [0] * len(slot)
             kept = []
-            repl = []
+            extra: Mono = ()
             for i, e in m:
-                if i in ruled:
-                    repl.append((i, e))
+                k = slot.get(i)
+                if k is not None:
+                    key[k] = e
+                elif i not in direct:
+                    kept.append((i, e))
+                elif direct[i] is None:
+                    break  # a zero value kills the term
                 else:
-                    kept.append((mapping[i], e))
-            key = tuple(repl)
-            prod = prod_cache.get(key)
-            if prod is None:
-                prod = one
-                for i, e in repl:
-                    prod = prod * rpow(i, e) if bound is None else prod.mul_truncated(rpow(i, e), bound)
-                prod_cache[key] = prod
-            kept_m = tuple(sorted(kept))
-            kept_deg = sum(e for _, e in kept_m)
-            for pm, pc in prod.terms.items():
-                if bound is not None and kept_deg + sum(e for _, e in pm) > bound:
+                    rm, rc = direct[i]
+                    extra = _mono_mul(extra, tuple((j, d * e) for j, d in rm))
+                    c = c * rc ** e
+            else:
+                rest = _mono_mul(tuple(kept), extra)
+                if bound is not None and (sum(e for _, e in rest)
+                                          + sum(e * low for e, low in zip(key, lows)) > bound):
                     continue
-                mm = _mono_mul(kept_m, pm)
-                s = acc.get(mm, 0) + c * pc
+                block = blocks.setdefault(tuple(key), {})
+                s = block.get(rest, 0) + c
                 if s:
-                    acc[mm] = s
+                    block[rest] = _norm(s)
                 else:
-                    acc.pop(mm, None)
-        return Polynomial(table, {m: _norm(c) for m, c in acc.items() if c})
+                    del block[rest]
+
+        def combine(group: dict, level: int, budget: "int | None") -> Polynomial:
+            if level == len(values):
+                (block,) = group.values()
+                return Polynomial(table, block)
+            by_exp: dict[int, dict] = {}
+            for key, block in group.items():
+                by_exp.setdefault(key[level], {})[key] = block
+            r, low = values[level], lows[level]
+            acc = None
+            for e in range(max(by_exp), -1, -1):
+                cap = None if budget is None else budget - e * low
+                if acc is not None:
+                    acc = acc * r if cap is None else acc.mul_truncated(r, cap)
+                if e in by_exp:
+                    part = combine(by_exp[e], level + 1, cap)
+                    acc = part if acc is None else acc + part
+            return acc
+
+        if not blocks:
+            return Polynomial(table, {})
+        return combine(blocks, 0, bound)
 
     def _trunc(self, bound: int) -> "Polynomial":
         return Polynomial(self.table,

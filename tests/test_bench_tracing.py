@@ -1,4 +1,4 @@
-"""The benchmark's tracer still installs on the package and counts the classifier.
+"""The benchmark's tracer still installs on the package and counts kernel calls.
 
 ``bench/tracing.py`` wraps functions and methods of rdpinv by name, so a
 rename in the kernel or the classifier would break ``--trace 1`` without
@@ -13,12 +13,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCRIPT = """
+PREAMBLE = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
+"""
+
+CLASSIFY = """
 from rdpinv.classify import rdp_type
 from rdpinv.poly import VarTable, parse
 table = VarTable(["X", "Y", "Z"], [1, 1, 1])
@@ -28,16 +31,39 @@ spans = [{"name": n, "start": s, "end": e, "parent": p, "attrs": a}
 print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
 """
 
+WEYL_ACTION = """
+from rdpinv.distpoly import t_expand, ts_table
+from rdpinv.rootsys import Spec, weyl_action
+s = ts_table(6).var
+pt = t_expand(s("s2") ** 3 - 4 * s("s3") ** 2 + s("s1") * s("s5") + s("s6"), 6)
+action = weyl_action(Spec("E", 6), 0)
+first = len(tracer.spans)
+moved = action.apply(pt)
+subs = [a for n, _, _, _, a in tracer.spans[first:] if n == "poly.substitute"]
+print(json.dumps({"substitutions": subs, "terms": len(moved.terms)}))
+"""
 
-def test_tracer_installs_and_counts_one_classification(tmp_path):
+
+def run_traced(body: str, tmp_path) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
+        [sys.executable, "-c", PREAMBLE + body, str(ROOT / "bench"), str(ROOT / "src")],
         capture_output=True, text=True, cwd=tmp_path, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    result = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_counts_one_classification(tmp_path):
+    result = run_traced(CLASSIFY, tmp_path)
     assert result["type"] == "D5"
     metrics = result["metrics"]
     assert metrics["classify.rdp_type_s"] > 0
     assert metrics["poly.substitute_calls"] >= metrics["classify.jet_substitutions"] >= 1
     assert metrics["poly.mul_truncated_calls"] >= 1
+
+
+def test_weyl_action_is_one_traced_substitution(tmp_path):
+    # the Horner recursion inside substitute never re-enters the public method
+    result = run_traced(WEYL_ACTION, tmp_path)
+    assert result["terms"] > 100
+    assert result["substitutions"] == [{"terms": result["terms"]}]

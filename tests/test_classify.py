@@ -12,6 +12,8 @@ from rdpinv.classify import (
     UndecidableError,
     ValuationProfile,
     _binary_cubic_shape,
+    _lowered,
+    _shear,
     length_type,
     rdp_type,
     section_type,
@@ -60,7 +62,7 @@ def test_normal_forms(text, want):
 
 @pytest.mark.parametrize("text,want", NORMAL_FORMS)
 def test_random_linear_changes(text, want):
-    rng = random.Random(hash((text, want)) & 0xFFFF)
+    rng = random.Random(f"linear {text} {want}")
     base = P(text)
     for _ in range(5):
         moved = base.substitute(random_linear_rules(rng), max_total_degree=10)
@@ -116,6 +118,23 @@ def test_binary_cubic_shape_of_products(shape, l1, l2, l3):
         hy, hz = (h.terms.get(((T.index_of(v), 1),), 0) for v in "YZ")
         assert (hy, hz) != (0, 0) and len(h.terms) == bool(hy) + bool(hz)
         assert proportional((hy, hz), l1)
+
+
+def test_shear_stops_on_a_shift_rule_that_never_settles():
+    xi = T.index_of("X")
+    square = ((xi, 2),)
+
+    def completion(scale):
+        def rule(m, c):
+            if m != square and dict(m).get(xi, 0):
+                return _lowered(m, xi, 1), Fraction(c, scale)
+        return rule
+
+    g = P("X^2 + X*Y + Z^3")
+    # the right rule removes X*Y in one pass; half of it only halves X*Y
+    assert _shear(g, "X", 6, completion(-2)) == P("X^2 - 1/4*Y^2 + Z^3")
+    with pytest.raises(RuntimeError, match="after 6 passes"):
+        _shear(g, "X", 6, completion(-4))
 
 
 def test_smooth_point():

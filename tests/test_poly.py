@@ -214,6 +214,80 @@ def test_compact_drops_unused_variables():
     assert p.compact() == p
 
 
+# -- substitution against a term-by-term oracle ----------------------------------
+
+S = VarTable(["a", "b", "c", "d"], [1, 1, 2, 0])
+#: a foreign table: shares the ruled name "a" (same weight) and adds "f"
+F = VarTable(["f", "a"], [3, 1])
+sub_q = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def naive_substitute(p, rules, bound):
+    """Each term as the product of its rule powers; truncated only at the end."""
+    names = p.table.names
+    out = p.table.zero()
+    for m, c in p.terms.items():
+        term = p.table.const(c)
+        for i, e in m:
+            value = rules.get(names[i], p.table.var(names[i]))
+            if not isinstance(value, Polynomial):
+                value = p.table.const(value)
+            term = term * value ** e
+        out = out + term
+    return out if bound is None else out._trunc(bound)
+
+
+@st.composite
+def sub_poly(draw, table, max_terms=6, max_exp=3):
+    out = table.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = table.const(draw(sub_q))
+        for name in table.names:
+            term = term * table.var(name, draw(st.integers(0, max_exp)))
+        out = out + term
+    return out
+
+
+@st.composite
+def sub_rules(draw):
+    a, b, c = S.var("a"), S.var("b"), S.var("c")
+    shaped = {
+        "swap": {"a": b, "b": a},
+        "shear": {"a": a + 2 * b ** 2 - c},
+        "reflection": {v: S.var(v) - Fraction(2, 3) * (a + b + c) for v in "abc"},
+    }
+    kind = draw(st.sampled_from(["swap", "shear", "reflection", "drawn"]))
+    rules = dict(shaped.get(kind, {}))
+    for name in draw(st.lists(st.sampled_from(["a", "b", "c", "zz"]), unique=True)):
+        rules[name] = draw(st.one_of(
+            st.just(0), st.just(S.zero()), sub_q,                      # zero, constant
+            sub_poly(S, 1, 2), sub_poly(S, 3, 2),                      # monomial, polynomial
+            sub_poly(F, 3, 2),                                         # foreign table
+            sub_poly(S, 2, 2).map(lambda p: p + 1),                    # constant term
+        ))
+    return rules
+
+
+@settings(max_examples=500, deadline=None)
+@given(sub_poly(S), sub_rules(), st.one_of(st.none(), st.integers(0, 6)))
+def test_substitute_matches_term_by_term_oracle(p, rules, bound):
+    out = p.substitute(rules, max_total_degree=bound)
+    table = p.table
+    for name, value in rules.items():
+        if name in p.table and isinstance(value, Polynomial):
+            table = table.merged(value.table)
+    assert out.table is table
+    want = naive_substitute(p, rules, bound).to_table(table)
+    assert out.terms == want.terms
+    assert all(c and (type(c) is int or c.denominator != 1) for c in out.terms.values())
+
+
+def test_substitute_without_live_rules_returns_self():
+    p = S.var("a") * S.var("b") ** 2 + 1
+    assert p.substitute({"zz": S.var("a")}) is p
+    assert p.substitute({"zz": 1}, max_total_degree=2) == S.const(1)
+
+
 # -- the shared exact linear solver ----------------------------------------------
 
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
