@@ -129,9 +129,17 @@ def cmd_verify(args) -> int:
     return USAGE_ERROR
 
 
-def _run_case(case_dir: tuple[congruence.KeyCase, str | None]) -> tuple[str, bool, str, str, int]:
-    case, cache_dir = case_dir
-    res = congruence.key_constant(case, RuleCache(cache_dir))
+_worker_cache: "RuleCache | None" = None  # shared by a --jobs worker's cases
+
+
+def _init_worker(cache_dir: "str | None") -> None:
+    global _worker_cache
+    _worker_cache = RuleCache(cache_dir)
+
+
+def _run_case(case: congruence.KeyCase, cache: "RuleCache | None" = None
+              ) -> tuple[str, bool, str, str, int]:
+    res = congruence.key_constant(case, cache or _worker_cache)
     fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
     return (case.label, res.ok, fmt(res.expected), fmt(res.computed), case.length)
 
@@ -142,16 +150,17 @@ def cmd_congruence(args) -> int:
         print("error: provide --case E7:v2 or --all", file=sys.stderr)
         return USAGE_ERROR
     try:
-        work = [(congruence.key_case(label), args.cache_dir) for label in labels]
+        cases = [congruence.key_case(label) for label in labels]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     jobs = max(1, args.jobs)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case, work))
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(args.cache_dir,)) as pool:
+            results = list(pool.map(_run_case, cases))
     else:
-        results = [_run_case(w) for w in work]
+        cache = RuleCache(args.cache_dir)
+        results = [_run_case(case, cache) for case in cases]
     ok = True
     for label, passed, expected, computed, length in results:
         ok = ok and passed

@@ -283,16 +283,10 @@ def coord_pullbacks(spec: Spec, s_rules: RuleSet,
                     cache: Optional[RuleCache] = None,
                     names: Optional[list[str]] = None) -> dict[str, Polynomial]:
     """Pull standard coordinate functions back along a coefficient map."""
-    mapping = s_rules.mapping()
-    if spec.family in ("A", "D") or spec.n <= 5:
-        coords = standard_coords(spec)
-        wanted = names or list(coords)
-        return {nm: coords[nm].substitute(mapping) for nm in wanted}
-    pipe = VersalPipeline(spec.n, param=s_rules, cache=cache)
-    wanted = names or eps_names(spec.n)
-    last = max(wanted, key=lambda nm: int(nm[3:]))
-    rules = pipe.versal_rules(upto_name=last)
-    return {nm: rules[nm] for nm in wanted}
+    if spec.family == "E" and spec.n >= 6:
+        return dict(VersalPipeline(spec.n, param=s_rules, cache=cache).versal_rules(names).rules)
+    coords = standard_coords(spec)
+    return {nm: s_rules.apply(coords[nm]) for nm in names or coords}
 
 
 def derive_restricted(spec: Spec, form: str = "plain",
@@ -329,14 +323,8 @@ def derive_restricted(spec: Spec, form: str = "plain",
                               pulls[constant_term_name(spec)])
     # triangular elimination
     rules = {f"s{i}": table.var(f"lam{i}") for i in range(1, n + 1)}
-    coords = standard_coords(spec) if (spec.family == "D" or spec.n <= 5) else None
     for nm in vanish:
-        if coords is not None:
-            phi = coords[nm]
-        else:
-            phi = coord_pullbacks(spec, RuleSet.of(rules.items()), cache, [nm])[nm]
-            # already pulled back in this case
-        pulled = phi.substitute(rules) if coords is not None else phi
+        pulled = coord_pullbacks(spec, RuleSet.of(rules.items()), cache, [nm])[nm]
         w = pulled.homogeneous_weight()
         if w is None or w > n:
             raise RestrictionError(f"{nm} cannot pin a parameter of its own weight")
@@ -449,9 +437,9 @@ def case_param(case: KeyCase, cache: Optional[RuleCache] = None) -> RuleSet:
 
 
 def pullback_eps(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
-    """psi* of the target coordinate, via pull-back-then-expand."""
+    """psi* of the target coordinate: the expanded eps pulled back."""
     pipe = VersalPipeline(case.parent, param=case_param(case, cache), cache=cache)
-    return pipe.versal_rules(upto_name=case.target)[case.target]
+    return pipe.versal_rules([case.target])[case.target]
 
 
 def phi_pullback(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:

@@ -10,10 +10,10 @@ coefficients eps_i as exact polynomials in s_1..s_n.
 
 For n = 7, 8 the versal stage sets z = 0 before expanding (the relevant
 extraction monomials never involve z), which shrinks the computation by
-orders of magnitude; the E8 barred stage is z-free as well.  The
-generators drop z before the parameter pull-back, not after it.
+orders of magnitude; the E8 barred stage is z-free as well.
 
-All heavy expansions stream through the content-addressed rule cache.
+All heavy expansions stream through the content-addressed rule cache; a
+restriction of the base is applied to the expanded eps, not to the stages.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .poly import (
     InconsistentSystemError,
@@ -418,9 +418,10 @@ def mu_inverse(n: int) -> RuleSet:
 class VersalPipeline:
     """One run of the versal-form computation for n in {6, 7, 8}.
 
-    ``param`` optionally rewrites the s_i (a restriction of the base of the
-    deformation); all stages are pulled back through it before expanding,
-    which is dramatically cheaper than expanding first.
+    The stages never see ``param``; they live in the cache's memory, built
+    once per rank and cache.  ``param`` optionally rewrites the s_i (a
+    restriction of the base of the deformation), and :meth:`versal_rules`
+    pulls the expanded coefficients back through it.
     """
 
     def __init__(self, n: int, param: Optional[RuleSet] = None,
@@ -434,29 +435,16 @@ class VersalPipeline:
             param = RuleSet.of([(v, p.compact()) for v, p in param.rules])
         self.param = param
         self.cache = cache if cache is not None else RuleCache()
-        self._memo: dict = {}
 
-    def _apply_param(self, p: Polynomial) -> Polynomial:
-        if self.param is None:
-            return p
-        return p.substitute(self.param.mapping())
+    def _stage(self, name: str, build):
+        return self.cache.memo(f"E{self.n}.{name}", build)
 
     # stage 1: generator rules -------------------------------------------------
 
     def rbar_pi(self, z_zero: bool) -> RuleSet:
-        key = ("rbar", z_zero)
-        if key not in self._memo:
-            gens = good_gens_bar(self.n)
-            rules = []
-            for name, p in (("Xb", gens.Xb), ("Yb", gens.Yb),
-                            ("Zb", gens.Zb), ("Wb", gens.Wb)):
-                # no parameter involves z, so dropping it first only
-                # shrinks what the parameter is substituted into
-                if z_zero:
-                    p = p.substitute({"z": 0})
-                rules.append((name, self._apply_param(p)))
-            self._memo[key] = RuleSet.of(rules)
-        return self._memo[key]
+        gens, drop = good_gens_bar(self.n), {"z": 0} if z_zero else {}
+        return self._stage(f"rbar.{z_zero}", lambda: RuleSet.of(
+            [(name, getattr(gens, name).substitute(drop)) for name in ("Xb", "Yb", "Zb", "Wb")]))
 
     # stage 2: barred coefficients ----------------------------------------------
 
@@ -465,62 +453,50 @@ class VersalPipeline:
         if extended:
             pairs += BAR_EXTENSION.get(self.n, [])
         z_zero = self.n == 8
-        return SolveList.of(self.rbar_pi(z_zero), self._apply_param(phibar_template(self.n)),
-                            pairs, ("x", "y", "z"))
+        return SolveList.of(self.rbar_pi(z_zero), phibar_template(self.n), pairs, ("x", "y", "z"))
 
     def bar_rules(self, extended: bool = False) -> RuleSet:
-        key = ("bar", extended)
-        if key not in self._memo:
-            self._memo[key] = self.cache.expand(self.bar_solvelist(extended=extended))
-        return self._memo[key]
+        return self._stage(f"bar.{extended}",
+                           lambda: self.cache.expand(self.bar_solvelist(extended=extended)))
 
     # stage 3: the triangular psi system ------------------------------------------
 
     def psi_solvelist(self) -> SolveList:
-        sl = SolveList.of(mu_rules(self.n), self._apply_param(phibar_template(self.n)),
+        sl = SolveList.of(mu_rules(self.n), phibar_template(self.n),
                           _PSI_PAIRS[self.n], ("X", "Y", "Z", "W"))
         return sl.pull_back(self.bar_rules())
 
     def psi_rules(self) -> RuleSet:
-        key = "psi"
-        if key not in self._memo:
-            self._memo[key] = self.psi_solvelist().expand()
-        return self._memo[key]
+        return self._stage("psi", lambda: self.psi_solvelist().expand())
 
     # stage 4: the composed map in versal coordinates ------------------------------
 
     def r_pi(self) -> RuleSet:
-        key = "rpi"
-        if key not in self._memo:
+        def build() -> RuleSet:
             z_zero = self.n in (7, 8)
             sub = dict(self.rbar_pi(z_zero).mapping())
             sub.update(self.psi_rules().mapping())
-            rules = [(v, p.substitute(sub)) for v, p in mu_inverse(self.n).rules]
-            self._memo[key] = RuleSet.of(rules)
-        return self._memo[key]
+            return RuleSet.of([(v, p.substitute(sub)) for v, p in mu_inverse(self.n).rules])
+        return self._stage("rpi", build)
 
     # stage 5: versal coefficients ---------------------------------------------------
 
     def versal_solvelist(self) -> SolveList:
-        return SolveList.of(self.r_pi(), self._apply_param(versal_template(self.n)),
-                            _VERSAL_PAIRS[self.n], ("x", "y", "z"))
+        return self._stage("versal_solvelist", lambda: SolveList.of(
+            self.r_pi(), versal_template(self.n), _VERSAL_PAIRS[self.n], ("x", "y", "z")))
 
-    def versal_rules(self, upto_name: Optional[str] = None) -> RuleSet:
-        upto = None
-        if upto_name is not None:
-            names = [v for _, v in _VERSAL_PAIRS[self.n]]
-            upto = names.index(upto_name) + 1
-        key = ("versal", upto)
-        if key not in self._memo:
-            self._memo[key] = self.cache.expand(self.versal_solvelist(), upto=upto)
-        return self._memo[key]
+    def versal_rules(self, names: Optional[Sequence[str]] = None) -> RuleSet:
+        """The eps_i in s_1..s_n; with ``param``, the eps_i ``names`` (by
+        default all) pulled back, cached under a key of their own."""
+        sl = self.versal_solvelist()
+        if self.param is None:
+            return self._stage("versal", lambda: self.cache.expand(sl))
+        return self.cache.pull_back(sl, self.param, names or eps_names(self.n))
 
 
 def versal_coeffs(n: int, cache: Optional[RuleCache] = None) -> dict[str, Polynomial]:
     """The standard coordinate functions eps_i of E6/E7/E8, in s_1..s_n."""
-    pipe = VersalPipeline(n, cache=cache)
-    rules = pipe.versal_rules()
-    return {name: rules[name] for name in eps_names(n)}
+    return dict(VersalPipeline(n, cache=cache).versal_rules().rules)
 
 
 APPENDIX_MULTIPLIERS = {

@@ -19,7 +19,8 @@ tenth of the image or less.
 
 Expanded rule sets can be persisted in a content-addressed cache keyed by
 a hash of (base, template, pairs, extraction variables, expansion
-version), so repeated runs of the heavy eliminations are free.
+version), so repeated runs of the heavy eliminations are free; so are
+their pull-backs through a parameter.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .poly import (
     AbsentVariableError,
@@ -133,9 +134,6 @@ class RuleSet:
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True).encode()
 
-    def content_key(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
-
 
 def compose(outer: RuleSet, inner: RuleSet) -> RuleSet:
     return outer.compose(inner)
@@ -190,9 +188,6 @@ class SolveList:
     def of(base, template, pairs, monomial_vars) -> "SolveList":
         pairs = tuple((_mono_spec(m), v) for m, v in pairs)
         return SolveList(base, template, pairs, tuple(monomial_vars))
-
-    def unknowns(self) -> tuple[str, ...]:
-        return tuple(v for _, v in self.pairs)
 
     def pull_back(self, param: RuleSet) -> "SolveList":
         """Rewrite base and template by ``param`` (typically rules on the
@@ -254,17 +249,14 @@ class SolveList:
         zero = table.zero()
         return [found.get(t, zero) for t in targets]
 
-    def expand(self, upto: Optional[int] = None) -> RuleSet:
+    def expand(self) -> RuleSet:
         """Solve the pairs in order, eliminating each unknown as found.
 
-        ``upto`` solves only the first ``upto`` pairs (partial expansion).
         Raises :class:`ValidityViolation` naming the first offending pair.
         """
         coeffs = self.coefficient_equations()
-        pairs = self.pairs if upto is None else self.pairs[:upto]
-        coeffs = coeffs[: len(pairs)]
         solved: list[tuple[str, Polynomial]] = []
-        for i, (mono, var) in enumerate(pairs):
+        for i, (mono, var) in enumerate(self.pairs):
             ci = coeffs[i]
             try:
                 value = ci.solve_linear(var)
@@ -297,10 +289,16 @@ class SolveList:
             "monomial_vars": list(self.monomial_vars),
         }
 
-    def content_key(self, upto: Optional[int] = None) -> str:
-        payload = (json.dumps(self.to_json(), sort_keys=True)
-                   + f"|upto={upto}|expansion={EXPANSION_VERSION}")
+    def content_key(self) -> str:
+        payload = json.dumps(self.to_json(), sort_keys=True) + f"|expansion={EXPANSION_VERSION}"
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def pull_back_key(sl_key: str, param: RuleSet, names: Iterable[str]) -> str:
+    """The key of rules ``names`` of the expansion keyed ``sl_key``, pulled back."""
+    payload = b"|".join([sl_key.encode(), param.canonical_bytes(),
+                         json.dumps(list(names)).encode()])
+    return hashlib.sha256(payload).hexdigest()
 
 
 # -- cache --------------------------------------------------------------------
@@ -314,11 +312,12 @@ def default_cache_dir() -> Path:
 
 
 class RuleCache:
-    """File-backed store of expanded rule sets, keyed by content hash."""
+    """File-backed store of expanded rule sets, keyed by content hash; its
+    memory also holds values that are never written (:meth:`memo`)."""
 
     def __init__(self, directory: "Path | str | None" = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self._memory: dict[str, RuleSet] = {}
+        self._memory: dict[str, object] = {}
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -330,7 +329,7 @@ class RuleCache:
             return hit
         path = self.path_for(key)
         # a missing entry is a quiet miss; a truncated, garbled or foreign
-        # one is a miss with a warning: expand() recomputes it and put()
+        # one is a miss with a warning: fetch() recomputes it and put()
         # overwrites the file
         try:
             data = json.loads(path.read_text())
@@ -363,11 +362,36 @@ class RuleCache:
             os.unlink(tmp)
             raise
 
-    def expand(self, sl: SolveList, upto: Optional[int] = None) -> RuleSet:
-        key = sl.content_key(upto=upto)
-        hit = self.get(key)
-        if hit is not None:
-            return hit
-        rules = sl.expand(upto=upto)
-        self.put(key, rules)
+    def fetch(self, key: str, compute: Callable[[], RuleSet]) -> RuleSet:
+        """The rules stored under ``key``; on a miss, computed and stored."""
+        rules = self.get(key)
+        if rules is None:
+            rules = compute()
+            self.put(key, rules)
         return rules
+
+    def memo(self, name: str, compute: Callable[[], object]) -> object:
+        """A value kept in memory only, computed on first use."""
+        if name not in self._memory:
+            self._memory[name] = compute()
+        return self._memory[name]
+
+    def expand(self, sl: SolveList) -> RuleSet:
+        return self.fetch(sl.content_key(), sl.expand)
+
+    def pull_back(self, sl: SolveList, param: RuleSet, names: Iterable[str]) -> RuleSet:
+        """The rules ``names`` of ``sl.expand()`` pulled back through ``param``.
+
+        Pulling back is a ring map that fixes the unknowns and the monomial
+        variables and keeps the constant pivots, so whenever ``sl`` expands
+        this equals ``sl.pull_back(param).expand()``.  A hit does not load
+        the expansion.  Each value is compacted first, so no stale variable
+        clashes with the parameter's table.
+        """
+        key, names = sl.content_key(), tuple(names)
+
+        def compute() -> RuleSet:
+            plain = self.fetch(key, sl.expand)
+            return RuleSet(tuple((nm, param.apply(plain[nm].compact())) for nm in names))
+
+        return self.fetch(pull_back_key(key, param, names), compute)

@@ -126,6 +126,19 @@ def test_congruence_all_deterministic_across_jobs(capsys):
     assert out1.count("PASS") == 15
 
 
+def test_congruence_all_cold_jobs_2_matches_jobs_1(tmp_path, capsys):
+    # on empty caches the two workers write the same plain and pulled-back
+    # keys side by side
+    one, two = tmp_path / "one", tmp_path / "two"
+    serial = run(capsys, "--cache-dir", str(one), "congruence", "--all", "--jobs", "1")
+    parallel = run(capsys, "--cache-dir", str(two), "congruence", "--all", "--jobs", "2")
+    assert serial[0] == 0 and serial[2] == ""
+    assert parallel == serial
+    assert sorted(p.name for p in two.iterdir()) == sorted(p.name for p in one.iterdir())
+    # every entry they left is whole: a rerun reads them without a warning
+    assert run(capsys, "--cache-dir", str(two), "congruence", "--all", "--jobs", "1") == serial
+
+
 def test_verify_appendix1_with_cache_dir(tmp_path, capsys):
     code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "verify", "appendix1")
     assert code == 0

@@ -7,13 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rdpinv
 from rdpinv import solvelist
-from rdpinv.distpoly import split_params_E
 from rdpinv.envres import (
-    VersalPipeline,
     eps_names,
     mu_inverse,
     mu_rules,
@@ -81,9 +79,9 @@ def _assert_same_coefficients(sl):
         assert g.terms == w.terms
 
 
-def _expansion_outcome(sl, upto):
+def _expansion_outcome(sl):
     try:
-        return sl.expand(upto=upto).to_json()
+        return sl.expand().to_json()
     except ValidityViolation as exc:
         return (exc.index, exc.variable, exc.reason)
     except KeyError as exc:  # an unknown missing from every table
@@ -96,7 +94,9 @@ _COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
 
 
 @st.composite
-def _random_solve_lists(draw):
+def _random_solve_lists(draw, pivots=False):
+    """Random small solve lists; with ``pivots`` each pair's unknown also
+    occurs times its monomial with a constant, so most of them expand."""
     weight = {v: draw(st.integers(0, 3)) for v in _NAMES}
     exponent = st.sampled_from([0, 0, 1, 2])
 
@@ -132,23 +132,73 @@ def _random_solve_lists(draw):
     monos = draw(st.lists(st.sampled_from(reached) | anywhere if reached else anywhere,
                           min_size=1, max_size=4))
     unknowns = draw(st.permutations(["a", "b", "c"])) + ["s"]
+    if pivots:
+        for mono, u in zip(monos, unknowns[:3]):
+            term = draw(_COEFFS) * table.var(u)
+            for v, e in mono:
+                term = term * table.var(v) ** e
+            template = template + term
     return SolveList.of(base, template, list(zip(monos, unknowns)), ("x", "y", "z"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_solve_lists(), st.integers(0, 4))
-def test_coefficients_equal_full_image_coefficients(sl, upto):
+@given(_random_solve_lists())
+def test_coefficients_equal_full_image_coefficients(sl):
     _assert_same_coefficients(sl)
     oracle = _FullImageSolveList(sl.base, sl.template, sl.pairs, sl.monomial_vars)
-    for k in (None, upto):
-        assert _expansion_outcome(sl, k) == _expansion_outcome(oracle, k)
+    assert _expansion_outcome(sl) == _expansion_outcome(oracle)
 
 
-@pytest.mark.parametrize("param", [None, "moved"])
-def test_e6_coefficients_equal_full_image_coefficients(param, cache):
-    pipe = VersalPipeline(6, param=split_params_E(6)[1] if param else None, cache=cache)
-    for sl in (pipe.bar_solvelist(), pipe.psi_solvelist(), pipe.versal_solvelist()):
+def test_e6_coefficients_equal_full_image_coefficients(pipe6):
+    for sl in (pipe6.bar_solvelist(), pipe6.psi_solvelist(), pipe6.versal_solvelist()):
         _assert_same_coefficients(sl)
+
+
+def _weight_of(sl, name):
+    for p in (sl.template, *(value for _, value in sl.base.rules)):
+        if name in p.table:
+            return p.table.weights[p.table.index_of(name)]
+    return 0
+
+
+_RING_MAPS = st.tuples(st.integers(0, 3), st.lists(
+    st.tuples(_COEFFS, st.integers(0, 2), st.integers(0, 2)), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_solve_lists(pivots=True), _RING_MAPS)
+def test_expansion_commutes_with_pull_back(tmp_path_factory, sl, ring_map):
+    # the longest prefix that expands, and at most three pairs: then s is
+    # neither ruled, a monomial variable nor an unknown
+    try:
+        sl.expand()
+        valid = len(sl.pairs)
+    except ValidityViolation as exc:
+        valid = exc.index
+    except KeyError:  # an unknown missing from every table
+        valid = 0
+    assume(valid > 0)
+    sl = SolveList(sl.base, sl.template, sl.pairs[:min(valid, 3)], sl.monomial_vars)
+    plain = sl.expand()
+    # a ring map on s, bringing in a new parameter t
+    t_weight, terms = ring_map
+    table = VarTable(["s", "t"], [_weight_of(sl, "s"), t_weight])
+    value = table.zero()
+    for c, es, et in terms:
+        value = value + c * table.var("s") ** es * table.var("t") ** et
+    param = RuleSet.of([("s", value)])
+    pulled = sl.pull_back(param).expand()
+    assert [v for v, _ in pulled.rules] == [v for v, _ in plain.rules]
+    for v, p in plain.rules:
+        assert pulled[v] == p.substitute(param.mapping()), v
+    # the cached route gives the same rules, and finds them again by key
+    names = [v for v, _ in plain.rules][::-1]
+    directory = tmp_path_factory.mktemp("pulled")
+    for cache in (RuleCache(directory), RuleCache(directory)):
+        got = cache.pull_back(sl, param, names)
+        assert [v for v, _ in got.rules] == names
+        for v in names:
+            assert got[v] == pulled[v], v
 
 
 def test_compose_identity_and_associativity():
@@ -184,14 +234,6 @@ def test_mu_rules_invert_on_generators():
         ident = compose(mu_rules(n), mu_inverse(n))
         for v in ("X", "Y", "Z", "W"):
             assert ident[v] == table.var(v), (n, v)
-
-
-def test_partial_expansion_agrees_with_full(pipe6):
-    sl = pipe6.versal_solvelist()
-    full = sl.expand()
-    partial = sl.expand(upto=3)
-    for v, value in partial.rules:
-        assert full[v] == value
 
 
 def test_psi_first_solutions_match_triangular_form():
@@ -300,20 +342,25 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
     table = VarTable(["X", "a", "b"], [1, 0, 0])
     sl = SolveList.of(RuleSet.identity(), (table.var("a") + table.var("b")) * table.var("X"),
                       [({"X": 1}, "a")], ("X",))
-    first = RuleCache(tmp_path).expand(sl)
-    path = RuleCache(tmp_path).path_for(sl.content_key())
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    fresh = RuleCache(tmp_path)
-    capsys.readouterr()
-    assert fresh.get(sl.content_key()) is None
-    warning = capsys.readouterr().err.splitlines()
-    assert len(warning) == 1 and warning[0].startswith("warning: ") \
-        and path.name in warning[0]
-    assert fresh.expand(sl).mapping() == first.mapping()
-    # the recomputed entry replaced the broken file
-    assert path.read_text() == text
-    assert RuleCache(tmp_path).get(sl.content_key()).mapping() == first.mapping()
+    param = RuleSet.of([("b", table.var("b") ** 2 + 1)])
+    # the expansion's entry, then the entry of its pull-back
+    for key, compute in ((sl.content_key(), lambda cache: cache.expand(sl)),
+                         (solvelist.pull_back_key(sl.content_key(), param, ["a"]),
+                          lambda cache: cache.pull_back(sl, param, ["a"]))):
+        first = compute(RuleCache(tmp_path))
+        path = RuleCache(tmp_path).path_for(key)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        fresh = RuleCache(tmp_path)
+        capsys.readouterr()
+        assert fresh.get(key) is None
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith("warning: ") \
+            and path.name in warning[0]
+        assert compute(fresh).mapping() == first.mapping()
+        # the recomputed entry replaced the broken file
+        assert path.read_text() == text
+        assert RuleCache(tmp_path).get(key).mapping() == first.mapping()
 
 
 def test_absent_entry_is_a_quiet_miss_and_a_foreign_one_warns(tmp_path, capsys):
@@ -332,10 +379,35 @@ def test_expansion_version_is_part_of_the_key(monkeypatch):
     table = VarTable(["X", "a"], [1, 0])
     sl = SolveList.of(RuleSet.identity(), (table.var("a") + 1) * table.var("X"),
                       [({"X": 1}, "a")], ("X",))
-    before = sl.content_key(), sl.content_key(upto=1)
+    before = sl.content_key()
     monkeypatch.setattr(solvelist, "EXPANSION_VERSION", solvelist.EXPANSION_VERSION + 1)
-    after = sl.content_key(), sl.content_key(upto=1)
-    assert before[0] != after[0] and before[1] != after[1]
+    assert sl.content_key() != before
+
+
+def test_pull_back_key_covers_its_inputs(tmp_path, monkeypatch):
+    table = VarTable(["X", "Y", "a", "b", "c"], [1, 1, 0, 0, 0])
+    a, b, c, X, Y = (table.var(v) for v in "abcXY")
+
+    def solve_list(template):
+        return SolveList.of(RuleSet.identity(), template, [({"X": 1}, "a"), ({"Y": 1}, "c")],
+                            ("X", "Y"))
+
+    sl = solve_list((a + b) * X + (c - b) * Y)
+    param = RuleSet.of([("b", (b + 1).compact())])
+
+    def key(sl=sl, param=param, names=("a", "c")):
+        return solvelist.pull_back_key(sl.content_key(), param, names)
+
+    variants = [key(), key(sl=solve_list((a + 2 * b) * X + (c - b) * Y)),
+                key(param=RuleSet.of([("b", (b + 2).compact())])),
+                key(names=("a",)), key(names=("c", "a")), sl.content_key()]
+    assert len(set(variants)) == len(variants)
+    monkeypatch.setattr(solvelist, "EXPANSION_VERSION", solvelist.EXPANSION_VERSION + 1)
+    assert key() not in variants
+    # the cache stores the expansion and the pull-back under exactly these keys
+    RuleCache(tmp_path).pull_back(sl, param, ["a", "c"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{k}.json" for k in (key(), sl.content_key()))
 
 
 _PUT_LOOP = """
