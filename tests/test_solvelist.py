@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rdpinv
 from rdpinv import solvelist
+from rdpinv.distpoly import split_params_E
 from rdpinv.envres import (
     eps_names,
     mu_inverse,
@@ -149,9 +150,10 @@ def test_coefficients_equal_full_image_coefficients(sl):
     assert _expansion_outcome(sl) == _expansion_outcome(oracle)
 
 
-def test_e6_coefficients_equal_full_image_coefficients(pipe6):
+@pytest.mark.parametrize("param", [None, "moved"])
+def test_e6_coefficients_equal_full_image_coefficients(param, pipe6):
     for sl in (pipe6.bar_solvelist(), pipe6.psi_solvelist(), pipe6.versal_solvelist()):
-        _assert_same_coefficients(sl)
+        _assert_same_coefficients(sl.pull_back(split_params_E(6)[1]) if param else sl)
 
 
 def _weight_of(sl, name):
@@ -234,6 +236,16 @@ def test_mu_rules_invert_on_generators():
         ident = compose(mu_rules(n), mu_inverse(n))
         for v in ("X", "Y", "Z", "W"):
             assert ident[v] == table.var(v), (n, v)
+
+
+def test_partial_expansion_agrees_with_full(pipe6):
+    # a prefix of the pairs solves the same unknowns to the same values
+    sl = pipe6.versal_solvelist()
+    full = sl.expand()
+    partial = SolveList(sl.base, sl.template, sl.pairs[:3], sl.monomial_vars).expand()
+    assert len(partial) == 3
+    for v, value in partial.rules:
+        assert full[v] == value
 
 
 def test_psi_first_solutions_match_triangular_form():
