@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import LinearSystem, Polynomial
+from .poly import LinearSystem, Polynomial, VarTable
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,23 @@ def length_type(length: int) -> RdpType:
 
 
 def _degree_part(p: Polynomial, d: int) -> Polynomial:
-    out = {m: c for m, c in p.terms.items() if sum(e for _, e in m) == d}
-    return Polynomial(p.table, out)
+    return p.truncate(d) - p.truncate(d - 1)
 
 
 def _order(p: Polynomial) -> Optional[int]:
     if p.is_zero:
         return None
-    return min(sum(e for _, e in m) for m in p.terms)
+    return min(sum(m) for m, _ in p.items())
+
+
+def _exps(table: VarTable, mono: Mapping[str, int]) -> tuple:
+    """The exponent tuple of ``mono`` over ``table``."""
+    return tuple(mono.get(v, 0) for v in table.names)
+
+
+def _coeff(p: Polynomial, mono: Mapping[str, int]):
+    """The rational coefficient of the monomial ``mono`` in ``p``."""
+    return p.coeff_of(mono, p.table.names).constant_value()
 
 
 def _linear_change(p: Polynomial, matrix: list[list[Fraction]], names: list[str]) -> Polynomial:
@@ -88,18 +97,13 @@ def _linear_change(p: Polynomial, matrix: list[list[Fraction]], names: list[str]
     return p.substitute(rules)
 
 
-def _quadratic_matrix(p: Polynomial, names: list[str]) -> list[list[Fraction]]:
-    q = _degree_part(p, 2)
-    idx = {p.table.index_of(nm): i for i, nm in enumerate(names)}
+def _quadratic_matrix(p: Polynomial) -> list[list[Fraction]]:
+    """The symmetric matrix of the quadratic part over the three variables."""
     mat = [[Fraction(0)] * 3 for _ in range(3)]
-    for m, c in q.terms.items():
-        if len(m) == 1:
-            i = idx[m[0][0]]
-            mat[i][i] += Fraction(c)
-        else:
-            i, j = idx[m[0][0]], idx[m[1][0]]
-            mat[i][j] += Fraction(c, 2)
-            mat[j][i] += Fraction(c, 2)
+    for m, c in _degree_part(p, 2).items():
+        i, j = [k for k, e in enumerate(m) for _ in range(e)]
+        mat[i][j] += Fraction(c, 2)
+        mat[j][i] += Fraction(c, 2)
     return mat
 
 
@@ -156,30 +160,26 @@ def _diagonalize(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
     return C, out_diag
 
 
-def _coeff_in(p: Polynomial, var: str, k: int) -> Polynomial:
-    """The terms of degree ``k`` in ``var``, with ``var`` removed."""
-    return p.coeffs_in(var).get(k, p.table.zero())
-
-
 def _lowered(m: tuple, i: int, k: int) -> tuple:
-    """The monomial ``m`` divided by the ``k``-th power of variable ``i``."""
-    return tuple((j, e - k if j == i else e) for j, e in m if j != i or e > k)
+    """The exponent tuple ``m`` divided by the ``k``-th power of variable ``i``."""
+    return m[:i] + (m[i] - k,) + m[i + 1:]
 
 
 def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
     """Formal shears ``var -> var + shift`` until no term asks for one.
 
-    ``shift_for(m, c)`` maps a term to the (monomial, coefficient) it adds
-    to the shift, or to None.  Each pass removes the whole offending layer
-    at once and strictly raises its minimal degree, so truncation at total
-    degree ``d`` ends the loop within ``d`` passes (the splitting lemma,
-    term by term).  A shift rule that breaks this raises RuntimeError
-    instead of looping on ever larger coefficients.
+    ``shift_for(m, c)`` maps a term, with ``m`` its exponent tuple, to the
+    (exponent tuple, coefficient) it adds to the shift, or to None.  Each
+    pass removes the whole offending layer at once and strictly raises its
+    minimal degree, so truncation at total degree ``d`` ends the loop
+    within ``d`` passes (the splitting lemma, term by term).  A shift rule
+    that breaks this raises RuntimeError instead of looping on ever larger
+    coefficients.
     """
     x = g.table.var(var)
     for passes in range(d + 1):
         shift = {}
-        for m, c in g.terms.items():
+        for m, c in g.items():
             s = shift_for(m, c)
             if s is not None:
                 shift[s[0]] = s[1]
@@ -187,7 +187,7 @@ def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
             return g
         if passes == d:
             break
-        g = g.substitute({var: x + Polynomial(g.table, shift)}, max_total_degree=d)
+        g = g.substitute({var: x + Polynomial.from_items(g.table, shift)}, max_total_degree=d)
     raise RuntimeError(f"shear in {var} still asks for a shift after {d} passes")
 
 
@@ -198,16 +198,16 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     other variables); returns the part free of ``var``.
     """
     vidx = p.table.index_of(var)
-    square = ((vidx, 2),)
-    a = p.terms.get(square)
+    square = _exps(p.table, {var: 2})
+    a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
 
     def complete_square(m, c):
-        if m != square and dict(m).get(vidx, 0):
+        if m != square and m[vidx]:
             return _lowered(m, vidx, 1), Fraction(c, -2 * a)
 
-    return _coeff_in(_shear(p, var, d, complete_square), var, 0)
+    return _shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
 
 
 def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
@@ -223,8 +223,8 @@ def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
     table = g3.table
     yi = table.index_of(y)
     coeff = [Fraction(0)] * 4  # a, b, c, d: coefficients of y^(3-k) z^k
-    for m, v in g3.terms.items():
-        coeff[3 - dict(m).get(yi, 0)] = Fraction(v)
+    for m, v in g3.items():
+        coeff[3 - m[yi]] = Fraction(v)
     a, b, c, d = coeff
     A, B, C = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
     yv, zv = table.var(y), table.var(z)
@@ -238,9 +238,7 @@ def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
 def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> Polynomial:
     """Linear change making the repeated factor the first coordinate."""
     table = g.table
-    yi, zi = table.index_of(y), table.index_of(z)
-    a = Fraction(h.terms.get(((yi, 1),), 0))
-    b = Fraction(h.terms.get(((zi, 1),), 0))
+    a, b = Fraction(_coeff(h, {y: 1})), Fraction(_coeff(h, {z: 1}))
     yv, zv = table.var(y), table.var(z)
     if a:
         # y -> (y - b z)/a keeps the substitution rational and invertible
@@ -254,7 +252,7 @@ def _absorb(yi: int, keep: tuple, scale: Fraction):
     """Shift rule absorbing each y^a z^b with a >= 2, except ``keep``, into the cubic."""
 
     def rule(m, c):
-        if m != keep and dict(m).get(yi, 0) >= 2:
+        if m != keep and m[yi] >= 2:
             return _lowered(m, yi, 2), -Fraction(c) / scale
 
     return rule
@@ -262,26 +260,25 @@ def _absorb(yi: int, keep: tuple, scale: Fraction):
 
 def _reduce_tail_D(g: Polynomial, y: str, z: str, c3, d: int) -> Optional[int]:
     """Normalize g = c3*y^2 z + higher; return the order of the pure-z tail."""
-    yi, zi = g.table.index_of(y), g.table.index_of(z)
+    table = g.table
+    yi, zi = table.index_of(y), table.index_of(z)
 
     def kill_linear(m, c):
-        exps = dict(m)
-        if exps.get(yi, 0) == 1:
-            b = exps.get(zi, 0)
+        if m[yi] == 1:
+            b = m[zi]
             if b <= 1:
                 raise NotRDPError("unexpected low-order mixed term in the reduced tail")
-            return ((zi, b - 1),), Fraction(-c, 2) / c3
+            return _exps(table, {z: b - 1}), Fraction(-c, 2) / c3
 
-    g = _shear(g, z, d, _absorb(yi, ((yi, 2), (zi, 1)), c3))
+    g = _shear(g, z, d, _absorb(yi, _exps(table, {y: 2, z: 1}), c3))
     g = _shear(g, y, d, kill_linear)
-    return _order(_coeff_in(g, y, 0))
+    return _order(g.coeff_of({y: 0}, [y]))
 
 
 def _reduce_tail_E(g: Polynomial, y: str, z: str, c3, d: int) -> tuple[Optional[int], Optional[int]]:
     """Normalize g = c3*y^3 + y*B(z) + C(z); return (ord B, ord C)."""
-    yi = g.table.index_of(y)
-    g = _shear(g, y, d, _absorb(yi, ((yi, 3),), 3 * c3))
-    return _order(_coeff_in(g, y, 1)), _order(_coeff_in(g, y, 0))
+    g = _shear(g, y, d, _absorb(g.table.index_of(y), _exps(g.table, {y: 3}), 3 * c3))
+    return _order(g.coeff_of({y: 1}, [y])), _order(g.coeff_of({y: 0}, [y]))
 
 
 def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
@@ -295,20 +292,20 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     names = list(f.table.names[:3])
     if len(f.table) != 3:
         raise ValueError("classifier expects a three-variable polynomial table")
-    f = f._trunc(jet_order)
+    f = f.truncate(jet_order)
     if f.constant_value() != 0:
         raise ValueError("the origin must lie on the surface")
     if not _degree_part(f, 1).is_zero:
         return RdpType("A", 0)
-    mat = _quadratic_matrix(f, names)
-    change, diag = _diagonalize(mat)
+    if jet_order < 2:
+        raise UndecidableError(jet_order, "the quadratic part needs a degree-2 jet")
+    change, diag = _diagonalize(_quadratic_matrix(f))
     rank = sum(1 for dd in diag if dd)
     if rank == 3:
         return RdpType("A", 1)
     if rank == 0:
         raise NotRDPError("multiplicity at least three")
-    f = _linear_change(f, change, names)
-    f = f._trunc(jet_order)
+    f = _linear_change(f, change, names).truncate(jet_order)
     if rank == 2:
         g = _split_off_square(f, names[0], jet_order)
         g = _split_off_square(g, names[1], jet_order)
@@ -316,6 +313,8 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         if m is None:
             raise UndecidableError(jet_order, "residual tail vanishes to jet order")
         return RdpType("A", m - 1)
+    if jet_order < 3:
+        raise UndecidableError(jet_order, "the cubic part needs a degree-3 jet")
     g = _split_off_square(f, names[0], jet_order)
     y, z = names[1], names[2]
     g3 = _degree_part(g, 3)
@@ -324,19 +323,16 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     shape = _binary_cubic_shape(g3, y, z)
     if shape[0] == "distinct":
         return RdpType("D", 4)
-    g = _straighten_double_factor(g, shape[1], y, z)
-    g = g._trunc(jet_order)
-    g3 = _degree_part(g, 3)
-    yi = g.table.index_of(y)
+    g = _straighten_double_factor(g, shape[1], y, z).truncate(jet_order)
     if shape[0] == "double":
-        c3 = g3.terms.get(((yi, 2), (g.table.index_of(z), 1)))
+        c3 = _coeff(g, {y: 2, z: 1})
         if not c3:
             raise NotRDPError("double factor did not straighten")
         order = _reduce_tail_D(g, y, z, Fraction(c3), jet_order)
         if order is None:
             raise UndecidableError(jet_order, "pure tail vanishes to jet order")
         return RdpType("D", order + 1)
-    c3 = g3.terms.get(((yi, 3),))
+    c3 = _coeff(g, {y: 3})
     if not c3:
         raise NotRDPError("triple factor did not straighten")
     if jet_order < 5:

@@ -150,17 +150,6 @@ def _fA_sym(table: VarTable, m: int, arg: Polynomial, prefix: str) -> Polynomial
     return out
 
 
-def _drop_degree(p: Polynomial, bound: int, ignore: tuple[str, ...]) -> Polynomial:
-    """Discard monomials of total degree >= bound in all non-ignored variables."""
-    keep_idx = {p.table.index_of(v) for v in ignore if v in p.table}
-    out = {}
-    for m, c in p.terms.items():
-        deg = sum(e for i, e in m if i not in keep_idx)
-        if deg < bound:
-            out[m] = c
-    return Polynomial(p.table, out)
-
-
 def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
     """The congruences between parent and part coordinates at low order."""
     n = spec.n
@@ -219,7 +208,7 @@ def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
             # coefficient alpha'_0 = 1 appears) and one more degree-3 term
             # survives the reduction
             want = want - 2 * ap_k * table.var("gq") ** 2
-        out["delta_2n_minus_2"] = _drop_degree(delta_top, 4, ("U", "Z")) == want
+        out["delta_2n_minus_2"] = delta_top.truncate(3) == want
     return out
 
 
@@ -469,16 +458,16 @@ class KeyResult:
 
 
 def _constant_ratio(num: Polynomial, den: Polynomial) -> Optional[Fraction]:
-    num, den = num.compact()._align(den.compact())
     if den.is_zero:
         return None
     if num.is_zero:
         return Fraction(0)
-    m, c = den.leading_term()
-    top = num.terms.get(m)
-    if top is None:
+    # on one table, num == r * den puts both leading terms on one monomial
+    table = num.table.merged(den.table)
+    (mn, cn), (md, cd) = num.to_table(table).leading_term(), den.to_table(table).leading_term()
+    if mn != md:
         return None
-    ratio = Fraction(top) / Fraction(c)
+    ratio = Fraction(cn) / Fraction(cd)
     return ratio if num == ratio * den else None
 
 
@@ -508,13 +497,13 @@ def key_constant(case: KeyCase, cache: Optional[RuleCache] = None) -> KeyResult:
 
 def _solve_two_term(target: Polynomial, A: Polynomial, B: Polynomial) -> "tuple[Fraction, Fraction] | None":
     """Exact undetermined coefficients for target = c1*A + c2*B."""
-    target, A = target.compact()._align(A.compact())
-    target, B = target._align(B.compact())
-    target, A = target._align(A)
+    target, A, B = (p.compact() for p in (target, A, B))
+    table = target.table.merged(A.table).merged(B.table)
+    target, A, B = (dict(p.to_table(table).items()) for p in (target, A, B))
     system = LinearSystem()
     try:
-        for m in set(A.terms) | set(B.terms) | set(target.terms):
-            system.add({1: A.terms.get(m, 0), 2: B.terms.get(m, 0)}, target.terms.get(m, 0))
+        for m in A.keys() | B.keys() | target.keys():
+            system.add({1: A.get(m, 0), 2: B.get(m, 0)}, target.get(m, 0))
     except InconsistentSystemError:
         return None
     if system.rank < 2:

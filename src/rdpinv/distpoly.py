@@ -201,7 +201,7 @@ def symmetric_reduce(p: Polynomial, n: int, target: Optional[VarTable] = None) -
     extraneous = p.variables() - set(_t_names(n))
     if extraneous:
         raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
-    tpos = {table.index_of(f"t{i}"): i - 1 for i in range(1, n + 1)}
+    tpos = [table.index_of(f"t{i}") for i in range(1, n + 1)]
     elems = [None] + [elem_sym([table.var(f"t{i}") for i in range(1, n + 1)], j)
                       for j in range(1, n + 1)]
     pow_cache: dict[tuple[int, int], Polynomial] = {}
@@ -218,12 +218,11 @@ def symmetric_reduce(p: Polynomial, n: int, target: Optional[VarTable] = None) -
     work = p
     while not work.is_zero:
         mono, coeff = work.leading_term()
-        exps = [0] * n
-        for i, e in mono:
-            exps[tpos[i]] = e
+        exps = [mono[i] for i in tpos]
         if any(exps[i] < exps[i + 1] for i in range(n - 1)):
             raise NonSymmetricError(
-                f"leading monomial {dict(mono)} is not dominant; input not symmetric"
+                f"leading monomial {dict(zip(_t_names(n), exps))} is not dominant; "
+                "input not symmetric"
             )
         diffs = [exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)]
         s_term = target.const(coeff)

@@ -186,8 +186,10 @@ def solve_e8_sextic() -> Polynomial:
     q = (psi * psi).coeffs_in("U")
 
     def mono(exps, names) -> Polynomial:
-        m = sorted((table.index_of(name), e) for name, e in zip(names, exps) if e)
-        return Polynomial(table, {tuple(m): 1})
+        full = [0] * len(table)
+        for name, e in zip(names, exps):
+            full[table.index_of(name)] = e
+        return Polynomial.from_items(table, {tuple(full): 1})
 
     s_names = [f"s{i}" for i in range(1, n + 1)]
     by_eta: dict[int, list[tuple[int, int, int]]] = {}
@@ -224,7 +226,7 @@ def solve_e8_sextic() -> Polynomial:
     # modulo psi vanishes coefficient by coefficient
     unknowns = [f"c{k}" for k in range(len(basis))]
     ext = table.merged(VarTable(unknowns, [0] * len(unknowns)))
-    slot = {ext.index_of(name): k for k, name in enumerate(unknowns)}
+    slot = {name: k for k, name in enumerate(unknowns)}
     generic = known.to_table(ext)
     for name, p in zip(unknowns, basis):
         generic = generic + ext.var(name) * p
@@ -232,7 +234,10 @@ def solve_e8_sextic() -> Polynomial:
     system = LinearSystem()
     try:
         for cof in rem.coefficients_over(["U"] + s_names).values():
-            system.add({slot[m[0][0]]: c for m, c in cof.terms.items() if m},
+            # linear in the unknowns: each key but the constant one holds one 1
+            names = tuple(cof.variables())
+            system.add({slot[names[k.index(1)]]: c.constant_value()
+                        for k, c in cof.coefficients_over(names).items() if any(k)},
                        -cof.constant_value())
         nullity = len(basis) - system.rank
         expected = len(_weight_monomials(n, 4)) + len(_weight_monomials(n, 10))

@@ -1,18 +1,22 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a dict mapping sparse monomials to nonzero rational
-coefficients.  Monomials are tuples of (variable_index, exponent) pairs,
-sorted by index, with no zero exponents stored; the empty tuple is the
-constant monomial.  Coefficients are Python ints when integral and
-``fractions.Fraction`` otherwise, so identity testing is exact and the
-common integer case stays fast.
-
 Every polynomial refers to a :class:`VarTable`, which fixes the variable
 order and assigns each variable a nonnegative integer weight (its
-eigenvalue exponent under the background torus action).  Serialization is
-deterministic: terms are emitted in descending graded-lexicographic order,
-graded by total weighted degree with ties broken lexicographically in the
-table's variable order.
+eigenvalue exponent under the background torus action).  Coefficients are
+Python ints when integral and ``fractions.Fraction`` otherwise, so
+identity testing is exact and the common integer case stays fast.
+
+The public contract is the term view: ``p.items()`` yields ``(exps, c)``
+with ``exps`` a tuple aligned with ``p.table.names`` and ``c`` nonzero,
+and :meth:`Polynomial.from_items` builds a polynomial from such pairs.
+``coefficients_over`` splits the terms by their exponents in chosen
+variables; ``coeffs_in``, ``coeff_of``, ``truncate`` and ``leading_term``
+read through the same exponent tuples.  How a monomial is stored is
+private to this module.
+
+Serialization is deterministic: terms are emitted in descending
+graded-lexicographic order, graded by total weighted degree with ties
+broken lexicographically in the table's variable order.
 
 Two polynomials over different tables may be combined as long as shared
 names carry equal weights; the tables are merged by name.
@@ -22,8 +26,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, Sequence
 
+#: the private store: a monomial is a tuple of (table index, exponent) pairs
+#: sorted by index, with no zero exponents; () is the constant monomial
 Mono = tuple[tuple[int, int], ...]
 
 
@@ -146,7 +153,7 @@ class VarTable:
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
-    def mono_weight(self, m: Mono) -> int:
+    def _weight(self, m: Mono) -> int:
         w = self.weights
         return sum(e * w[i] for i, e in m)
 
@@ -184,14 +191,39 @@ def _remap(m: Mono, mapping: Sequence[int]) -> Mono:
     return tuple(sorted((mapping[i], e) for i, e in m))
 
 
+def _dense(m: Mono, n: int) -> tuple[int, ...]:
+    exps = [0] * n
+    for i, e in m:
+        exps[i] = e
+    return tuple(exps)
+
+
 class Polynomial:
     """Immutable sparse polynomial; all operations return new values."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms")  # terms: the private Mono -> coefficient store
 
     def __init__(self, table: VarTable, terms: dict):
         self.table = table
         self.terms = terms
+
+    @staticmethod
+    def from_items(table: VarTable, items: Mapping[tuple, "int | Fraction"]) -> "Polynomial":
+        """The polynomial with these terms; each key is an exponent tuple
+        aligned with ``table.names``, and zero coefficients are dropped."""
+        terms = {}
+        for exps, c in items.items():
+            if len(exps) != len(table):
+                raise ValueError(f"exponent tuple {exps} does not fit {table}")
+            if c:
+                terms[tuple(compress(enumerate(exps), exps))] = _norm(c)
+        return Polynomial(table, terms)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
+        """Each term as ``(exps, c)``, ``exps`` aligned with ``table.names``."""
+        n = len(self.table)
+        for m, c in self.terms.items():
+            yield _dense(m, n), c
 
     # -- basic structure ------------------------------------------------
 
@@ -340,9 +372,6 @@ class Polynomial:
 
     # -- weights and degrees ----------------------------------------------
 
-    def mono_weight(self, m: Mono) -> int:
-        return self.table.mono_weight(m)
-
     def homogeneous_weight(self) -> "int | None":
         """Common weighted degree of all terms, or None if mixed or zero.
 
@@ -351,57 +380,40 @@ class Polynomial:
         """
         w = None
         for m in self.terms:
-            mw = self.table.mono_weight(m)
+            mw = self.table._weight(m)
             if w is None:
                 w = mw
             elif w != mw:
                 return None
         return w
 
-    def degree_in(self, name: str) -> int:
-        idx = self.table._index.get(name)
-        if idx is None:
-            return 0
-        best = 0
-        for m in self.terms:
-            for i, e in m:
-                if i == idx and e > best:
-                    best = e
-        return best
-
     # -- extraction -------------------------------------------------------
+
+    def coefficients_over(self, names: Iterable[str]) -> dict[tuple[int, ...], "Polynomial"]:
+        """Group terms by their exponents in ``names``.
+
+        Keys are exponent tuples aligned with ``names``, e.g. ``(2, 0, 1)``
+        for x^2*z over ``("x", "y", "z")``; values are the cofactor
+        polynomials in the remaining variables, on this table.
+        """
+        pos = {self.table.index_of(n): k for k, n in enumerate(names)}
+        width = len(pos)
+        out: dict[tuple, dict] = {}
+        for m, c in self.terms.items():
+            key = [0] * width
+            rest = []
+            for i, e in m:
+                k = pos.get(i)
+                if k is None:
+                    rest.append((i, e))
+                else:
+                    key[k] = e
+            out.setdefault(tuple(key), {})[tuple(rest)] = c
+        return {k: Polynomial(self.table, t) for k, t in out.items()}
 
     def coeffs_in(self, name: str) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``name``: degree -> coefficient."""
-        idx = self.table.index_of(name)
-        out: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for i, ee in m:
-                if i == idx:
-                    e = ee
-                else:
-                    rest.append((i, ee))
-            out.setdefault(e, {})[tuple(rest)] = c
-        return {e: Polynomial(self.table, t) for e, t in out.items()}
-
-    def coefficients_over(self, names: Iterable[str]) -> dict[Mono, "Polynomial"]:
-        """Group terms by their monomial part in ``names``.
-
-        Keys are monomials over the given variables (indices in this
-        polynomial's table); values are the cofactor polynomials in the
-        remaining variables.
-        """
-        idxs = frozenset(self.table.index_of(n) for n in names)
-        out: dict[Mono, dict] = {}
-        for m, c in self.terms.items():
-            inside = []
-            outside = []
-            for i, e in m:
-                (inside if i in idxs else outside).append((i, e))
-            out.setdefault(tuple(inside), {})[tuple(outside)] = c
-        return {m: Polynomial(self.table, t) for m, t in out.items()}
+        return {k: c for (k,), c in self.coefficients_over((name,)).items()}
 
     def coeff_of(self, mono: Mapping[str, int], within: Iterable[str]) -> "Polynomial":
         """Coefficient of the exact monomial ``mono`` when viewed over ``within``.
@@ -409,17 +421,11 @@ class Polynomial:
         Variables of ``within`` absent from ``mono`` must appear with
         exponent zero; returns 0 when the monomial is absent.
         """
-        within = set(within)
+        within = tuple(within)
         if any(v not in within for v in mono):
             raise ValueError("monomial involves variables outside the given subset")
-        target = tuple(sorted((self.table.index_of(v), e) for v, e in mono.items() if e))
-        idxs = frozenset(self.table.index_of(n) for n in within)
-        out: dict = {}
-        for m, c in self.terms.items():
-            inside = tuple((i, e) for i, e in m if i in idxs)
-            if inside == target:
-                out[tuple((i, e) for i, e in m if i not in idxs)] = c
-        return Polynomial(self.table, out)
+        key = tuple(mono.get(v, 0) for v in within)
+        return self.coefficients_over(within).get(key, self.table.zero())
 
     # -- substitution ------------------------------------------------------
 
@@ -450,7 +456,7 @@ class Polynomial:
         """
         live = {n: r for n, r in rules.items() if n in self.table}
         if not live:
-            return self if max_total_degree is None else self._trunc(max_total_degree)
+            return self if max_total_degree is None else self.truncate(max_total_degree)
         table = self.table
         for r in live.values():
             if isinstance(r, Polynomial):
@@ -534,7 +540,8 @@ class Polynomial:
             return Polynomial(table, {})
         return combine(blocks, 0, bound)
 
-    def _trunc(self, bound: int) -> "Polynomial":
+    def truncate(self, bound: int) -> "Polynomial":
+        """The terms of total degree at most ``bound``."""
         return Polynomial(self.table,
                           {m: c for m, c in self.terms.items()
                            if sum(e for _, e in m) <= bound})
@@ -624,24 +631,29 @@ class Polynomial:
 
     def _glex_key(self, m: Mono):
         sentinel = len(self.table)
-        return (-self.table.mono_weight(m), tuple((i, -e) for i, e in m) + ((sentinel, 0),))
+        return (-self.table._weight(m), tuple((i, -e) for i, e in m) + ((sentinel, 0),))
 
-    def sorted_terms(self) -> list[tuple[Mono, "int | Fraction"]]:
-        """Terms in descending graded-lex order (weighted grading)."""
+    def _sorted(self) -> list[tuple[Mono, "int | Fraction"]]:
         return sorted(self.terms.items(), key=lambda item: self._glex_key(item[0]))
 
-    def leading_term(self) -> tuple[Mono, "int | Fraction"]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], "int | Fraction"]]:
+        """The :meth:`items` in descending graded-lex order (weighted grading)."""
+        n = len(self.table)
+        return [(_dense(m, n), c) for m, c in self._sorted()]
+
+    def leading_term(self) -> tuple[tuple[int, ...], "int | Fraction"]:
+        """The first of :meth:`sorted_terms`, as ``(exps, c)``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = min(self.terms, key=self._glex_key)
-        return m, self.terms[m]
+        return _dense(m, len(self.table)), self.terms[m]
 
     def serialize(self) -> str:
         if not self.terms:
             return "0"
         names = self.table.names
         parts = []
-        for k, (m, c) in enumerate(self.sorted_terms()):
+        for k, (m, c) in enumerate(self._sorted()):
             c = _norm(c)
             neg = c < 0
             mag = -c if neg else c
@@ -665,7 +677,7 @@ class Polynomial:
             "weights": list(self.table.weights),
             "terms": [
                 {"m": {self.table.names[i]: e for i, e in m}, "c": _coeff_str(c)}
-                for m, c in self.sorted_terms()
+                for m, c in self._sorted()
             ],
         }
 

@@ -32,17 +32,16 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
 from .poly import (
     AbsentVariableError,
-    Mono,
     NonLinearError,
     Polynomial,
     PolyError,
     VarTable,
-    _mono_mul,
     parse,
 )
 
@@ -135,10 +134,6 @@ class RuleSet:
         return json.dumps(self.to_json(), sort_keys=True).encode()
 
 
-def compose(outer: RuleSet, inner: RuleSet) -> RuleSet:
-    return outer.compose(inner)
-
-
 # Part of every solve-list cache key.  Bump it whenever a change to the
 # expansion could give different rules for the same solve list (the order
 # of solving, the clean-up of late pairs, the rule format), so that entries
@@ -155,21 +150,21 @@ def _mono_spec(mono: "Mapping[str, int] | MonoSpec") -> MonoSpec:
     return tuple(sorted((v, int(e)) for v, e in mono if e))
 
 
-def _divisors(mono: Mono) -> list[Mono]:
-    out: list[Mono] = [()]
-    for i, e in mono:
-        out = [d + ((i, k),) if k else d for d in out for k in range(e + 1)]
+def _divisors(exps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [()]
+    for e in exps:
+        out = [d + (k,) for d in out for k in range(e + 1)]
     return out
 
 
-Cells = dict[Mono, Polynomial]  # monomial-variable part -> cofactor
+Cells = dict[tuple[int, ...], Polynomial]  # exponents of the monomial variables -> cofactor
 
 
-def _add_product(acc: Cells, a: Cells, b: Cells, keep: set[Mono]) -> None:
+def _add_product(acc: Cells, a: Cells, b: Cells, keep: set) -> None:
     """Add to ``acc`` the cells of a*b whose key is in ``keep``."""
     for ka, pa in a.items():
         for kb, pb in b.items():
-            k = _mono_mul(ka, kb)
+            k = tuple(map(add, ka, kb))
             if k in keep:
                 prod = pa * pb
                 acc[k] = acc[k] + prod if k in acc else prod
@@ -215,7 +210,7 @@ class SolveList:
         for _, p in live:
             table = table.merged(p.table)
         # a monomial off the monomial variables is never reached
-        targets = [tuple(sorted((table.index_of(v), e) for v, e in mono))
+        targets = [tuple(dict(mono).get(v, 0) for v in self.monomial_vars)
                    if all(v in self.monomial_vars for v, _ in mono) else None
                    for mono, _ in self.pairs]
         keep = set().union(*(_divisors(t) for t in targets if t is not None))
@@ -229,21 +224,23 @@ class SolveList:
             _add_product(acc, a, b, keep)
             return {k: c for k, c in acc.items() if c}
 
-        ruled = {table.index_of(v): cells(p) for v, p in live}
-        products: dict[Mono, Cells] = {(): {(): table.const(1)}}
+        ruled = [cells(p) for _, p in live]
+        one = {(0,) * len(self.monomial_vars): table.const(1)}
+        products: dict[tuple, Cells] = {(0,) * len(live): one}
 
-        def product(key: Mono) -> Cells:
+        def product(key: tuple) -> Cells:
             """The product of rule values whose exponents ``key`` lists."""
             got = products.get(key)
             if got is None:
-                i, e = key[-1]
-                got = times(product(key[:-1] + (((i, e - 1),) if e > 1 else ())), ruled[i])
+                i = max(k for k, e in enumerate(key) if e)
+                lower = key[:i] + (key[i] - 1,) + key[i + 1:]
+                got = times(product(lower), ruled[i])
                 products[key] = got
             return got
 
         wanted = {t for t in targets if t is not None}
         found: Cells = {}
-        groups = template.to_table(table).coefficients_over(table.names[i] for i in ruled)
+        groups = template.to_table(table).coefficients_over(v for v, _ in live)
         for key, cofactor in groups.items():
             _add_product(found, cells(cofactor), product(key), wanted)
         zero = table.zero()

@@ -57,9 +57,11 @@ def test_invariants_bad_type(capsys):
     ["congruence", "--case", "E9:v1"],
     ["classify", "--poly-file", "{dir}/bad.txt"],
     ["classify", "--profile-file", "{dir}/unknown_type.json"],
+    ["classify", "--poly-file", "{dir}/d4.txt", "--jet-order", "-1"],
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")
+    (tmp_path / "d4.txt").write_text("-X^2 - Y^2*Z + Z^3\n")
     (tmp_path / "unknown_type.json").write_text(json.dumps({"type": "E9", "orders": {"eps8": 1}}))
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
@@ -112,10 +114,11 @@ def test_classify_profile_file(tmp_path, capsys):
 
 def test_classify_undecidable_exit_code(tmp_path, capsys):
     target = tmp_path / "surface.txt"
-    target.write_text("-X*Y + Z^9\n")
-    code, _, err = run(capsys, "classify", "--poly-file", str(target),
-                       "--jet-order", "5")
-    assert code == 1 and "undecidable" in err
+    for text, jet_order in (("-X*Y + Z^9", "5"), ("-X^2 - Y^2*Z + Z^3", "2")):
+        target.write_text(text + "\n")
+        code, out, err = run(capsys, "classify", "--poly-file", str(target),
+                             "--jet-order", jet_order)
+        assert code == 1 and out == "" and err.startswith("undecidable:"), (text, err)
 
 
 def test_congruence_all_deterministic_across_jobs(capsys):

@@ -204,8 +204,9 @@ def test_json_round_trip():
 def test_truncated_multiplication():
     x, y = V("x"), V("z")
     p = (1 + x + y) ** 3
-    assert p.mul_truncated(p, 2) == p._trunc(2) * p._trunc(2) - (p._trunc(2) * p._trunc(2) - (p * p)._trunc(2))
-    assert p.mul_truncated(p, 2) == (p * p)._trunc(2)
+    low = p.truncate(2)
+    assert p.mul_truncated(p, 2) == low * low - (low * low - (p * p).truncate(2))
+    assert p.mul_truncated(p, 2) == (p * p).truncate(2)
 
 
 def test_compact_drops_unused_variables():
@@ -224,17 +225,18 @@ sub_q = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, ma
 
 def naive_substitute(p, rules, bound):
     """Each term as the product of its rule powers; truncated only at the end."""
-    names = p.table.names
     out = p.table.zero()
-    for m, c in p.terms.items():
+    for m, c in p.items():
         term = p.table.const(c)
-        for i, e in m:
-            value = rules.get(names[i], p.table.var(names[i]))
+        for name, e in zip(p.table.names, m):
+            if not e:
+                continue
+            value = rules.get(name, p.table.var(name))
             if not isinstance(value, Polynomial):
                 value = p.table.const(value)
             term = term * value ** e
         out = out + term
-    return out if bound is None else out._trunc(bound)
+    return out if bound is None else out.truncate(bound)
 
 
 @st.composite
@@ -278,14 +280,53 @@ def test_substitute_matches_term_by_term_oracle(p, rules, bound):
             table = table.merged(value.table)
     assert out.table is table
     want = naive_substitute(p, rules, bound).to_table(table)
-    assert out.terms == want.terms
-    assert all(c and (type(c) is int or c.denominator != 1) for c in out.terms.values())
+    assert dict(out.items()) == dict(want.items())
+    assert out.serialize() == want.serialize()
+    assert all(c and (type(c) is int or c.denominator != 1) for _, c in out.items())
 
 
 def test_substitute_without_live_rules_returns_self():
     p = S.var("a") * S.var("b") ** 2 + 1
     assert p.substitute({"zz": S.var("a")}) is p
     assert p.substitute({"zz": 1}, max_total_degree=2) == S.const(1)
+
+
+# -- the term view ---------------------------------------------------------------
+
+
+def _monomial(table, powers):
+    return Polynomial.from_items(table, {tuple(powers.get(v, 0) for v in table.names): 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub_poly(S), st.permutations(S.names), st.integers(0, 4))
+def test_term_view_round_trips_and_splits(p, order, k):
+    names = order[:k]
+    items = dict(p.items())
+    assert all(len(m) == len(S) and c for m, c in items.items())
+    back = Polynomial.from_items(S, items)
+    assert back.table is p.table and dict(back.items()) == items
+    assert back.serialize() == p.serialize()
+    # the split over ``names`` reassembles p, keyed by exponents in that order
+    split = p.coefficients_over(names)
+    total = S.zero()
+    for key, cof in split.items():
+        assert len(key) == len(names) and cof and not cof.variables() & set(names)
+        assert cof.table is S
+        total = total + cof * _monomial(S, dict(zip(names, key)))
+    assert total == p
+    # coeff_of and coeffs_in read the same split
+    for key, cof in split.items():
+        assert p.coeff_of(dict(zip(names, key)), names) == cof
+    if names:  # sub_poly draws exponents up to 3
+        assert p.coeff_of({v: 9 for v in names}, names).is_zero
+    for name in names:
+        by_exp = {key[0]: cof for key, cof in p.coefficients_over([name]).items()}
+        assert p.coeffs_in(name) == by_exp
+        assert all(p.coeff_of({name: e}, [name]) == cof for e, cof in by_exp.items())
+    if p:
+        assert p.leading_term() == p.sorted_terms()[0]
+        assert sorted(p.sorted_terms()) == sorted(items.items())
 
 
 # -- the shared exact linear solver ----------------------------------------------
