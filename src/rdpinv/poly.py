@@ -2,17 +2,35 @@
 
 Every polynomial refers to a :class:`VarTable`, which fixes the variable
 order and assigns each variable a nonnegative integer weight (its
-eigenvalue exponent under the background torus action).  Coefficients are
-Python ints when integral and ``fractions.Fraction`` otherwise, so
-identity testing is exact and the common integer case stays fast.
+eigenvalue exponent under the background torus action).  Coefficients
+are exact rationals: the kernel accepts ``int`` and ``fractions.Fraction``
+values and raises ``TypeError`` for anything else, a float included.
 
 The public contract is the term view: ``p.items()`` yields ``(exps, c)``
-with ``exps`` a tuple aligned with ``p.table.names`` and ``c`` nonzero,
-and :meth:`Polynomial.from_items` builds a polynomial from such pairs.
+with ``exps`` a tuple aligned with ``p.table.names`` and ``c`` nonzero, an
+``int`` when integral and a reduced ``Fraction`` otherwise, and
+:meth:`Polynomial.from_items` builds a polynomial from such pairs.
 ``coefficients_over`` splits the terms by their exponents in chosen
 variables; ``coeffs_in``, ``coeff_of``, ``truncate`` and ``leading_term``
-read through the same exponent tuples.  How a monomial is stored is
-private to this module.
+read through the same exponent tuples.
+
+The store behind the view is private to this module; it follows the packed
+exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
+
+* A monomial is one int.  The exponent of table index ``i`` sits in the
+  bit field ``[i*s, (i+1)*s)``, where ``s`` is the polynomial's field
+  width (``shift``): 8 bits, doubled for as long as an exponent needs
+  more.  The top bit of each field is a guard bit, clear in every stored
+  key, so an exponent stays below ``2**(s-1)``.  Adding two keys adds
+  their exponents; a field sum stays below ``2**s`` and never carries
+  into its neighbour, so an overflow shows as a set guard bit.  A result
+  with one is computed again with fields twice as wide: exponents never
+  wrap.  Decoding a key reads it only up to its highest nonzero field.
+* Coefficients are integer numerators over one denominator ``den`` per
+  polynomial, positive and coprime to the gcd of the numerators.  That
+  makes the store canonical (``den`` is the lcm of the coefficients'
+  denominators), so equality compares dicts, and an inner product loop
+  multiplies and adds plain ints; each op normalizes once per result.
 
 Serialization is deterministic: terms are emitted in descending
 graded-lexicographic order, graded by total weighted degree with ties
@@ -25,13 +43,13 @@ names carry equal weights; the tables are merged by name.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from functools import reduce
+from itertools import compress, islice
+from math import gcd, lcm
+from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
-
-#: the private store: a monomial is a tuple of (table index, exponent) pairs
-#: sorted by index, with no zero exponents; () is the constant monomial
-Mono = tuple[tuple[int, int], ...]
 
 
 class PolyError(Exception):
@@ -60,18 +78,77 @@ class ParseError(PolyError):
         self.position = position
 
 
-def _norm(c):
-    """Collapse integral Fractions to int; keep everything else as is."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _check_rational(c) -> None:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _coeff_str(c) -> str:
-    c = _norm(c)
-    if isinstance(c, int):
-        return str(c)
-    return f"{c.numerator}/{c.denominator}"
+# -- packed monomials ---------------------------------------------------------
+
+#: the field width of a fresh key, in bits, guard bit included
+_S = 8
+
+
+def _width_for(exps: list[int]) -> int:
+    """The narrowest field width (8, 16, 32, ...) that holds every exponent."""
+    if exps and min(exps) < 0:
+        raise ValueError(f"negative exponent {min(exps)}")
+    top = max(exps, default=0)
+    s = _S
+    while top >> (s - 1):
+        s *= 2
+    return s
+
+
+def _fields(k: int, s: int):
+    """The fields of key ``k``, lowest index first, up to its top nonzero one."""
+    if s == 8:
+        return k.to_bytes((k.bit_length() + 7) >> 3, "little")
+    out = []
+    mask = (1 << s) - 1
+    while k:
+        out.append(k & mask)
+        k >>= s
+    return out
+
+
+def _pairs(k: int, s: int) -> Iterator[tuple[int, int]]:
+    """``(index, exponent)`` for each nonzero field of ``k``, by index."""
+    f = _fields(k, s)
+    return compress(enumerate(f), f)
+
+
+def _pack(pairs: Iterable[tuple[int, int]], s: int) -> int:
+    return sum(e << i * s for i, e in pairs)
+
+
+def _degree(k: int, s: int) -> int:
+    """Total degree of key ``k``."""
+    if s == 8:
+        return sum(k.to_bytes((k.bit_length() + 7) >> 3, "little"))
+    return sum(_fields(k, s))
+
+
+def _dense(f, n: int) -> tuple[int, ...]:
+    """Fields ``f`` as the exponent tuple of a table of ``n`` variables."""
+    return tuple(f) + (0,) * (n - len(f))
+
+
+def _guard(n: int, s: int) -> int:
+    """The guard bits of ``n`` fields of width ``s``."""
+    return ((1 << n * s) - 1) // ((1 << s) - 1) << (s - 1)
+
+
+def _coeff(n: int, d: int) -> "int | Fraction":
+    """``n/d`` as an int when integral, else as a reduced Fraction."""
+    if d == 1:
+        return n
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _coeff_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _TABLE_REGISTRY: dict[tuple, "VarTable"] = {}
@@ -140,90 +217,77 @@ class VarTable:
 
     def var(self, name: str, exp: int = 1) -> "Polynomial":
         i = self._index[name]
-        if exp == 0:
-            return Polynomial(self, {(): 1})
-        return Polynomial(self, {((i, exp),): 1})
+        s = _width_for([exp])
+        return Polynomial(self, {exp << i * s: 1}, 1, s)
 
     def const(self, c) -> "Polynomial":
-        c = _norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        _check_rational(c)
         if c == 0:
             return Polynomial(self, {})
-        return Polynomial(self, {(): c})
+        return Polynomial(self, {0: c.numerator}, c.denominator)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
-
-    def _weight(self, m: Mono) -> int:
-        w = self.weights
-        return sum(e * w[i] for i, e in m)
 
 
 _MERGE_CACHE: dict[tuple[int, int], VarTable] = {}
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _reduced(table: VarTable, terms: dict, den: int, s: int) -> "Polynomial":
+    """The polynomial ``terms / den``; no numerator may be zero."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: n // g for k, n in terms.items()}
+            den //= g
+    return Polynomial(table, terms, den, s)
 
 
-def _remap(m: Mono, mapping: Sequence[int]) -> Mono:
-    return tuple(sorted((mapping[i], e) for i, e in m))
+def _from_rationals(table: VarTable, coeffs: dict, s: int, den: int = 1) -> "Polynomial":
+    """The polynomial sum of ``c * key / den`` over ``coeffs``, whose values
+    are ints and Fractions; zero values are dropped."""
+    common = lcm(*[c.denominator for c in coeffs.values() if type(c) is not int])
+    terms = {k: c.numerator * (common // c.denominator) for k, c in coeffs.items() if c}
+    return _reduced(table, terms, den * common, s)
 
 
-def _dense(m: Mono, n: int) -> tuple[int, ...]:
-    exps = [0] * n
-    for i, e in m:
-        exps[i] = e
-    return tuple(exps)
+class _Overflow(Exception):
+    """An exponent outgrew its field of width ``shift``."""
+
+    def __init__(self, shift: int):
+        super().__init__(shift)
+        self.shift = shift
 
 
 class Polynomial:
     """Immutable sparse polynomial; all operations return new values."""
 
-    __slots__ = ("table", "terms")  # terms: the private Mono -> coefficient store
+    # the private store: packed monomial -> nonzero integer numerator, over
+    # the common denominator ``den``, with fields ``shift`` bits wide
+    __slots__ = ("table", "terms", "den", "shift")
 
-    def __init__(self, table: VarTable, terms: dict):
+    def __init__(self, table: VarTable, terms: dict, den: int = 1, shift: int = _S):
         self.table = table
         self.terms = terms
+        self.den = den
+        self.shift = shift
 
     @staticmethod
     def from_items(table: VarTable, items: Mapping[tuple, "int | Fraction"]) -> "Polynomial":
         """The polynomial with these terms; each key is an exponent tuple
         aligned with ``table.names``, and zero coefficients are dropped."""
-        terms = {}
         for exps, c in items.items():
             if len(exps) != len(table):
                 raise ValueError(f"exponent tuple {exps} does not fit {table}")
-            if c:
-                terms[tuple(compress(enumerate(exps), exps))] = _norm(c)
-        return Polynomial(table, terms)
+            _check_rational(c)
+        s = _width_for([e for exps in items for e in exps])
+        return _from_rationals(table, {_pack(enumerate(exps), s): c for exps, c in items.items()}, s)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
         """Each term as ``(exps, c)``, ``exps`` aligned with ``table.names``."""
-        n = len(self.table)
-        for m, c in self.terms.items():
-            yield _dense(m, n), c
+        n, s, d = len(self.table), self.shift, self.den
+        for k, c in self.terms.items():
+            yield _dense(_fields(k, s), n), _coeff(c, d)
 
     # -- basic structure ------------------------------------------------
 
@@ -237,30 +301,51 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self.terms)
 
+    def _used(self) -> list[int]:
+        """The table indices of the variables that occur."""
+        return [i for i, _ in _pairs(reduce(or_, self.terms, 0), self.shift)]
+
     def variables(self) -> set[str]:
         names = self.table.names
-        return {names[i] for m in self.terms for i, _ in m}
+        return {names[i] for i in self._used()}
 
     def contains_var(self, name: str) -> bool:
         idx = self.table._index.get(name)
         if idx is None:
             return False
-        return any(i == idx for m in self.terms for i, _ in m)
+        s = self.shift
+        field = ((1 << s) - 1) << idx * s
+        return any(k & field for k in self.terms)
 
     def constant_value(self):
         """The coefficient of the constant monomial."""
-        return self.terms.get((), 0)
+        n = self.terms.get(0)
+        return 0 if n is None else _coeff(n, self.den)
+
+    def _moved(self, table: VarTable, places, s: int) -> "Polynomial":
+        """This polynomial on ``table``, index ``i`` going to ``places[i]``
+        (unchanged when None), with fields ``s`` bits wide."""
+        if places is None and s == self.shift:
+            return Polynomial(table, self.terms, self.den, s)
+        old = self.shift
+        places = places or range(len(self.table))
+        terms = {_pack(((places[i], e) for i, e in _pairs(k, old)), s): n
+                 for k, n in self.terms.items()}
+        return Polynomial(table, terms, self.den, s)
+
+    def _widened(self, s: int) -> "Polynomial":
+        return self if s == self.shift else self._moved(self.table, None, s)
 
     def compact(self) -> "Polynomial":
         """Rebuild over a table containing only the variables actually used."""
-        used = sorted({i for m in self.terms for i, _ in m})
+        used = self._used()
         if len(used) == len(self.table):
             return self
-        names = [self.table.names[i] for i in used]
-        weights = [self.table.weights[i] for i in used]
-        table = VarTable(names, weights)
-        back = {i: table.index_of(self.table.names[i]) for i in used}
-        return Polynomial(table, {_remap(m, back): c for m, c in self.terms.items()})
+        table = VarTable([self.table.names[i] for i in used],
+                         [self.table.weights[i] for i in used])
+        prefix = used == list(range(len(used)))
+        return self._moved(table, None if prefix else {i: j for j, i in enumerate(used)},
+                           self.shift)
 
     def to_table(self, table: VarTable) -> "Polynomial":
         if table is self.table:
@@ -268,14 +353,20 @@ class Polynomial:
         merged = table.merged(self.table)
         if merged is self.table:
             return self
-        mapping = [merged.index_of(n) for n in self.table.names]
-        return Polynomial(merged, {_remap(m, mapping): c for m, c in self.terms.items()})
+        names = self.table.names
+        prefix = merged.names[:len(names)] == names
+        return self._moved(merged, None if prefix else [merged.index_of(v) for v in names],
+                           self.shift)
 
     def _align(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if self.table is other.table:
-            return self, other
-        merged = self.table.merged(other.table)
-        return self.to_table(merged), other.to_table(merged)
+        a, b = self, other
+        if a.table is not b.table:
+            merged = a.table.merged(b.table)
+            a, b = a.to_table(merged), b.to_table(merged)
+        if a.shift != b.shift:
+            s = max(a.shift, b.shift)
+            a, b = a._widened(s), b._widened(s)
+        return a, b
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -295,19 +386,25 @@ class Polynomial:
             return b
         if not b.terms:
             return a
-        out = dict(a.terms)
-        for m, c in b.terms.items():
-            s = out.get(m, 0) + c
+        if a.den == b.den:
+            out, fa, fb = dict(a.terms), 1, 1
+        else:
+            g = gcd(a.den, b.den)
+            fa, fb = b.den // g, a.den // g
+            out = {k: n * fa for k, n in a.terms.items()}
+        get = out.get
+        for k, n in b.terms.items():
+            s = get(k, 0) + n * fb
             if s:
-                out[m] = _norm(s)
+                out[k] = s
             else:
-                out.pop(m, None)
-        return Polynomial(a.table, out)
+                del out[k]
+        return _reduced(a.table, out, a.den * fa, a.shift)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial(self.table, {k: -n for k, n in self.terms.items()}, self.den, self.shift)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -322,8 +419,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial(self.table, {})
-            other = _norm(other)
-            return Polynomial(self.table, {m: _norm(c * other) for m, c in self.terms.items()})
+            p = other.numerator
+            terms = {k: n * p for k, n in self.terms.items()}
+            return _reduced(self.table, terms, self.den * other.denominator, self.shift)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._align(other)
@@ -332,14 +430,23 @@ class Polynomial:
         small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
         out: dict = {}
         get = out.get
-        for ms, cs in small.items():
-            for mb, cb in big.items():
-                m = _mono_mul(ms, mb)
-                prev = get(m)
-                out[m] = cs * cb if prev is None else prev + cs * cb
-        return Polynomial(a.table, {m: _norm(c) for m, c in out.items() if c})
+        big = list(big.items())
+        for ks, ns in small.items():
+            for kb, nb in big:
+                k = ks + kb
+                out[k] = get(k, 0) + ns * nb
+        return a._product(b, out, lambda x, y: x * y)
 
     __rmul__ = __mul__
+
+    def _product(self, other: "Polynomial", out: dict, again) -> "Polynomial":
+        """The product whose numerators ``out`` collects; ``again(x, y)``
+        recomputes it once an exponent has hit a guard bit."""
+        s = self.shift
+        if reduce(or_, out, 0) & _guard(len(self.table), s):
+            return again(self._widened(2 * s), other._widened(2 * s))
+        return _reduced(self.table, {k: n for k, n in out.items() if n},
+                        self.den * other.den, s)
 
     def __truediv__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -366,7 +473,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         a, b = self._align(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.terms == b.terms
 
     __hash__ = None  # mutable dict inside; equality is structural
 
@@ -378,14 +485,9 @@ class Polynomial:
         The zero polynomial has every weight; callers distinguish it via
         ``is_zero``.
         """
-        w = None
-        for m in self.terms:
-            mw = self.table._weight(m)
-            if w is None:
-                w = mw
-            elif w != mw:
-                return None
-        return w
+        s, w = self.shift, self.table.weights
+        found = {sum(map(mul, _fields(k, s), w)) for k in self.terms}
+        return found.pop() if len(found) == 1 else None
 
     # -- extraction -------------------------------------------------------
 
@@ -396,20 +498,15 @@ class Polynomial:
         for x^2*z over ``("x", "y", "z")``; values are the cofactor
         polynomials in the remaining variables, on this table.
         """
-        pos = {self.table.index_of(n): k for k, n in enumerate(names)}
-        width = len(pos)
+        s = self.shift
+        field = (1 << s) - 1
+        offsets = [self.table.index_of(n) * s for n in names]
+        rest = ~sum(field << o for o in offsets)
         out: dict[tuple, dict] = {}
-        for m, c in self.terms.items():
-            key = [0] * width
-            rest = []
-            for i, e in m:
-                k = pos.get(i)
-                if k is None:
-                    rest.append((i, e))
-                else:
-                    key[k] = e
-            out.setdefault(tuple(key), {})[tuple(rest)] = c
-        return {k: Polynomial(self.table, t) for k, t in out.items()}
+        for k, c in self.terms.items():
+            key = tuple([(k >> o) & field for o in offsets])
+            out.setdefault(key, {})[k & rest] = c
+        return {key: _reduced(self.table, t, self.den, s) for key, t in out.items()}
 
     def coeffs_in(self, name: str) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``name``: degree -> coefficient."""
@@ -454,25 +551,41 @@ class Polynomial:
         image cannot reach below the budget is dropped before any product
         is formed.  This keeps jet computations polynomial-sized.
         """
+        for r in rules.values():
+            if not isinstance(r, Polynomial):
+                _check_rational(r)
+        try:
+            return self._substitute(rules, max_total_degree)
+        except _Overflow as exc:
+            return self._widened(2 * exc.shift).substitute(rules, max_total_degree)
+
+    def _substitute(self, rules, bound):
         live = {n: r for n, r in rules.items() if n in self.table}
         if not live:
-            return self if max_total_degree is None else self.truncate(max_total_degree)
+            return self if bound is None else self.truncate(bound)
         table = self.table
+        s = self.shift
         for r in live.values():
             if isinstance(r, Polynomial):
                 table = table.merged(r.table)
+                s = max(s, r.shift)
         # the merged table lists this table's names first, so indices agree
-        direct: dict[int, tuple] = {}  # index -> (monomial, coefficient) or None
+        field = (1 << s) - 1
+        direct: dict[int, tuple] = {}  # index -> (key, numerator, den, top exponent) or None
         horner: dict[int, Polynomial] = {}
         for n, r in live.items():
-            r = r.to_table(table) if isinstance(r, Polynomial) else table.const(r)
+            r = r.to_table(table)._widened(s) if isinstance(r, Polynomial) else table.const(r)
             i = self.table.index_of(n)
-            if len(r.terms) <= 1:
-                direct[i] = next(iter(r.terms.items()), None)
-            else:
+            if len(r.terms) > 1:
                 horner[i] = r
-        present = {i for m in self.terms for i, _ in m}
-        uses = {i: {j for m in r.terms for j, _ in m} for i, r in horner.items() if i in present}
+            elif r.terms:
+                ((k, c),) = r.terms.items()
+                direct[i] = (k, c, r.den, max(_fields(k, s), default=0))
+            else:
+                direct[i] = None
+        own = self._widened(s)
+        present = set(own._used())
+        uses = {i: set(r._used()) for i, r in horner.items() if i in present}
         # innermost first, each time the value that brings the fewest new
         # variables into the inner results: they stay over fewer variables
         order: list[int] = []
@@ -482,46 +595,45 @@ class Polynomial:
             seen |= uses.pop(i)
             order.append(i)
         order.reverse()
-        slot = {i: k for k, i in enumerate(order)}
         values = [horner[i] for i in order]
-        lows = [min(sum(e for _, e in m) for m in r.terms) for r in values]
-        bound = max_total_degree
+        lows = [min(_degree(k, s) for k in r.terms) for r in values]
+        offsets = [i * s for i in order]
+        ruled = [(i * s, v) for i, v in direct.items() if i in present]
+        keep = ~sum(field << o for o in offsets + [o for o, _ in ruled])
+        guard = _guard(len(table), s)
 
         # split the terms by their exponents of the Horner variables; the
         # rest of each term, with the direct rules applied, forms the block
         blocks: dict[tuple, dict] = {}
-        for m, c in self.terms.items():
-            key = [0] * len(slot)
-            kept = []
-            extra: Mono = ()
-            for i, e in m:
-                k = slot.get(i)
-                if k is not None:
-                    key[k] = e
-                elif i not in direct:
-                    kept.append((i, e))
-                elif direct[i] is None:
+        for k, c in own.terms.items():
+            key = tuple([(k >> o) & field for o in offsets])
+            rest = k & keep
+            q = 1
+            for o, v in ruled:
+                e = (k >> o) & field
+                if not e:
+                    continue
+                if v is None:
                     break  # a zero value kills the term
-                else:
-                    rm, rc = direct[i]
-                    extra = _mono_mul(extra, tuple((j, d * e) for j, d in rm))
-                    c = c * rc ** e
+                rk, rn, rd, top = v
+                if (e * top) >> (s - 1):
+                    raise _Overflow(s)
+                rest += rk * e
+                c *= rn ** e
+                q *= rd ** e
             else:
-                rest = _mono_mul(tuple(kept), extra)
-                if bound is not None and (sum(e for _, e in rest)
+                if rest & guard:
+                    raise _Overflow(s)
+                if bound is not None and (_degree(rest, s)
                                           + sum(e * low for e, low in zip(key, lows)) > bound):
                     continue
-                block = blocks.setdefault(tuple(key), {})
-                s = block.get(rest, 0) + c
-                if s:
-                    block[rest] = _norm(s)
-                else:
-                    del block[rest]
+                block = blocks.setdefault(key, {})
+                block[rest] = block.get(rest, 0) + (c if q == 1 else Fraction(c, q))
 
         def combine(group: dict, level: int, budget: "int | None") -> Polynomial:
             if level == len(values):
                 (block,) = group.values()
-                return Polynomial(table, block)
+                return _from_rationals(table, block, s, own.den)
             by_exp: dict[int, dict] = {}
             for key, block in group.items():
                 by_exp.setdefault(key[level], {})[key] = block
@@ -542,9 +654,10 @@ class Polynomial:
 
     def truncate(self, bound: int) -> "Polynomial":
         """The terms of total degree at most ``bound``."""
-        return Polynomial(self.table,
-                          {m: c for m, c in self.terms.items()
-                           if sum(e for _, e in m) <= bound})
+        s = self.shift
+        return _reduced(self.table,
+                        {k: n for k, n in self.terms.items() if _degree(k, s) <= bound},
+                        self.den, s)
 
     def mul_truncated(self, other: "Polynomial", bound: int) -> "Polynomial":
         """Product with every monomial of total degree above ``bound`` dropped.
@@ -557,20 +670,19 @@ class Polynomial:
             return Polynomial(a.table, {})
         if len(a.terms) > len(b.terms):
             a, b = b, a
-        bdeg = sorted(((sum(e for _, e in m), m, c) for m, c in b.terms.items()))
+        s = a.shift
+        by_degree = sorted((_degree(k, s), k, n) for k, n in b.terms.items())
+        degrees = [d for d, _, _ in by_degree]
         out: dict = {}
         get = out.get
-        for ma, ca in a.terms.items():
-            rem = bound - sum(e for _, e in ma)
+        for ka, na in a.terms.items():
+            rem = bound - _degree(ka, s)
             if rem < 0:
                 continue
-            for db, mb, cb in bdeg:
-                if db > rem:
-                    break
-                m = _mono_mul(ma, mb)
-                prev = get(m)
-                out[m] = ca * cb if prev is None else prev + ca * cb
-        return Polynomial(a.table, {m: _norm(c) for m, c in out.items() if c})
+            for _, kb, nb in islice(by_degree, bisect_right(degrees, rem)):
+                k = ka + kb
+                out[k] = get(k, 0) + na * nb
+        return a._product(b, out, lambda x, y: x.mul_truncated(y, bound))
 
     def evaluate(self, values: Mapping[str, "int | Fraction"]) -> Fraction:
         missing = self.variables() - set(values)
@@ -578,27 +690,21 @@ class Polynomial:
             raise ValueError(f"no values for variables {sorted(missing)}")
         names = self.table.names
         total = Fraction(0)
-        for m, c in self.terms.items():
-            term = Fraction(c)
-            for i, e in m:
+        for k, n in self.terms.items():
+            term = Fraction(n)
+            for i, e in _pairs(k, self.shift):
                 term *= Fraction(values[names[i]]) ** e
             total += term
-        return total
+        return total / self.den
 
     def derivative(self, name: str) -> "Polynomial":
-        idx = self.table.index_of(name)
-        out: dict = {}
-        for m, c in self.terms.items():
-            for pos, (i, e) in enumerate(m):
-                if i == idx:
-                    rest = m[:pos] + ((i, e - 1),) + m[pos + 1:] if e > 1 else m[:pos] + m[pos + 1:]
-                    s = out.get(rest, 0) + c * e
-                    if s:
-                        out[rest] = _norm(s)
-                    else:
-                        out.pop(rest, None)
-                    break
-        return Polynomial(self.table, out)
+        s = self.shift
+        offset = self.table.index_of(name) * s
+        field, unit = ((1 << s) - 1) << offset, 1 << offset
+        # distinct monomials keep distinct derivatives, so nothing merges
+        out = {k - unit: n * ((k & field) >> offset)
+               for k, n in self.terms.items() if k & field}
+        return _reduced(self.table, out, self.den, s)
 
     # -- solving -----------------------------------------------------------
 
@@ -608,63 +714,67 @@ class Polynomial:
         Requires self = c*name + r with c a nonzero rational constant and r
         free of the variable; returns -r/c.
         """
-        idx = self.table.index_of(name)
+        s = self.shift
+        offset = self.table.index_of(name) * s
+        field, unit = ((1 << s) - 1) << offset, 1 << offset
         c = None
         rest: dict = {}
-        for m, coeff in self.terms.items():
-            exps = dict(m)
-            e = exps.get(idx, 0)
-            if e == 0:
-                rest[m] = coeff
-            elif e >= 2 or len(m) > 1:
+        for k, n in self.terms.items():
+            if not k & field:
+                rest[k] = n
+            elif k != unit:
                 raise NonLinearError(
                     f"{name} appears with exponent >= 2 or a non-constant coefficient"
                 )
             else:
-                c = coeff
+                c = n
         if c is None:
             raise AbsentVariableError(f"{name} does not appear in the expression")
-        inv = Fraction(-1, 1) / Fraction(c)
-        return Polynomial(self.table, {m: _norm(co * inv) for m, co in rest.items()})
+        # (r/den) / (c/den) = r/c
+        sign = -1 if c > 0 else 1
+        return _reduced(self.table, {k: sign * n for k, n in rest.items()}, abs(c), s)
 
     # -- ordering and serialization -----------------------------------------
 
-    def _glex_key(self, m: Mono):
-        sentinel = len(self.table)
-        return (-self.table._weight(m), tuple((i, -e) for i, e in m) + ((sentinel, 0),))
+    def _ranked(self) -> Iterator[tuple[int, "bytes | list[int]", int]]:
+        """``(weight, fields, numerator)`` per term.  These tuples sort as the
+        terms in graded-lex order: fields compare from index 0 like exponent
+        tuples, a shorter run of fields reading as zero-padded."""
+        s, w = self.shift, self.table.weights
+        for k, n in self.terms.items():
+            f = _fields(k, s)
+            yield sum(map(mul, f, w)), f, n
 
-    def _sorted(self) -> list[tuple[Mono, "int | Fraction"]]:
-        return sorted(self.terms.items(), key=lambda item: self._glex_key(item[0]))
+    def _sorted(self) -> list[tuple[int, "bytes | list[int]", int]]:
+        return sorted(self._ranked(), reverse=True)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], "int | Fraction"]]:
         """The :meth:`items` in descending graded-lex order (weighted grading)."""
-        n = len(self.table)
-        return [(_dense(m, n), c) for m, c in self._sorted()]
+        size, d = len(self.table), self.den
+        return [(_dense(f, size), _coeff(n, d)) for _, f, n in self._sorted()]
 
     def leading_term(self) -> tuple[tuple[int, ...], "int | Fraction"]:
         """The first of :meth:`sorted_terms`, as ``(exps, c)``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=self._glex_key)
-        return _dense(m, len(self.table)), self.terms[m]
+        _, f, n = max(self._ranked())
+        return _dense(f, len(self.table)), _coeff(n, self.den)
 
     def serialize(self) -> str:
         if not self.terms:
             return "0"
-        names = self.table.names
+        names, d = self.table.names, self.den
         parts = []
-        for k, (m, c) in enumerate(self._sorted()):
-            c = _norm(c)
-            neg = c < 0
-            mag = -c if neg else c
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in m]
-            if not factors or mag != 1:
-                factors.insert(0, _coeff_str(mag))
+        for _, f, n in self._sorted():
+            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
+                       for i, e in compress(enumerate(f), f)]
+            if not factors or abs(n) != d:
+                factors.insert(0, _coeff_str(abs(n), d))
             body = "*".join(factors)
-            if k == 0:
-                parts.append(f"-{body}" if neg else body)
+            if parts:
+                parts.append(f"{' - ' if n < 0 else ' + '}{body}")
             else:
-                parts.append(f"{' - ' if neg else ' + '}{body}")
+                parts.append(f"-{body}" if n < 0 else body)
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -672,23 +782,33 @@ class Polynomial:
         return s if len(s) <= 120 else f"<Polynomial with {len(self.terms)} terms>"
 
     def to_json(self) -> dict:
+        names, d = self.table.names, self.den
         return {
-            "vars": list(self.table.names),
+            "vars": list(names),
             "weights": list(self.table.weights),
             "terms": [
-                {"m": {self.table.names[i]: e for i, e in m}, "c": _coeff_str(c)}
-                for m, c in self._sorted()
+                {"m": {names[i]: e for i, e in compress(enumerate(f), f)},
+                 "c": _coeff_str(n, d)}
+                for _, f, n in self._sorted()
             ],
         }
 
     @staticmethod
     def from_json(data: dict) -> "Polynomial":
         table = VarTable(data["vars"], data["weights"])
-        terms: dict = {}
-        for t in data["terms"]:
-            m = tuple(sorted((table.index_of(v), int(e)) for v, e in t["m"].items() if int(e)))
-            terms[m] = _norm(Fraction(t["c"]))
-        return Polynomial(table, terms)
+        terms = [({table.index_of(v): int(e) for v, e in t["m"].items() if int(e)},
+                  Fraction(t["c"])) for t in data["terms"]]
+        return _from_pairs(table, terms)
+
+
+def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:
+    """The sum of ``c * prod(var_i ** e)`` over ``({i: e}, c)`` in ``terms``."""
+    s = _width_for([e for m, _ in terms for e in m.values()])
+    coeffs: dict = {}
+    for m, c in terms:
+        k = _pack(m.items(), s)
+        coeffs[k] = coeffs.get(k, 0) + c
+    return _from_rationals(table, coeffs, s)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -722,7 +842,7 @@ def parse(text: str, table: VarTable) -> Polynomial:
     n = len(tokens)
     if n == 0:
         raise ParseError("empty input", 0)
-    acc: dict = {}
+    terms: list[tuple[dict, "int | Fraction"]] = []
     i = 0
     first = True
     while i < n:
@@ -736,20 +856,19 @@ def parse(text: str, table: VarTable) -> Polynomial:
         first = False
         if i >= n:
             raise ParseError("dangling sign", pos)
-        coeff = Fraction(sign)
+        num, den = sign, 1
         mono: dict[int, int] = {}
         saw_factor = False
         while True:
             kind, val, pos = tokens[i]
             if kind == "num":
-                num = int(val)
-                den = 1
+                num *= int(val)
                 if i + 2 < n and tokens[i + 1][:2] == ("op", "/") and tokens[i + 2][0] == "num":
-                    den = int(tokens[i + 2][1])
-                    if den == 0:
+                    d = int(tokens[i + 2][1])
+                    if d == 0:
                         raise ParseError("zero denominator", tokens[i + 2][2])
+                    den *= d
                     i += 2
-                coeff *= Fraction(num, den)
                 i += 1
             elif kind == "name":
                 if val not in table:
@@ -774,15 +893,12 @@ def parse(text: str, table: VarTable) -> Polynomial:
             break
         if not saw_factor:
             raise ParseError("empty term", pos)
-        key = tuple(sorted((v, e) for v, e in mono.items() if e))
-        s = acc.get(key, 0) + coeff
-        if s:
-            acc[key] = _norm(s)
-        else:
-            acc.pop(key, None)
+        terms.append((mono, num if den == 1 else Fraction(num, den)))
         if i < n and tokens[i][0] != "op":
             raise ParseError(f"expected operator, got {tokens[i][1]!r}", tokens[i][2])
-    return Polynomial(table, acc)
+    return _from_pairs(table, terms)
+
+
 
 
 # -- univariate-style helpers -------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -180,6 +182,25 @@ def test_rbar_drops_z_before_the_split_parameters(n, cache):
     for param in split_params_E(n):
         pipe = VersalPipeline(n, param=param, cache=cache)
         _assert_same_rules(_rbar_pulled_back(pipe, True), _rbar_param_first(pipe, True))
+
+
+# SHA-256 of json.dumps([[name, p.serialize()], ...]) over the versal rules
+# pulled back through each split parameter: any change to the kernel, the
+# pull-back or the serialization that moves a byte shows here
+SPLIT_PAIR_SHA256 = {
+    (6, "plain"): "19daa9057998d1cf47b895051b907ed1608186288c5a1dc531d0cad87d8e6903",
+    (6, "moved"): "5ee6693a4420d07aa3bfe28e1991a5d1758e40d450b4c52637cc97591ce81013",
+    (7, "plain"): "69ea5bbaae6651e735cd2fb6386a04e8f313ba413438641dcf78bd4ff320a44f",
+    (7, "moved"): "69ea5bbaae6651e735cd2fb6386a04e8f313ba413438641dcf78bd4ff320a44f",
+}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_split_pair_rules_keep_their_bytes(n, cache):
+    for tag, param in zip(("plain", "moved"), split_params_E(n)):
+        rules = VersalPipeline(n, param=param, cache=cache).versal_rules()
+        payload = json.dumps([[name, p.serialize()] for name, p in rules.rules])
+        assert hashlib.sha256(payload.encode()).hexdigest() == SPLIT_PAIR_SHA256[n, tag], tag
 
 
 def test_psi_values(pipe6, pipe7, pipe8):

@@ -415,3 +415,160 @@ def test_linear_system_unique_solution():
     assert not system.add({"a": 2}, Fraction(7, 2))
     assert system.rank == 2
     assert system.solution() == {"a": Fraction(7, 4), "b": Fraction(5, 4)}
+
+
+# -- the kernel boundary: exact coefficients only ---------------------------------
+
+
+def test_const_rejects_non_rational():
+    table = VarTable(["x", "y"], [1, 1])
+    for bad in (0.1, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            table.const(bad)
+
+
+def test_from_items_rejects_non_rational():
+    table = VarTable(["x", "y"], [1, 1])
+    with pytest.raises(TypeError):
+        Polynomial.from_items(table, {(1, 0): 0.5})
+
+
+def test_substitute_rejects_non_rational_rule_value():
+    table = VarTable(["x", "y"], [1, 1])
+    p = table.var("x") * table.var("y")
+    with pytest.raises(TypeError):
+        p.substitute({"x": 0.5})
+    with pytest.raises(TypeError):
+        p.substitute({"unused": 0.5})
+
+
+# -- the product kernel against a dense reference ----------------------------------
+
+
+class Dense:
+    """Reference polynomial: exponent tuples aligned with ``names`` -> Fraction."""
+
+    def __init__(self, names, terms):
+        self.names = tuple(names)
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    def on(self, names):
+        where = [names.index(v) for v in self.names]
+        out = {}
+        for m, c in self.terms.items():
+            exps = [0] * len(names)
+            for k, e in zip(where, m):
+                exps[k] = e
+            out[tuple(exps)] = c
+        return Dense(names, out)
+
+    def merged(self, other):
+        """The names of ``VarTable.merged``: these first, then the other's new ones."""
+        return self.names + tuple(v for v in other.names if v not in self.names)
+
+    def plus(self, other, sign=1):
+        names = self.merged(other)
+        out = dict(self.on(names).terms)
+        for m, c in other.on(names).terms.items():
+            out[m] = out.get(m, 0) + sign * c
+        return Dense(names, out)
+
+    def times(self, other, bound=None):
+        names = self.merged(other)
+        out = {}
+        for ma, ca in self.on(names).terms.items():
+            for mb, cb in other.on(names).terms.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                if bound is None or sum(m) <= bound:
+                    out[m] = out.get(m, 0) + ca * cb
+        return Dense(names, out)
+
+    def derivative(self, name):
+        i = self.names.index(name)
+        return Dense(self.names, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                  for m, c in self.terms.items() if m[i]})
+
+    def compact(self):
+        used = [k for k in range(len(self.names)) if any(m[k] for m in self.terms)]
+        return Dense([self.names[k] for k in used],
+                     {tuple(m[k] for k in used): c for m, c in self.terms.items()})
+
+
+SMALL = VarTable(["x", "y", "z"], [1, 2, 0])
+FOREIGN = VarTable(["w", "x"], [3, 1])  # shares x with SMALL
+WIDE = VarTable([f"v{i}" for i in range(400)], [i % 4 for i in range(400)])
+#: large exponents, each set drawn alongside small ones: just below the guard bit
+#: of an 8-bit field (a product of two crosses it), across it, just below the
+#: guard bit of a 16-bit field, and across that
+LARGE = [(126, 127), (128, 255, 300), (2**15 - 2, 2**15 - 1), (2**15,)]
+#: numerators over mixed denominators, so the shared denominator needs reducing
+QS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def dense_polys(draw, table, exps, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = [0] * len(table)
+        for k in draw(st.lists(st.integers(0, len(table) - 1), max_size=3)):
+            m[k] = draw(exps)
+        terms[tuple(m)] = terms.get(tuple(m), 0) + draw(QS)
+    return Dense(table.names, terms)
+
+
+def _kernel(ref):
+    return Polynomial.from_items(VarTable(ref.names, [_WEIGHT[v] for v in ref.names]), ref.terms)
+
+
+_WEIGHT = {n: w for t in (SMALL, FOREIGN, WIDE) for n, w in zip(t.names, t.weights)}
+
+
+def _check(p, ref):
+    """``p`` equals the reference term by term, in the canonical store."""
+    assert p.table.names == ref.names
+    items = dict(p.items())
+    assert items == ref.terms
+    assert all((type(c) is int) == (c.denominator == 1) for c in items.values())
+    assert p == _kernel(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_dense_reference(data):
+    ta, tb = data.draw(st.sampled_from([(SMALL, SMALL), (SMALL, FOREIGN), (FOREIGN, SMALL),
+                                        (WIDE, WIDE), (SMALL, WIDE), (WIDE, SMALL)]))
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(data.draw(st.sampled_from(LARGE))))
+    ra = data.draw(dense_polys(ta, exps))
+    rb = data.draw(dense_polys(tb, exps))
+    if ta is tb and data.draw(st.booleans()):
+        # b shares a's monomials, negated, so sums cancel
+        scale = data.draw(st.sampled_from([-1, Fraction(-1, 3), 2]))
+        rb = rb.plus(Dense(ra.names, {m: scale * c for m, c in ra.terms.items()}))
+    a, b = _kernel(ra), _kernel(rb)
+    _check(a, ra)
+    ab, rab = a * b, ra.times(rb)
+    _check(ab, rab)
+    bound = data.draw(st.integers(0, 8))
+    _check(a.mul_truncated(b, bound), ra.times(rb, bound))
+    _check(ab * ab, rab.times(rab))  # an exponent that reached a guard bit, doubled
+    _check(a + b, ra.plus(rb))
+    _check(a - b, ra.plus(rb, -1))
+    _check(a - a, Dense(ra.names, {}))
+    _check(b.to_table(ta), rb.on(Dense(ta.names, {}).merged(rb)))
+    _check((a * b).compact(), ra.times(rb).compact())
+    name = data.draw(st.sampled_from(ta.names))
+    _check(a.derivative(name), ra.derivative(name))
+
+
+def test_powers_cross_the_guard_bit():
+    x = SMALL.var("x")
+    for e in (127, 128, 255, 256, 300, 2**15, 2**16 + 1):
+        assert dict((x ** e).items()) == {(e, 0, 0): 1}
+        assert dict((x ** (e - 1) * x).items()) == {(e, 0, 0): 1}
+    assert (x ** 300).serialize() == "x^300"
+    assert dict((Polynomial.from_items(SMALL, {(255, 0, 0): 1}) * x).items()) == {(256, 0, 0): 1}
+    # a direct rule that fills a field up to its guard bit, then a product
+    y = SMALL.var("y")
+    image = (x * y ** 127).substitute({"x": y ** 127})
+    assert dict((image * y ** 2).items()) == {(0, 256, 0): 1}
+    assert parse("x^300*y - 1/2", SMALL) == x ** 300 * SMALL.var("y") - Fraction(1, 2)
