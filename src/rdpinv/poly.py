@@ -22,10 +22,11 @@ exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
   width (``shift``): 8 bits, doubled for as long as an exponent needs
   more.  The top bit of each field is a guard bit, clear in every stored
   key, so an exponent stays below ``2**(s-1)``.  Adding two keys adds
-  their exponents; a field sum stays below ``2**s`` and never carries
-  into its neighbour, so an overflow shows as a set guard bit.  A result
-  with one is computed again with fields twice as wide: exponents never
-  wrap.  Decoding a key reads it only up to its highest nonzero field.
+  their exponents, so before a product or a substitution forms any key it
+  bounds the result's exponents from its operands (the top field of their
+  keys OR'd together) and doubles the width until that bound clears the
+  guard bit: exponents never wrap.  Decoding a key reads it only up to its
+  highest nonzero field.
 * Coefficients are integer numerators over one denominator ``den`` per
   polynomial, positive and coprime to the gcd of the numerators.  That
   makes the store canonical (``den`` is the lcm of the coefficients'
@@ -89,15 +90,18 @@ def _check_rational(c) -> None:
 _S = 8
 
 
+def _fit(s: int, top: int) -> int:
+    """Width ``s``, doubled until an exponent up to ``top`` stays below the guard bit."""
+    while top >= 1 << (s - 1):
+        s *= 2
+    return s
+
+
 def _width_for(exps: list[int]) -> int:
     """The narrowest field width (8, 16, 32, ...) that holds every exponent."""
     if exps and min(exps) < 0:
         raise ValueError(f"negative exponent {min(exps)}")
-    top = max(exps, default=0)
-    s = _S
-    while top >> (s - 1):
-        s *= 2
-    return s
+    return _fit(_S, max(exps, default=0))
 
 
 def _fields(k: int, s: int):
@@ -124,19 +128,17 @@ def _pack(pairs: Iterable[tuple[int, int]], s: int) -> int:
 
 def _degree(k: int, s: int) -> int:
     """Total degree of key ``k``."""
-    if s == 8:
-        return sum(k.to_bytes((k.bit_length() + 7) >> 3, "little"))
     return sum(_fields(k, s))
+
+
+def _top(keys: Iterable[int], s: int) -> int:
+    """An upper bound on every exponent in ``keys``, below twice the largest."""
+    return max(_fields(reduce(or_, keys, 0), s), default=0)
 
 
 def _dense(f, n: int) -> tuple[int, ...]:
     """Fields ``f`` as the exponent tuple of a table of ``n`` variables."""
     return tuple(f) + (0,) * (n - len(f))
-
-
-def _guard(n: int, s: int) -> int:
-    """The guard bits of ``n`` fields of width ``s``."""
-    return ((1 << n * s) - 1) // ((1 << s) - 1) << (s - 1)
 
 
 def _coeff(n: int, d: int) -> "int | Fraction":
@@ -249,14 +251,6 @@ def _from_rationals(table: VarTable, coeffs: dict, s: int, den: int = 1) -> "Pol
     common = lcm(*[c.denominator for c in coeffs.values() if type(c) is not int])
     terms = {k: c.numerator * (common // c.denominator) for k, c in coeffs.items() if c}
     return _reduced(table, terms, den * common, s)
-
-
-class _Overflow(Exception):
-    """An exponent outgrew its field of width ``shift``."""
-
-    def __init__(self, shift: int):
-        super().__init__(shift)
-        self.shift = shift
 
 
 class Polynomial:
@@ -424,7 +418,7 @@ class Polynomial:
             return _reduced(self.table, terms, self.den * other.denominator, self.shift)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._align(other)
+        a, b = self._factors(other)
         if not a.terms or not b.terms:
             return Polynomial(a.table, {})
         small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
@@ -435,18 +429,24 @@ class Polynomial:
             for kb, nb in big:
                 k = ks + kb
                 out[k] = get(k, 0) + ns * nb
-        return a._product(b, out, lambda x, y: x * y)
+        return a._product(b, out)
 
     __rmul__ = __mul__
 
-    def _product(self, other: "Polynomial", out: dict, again) -> "Polynomial":
-        """The product whose numerators ``out`` collects; ``again(x, y)``
-        recomputes it once an exponent has hit a guard bit."""
-        s = self.shift
-        if reduce(or_, out, 0) & _guard(len(self.table), s):
-            return again(self._widened(2 * s), other._widened(2 * s))
+    def _factors(self, other: "Polynomial", bound: "int | None" = None):
+        """Both factors on one table, widened so that no exponent of their
+        product reaches a guard bit; ``bound`` caps the total degree of
+        the product terms that are kept."""
+        a, b = self._align(other)
+        s = a.shift
+        top = _top(a.terms, s) + _top(b.terms, s)
+        s = _fit(s, top if bound is None else min(top, bound))
+        return a._widened(s), b._widened(s)
+
+    def _product(self, other: "Polynomial", out: dict) -> "Polynomial":
+        """The product whose numerators ``out`` collects."""
         return _reduced(self.table, {k: n for k, n in out.items() if n},
-                        self.den * other.den, s)
+                        self.den * other.den, self.shift)
 
     def __truediv__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -554,38 +554,36 @@ class Polynomial:
         for r in rules.values():
             if not isinstance(r, Polynomial):
                 _check_rational(r)
-        try:
-            return self._substitute(rules, max_total_degree)
-        except _Overflow as exc:
-            return self._widened(2 * exc.shift).substitute(rules, max_total_degree)
-
-    def _substitute(self, rules, bound):
-        live = {n: r for n, r in rules.items() if n in self.table}
+        bound = max_total_degree
+        live = {self.table.index_of(n): r if isinstance(r, Polynomial) else self.table.const(r)
+                for n, r in rules.items() if n in self.table}
         if not live:
             return self if bound is None else self.truncate(bound)
-        table = self.table
-        s = self.shift
-        for r in live.values():
-            if isinstance(r, Polynomial):
-                table = table.merged(r.table)
-                s = max(s, r.shift)
-        # the merged table lists this table's names first, so indices agree
+        table = reduce(VarTable.merged, [r.table for r in live.values()], self.table)
+        # the merged table lists this table's names first, so indices agree;
+        # tops[i] bounds the exponents of index i in the input
+        tops = _fields(reduce(or_, self.terms, 0), self.shift)
+        live = {i: r for i, r in live.items() if i < len(tops) and tops[i]}
+        # a field of a block key holds an exponent kept from the input plus
+        # what the one-term values bring; widen so that it stays clear of
+        # the guard bit
+        top = max((e for i, e in enumerate(tops) if i not in live), default=0) + sum(
+            tops[i] * _top(r.terms, r.shift) for i, r in live.items() if len(r.terms) == 1)
+        s = _fit(max([self.shift] + [r.shift for r in live.values()]), top)
         field = (1 << s) - 1
-        direct: dict[int, tuple] = {}  # index -> (key, numerator, den, top exponent) or None
+        direct: dict[int, tuple] = {}  # index -> (key, numerator, den) or None
         horner: dict[int, Polynomial] = {}
-        for n, r in live.items():
-            r = r.to_table(table)._widened(s) if isinstance(r, Polynomial) else table.const(r)
-            i = self.table.index_of(n)
+        for i, r in live.items():
+            r = r.to_table(table)._widened(s)
             if len(r.terms) > 1:
                 horner[i] = r
             elif r.terms:
                 ((k, c),) = r.terms.items()
-                direct[i] = (k, c, r.den, max(_fields(k, s), default=0))
+                direct[i] = (k, c, r.den)
             else:
                 direct[i] = None
         own = self._widened(s)
-        present = set(own._used())
-        uses = {i: set(r._used()) for i, r in horner.items() if i in present}
+        uses = {i: set(r._used()) for i, r in horner.items()}
         # innermost first, each time the value that brings the fewest new
         # variables into the inner results: they stay over fewer variables
         order: list[int] = []
@@ -598,9 +596,8 @@ class Polynomial:
         values = [horner[i] for i in order]
         lows = [min(_degree(k, s) for k in r.terms) for r in values]
         offsets = [i * s for i in order]
-        ruled = [(i * s, v) for i, v in direct.items() if i in present]
+        ruled = [(i * s, v) for i, v in direct.items()]
         keep = ~sum(field << o for o in offsets + [o for o, _ in ruled])
-        guard = _guard(len(table), s)
 
         # split the terms by their exponents of the Horner variables; the
         # rest of each term, with the direct rules applied, forms the block
@@ -615,15 +612,11 @@ class Polynomial:
                     continue
                 if v is None:
                     break  # a zero value kills the term
-                rk, rn, rd, top = v
-                if (e * top) >> (s - 1):
-                    raise _Overflow(s)
+                rk, rn, rd = v
                 rest += rk * e
                 c *= rn ** e
                 q *= rd ** e
             else:
-                if rest & guard:
-                    raise _Overflow(s)
                 if bound is not None and (_degree(rest, s)
                                           + sum(e * low for e, low in zip(key, lows)) > bound):
                     continue
@@ -665,7 +658,7 @@ class Polynomial:
         Skips doomed pairs before forming them, which is what makes jet
         arithmetic cheap.
         """
-        a, b = self._align(other)
+        a, b = self._factors(other, max(bound, 0))
         if not a.terms or not b.terms:
             return Polynomial(a.table, {})
         if len(a.terms) > len(b.terms):
@@ -682,7 +675,7 @@ class Polynomial:
             for _, kb, nb in islice(by_degree, bisect_right(degrees, rem)):
                 k = ka + kb
                 out[k] = get(k, 0) + na * nb
-        return a._product(b, out, lambda x, y: x.mul_truncated(y, bound))
+        return a._product(b, out)
 
     def evaluate(self, values: Mapping[str, "int | Fraction"]) -> Fraction:
         missing = self.variables() - set(values)

@@ -572,3 +572,57 @@ def test_powers_cross_the_guard_bit():
     image = (x * y ** 127).substitute({"x": y ** 127})
     assert dict((image * y ** 2).items()) == {(0, 256, 0): 1}
     assert parse("x^300*y - 1/2", SMALL) == x ** 300 * SMALL.var("y") - Fraction(1, 2)
+    # two direct rules feeding one field next to a kept exponent near the guard bit
+    term = Polynomial.from_items(SMALL, {(1, 127, 1): 1})
+    image = term.substitute({"x": SMALL.var("y", 127), "z": SMALL.var("y", 127)})
+    assert dict(image.items()) == {(0, 381, 0): 1}
+    # a Horner rule into a term whose kept exponent is near the guard bit
+    assert (x ** 126 * y).substitute({"y": x + 1}) == x ** 127 + x ** 126
+
+
+def _dense_substitute(ref, rules, bound):
+    """``ref`` with each ruled variable replaced by its one-term value."""
+    names = ref.names
+    for v, r in rules.items():
+        names = Dense(names, {}).merged(r)
+    rules = {v: r.on(names) for v, r in rules.items()}
+    out = {}
+    for m, c in ref.on(names).terms.items():
+        exps = [0 if v in rules else e for v, e in zip(names, m)]
+        for v, e in zip(names, m):
+            if v in rules and e:
+                if not rules[v].terms:
+                    c = 0
+                    break
+                ((rm, rc),) = rules[v].terms.items()
+                exps = [x + e * y for x, y in zip(exps, rm)]
+                c *= rc ** e
+        if c and (bound is None or sum(exps) <= bound):
+            out[tuple(exps)] = out.get(tuple(exps), 0) + c
+    return Dense(names, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_term_rules_match_dense_reference(data):
+    """Zero and scaled-monomial rule values, several of them feeding one
+    variable, with exponents at and across guard bits."""
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(data.draw(st.sampled_from(LARGE))))
+    ref = Dense(SMALL.names, data.draw(st.dictionaries(st.tuples(exps, exps, exps), QS,
+                                                       min_size=1, max_size=2)))
+    target = data.draw(st.sampled_from(SMALL.names))  # a field every value may feed
+    # the width of the input's fields, of which a value may fill all but the guard bit
+    width = next(w for w in (8, 16, 32) if all(e >> (w - 1) == 0 for m in ref.terms for e in m))
+    rules = {}
+    for name in data.draw(st.lists(st.sampled_from(SMALL.names), min_size=2, unique=True)):
+        table = data.draw(st.sampled_from([SMALL, FOREIGN]))
+        mono = dict(zip(table.names, data.draw(st.tuples(*[st.integers(0, 3)] * len(table)))))
+        if data.draw(st.integers(0, 3)):
+            # as much of the target as one term's image can carry
+            e = max([m[SMALL.index_of(name)] for m in ref.terms] + [1])
+            mono[target] = max(mono.get(target, 0), (2 ** (width - 1) - 1) // e)
+        rules[name] = Dense(mono, {tuple(mono.values()): data.draw(QS)})
+    bound = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+    out = _kernel(ref).substitute({v: _kernel(r) for v, r in rules.items()},
+                                  max_total_degree=bound)
+    _check(out, _dense_substitute(ref, rules, bound))
