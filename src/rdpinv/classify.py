@@ -3,10 +3,10 @@
 ``rdp_type`` decides the type of an isolated surface double point from a
 sufficiently long jet of its defining polynomial: rank of the quadratic
 part, then the factorization shape of the residual binary cubic (read
-off its Hessian), then orders of the fully reduced tail.  All reductions
-are exact formal shears truncated at the caller's jet order; square roots
-are never needed because the tree only consumes ranks, factor multiplicities
-and vanishing orders.
+off its Hessian), then orders of the fully reduced tail.  A square is
+split off at its critical point, a tail by formal shears, both exact and
+truncated at the caller's jet order; no square root is ever needed, as
+the tree only consumes ranks, factor multiplicities and vanishing orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -168,11 +168,11 @@ def _lowered(m: tuple, i: int, k: int) -> tuple:
 def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
     """Formal shears ``var -> var + shift`` until no term asks for one.
 
-    ``shift_for(m, c)`` maps a term, with ``m`` its exponent tuple, to the
-    (exponent tuple, coefficient) it adds to the shift, or to None.  Each
-    pass removes the whole offending layer at once and strictly raises its
-    minimal degree, so truncation at total degree ``d`` ends the loop
-    within ``d`` passes (the splitting lemma, term by term).  A shift rule
+    This normalizes the D and E tails.  ``shift_for(m, c)`` maps a term,
+    with ``m`` its exponent tuple, to the (exponent tuple, coefficient) it
+    adds to the shift, or to None.  Each pass removes the whole offending
+    layer at once and strictly raises its minimal degree, so truncation at
+    total degree ``d`` ends the loop within ``d`` passes.  A shift rule
     that breaks this raises RuntimeError instead of looping on ever larger
     coefficients.
     """
@@ -192,22 +192,21 @@ def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
 
 
 def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
-    """Kill every term with positive degree in ``var`` except its pure square.
+    """The ``var``-free part of p, to degree d, once a*var^2 is split off.
 
-    Assumes the quadratic part of p is a*var^2 + (rank-deficient rest in the
-    other variables); returns the part free of ``var``.
+    It is p(phi, rest), where var = phi(rest) solves dp/dvar = 0 (the
+    splitting lemma).  Once phi is right below degree k, dp/dvar(phi)
+    starts at degree k with 2a times the error of phi.  An error of order
+    e moves p(phi) only from degree 2e on, so phi is needed to degree d // 2.
     """
-    vidx = p.table.index_of(var)
-    square = _exps(p.table, {var: 2})
     a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
-
-    def complete_square(m, c):
-        if m != square and m[vidx]:
-            return _lowered(m, vidx, 1), Fraction(c, -2 * a)
-
-    return _shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
+    slope = p.derivative(var) / (2 * a)
+    phi = p.table.zero()
+    for k in range(1, d // 2 + 1):
+        phi = phi - slope.substitute({var: phi}, max_total_degree=k)
+    return p.substitute({var: phi}, max_total_degree=d)
 
 
 def _binary_cubic_shape(g3: Polynomial, y: str, z: str):

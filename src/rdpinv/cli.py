@@ -20,6 +20,12 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+def _usage_error(message: str) -> int:
+    """Report a usage error on one stderr line; the command then exits 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _emit(pairs: list[tuple[str, Polynomial]], fmt: str, out) -> None:
     if fmt == "json":
         payload = {name: p.to_json() for name, p in pairs}
@@ -41,8 +47,7 @@ def cmd_invariants(args) -> int:
     try:
         pairs = coordinates_for(args.type, RuleCache(args.cache_dir))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     _emit(pairs, args.format, sys.stdout)
     return 0
 
@@ -142,14 +147,14 @@ def _run_case(case: congruence.KeyCase, cache: "RuleCache | None" = None
 def cmd_congruence(args) -> int:
     labels = [c.label for c in congruence.KEY_CASES] if args.all else [args.case]
     if not all(labels):
-        print("error: provide --case E7:v2 or --all", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("provide --case E7:v2 or --all")
     try:
         cases = [congruence.key_case(label) for label in labels]
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return USAGE_ERROR
-    jobs = max(1, args.jobs)
+        return _usage_error(exc.args[0])
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, len(cases))  # a pool forks all its workers at once
     if jobs > 1:
         with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(args.cache_dir,)) as pool:
             results = list(pool.map(_run_case, cases))
@@ -167,14 +172,12 @@ def cmd_congruence(args) -> int:
 def cmd_classify(args) -> int:
     if args.poly_file:
         if args.jet_order < 0:
-            print(f"error: --jet-order must be nonnegative, got {args.jet_order}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage_error(f"--jet-order must be nonnegative, got {args.jet_order}")
         table = VarTable(["X", "Y", "Z"], [1, 1, 1])
         try:
             poly = parse(Path(args.poly_file).read_text().strip(), table)
         except (OSError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage_error(str(exc))
         try:
             result = classify_mod.rdp_type(poly, jet_order=args.jet_order)
         except classify_mod.UndecidableError as exc:
@@ -193,8 +196,7 @@ def cmd_classify(args) -> int:
             profile = classify_mod.ValuationProfile(data["type"], orders)
             bound = classify_mod.section_type(profile)
         except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
-            print(f"error: bad profile file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage_error(f"bad profile file: {exc}")
         if bound.decided:
             witness = ""
             if bound.witness:
@@ -213,8 +215,7 @@ def cmd_classify(args) -> int:
         else:
             print("no bound derived")
         return 0
-    print("error: provide --poly-file or --profile-file", file=sys.stderr)
-    return USAGE_ERROR
+    return _usage_error("provide --poly-file or --profile-file")
 
 
 def main(argv=None) -> int:

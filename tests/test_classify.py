@@ -14,12 +14,13 @@ from rdpinv.classify import (
     _binary_cubic_shape,
     _lowered,
     _shear,
+    _split_off_square,
     length_type,
     rdp_type,
     section_type,
 )
 from rdpinv.congruence import KEY_CASES
-from rdpinv.poly import VarTable, parse
+from rdpinv.poly import Polynomial, VarTable, parse
 
 T = VarTable(["X", "Y", "Z"], [1, 1, 1])
 
@@ -149,6 +150,77 @@ def test_shear_stops_on_a_shift_rule_that_never_settles():
     assert _shear(g, "X", 6, completion(-2)) == P("X^2 - 1/4*Y^2 + Z^3")
     with pytest.raises(RuntimeError, match="after 6 passes"):
         _shear(g, "X", 6, completion(-4))
+
+
+def sheared_square(p, var, d):
+    """The split by square completion: shear var by minus (each var-term
+    other than a*var^2) / (2a*var) until none is left, then drop var."""
+    vi = T.index_of(var)
+    square = tuple(2 if v == var else 0 for v in T.names)
+    a = dict(p.items())[square]
+
+    def complete_square(m, c):
+        if m != square and m[vi]:
+            return _lowered(m, vi, 1), Fraction(c, -2 * a)
+
+    return _shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
+
+
+@st.composite
+def square_jets(draw):
+    """A jet of order d >= 2 with quadratic part a*var^2 + var*(linear form) + rest.
+
+    With var = Y, X is absent, as at the second split of the rank-two case.
+    """
+    d = draw(st.integers(2, 10))
+    var = draw(st.sampled_from(["X", "Y"]))
+    free = [v for v in T.names if var == "X" or v != "X"]
+    exps = st.tuples(*(st.integers(0, min(5, d)) if v in free else st.just(0) for v in T.names))
+    square = tuple(2 if v == var else 0 for v in T.names)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    terms = draw(st.dictionaries(exps.filter(lambda m: 2 <= sum(m) <= d and m != square),
+                                 coeff, max_size=8))
+    for w in free:
+        if w != var:  # the mixed quadratic term var*w
+            terms[tuple(int(v in (var, w)) for v in T.names)] = draw(coeff)
+    terms[square] = draw(st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2)]))
+    return Polynomial.from_items(T, terms), var, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_jets())
+def test_split_off_square_matches_square_completion(jet):
+    p, var, d = jet
+    got, want = _split_off_square(p, var, d), sheared_square(p, var, d)
+    assert got.table is want.table
+    assert got.sorted_terms() == want.sorted_terms(), (p.serialize(), var, d)
+
+
+def test_split_off_square_needs_the_square():
+    with pytest.raises(ValueError, match="pure square"):
+        _split_off_square(P("X*Y + Y^2 + Z^3"), "X", 6)
+
+
+def determinacy_degree(name):
+    """A jet of this order decides the type (Arnold): A_k k+1, D_k k-1, E6/E7 4, E8 5."""
+    family, k = name[0], int(name[1:])
+    return {"A": k + 1, "D": k - 1}.get(family) or {6: 4, 7: 4, 8: 5}[k]
+
+
+@pytest.mark.parametrize("text,want", NORMAL_FORMS)
+def test_terms_above_the_determinacy_degree_keep_the_type(text, want):
+    rng = random.Random(f"determinacy {text} {want}")
+    base = P(text)
+    for _ in range(3):
+        tail = {}
+        for _ in range(4):
+            degree = rng.randint(determinacy_degree(want) + 1, 10)
+            tail[tuple(map(rng.choices(T.names, k=degree).count, T.names))] = rng.choice(
+                [-3, -2, -1, 1, 2, 3])
+        f = base + Polynomial.from_items(T, tail)
+        moved = f.substitute(random_linear_rules(rng), max_total_degree=10)
+        for g in (f, moved):
+            assert rdp_type(g, jet_order=10).name == want, g.serialize()
 
 
 def test_smooth_point():
