@@ -8,9 +8,14 @@ exact polynomials in s_1..s_n for every type whose closed form is known
 (A, D including D2, E3, E4, E5); the three large E types are produced by
 the versal-form pipeline in :mod:`rdpinv.envres`.
 
-Symmetric rewriting (from t-variables back to the elementary symmetric
-generators) is by iterated leading-term division in graded-lex order; a
-non-dominant leading monomial flags a non-symmetric input.
+The elementary symmetric functions e_1..e_n of the t's come together from
+one product recurrence, prod(1 + t_i X).  Expanding a coordinate in the t's
+substitutes them for the s_i.  Symmetric rewriting (from t-variables back
+to the elementary symmetric generators) is by iterated leading-term
+division in graded-lex order; a non-dominant leading monomial flags a
+non-symmetric input.  The literal invariance check expands a coordinate in
+the t's, applies a generator as the rank-one reflection of
+:func:`rdpinv.rootsys.weyl_action`, and compares.
 """
 
 from __future__ import annotations
@@ -51,20 +56,23 @@ def functionals(spec: Spec, table: Optional[VarTable] = None) -> list[Polynomial
     return [table.var(f"t{i}") for i in range(1, spec.n + 1)]
 
 
-def elem_sym(values: list[Polynomial], j: int) -> Polynomial:
-    """Elementary symmetric function by the product recurrence."""
+def elementary(values: list[Polynomial]) -> list[Polynomial]:
+    """[e_0, e_1, ..., e_n] of the values, all from one product recurrence:
+    e_j is the coefficient of X^j in prod(1 + v_i X), built factor by factor."""
     if not values:
         raise ValueError("need at least one value")
-    table = values[0].table
-    # coefficients of prod (X + v_i), built without an extra variable
-    coeffs = [table.const(1)]
+    es = [values[0].table.const(1)]
     for v in values:
-        nxt = [table.const(1)]
-        for k in range(1, len(coeffs) + 1):
-            prev = coeffs[k] if k < len(coeffs) else table.zero()
-            nxt.append(prev + coeffs[k - 1] * v)
-        coeffs = nxt
-    return coeffs[j] if j <= len(values) else table.zero()
+        es = [es[0]] + [es[k] + es[k - 1] * v for k in range(1, len(es))] + [es[-1] * v]
+    return es
+
+
+def elem_sym(values: list[Polynomial], j: int) -> Polynomial:
+    """The elementary symmetric function e_j; 1 for j = 0, zero above len(values)."""
+    if j < 0:
+        raise ValueError(f"no elementary symmetric function of negative degree {j}")
+    es = elementary(values)
+    return es[j] if j < len(es) else values[0].table.zero()
 
 
 def f_product(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
@@ -92,8 +100,8 @@ def f_sform(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
 
 def s_to_t_rules(n: int, table: Optional[VarTable] = None) -> dict[str, Polynomial]:
     table = table or ts_table(n)
-    ts = [table.var(f"t{i}") for i in range(1, n + 1)]
-    return {f"s{j}": elem_sym(ts, j) for j in range(1, n + 1)}
+    es = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
+    return {f"s{j}": es[j] for j in range(1, n + 1)}
 
 
 @dataclass(frozen=True)
@@ -202,8 +210,7 @@ def symmetric_reduce(p: Polynomial, n: int, target: Optional[VarTable] = None) -
     if extraneous:
         raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
     tpos = [table.index_of(f"t{i}") for i in range(1, n + 1)]
-    elems = [None] + [elem_sym([table.var(f"t{i}") for i in range(1, n + 1)], j)
-                      for j in range(1, n + 1)]
+    elems = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
     pow_cache: dict[tuple[int, int], Polynomial] = {}
 
     def epow(j: int, e: int) -> Polynomial:

@@ -13,8 +13,8 @@ The module knows three layers:
   simple roots and the orthogonal-splitting vectors live;
 * the dual-basis coordinates vs0..vsn, in which the distinguished
   functionals are expressed and inverted;
-* the functionals t_1..t_n themselves, on which the reflection generators
-  act by linear substitution.
+* the functionals t_1..t_n themselves, on which each reflection generator
+  acts as a rank-one map t -> t + l(t) * c.
 """
 
 from __future__ import annotations
@@ -207,8 +207,51 @@ def dual_basis_in_t(spec: Spec) -> RuleSet:
     return RuleSet.of(rules)
 
 
-def weyl_action(spec: Spec, generator: int) -> RuleSet:
-    """The reflection in the given simple root, as a substitution on t's."""
+@dataclass(frozen=True)
+class Reflection(RuleSet):
+    """A rank-one reflection t -> t + form(t) * coroot on t_1..t_n.
+
+    Its rules are t_i -> t_i + c_i * form for each nonzero entry c_i of
+    the coroot, so it composes and indexes as any other rule set.
+    """
+
+    form: Polynomial
+    coroot: tuple[tuple[str, "int | Fraction"], ...]
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        """p(t + form * coroot), exactly, for any p.
+
+        The Taylor expansion along the coroot is finite:
+        p(t + l c) = sum_k l^k D_k with D_0 = p and D_k = (c . grad) D_{k-1} / k.
+        The D_k run until one vanishes, then Horner's rule in l sums them.
+        The result lives on the table :meth:`RuleSet.apply` would give.
+        """
+        if not any(name in p.table for name, _ in self.coroot):
+            return p
+        p = p.to_table(p.table.merged(self.form.table))
+        parts = [p]
+        while True:
+            top = parts[-1]
+            step = p.table.zero()
+            for name, c in self.coroot:
+                step = step + c * top.derivative(name)
+            if step.is_zero:
+                break
+            parts.append(step / len(parts))
+        acc = parts.pop()
+        while parts:
+            acc = acc * self.form + parts.pop()
+        return acc
+
+
+def weyl_action(spec: Spec, generator: int) -> Reflection:
+    """The reflection in the given simple root, acting on the t's.
+
+    A swap of t_i and t_{i+1} has form t_{i+1} - t_i and coroot
+    e_i - e_{i+1}; the D-family sign change has form -(t_{n-1} + t_n) and
+    coroot e_{n-1} + e_n; the E-family generator has form t_1 + t_2 + t_3
+    and coroot (-2/3, -2/3, -2/3, 1/3, ..., 1/3).
+    """
     if generator not in spec.generators():
         raise ValueError(f"{generator} is not a generator index of {spec.name}")
     table = spec.t_table()
@@ -216,13 +259,14 @@ def weyl_action(spec: Spec, generator: int) -> RuleSet:
     n = spec.n
     if 1 <= generator <= n - 1:
         i = generator
-        return RuleSet.of([(f"t{i}", t(i + 1)), (f"t{i+1}", t(i))])
-    if spec.family == "D":
-        return RuleSet.of([(f"t{n-1}", -t(n)), (f"t{n}", -t(n - 1))])
-    sigma = t(1) + t(2) + t(3)
-    rules = [(f"t{i}", t(i) - Fraction(2, 3) * sigma) for i in (1, 2, 3)]
-    rules += [(f"t{i}", t(i) + Fraction(1, 3) * sigma) for i in range(4, n + 1)]
-    return RuleSet.of(rules)
+        form, coroot = t(i + 1) - t(i), {i: 1, i + 1: -1}
+    elif spec.family == "D":
+        form, coroot = -t(n - 1) - t(n), {n - 1: 1, n: 1}
+    else:
+        form = t(1) + t(2) + t(3)
+        coroot = {i: Fraction(-2, 3) if i <= 3 else Fraction(1, 3) for i in range(1, n + 1)}
+    rules = tuple((f"t{i}", t(i) + c * form) for i, c in coroot.items())
+    return Reflection(rules, form, tuple((f"t{i}", c) for i, c in coroot.items()))
 
 
 # -- orthogonal splitting at a vertex ------------------------------------------

@@ -31,14 +31,14 @@ spans = [{"name": n, "start": s, "end": e, "parent": p, "attrs": a}
 print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
 """
 
-WEYL_ACTION = """
+REFLECTION_SUBSTITUTION = """
 from rdpinv.distpoly import t_expand, ts_table
 from rdpinv.rootsys import Spec, weyl_action
 s = ts_table(6).var
 pt = t_expand(s("s2") ** 3 - 4 * s("s3") ** 2 + s("s1") * s("s5") + s("s6"), 6)
 action = weyl_action(Spec("E", 6), 0)
 first = len(tracer.spans)
-moved = action.apply(pt)
+moved = pt.substitute(action.mapping())
 subs = [a for n, _, _, _, a in tracer.spans[first:] if n == "poly.substitute"]
 print(json.dumps({"substitutions": subs, "terms": len(moved.terms)}))
 """
@@ -62,8 +62,8 @@ def test_tracer_installs_and_counts_one_classification(tmp_path):
     assert metrics["poly.mul_truncated_calls"] >= 1
 
 
-def test_weyl_action_is_one_traced_substitution(tmp_path):
+def test_reflection_substitution_is_one_traced_span(tmp_path):
     # the Horner recursion inside substitute never re-enters the public method
-    result = run_traced(WEYL_ACTION, tmp_path)
+    result = run_traced(REFLECTION_SUBSTITUTION, tmp_path)
     assert result["terms"] > 100
     assert result["substitutions"] == [{"terms": result["terms"]}]

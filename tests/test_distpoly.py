@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -7,6 +9,7 @@ from rdpinv.distpoly import (
     d2_constant_terms,
     e45_check,
     elem_sym,
+    elementary,
     f_dist,
     f_product,
     f_sform,
@@ -20,7 +23,7 @@ from rdpinv.distpoly import (
     t_expand,
     ts_table,
 )
-from rdpinv.poly import parse
+from rdpinv.poly import VarTable, parse
 from rdpinv.rootsys import Spec
 
 
@@ -212,3 +215,41 @@ def test_t_expand_matches_elementary_symmetric():
     out = t_expand(table.var("s2"), 3)
     ts = [table.var(f"t{i}") for i in (1, 2, 3)]
     assert out == elem_sym(ts, 2)
+
+
+def test_elem_sym_degree_bounds():
+    ts = [ts_table(3).var(f"t{i}") for i in (1, 2, 3)]
+    assert elem_sym(ts, 0) == 1
+    assert elem_sym(ts, 4).is_zero
+    with pytest.raises(ValueError):
+        elem_sym(ts, -1)
+
+
+def test_one_recurrence_gives_every_elementary_symmetric_function():
+    for n in range(1, 10):
+        ts = [ts_table(n).var(f"t{i}") for i in range(1, n + 1)]
+        es = elementary(ts)
+        assert len(es) == n + 1
+        for j, e in enumerate(es):
+            by_subsets = sum((prod(c) for c in combinations(ts, j)), ts[0].table.zero())
+            assert e == by_subsets == elem_sym(ts, j), (n, j)
+
+
+def test_s_to_t_rules_on_another_table():
+    n = 5
+    other = VarTable(["x"] + [f"t{i}" for i in range(n, 0, -1)], [3] + [1] * n)
+    rules = s_to_t_rules(n, other)
+    assert rules == s_to_t_rules(n)
+    assert all(r.table is other for r in rules.values())
+
+
+@pytest.mark.parametrize("n, text", [
+    (3, "s1^3 - 2*s1*s2 + 7/3*s3 + s2"),
+    (4, "s4 - 1/2*s1*s3 + s2^2 + 3*s1^4 - s1"),
+    (5, "s5*s1 - 2/5*s2*s3 + s1^5 + s4"),
+    (6, "s6 - s1*s5 + 3/2*s2*s4 - s3^2 + s2^3 - 4*s1^2*s4 + s3"),
+])
+def test_symmetric_reduce_inverts_t_expand(n, text):
+    phi = parse(text, ts_table(n))
+    assert phi.homogeneous_weight() is None
+    assert symmetric_reduce(t_expand(phi, n), n) == phi

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rdpinv.distpoly import elem_sym
+from rdpinv.distpoly import elem_sym, ts_table
 from rdpinv.poly import VarTable
 from rdpinv.rootsys import (
     Spec,
@@ -110,6 +111,48 @@ def test_e_generator_action():
     sigma = tt.var("t1") + tt.var("t2") + tt.var("t3")
     assert act["t2"] == tt.var("t2") - Fraction(2, 3) * sigma
     assert act["t5"] == tt.var("t5") + Fraction(1, 3) * sigma
+
+
+COEFFS = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]
+
+
+@st.composite
+def t_polys(draw, spec):
+    """A polynomial in t_1..t_n of degree at most 6, not symmetric, on the
+    t-table or compacted to the variables it uses."""
+    tt = spec.t_table()
+    ts = t_vars(spec)
+    p = tt.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        term = tt.const(draw(st.sampled_from(COEFFS)))
+        for i in draw(st.lists(st.integers(0, spec.n - 1), max_size=6)):
+            term = term * ts[i]
+        p = p + term
+    swaps = [{f"t{i}": ts[i], f"t{i+1}": ts[i - 1]} for i in range(1, spec.n)]
+    assume(any(p.substitute(swap) != p for swap in swaps))
+    return p.compact() if draw(st.booleans()) else p
+
+
+@pytest.mark.parametrize("name", ["A3", "D2", "D5", "E3", "E6", "E8"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reflection_matches_substitution_and_is_an_involution(name, data):
+    spec = Spec.from_name(name)
+    p = data.draw(t_polys(spec))
+    for g in spec.generators():
+        act = weyl_action(spec, g)
+        moved, oracle = act.apply(p), p.substitute(act.mapping())
+        assert moved == oracle and moved.table is oracle.table, (name, g)
+        assert act.apply(moved) == p, (name, g)
+
+
+def test_reflection_passes_other_variables_through():
+    table = ts_table(6)
+    p = table.var("U") ** 2 * table.var("t1") * table.var("t5") - table.var("s3") * table.var("t2")
+    for g in Spec("E", 6).generators():
+        act = weyl_action(Spec("E", 6), g)
+        moved, oracle = act.apply(p), p.substitute(act.mapping())
+        assert moved == oracle and moved.table is oracle.table, g
 
 
 def test_e3_invariants_fixed():
