@@ -10,18 +10,25 @@ the versal-form pipeline in :mod:`rdpinv.envres`.
 
 The elementary symmetric functions e_1..e_n of the t's come together from
 one product recurrence, prod(1 + t_i X).  Expanding a coordinate in the t's
-substitutes them for the s_i.  Symmetric rewriting (from t-variables back
-to the elementary symmetric generators) is by iterated leading-term
-division in graded-lex order; a non-dominant leading monomial flags a
-non-symmetric input.  The literal invariance check expands a coordinate in
-the t's, applies a generator as the rank-one reflection of
-:func:`rdpinv.rootsys.weyl_action`, and compares.
+substitutes them for the s_i.  Symmetric rewriting (from the t's back to
+the s_i) works on partitions, since a symmetric polynomial is
+sum c_lam m_lam over the orbit sums m_lam: one pass checks that every S_n
+orbit of exponent vectors is complete and carries one coefficient, which
+certifies symmetry, and then the partitions are peeled from the top
+against products of the e_j, themselves kept on partitions (the
+triangular m -> e transition; Sturmfels, *Algorithms in Invariant
+Theory* 1.1, Macdonald, *Symmetric Functions* I.2, I.6).  The literal
+invariance check expands a coordinate in the t's, applies a generator as
+the rank-one reflection of :func:`rdpinv.rootsys.weyl_action`, and compares.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 from typing import Optional
 
 from .poly import Polynomial, VarTable, parse
@@ -195,52 +202,86 @@ def f_dist(spec: Spec) -> DistData:
 # -- symmetric reduction -------------------------------------------------------
 
 
-def symmetric_reduce(p: Polynomial, n: int, target: Optional[VarTable] = None) -> Polynomial:
+def _orbit_size(lam: tuple[int, ...]) -> int:
+    """The number of distinct rearrangements of the exponent vector lam."""
+    return factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
+
+
+def _times_e(g: dict, j: int, n: int) -> Counter:
+    """g * e_j, both symmetric and kept as orbit totals on partitions.
+
+    The orbit total at a partition is the sum of the coefficients over the
+    terms of its orbit.  Each term t^w of nu's orbit meets as many j-subsets
+    S with w + 1_S in a given orbit as nu itself does, so g(nu) moves to
+    sort(nu + 1_S) once for every j-subset S of the n places.
+    """
+    out = Counter()
+    for nu, total in g.items():
+        for S in combinations(range(n), j):
+            v = list(nu)
+            for i in S:
+                v[i] += 1
+            out[tuple(sorted(v, reverse=True))] += total
+    return out
+
+
+def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
     """Rewrite a symmetric polynomial in t_1..t_n as a polynomial in s_1..s_n.
 
-    Iterated division against the elementary symmetric generators in
-    graded-lex order; raises :class:`NonSymmetricError` if a leading
-    monomial is not dominant (exponents non-increasing), which certifies
-    the input is not symmetric.
+    A symmetric polynomial is sum c_lam m_lam over partitions lam, so it is
+    worked on partitions only.  One pass groups the t-exponent vectors by
+    their sorted partition; every orbit must carry one coefficient and be
+    complete (n! / prod mult! terms), else :class:`NonSymmetricError` is
+    raised.  Then partitions are peeled in descending (degree, lex) order:
+    the top lam with coefficient c gives c * prod s_j^(lam_j - lam_{j+1}),
+    and c times that product of e_j is subtracted.  The products are built
+    one e_j at a time on orbit totals (the triangular m -> e transition)
+    and memoized by their exponent vector.
     """
-    table = ts_table(n)
-    p = p.to_table(table)
-    target = target or table
     extraneous = p.variables() - set(_t_names(n))
     if extraneous:
         raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
-    tpos = [table.index_of(f"t{i}") for i in range(1, n + 1)]
-    elems = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
-    pow_cache: dict[tuple[int, int], Polynomial] = {}
+    at = [p.table.index_of(t) for t in _t_names(n) if t in p.table]
+    pad = (0,) * (n - len(at))
+    coeffs: dict[tuple[int, ...], "int | Fraction"] = {}
+    count: Counter = Counter()
+    for exps, c in p.items():
+        lam = tuple(sorted([exps[i] for i in at], reverse=True)) + pad
+        if coeffs.setdefault(lam, c) != c:
+            raise NonSymmetricError(
+                f"terms of the orbit of {lam} carry different coefficients; "
+                "input not symmetric")
+        count[lam] += 1
+    rest: Counter = Counter()  # orbit totals
+    for lam, k in count.items():
+        size = _orbit_size(lam)
+        if k != size:
+            raise NonSymmetricError(
+                f"{k} of the {size} terms of the orbit of {lam}; input not symmetric")
+        rest[lam] = coeffs[lam] * size
 
-    def epow(j: int, e: int) -> Polynomial:
-        key = (j, e)
-        hit = pow_cache.get(key)
+    products = {(0,) * n: {(0,) * n: 1}}
+
+    def e_product(d: tuple[int, ...]) -> dict:
+        """prod e_j^d_j as orbit totals, memoized by the exponent vector d."""
+        hit = products.get(d)
         if hit is None:
-            hit = elems[j] ** e
-            pow_cache[key] = hit
+            j = max(i for i, e in enumerate(d) if e)
+            hit = _times_e(e_product(d[:j] + (d[j] - 1,) + d[j + 1:]), j + 1, n)
+            products[d] = hit
         return hit
 
-    out = target.zero()
-    work = p
-    while not work.is_zero:
-        mono, coeff = work.leading_term()
-        exps = [mono[i] for i in tpos]
-        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
-            raise NonSymmetricError(
-                f"leading monomial {dict(zip(_t_names(n), exps))} is not dominant; "
-                "input not symmetric"
-            )
-        diffs = [exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)]
-        s_term = target.const(coeff)
-        e_term = table.const(coeff)
-        for j, d in enumerate(diffs, start=1):
-            if d:
-                s_term = s_term * target.var(f"s{j}") ** d
-                e_term = e_term * epow(j, d)
-        out = out + s_term
-        work = work - e_term
-    return out
+    out = {}
+    while rest:
+        lam = max(rest, key=lambda m: (sum(m), m))
+        if rest[lam]:
+            c = Fraction(rest[lam], _orbit_size(lam))
+            d = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+            out[(0,) * (n + 2) + d] = c
+            for mu, g in e_product(d).items():
+                rest[mu] -= c * g
+        del rest[lam]  # its total is zero now
+    return Polynomial.from_items(ts_table(n), out)
 
 
 # -- standard coordinate functions ----------------------------------------------

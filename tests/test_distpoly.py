@@ -3,6 +3,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
     NonSymmetricError,
@@ -23,7 +24,7 @@ from rdpinv.distpoly import (
     t_expand,
     ts_table,
 )
-from rdpinv.poly import VarTable, parse
+from rdpinv.poly import Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec
 
 
@@ -253,3 +254,152 @@ def test_symmetric_reduce_inverts_t_expand(n, text):
     phi = parse(text, ts_table(n))
     assert phi.homogeneous_weight() is None
     assert symmetric_reduce(t_expand(phi, n), n) == phi
+
+
+def division_oracle(p, n):
+    """Symmetric reduction by leading-term division, as the module did it
+    before the partition peel: divide the graded-lex leading term by the
+    matching product of elementary symmetric functions until nothing is
+    left; a leading monomial that is not dominant means not symmetric."""
+    table = ts_table(n)
+    p = p.to_table(table)
+    extraneous = p.variables() - {f"t{i}" for i in range(1, n + 1)}
+    if extraneous:
+        raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
+    tpos = [table.index_of(f"t{i}") for i in range(1, n + 1)]
+    elems = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
+    out = table.zero()
+    work = p
+    while not work.is_zero:
+        mono, coeff = work.leading_term()
+        exps = [mono[i] for i in tpos]
+        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
+            raise NonSymmetricError(f"leading monomial {exps} is not dominant")
+        s_term = table.const(coeff)
+        e_term = table.const(coeff)
+        for j, d in enumerate(exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)):
+            if d:
+                s_term = s_term * table.var(f"s{j + 1}") ** d
+                e_term = e_term * elems[j + 1] ** d
+        out = out + s_term
+        work = work - e_term
+    return out
+
+
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def s_polys(draw, min_n=1, max_weight=7):
+    """(n, phi): a random sum of c_d * s^d over s_1..s_n of weight <= max_weight,
+    inhomogeneous in general; the empty sum and constants included."""
+    n = draw(st.integers(min_n, 7))
+    items = {}
+    for _ in range(draw(st.integers(0, 4))):
+        budget = draw(st.integers(0, max_weight))
+        d = [0] * n
+        for j in range(n, 0, -1):
+            d[j - 1] = draw(st.integers(0, budget // j))
+            budget -= j * d[j - 1]
+        items[(0,) * (n + 2) + tuple(d)] = draw(coefficients)
+    return n, Polynomial.from_items(ts_table(n), items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s_polys())
+@example((1, ts_table(1).zero()))
+@example((4, ts_table(4).const(Fraction(-2, 3))))
+def test_symmetric_reduce_round_trips_random_s_polynomials(case):
+    n, phi = case
+    assert symmetric_reduce(t_expand(phi, n), n).serialize() == phi.serialize()
+
+
+def _expanded(phi, n):
+    """phi in the t's, on ts_table(n), whose exponent tuples read U, Z, t, s."""
+    return t_expand(phi, n).to_table(ts_table(n))
+
+
+def _unequal_terms(p, n):
+    """The terms of p whose t-exponents are not all equal (orbits of size > 1)."""
+    return sorted(exps for exps, _ in p.items() if len(set(exps[2:n + 2])) > 1)
+
+
+def _outcome(reduce, p, n):
+    try:
+        return reduce(p, n).serialize()
+    except NonSymmetricError:
+        return NonSymmetricError
+
+
+@settings(max_examples=150, deadline=None)
+@given(s_polys(max_weight=5), st.data())
+def test_symmetric_reduce_agrees_with_division_oracle(case, data):
+    n, phi = case
+    p = _expanded(phi, n)
+    for _ in range(data.draw(st.integers(0, 2))):
+        mono = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        p = p + Polynomial.from_items(p.table, {(0, 0) + mono + (0,) * n: data.draw(coefficients)})
+    assert _outcome(symmetric_reduce, p, n) == _outcome(division_oracle, p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_polys(min_n=2), st.data())
+def test_symmetric_reduce_rejects_a_changed_coefficient(case, data):
+    n, phi = case
+    p = _expanded(phi, n)
+    movable = _unequal_terms(p, n)
+    assume(movable)
+    terms = dict(p.items())
+    terms[data.draw(st.sampled_from(movable))] += data.draw(coefficients.filter(bool))
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_polys(min_n=2), st.data())
+def test_symmetric_reduce_rejects_a_dropped_term(case, data):
+    n, phi = case
+    p = _expanded(phi, n)
+    movable = _unequal_terms(p, n)
+    assume(movable)
+    terms = dict(p.items())
+    del terms[data.draw(st.sampled_from(movable))]
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_polys(min_n=2), st.data())
+def test_symmetric_reduce_rejects_an_added_term(case, data):
+    n, phi = case
+    p = _expanded(phi, n)
+    mono = data.draw(st.tuples(*[st.integers(0, 4)] * n).filter(lambda m: len(set(m)) > 1))
+    key = (0, 0) + mono + (0,) * n
+    terms = dict(p.items())
+    terms[key] = terms.get(key, 0) + 1
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+
+
+@pytest.mark.parametrize("name", ["U", "s1", "t7"])
+def test_symmetric_reduce_rejects_non_t_variables(name):
+    table = ts_table(6).merged(VarTable(["t7"], [1]))
+    with pytest.raises(ValueError, match="non-t variables") as info:
+        symmetric_reduce(table.var(name) * table.var("t1"), 6)
+    assert type(info.value) is ValueError
+
+
+def test_symmetric_reduce_in_one_variable():
+    t1 = ts_table(1).var("t1")
+    assert symmetric_reduce(t1 ** 3, 1).serialize() == "s1^3"
+
+
+def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
+    # eps18 is left out: its t-expansion alone (134,596 terms) takes ~13 s
+    # on a 2-vCPU x86-64 VM
+    e7 = Spec("E", 7)
+    rules = pipe7.versal_rules()
+    for name in ("eps2", "eps6", "eps8", "eps10", "eps12", "eps14"):
+        assert invariant_under_literal(e7, rules[name], 0, reduce_back=True), name
+    assert not invariant_under_literal(e7, ts_table(7).var("s1"), 0, reduce_back=True)
