@@ -176,7 +176,7 @@ def cmd_classify(args) -> int:
         table = VarTable(["X", "Y", "Z"], [1, 1, 1])
         try:
             poly = parse(Path(args.poly_file).read_text().strip(), table)
-        except (OSError, ParseError) as exc:
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
             return _usage_error(str(exc))
         try:
             result = classify_mod.rdp_type(poly, jet_order=args.jet_order)

@@ -9,17 +9,20 @@ exact polynomials in s_1..s_n for every type whose closed form is known
 the versal-form pipeline in :mod:`rdpinv.envres`.
 
 The elementary symmetric functions e_1..e_n of the t's come together from
-one product recurrence, prod(1 + t_i X).  Expanding a coordinate in the t's
-substitutes them for the s_i.  Symmetric rewriting (from the t's back to
-the s_i) works on partitions, since a symmetric polynomial is
-sum c_lam m_lam over the orbit sums m_lam: one pass checks that every S_n
-orbit of exponent vectors is complete and carries one coefficient, which
-certifies symmetry, and then the partitions are peeled from the top
-against products of the e_j, themselves kept on partitions (the
-triangular m -> e transition; Sturmfels, *Algorithms in Invariant
-Theory* 1.1, Macdonald, *Symmetric Functions* I.2, I.6).  The literal
+one product recurrence, prod(1 + t_i X).  Both directions between the s_i
+and the t's work on partitions, since a symmetric polynomial is
+sum c_lam m_lam over the orbit sums m_lam, and both use one table of
+products of the e_j kept as orbit totals on partitions (the triangular
+m -> e transition; Sturmfels, *Algorithms in Invariant Theory* 1.1,
+Macdonald, *Symmetric Functions* I.2, I.6).  Expanding a coordinate in
+the t's sums those products over its terms and writes each partition's
+orbit out once.  Symmetric rewriting (from the t's back to the s_i) checks
+in one pass that every S_n orbit of exponent vectors is complete and
+carries one coefficient, which certifies symmetry, and then peels the
+partitions from the top against the same products.  The literal
 invariance check expands a coordinate in the t's, applies a generator as
-the rank-one reflection of :func:`rdpinv.rootsys.weyl_action`, and compares.
+the rank-one reflection of :func:`rdpinv.rootsys.weyl_action`, and
+compares; expansion and reduction share one product table per check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Optional
 
 from .poly import Polynomial, VarTable, parse
@@ -106,6 +109,7 @@ def f_sform(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
 
 
 def s_to_t_rules(n: int, table: Optional[VarTable] = None) -> dict[str, Polynomial]:
+    """The rules s_j -> e_j(t_1..t_n); substituting them is what :func:`t_expand` computes."""
     table = table or ts_table(n)
     es = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
     return {f"s{j}": es[j] for j in range(1, n + 1)}
@@ -199,7 +203,7 @@ def f_dist(spec: Spec) -> DistData:
     return data
 
 
-# -- symmetric reduction -------------------------------------------------------
+# -- expansion and symmetric reduction on partitions ---------------------------
 
 
 def _orbit_size(lam: tuple[int, ...]) -> int:
@@ -225,7 +229,75 @@ def _times_e(g: dict, j: int, n: int) -> Counter:
     return out
 
 
-def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
+class _EProducts(dict):
+    """prod e_j^d_j in t_1..t_n as orbit totals on partitions, keyed by d.
+
+    A missing d is built from the entry with one fewer factor of its
+    highest e_j, by one :func:`_times_e`.  A table lives as long as its
+    holder: one literal check shares one between expansion and reduction.
+    """
+
+    def __init__(self, n: int):
+        super().__init__({(0,) * n: {(0,) * n: 1}})
+        self.n = n
+
+    def __missing__(self, d: tuple[int, ...]) -> Counter:
+        j = max(i for i, e in enumerate(d) if e)
+        out = self[d] = _times_e(self[d[:j] + (d[j] - 1,) + d[j + 1:]], j + 1, self.n)
+        return out
+
+
+def _rearrangements(lam: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+    """Every distinct rearrangement of the descending vector lam, once each;
+    ``memo`` keeps those of the tails, which many partitions share."""
+    hit = memo.get(lam)
+    if hit is None:
+        hit = [] if lam else [()]
+        for i, v in enumerate(lam):
+            if not i or v != lam[i - 1]:
+                hit += [(v,) + w for w in _rearrangements(lam[:i] + lam[i + 1:], memo)]
+        memo[lam] = hit
+    return hit
+
+
+def t_expand(phi: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
+    """phi with each s_j replaced by the elementary symmetric function e_j of
+    t_1..t_n, on ``ts_table(n)``.
+
+    The expansion is symmetric, so it is built on partitions: each term
+    c * s^d adds c * prod e_j^d_j, kept as orbit totals (the products that
+    :func:`symmetric_reduce` peels against; pass ``products`` to share
+    them), and each partition's orbit is written out once, every term
+    carrying the total over the orbit size.  A variable other than
+    s_1..s_n raises ``ValueError``.
+    """
+    slot = {name: j for j, name in enumerate(_s_names(n))}
+    extraneous = phi.variables() - slot.keys()
+    if extraneous:
+        raise ValueError(f"input involves non-s variables {sorted(extraneous)}")
+    products = _EProducts(n) if products is None else products
+    slots = {i: slot[name] for i, name in enumerate(phi.table.names) if name in slot}
+    terms = list(phi.items())
+    den = lcm(*[c.denominator for _, c in terms])  # the totals stay integers
+    totals: Counter = Counter()
+    for exps, c in terms:
+        d = [0] * n
+        for i, j in slots.items():
+            d[j] = exps[i]
+        a = c.numerator * (den // c.denominator)
+        for lam, g in products[tuple(d)].items():
+            totals[lam] += a * g
+    memo: dict = {}
+    items = {}
+    for lam, total in totals.items():
+        if total:
+            c = Fraction(total, _orbit_size(lam) * den)
+            for w in _rearrangements(lam, memo):
+                items[(0, 0) + w + (0,) * n] = c
+    return Polynomial.from_items(ts_table(n), items)
+
+
+def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
     """Rewrite a symmetric polynomial in t_1..t_n as a polynomial in s_1..s_n.
 
     A symmetric polynomial is sum c_lam m_lam over partitions lam, so it is
@@ -235,8 +307,9 @@ def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
     raised.  Then partitions are peeled in descending (degree, lex) order:
     the top lam with coefficient c gives c * prod s_j^(lam_j - lam_{j+1}),
     and c times that product of e_j is subtracted.  The products are built
-    one e_j at a time on orbit totals (the triangular m -> e transition)
-    and memoized by their exponent vector.
+    one e_j at a time on orbit totals (the triangular m -> e transition),
+    memoized by their exponent vector in ``products`` (a fresh table when
+    none is passed).
     """
     extraneous = p.variables() - set(_t_names(n))
     if extraneous:
@@ -260,17 +333,7 @@ def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
                 f"{k} of the {size} terms of the orbit of {lam}; input not symmetric")
         rest[lam] = coeffs[lam] * size
 
-    products = {(0,) * n: {(0,) * n: 1}}
-
-    def e_product(d: tuple[int, ...]) -> dict:
-        """prod e_j^d_j as orbit totals, memoized by the exponent vector d."""
-        hit = products.get(d)
-        if hit is None:
-            j = max(i for i, e in enumerate(d) if e)
-            hit = _times_e(e_product(d[:j] + (d[j] - 1,) + d[j + 1:]), j + 1, n)
-            products[d] = hit
-        return hit
-
+    products = _EProducts(n) if products is None else products
     out = {}
     while rest:
         lam = max(rest, key=lambda m: (sum(m), m))
@@ -278,7 +341,7 @@ def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
             c = Fraction(rest[lam], _orbit_size(lam))
             d = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
             out[(0,) * (n + 2) + d] = c
-            for mu, g in e_product(d).items():
+            for mu, g in products[d].items():
                 rest[mu] -= c * g
         del rest[lam]  # its total is zero now
     return Polynomial.from_items(ts_table(n), out)
@@ -391,25 +454,21 @@ def e45_check() -> E45Report:
 # -- Weyl-invariance checks ------------------------------------------------------
 
 
-def t_expand(phi: Polynomial, n: int) -> Polynomial:
-    """Substitute each s_i by the elementary symmetric function of the t's."""
-    return phi.compact().substitute(s_to_t_rules(n))
-
-
 def invariant_under_literal(spec: Spec, phi: Polynomial, generator: int,
                             reduce_back: bool = False) -> bool:
-    """Exact invariance test by substituting the generator action on t's.
+    """Exact invariance test by applying the generator action on t's.
 
     With ``reduce_back`` the transformed expansion is rewritten in s via
     symmetric reduction and compared to the original coordinate function.
     """
     phi = phi.compact()
-    pt = t_expand(phi, spec.n)
+    products = _EProducts(spec.n)
+    pt = t_expand(phi, spec.n, products)
     moved = weyl_action(spec, generator).apply(pt)
     if not reduce_back:
         return moved == pt
     try:
-        back = symmetric_reduce(moved, spec.n)
+        back = symmetric_reduce(moved, spec.n, products)
     except NonSymmetricError:
         return False
     return back == phi

@@ -126,6 +126,13 @@ def _pack(pairs: Iterable[tuple[int, int]], s: int) -> int:
     return sum(e << i * s for i, e in pairs)
 
 
+def _key(exps: Sequence[int], s: int) -> int:
+    """The key of a dense exponent tuple; 8-bit fields are its bytes."""
+    if s == 8:
+        return int.from_bytes(bytes(exps), "little")
+    return _pack(enumerate(exps), s)
+
+
 def _degree(k: int, s: int) -> int:
     """Total degree of key ``k``."""
     return sum(_fields(k, s))
@@ -275,7 +282,7 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not fit {table}")
             _check_rational(c)
         s = _width_for([e for exps in items for e in exps])
-        return _from_rationals(table, {_pack(enumerate(exps), s): c for exps, c in items.items()}, s)
+        return _from_rationals(table, {_key(exps, s): c for exps, c in items.items()}, s)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
         """Each term as ``(exps, c)``, ``exps`` aligned with ``table.names``."""
@@ -698,6 +705,33 @@ class Polynomial:
         out = {k - unit: n * ((k & field) >> offset)
                for k, n in self.terms.items() if k & field}
         return _reduced(self.table, out, self.den, s)
+
+    def derivative_along(self, direction: Mapping[str, "int | Fraction"],
+                         divisor: int = 1) -> "Polynomial":
+        """``sum c_v * d/dv`` of this polynomial over ``direction``, divided
+        by the positive integer ``divisor``, in one pass over the terms.
+        The direction's entries are scaled to integers by the lcm of their
+        denominators, so the pass adds plain ints and the result is
+        normalized once."""
+        for c in direction.values():
+            _check_rational(c)
+        if type(divisor) is not int or divisor < 1:
+            raise ValueError(f"divisor {divisor!r} is not a positive integer")
+        s, index = self.shift, self.table._index
+        common = lcm(*[c.denominator for c in direction.values()])
+        steps = [(index[v] * s, 1 << index[v] * s, c.numerator * (common // c.denominator))
+                 for v, c in direction.items() if c]
+        mask = (1 << s) - 1
+        out: dict = {}
+        get = out.get
+        for k, n in self.terms.items():
+            for offset, unit, a in steps:
+                e = (k >> offset) & mask
+                if e:
+                    key = k - unit
+                    out[key] = get(key, 0) + n * a * e
+        return _reduced(self.table, {k: n for k, n in out.items() if n},
+                        self.den * common * divisor, s)
 
     # -- solving -----------------------------------------------------------
 

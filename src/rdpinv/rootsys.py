@@ -223,21 +223,21 @@ class Reflection(RuleSet):
 
         The Taylor expansion along the coroot is finite:
         p(t + l c) = sum_k l^k D_k with D_0 = p and D_k = (c . grad) D_{k-1} / k.
+        Each D_k is one directional derivative of D_{k-1}
+        (:meth:`Polynomial.derivative_along`, a single pass over its terms).
         The D_k run until one vanishes, then Horner's rule in l sums them.
         The result lives on the table :meth:`RuleSet.apply` would give.
         """
         if not any(name in p.table for name, _ in self.coroot):
             return p
         p = p.to_table(p.table.merged(self.form.table))
+        direction = dict(self.coroot)
         parts = [p]
         while True:
-            top = parts[-1]
-            step = p.table.zero()
-            for name, c in self.coroot:
-                step = step + c * top.derivative(name)
+            step = parts[-1].derivative_along(direction, len(parts))
             if step.is_zero:
                 break
-            parts.append(step / len(parts))
+            parts.append(step)
         acc = parts.pop()
         while parts:
             acc = acc * self.form + parts.pop()

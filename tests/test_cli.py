@@ -57,6 +57,7 @@ def test_invariants_bad_type(capsys):
 @pytest.mark.parametrize("argv", [
     ["congruence", "--case", "E9:v1"],
     ["classify", "--poly-file", "{dir}/bad.txt"],
+    ["classify", "--poly-file", "{dir}/binary.txt"],
     ["classify", "--profile-file", "{dir}/unknown_type.json"],
     ["classify", "--poly-file", "{dir}/d4.txt", "--jet-order", "-1"],
     ["congruence", "--all", "--jobs", "0"],
@@ -64,6 +65,7 @@ def test_invariants_bad_type(capsys):
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")  # not UTF-8
     (tmp_path / "d4.txt").write_text("-X^2 - Y^2*Z + Z^3\n")
     (tmp_path / "unknown_type.json").write_text(json.dumps({"type": "E9", "orders": {"eps8": 1}}))
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))

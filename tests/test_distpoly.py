@@ -291,10 +291,10 @@ coefficients = st.one_of(st.integers(-9, 9),
 
 
 @st.composite
-def s_polys(draw, min_n=1, max_weight=7):
+def s_polys(draw, min_n=1, max_weight=7, max_n=7):
     """(n, phi): a random sum of c_d * s^d over s_1..s_n of weight <= max_weight,
     inhomogeneous in general; the empty sum and constants included."""
-    n = draw(st.integers(min_n, 7))
+    n = draw(st.integers(min_n, max_n))
     items = {}
     for _ in range(draw(st.integers(0, 4))):
         budget = draw(st.integers(0, max_weight))
@@ -313,6 +313,27 @@ def s_polys(draw, min_n=1, max_weight=7):
 def test_symmetric_reduce_round_trips_random_s_polynomials(case):
     n, phi = case
     assert symmetric_reduce(t_expand(phi, n), n).serialize() == phi.serialize()
+
+
+@settings(max_examples=100, deadline=None)
+@given(s_polys(max_n=8))
+@example((1, ts_table(1).zero()))
+@example((8, ts_table(8).const(Fraction(-5, 2))))
+@example((8, parse("s8 - 1/3*s1*s7 + 2/7*s4^2 + s1", ts_table(8))))
+def test_t_expand_matches_the_substitution_oracle(case):
+    n, phi = case
+    oracle = phi.compact().substitute(s_to_t_rules(n))
+    pt = t_expand(phi, n)
+    assert pt.table is ts_table(n)
+    assert dict(pt.items()) == dict(oracle.to_table(ts_table(n)).items())
+    assert pt.serialize() == oracle.serialize()
+
+
+@pytest.mark.parametrize("name", ["U", "Z", "t1", "s7"])
+def test_t_expand_rejects_non_s_variables(name):
+    table = ts_table(6).merged(VarTable(["s7"], [7]))
+    with pytest.raises(ValueError, match="non-s variables"):
+        t_expand(table.var(name) * table.var("s2") + table.var("s1"), 6)
 
 
 def _expanded(phi, n):
@@ -396,10 +417,8 @@ def test_symmetric_reduce_in_one_variable():
 
 
 def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
-    # eps18 is left out: its t-expansion alone (134,596 terms) takes ~13 s
-    # on a 2-vCPU x86-64 VM
     e7 = Spec("E", 7)
     rules = pipe7.versal_rules()
-    for name in ("eps2", "eps6", "eps8", "eps10", "eps12", "eps14"):
+    for name in ("eps2", "eps6", "eps8", "eps10", "eps12", "eps14", "eps18"):
         assert invariant_under_literal(e7, rules[name], 0, reduce_back=True), name
     assert not invariant_under_literal(e7, ts_table(7).var("s1"), 0, reduce_back=True)

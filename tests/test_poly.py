@@ -442,6 +442,15 @@ def test_substitute_rejects_non_rational_rule_value():
         p.substitute({"unused": 0.5})
 
 
+def test_derivative_along_rejects_bad_input():
+    p = VarTable(["x", "y"], [1, 1]).var("x") ** 2
+    with pytest.raises(TypeError):
+        p.derivative_along({"x": 0.5})
+    for divisor in (0, -2, Fraction(1, 2), 2.0):
+        with pytest.raises(ValueError):
+            p.derivative_along({"x": 1}, divisor)
+
+
 # -- the product kernel against a dense reference ----------------------------------
 
 
@@ -558,6 +567,22 @@ def test_kernel_matches_dense_reference(data):
     _check((a * b).compact(), ra.times(rb).compact())
     name = data.draw(st.sampled_from(ta.names))
     _check(a.derivative(name), ra.derivative(name))
+    # a directional derivative over a divisor, against the sum of partials
+    direction = {v: data.draw(QS) for v in data.draw(
+        st.lists(st.sampled_from(ta.names), max_size=3, unique=True))}
+    divisor = data.draw(st.integers(1, 6))
+    expect = Dense(ra.names, {})
+    for v, c in direction.items():
+        expect = expect.plus(ra.derivative(v), c / divisor)
+    _check(a.derivative_along(direction, divisor), expect)
+    if len(ta) > 2:
+        # (c_v u - c_u v)^k times a power of a third variable is constant
+        # along (c_u, c_v): every partial sum cancels
+        u, v, w = ta.names[:3]
+        cu, cv = data.draw(QS.filter(bool)), data.draw(QS.filter(bool))
+        flat = (cv * ta.var(u) - cu * ta.var(v)) ** data.draw(st.integers(1, 3)) \
+            * ta.var(w, data.draw(exps))
+        _check(flat.derivative_along({u: cu, v: cv}, divisor), Dense(ta.names, {}))
 
 
 def test_powers_cross_the_guard_bit():
