@@ -1,12 +1,14 @@
 """Newton-polygon classification of rational double points.
 
 ``rdp_type`` decides the type of an isolated surface double point from a
-sufficiently long jet of its defining polynomial: rank of the quadratic
-part, then the factorization shape of the residual binary cubic (read
-off its Hessian), then orders of the fully reduced tail.  A square is
+sufficiently long jet of its defining polynomial.  Squares are split off
+in the given coordinates (the splitting lemma), up to two of them; their
+number picks the branch.  Two leave an A tail read off its order; one
+leaves a binary cubic, whose factorization shape (read off its Hessian)
+and then the orders of the fully reduced tail decide D or E.  A square is
 split off at its critical point, a tail by formal shears, both exact and
 truncated at the caller's jet order; no square root is ever needed, as
-the tree only consumes ranks, factor multiplicities and vanishing orders.
+the tree only consumes counts, factor multiplicities and vanishing orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import LinearSystem, Polynomial, VarTable
+from .poly import Polynomial, VarTable
 
 
 @dataclass(frozen=True)
@@ -84,82 +86,6 @@ def _coeff(p: Polynomial, mono: Mapping[str, int]):
     return p.coeff_of(mono, p.table.names).constant_value()
 
 
-def _linear_change(p: Polynomial, matrix: list[list[Fraction]], names: list[str]) -> Polynomial:
-    """Substitute each variable by the matrix row combination of the others."""
-    table = p.table
-    rules = {}
-    for i, name in enumerate(names):
-        val = table.zero()
-        for j, other in enumerate(names):
-            if matrix[i][j]:
-                val = val + matrix[i][j] * table.var(other)
-        rules[name] = val
-    return p.substitute(rules)
-
-
-def _quadratic_matrix(p: Polynomial) -> list[list[Fraction]]:
-    """The symmetric matrix of the quadratic part over the three variables."""
-    mat = [[Fraction(0)] * 3 for _ in range(3)]
-    for m, c in _degree_part(p, 2).items():
-        i, j = [k for k, e in enumerate(m) for _ in range(e)]
-        mat[i][j] += Fraction(c, 2)
-        mat[j][i] += Fraction(c, 2)
-    return mat
-
-
-def _diagonalize(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational congruence diagonalization: returns (basis change C, diagonal).
-
-    The change satisfies q(C v) = sum diag_i v_i^2 with nonzero entries first.
-    """
-    n = 3
-    basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-    def q(u, v):
-        return sum(u[i] * mat[i][j] * v[j] for i in range(n) for j in range(n))
-
-    out_vecs: list[list[Fraction]] = []
-    out_diag: list[Fraction] = []
-    remaining = basis
-    while remaining:
-        pick = None
-        for v in remaining:
-            if q(v, v) != 0:
-                pick = v
-                break
-        if pick is None:
-            # all isotropic: look for a hyperbolic pair to symmetrize
-            pair = None
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    if q(remaining[i], remaining[j]) != 0:
-                        pair = (remaining[i], remaining[j])
-                        break
-                if pair:
-                    break
-            if pair is None:
-                for v in remaining:
-                    out_vecs.append(v)
-                    out_diag.append(Fraction(0))
-                break
-            pick = [a + b for a, b in zip(pair[0], pair[1])]
-        d = q(pick, pick)
-        out_vecs.append(pick)
-        out_diag.append(d)
-        # keep dimension bookkeeping honest: project to an independent set
-        span = LinearSystem()
-        nxt = []
-        for v in remaining:
-            coeff = q(pick, v) / d
-            w = [a - coeff * b for a, b in zip(v, pick)]
-            if span.add(dict(enumerate(w))):
-                nxt.append(w)
-        remaining = nxt
-    # columns of the change matrix are the chosen vectors
-    C = [[out_vecs[j][i] for j in range(len(out_vecs))] for i in range(n)]
-    return C, out_diag
-
-
 def _lowered(m: tuple, i: int, k: int) -> tuple:
     """The exponent tuple ``m`` divided by the ``k``-th power of variable ``i``."""
     return m[:i] + (m[i] - k,) + m[i + 1:]
@@ -207,6 +133,22 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     for k in range(1, d // 2 + 1):
         phi = phi - slope.substitute({var: phi}, max_total_degree=k)
     return p.substitute({var: phi}, max_total_degree=d)
+
+
+def _square_to_split(f: Polynomial, left: list[str]) -> tuple[Polynomial, str]:
+    """A variable of ``left`` whose square occurs in f, with f made to show it.
+
+    The terms of f lie in the variables of ``left`` and its quadratic part
+    is nonzero.  If that part has only cross terms c*u*v, f is first sheared
+    by u -> u + v, which adds c*v^2 and no other square.
+    """
+    q = _degree_part(f, 2)
+    for var in left:
+        if _coeff(q, {var: 2}):
+            return f, var
+    m, _ = next(iter(q.items()))
+    u, v = (name for name, e in zip(f.table.names, m) if e)
+    return f.substitute({u: f.table.var(u) + f.table.var(v)}), v
 
 
 def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
@@ -298,24 +240,22 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         return RdpType("A", 0)
     if jet_order < 2:
         raise UndecidableError(jet_order, "the quadratic part needs a degree-2 jet")
-    change, diag = _diagonalize(_quadratic_matrix(f))
-    rank = sum(1 for dd in diag if dd)
-    if rank == 3:
-        return RdpType("A", 1)
-    if rank == 0:
+    g, left = f, list(names)
+    while len(left) > 1 and not _degree_part(g, 2).is_zero:
+        g, var = _square_to_split(g, left)
+        g = _split_off_square(g, var, jet_order)
+        left.remove(var)
+    squares = len(names) - len(left)
+    if squares == 0:
         raise NotRDPError("multiplicity at least three")
-    f = _linear_change(f, change, names).truncate(jet_order)
-    if rank == 2:
-        g = _split_off_square(f, names[0], jet_order)
-        g = _split_off_square(g, names[1], jet_order)
+    if squares == 2:
         m = _order(g)
         if m is None:
             raise UndecidableError(jet_order, "residual tail vanishes to jet order")
         return RdpType("A", m - 1)
     if jet_order < 3:
         raise UndecidableError(jet_order, "the cubic part needs a degree-3 jet")
-    g = _split_off_square(f, names[0], jet_order)
-    y, z = names[1], names[2]
+    y, z = left
     g3 = _degree_part(g, 3)
     if g3.is_zero:
         raise NotRDPError("no cubic part after splitting the square")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -129,21 +128,6 @@ def cmd_verify(args) -> int:
     return verify_appendix(6 if target == "appendix1" else 7, RuleCache(args.cache_dir), sys.stdout)
 
 
-_worker_cache: "RuleCache | None" = None  # shared by a --jobs worker's cases
-
-
-def _init_worker(cache_dir: "str | None") -> None:
-    global _worker_cache
-    _worker_cache = RuleCache(cache_dir)
-
-
-def _run_case(case: congruence.KeyCase, cache: "RuleCache | None" = None
-              ) -> tuple[str, bool, str, str, int]:
-    res = congruence.key_constant(case, cache or _worker_cache)
-    fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
-    return (case.label, res.ok, fmt(res.expected), fmt(res.computed), case.length)
-
-
 def cmd_congruence(args) -> int:
     labels = [c.label for c in congruence.KEY_CASES] if args.all else [args.case]
     if not all(labels):
@@ -154,19 +138,25 @@ def cmd_congruence(args) -> int:
         return _usage_error(exc.args[0])
     if args.jobs < 1:
         return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = min(args.jobs, len(cases))  # a pool forks all its workers at once
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(args.cache_dir,)) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        cache = RuleCache(args.cache_dir)
-        results = [_run_case(case, cache) for case in cases]
+    cache = RuleCache(args.cache_dir)
+    fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
     ok = True
-    for label, passed, expected, computed, length in results:
-        ok = ok and passed
-        print(f"{label:7s} length {length}  expected {expected:18s} "
-              f"computed {computed:18s} {'PASS' if passed else 'FAIL'}")
+    for case in cases:
+        res = congruence.key_constant(case, cache)
+        ok = ok and res.ok
+        print(f"{case.label:7s} length {case.length}  expected {fmt(res.expected):18s} "
+              f"computed {fmt(res.computed):18s} {'PASS' if res.ok else 'FAIL'}")
     return 0 if ok else VERIFY_ERROR
+
+
+def _profile_order(name: str, value) -> "int | float":
+    """A vanishing order from a profile file: a JSON integer >= 1, or "inf"."""
+    if value == "inf":
+        return float("inf")
+    if type(value) is not int or value < 1:  # a JSON true is an int to Python
+        raise ValueError(f'order of {name} must be an integer >= 1 or "inf", '
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def cmd_classify(args) -> int:
@@ -191,8 +181,7 @@ def cmd_classify(args) -> int:
     if args.profile_file:
         try:
             data = json.loads(Path(args.profile_file).read_text())
-            orders = {k: (float("inf") if v == "inf" else int(v))
-                      for k, v in data["orders"].items()}
+            orders = {k: _profile_order(k, v) for k, v in data["orders"].items()}
             profile = classify_mod.ValuationProfile(data["type"], orders)
             bound = classify_mod.section_type(profile)
         except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:

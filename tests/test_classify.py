@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +16,7 @@ from rdpinv.classify import (
     _lowered,
     _shear,
     _split_off_square,
+    _square_to_split,
     length_type,
     rdp_type,
     section_type,
@@ -41,6 +43,8 @@ NORMAL_FORMS = [
     ("-X^2 - X*Z^2 + Y^3", "E6"),
     ("-X^2 - Y^3 + 16*Y*Z^3", "E7"),
     ("-X^2 + Y^3 - Z^5", "E8"),
+    ("X*Y + Y*Z + Z*X", "A1"),            # quadratic parts with no square term
+    ("-X*Y - Y*Z + Z^5", "A4"),
 ]
 
 
@@ -199,6 +203,42 @@ def test_split_off_square_matches_square_completion(jet):
 def test_split_off_square_needs_the_square():
     with pytest.raises(ValueError, match="pure square"):
         _split_off_square(P("X*Y + Y^2 + Z^3"), "X", 6)
+
+
+@st.composite
+def quadratic_jets(draw):
+    """A jet with a nonzero rational quadratic part, in X, Y, Z or in Y, Z only.
+
+    Half the draws have no square term at all, only cross terms.
+    """
+    left = draw(st.sampled_from([["X", "Y", "Z"], ["Y", "Z"]]))
+    exps = lambda *vs: tuple(map([*vs].count, T.names))
+    squares = [exps(v, v) for v in left]
+    crosses = [exps(u, v) for u, v in combinations(left, 2)]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    maybe = st.one_of(st.just(0), coeff)
+    no_squares = draw(st.booleans())
+    terms = {m: draw(st.just(0) if no_squares else maybe) for m in squares}
+    terms.update({m: draw(maybe) for m in crosses})
+    assume(any(terms.values()))
+    higher = st.tuples(*(st.integers(0, 3) if v in left else st.just(0) for v in T.names))
+    terms.update(draw(st.dictionaries(higher.filter(lambda m: 3 <= sum(m) <= 6), coeff,
+                                      max_size=5)))
+    return Polynomial.from_items(T, {m: c for m, c in terms.items() if c}), left
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_jets())
+def test_square_to_split_shows_a_square_by_an_invertible_change(jet):
+    f, left = jet
+    g, var = _square_to_split(f, left)
+    assert var in left
+    assert dict(g.items()).get(tuple(2 * (v == var) for v in T.names)), (f.serialize(), var)
+    if g != f:  # only a shear u -> u + v, undone by u -> u - v
+        shear = lambda u, v, sign: {u: T.var(u) + sign * T.var(v)}
+        pairs = [(u, v) for u, v in permutations(left, 2) if g == f.substitute(shear(u, v, 1))]
+        assert pairs, (f.serialize(), g.serialize())
+        assert all(g.substitute(shear(u, v, -1)) == f for u, v in pairs)
 
 
 def determinacy_degree(name):

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from rdpinv import cli
 from rdpinv.cli import main
 
 
@@ -62,12 +61,18 @@ def test_invariants_bad_type(capsys):
     ["classify", "--poly-file", "{dir}/d4.txt", "--jet-order", "-1"],
     ["congruence", "--all", "--jobs", "0"],
     ["congruence", "--case", "E7:v2", "--jobs", "-1"],
+    ["classify", "--profile-file", "{dir}/fractional_order.json"],
+    ["classify", "--profile-file", "{dir}/bool_order.json"],
+    ["classify", "--profile-file", "{dir}/zero_order.json"],
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")  # not UTF-8
     (tmp_path / "d4.txt").write_text("-X^2 - Y^2*Z + Z^3\n")
     (tmp_path / "unknown_type.json").write_text(json.dumps({"type": "E9", "orders": {"eps8": 1}}))
+    for name, order in (("fractional", 1.5), ("bool", True), ("zero", 0)):
+        (tmp_path / f"{name}_order.json").write_text(
+            json.dumps({"type": "E6", "orders": {"eps2": order}}))
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -132,32 +137,6 @@ def test_congruence_all_deterministic_across_jobs(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.count("PASS") == 15
-
-
-def test_congruence_pool_never_outnumbers_the_cases(monkeypatch, capsys):
-    sizes = []
-
-    class Pool:  # records the size asked for, maps in this process
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(cli, "_run_case", lambda case, cache=None:
-                        (case.label, True, "none", "none", case.length))
-    assert run(capsys, "congruence", "--all", "--jobs", "64")[0] == 0
-    assert run(capsys, "congruence", "--all", "--jobs", "3")[0] == 0
-    # one case runs in this process, with no pool at all
-    assert run(capsys, "congruence", "--case", "E8:v7", "--jobs", "64")[0] == 0
-    assert sizes == [15, 3]
 
 
 def test_congruence_all_cold_jobs_2_matches_jobs_1(tmp_path, capsys):
