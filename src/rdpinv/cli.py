@@ -183,7 +183,11 @@ def cmd_classify(args) -> int:
             data = json.loads(Path(args.profile_file).read_text())
             orders = {k: _profile_order(k, v) for k, v in data["orders"].items()}
             profile = classify_mod.ValuationProfile(data["type"], orders)
-            bound = classify_mod.section_type(profile)
+            bound = classify_mod.section_type(profile)  # rejects an unknown type
+            known = congruence.scf_names(Spec.from_name(data["type"]))
+            unknown = [name for name in orders if name not in known]
+            if unknown:
+                raise ValueError(f"{data['type']} has no coefficient {', '.join(unknown)}")
         except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
             return _usage_error(f"bad profile file: {exc}")
         if bound.decided:

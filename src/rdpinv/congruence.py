@@ -10,16 +10,18 @@ Third, the restricted polynomials: monic families whose coefficient maps
 annihilate a maximal set of standard coordinates, the pullbacks of the
 remaining coordinates along them, and the constants relating a parent
 coordinate to a power of the highest-weight part coordinate -- one
-verified constant per row of the key-computation table.
+verified constant per row of the key-computation table.  All three build
+the parent's polynomial from the parts' by one :func:`vertex_product`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
-from .distpoly import g_from_f, rules_from_monic, standard_coords
+from .distpoly import from_roots, g_from_f, monic, rules_from_monic, standard_coords
 from .envres import VersalPipeline, eps_names
 from .poly import (
     AbsentVariableError,
@@ -30,7 +32,7 @@ from .poly import (
     VarTable,
     exact_div,
 )
-from .rootsys import Spec, vertex_split
+from .rootsys import Spec, part_functionals, vertex_split
 from .solvelist import RuleCache, RuleSet
 
 
@@ -48,75 +50,54 @@ class RelationReport:
         return self.difference.is_zero
 
 
-def _aug_table(base: VarTable) -> VarTable:
-    return base.merged(VarTable(["U"], [1]))
+def vertex_product(spec: Spec, k: int, left: Polynomial, right: Polynomial,
+                   mu: Polynomial, sigma: Polynomial) -> Polynomial:
+    """The distinguished polynomial of ``spec`` from those of its parts at vertex k.
 
+    ``left`` and ``right`` are the parts' monic polynomials in U (1 for an
+    absent part), ``mu`` is the dual coordinate of the removed vertex, and
+    ``sigma`` is the root of ``right`` that the k = 2 splitting of the E
+    family divides out.  All of them share one table, which holds U.
+    """
+    table = left.table
+    U, n, f = table.var("U"), spec.n, Fraction
 
-def _fprod(U: Polynomial, shifts: list[Polynomial]) -> Polynomial:
-    out = U.table.const(1)
-    for sh in shifts:
-        out = out * (U + sh)
-    return out
+    def at(p: Polynomial, x: Polynomial) -> Polynomial:
+        return p.substitute({"U": x})
+
+    if spec.family == "A":
+        return at(left, U + f(1, k) * mu) * at(right, U - f(1, n - k) * mu)
+    if spec.family == "D":
+        if k <= n - 2:
+            return at(left, U + f(1, k) * mu) * right
+        return at(left, U + f(2, n) * mu)
+    if k == 0:
+        return at(left, U - f(9 - n, 3 * n) * mu)
+    # rho and tau are the left part's subleading coefficient, the sum of its t's
+    if k == 1:
+        rho = left.coeffs_in("U").get(n - 2, table.zero())
+        head = -U + f(1, 3) * rho - f(9 - n, 6) * mu
+        return (-1) ** n * head * at(left, -U - f(1, 6) * rho + f(9 - n, 12) * mu)
+    if k == 2:
+        shift = f(1, 3) * sigma + f(9 - n, 3 * n - 3) * mu
+        head = at(left, U + f(2, 3) * sigma + f(9 - n, 6 * n - 6) * mu)
+        return head * exact_div(at(right, U - shift), U - sigma - shift, "U")
+    tau = left.coeffs_in("U").get(k - 1, table.zero())
+    return left * at(right, U - f(1, 9 - k) * tau - f(9 - n, (9 - k) * (n - k)) * mu)
 
 
 def dist_relation(spec: Spec, k: int) -> RelationReport:
     """Verify the vertex relation between distinguished polynomials."""
     vs = vertex_split(spec, k)
-    n = spec.n
     # all split rules share one table; extend it by U
-    table = _aug_table(vs.rules.rules[0][1].table)
+    table = vs.rules.rules[0][1].table.merged(VarTable(["U"], [1]))
     U = table.var("U")
-    mu = table.var("mu1")
     sub = vs.rules.mapping()
-    lhs = _fprod(U, [sub[f"t{i}"].to_table(table) for i in range(1, n + 1)])
-
-    def tp(i):
-        return table.var(f"tp{i}")
-
-    def tq(i):
-        return table.var(f"tq{i}")
-
-    left_n = vs.left.n if vs.left else 0
-    right_n = vs.right.n if vs.right else 0
-    f = Fraction
-    fam, kk = spec.family, k
-    if fam == "A":
-        rhs = _fprod(U + f(1, kk) * mu, [tp(i) if left_n > 1 else table.zero()
-                                         for i in range(1, left_n + 1)]) \
-            * _fprod(U - f(1, n - kk) * mu, [tq(i) if right_n > 1 else table.zero()
-                                             for i in range(1, right_n + 1)])
-    elif fam == "D":
-        if kk <= n - 2:
-            rhs = _fprod(U + f(1, kk) * mu, [tp(i) if left_n > 1 else table.zero()
-                                             for i in range(1, left_n + 1)]) \
-                * _fprod(U, [tq(i) for i in range(1, right_n + 1)])
-        else:
-            rhs = _fprod(U + f(2, n) * mu, [tp(i) for i in range(1, left_n + 1)])
-    else:
-        if kk == 0:
-            rhs = _fprod(U - f(9 - n, 3 * n) * mu, [tp(i) for i in range(1, left_n + 1)])
-        elif kk == 1:
-            rho = table.zero()
-            for i in range(1, left_n + 1):
-                rho = rho + tp(i)
-            head = -U + f(1, 3) * rho - f(9 - n, 6) * mu
-            arg = -U - f(1, 6) * rho + f(9 - n, 12) * mu
-            rhs = (-1) ** n * head * _fprod(arg, [tp(i) for i in range(1, left_n + 1)])
-        elif kk == 2:
-            sigma = -tq(1)
-            head = _fprod(U + f(2, 3) * sigma + f(9 - n, 6 * n - 6) * mu, [tp(1), tp(2)])
-            num = _fprod(U - f(1, 3) * sigma - f(9 - n, 3 * n - 3) * mu,
-                         [tq(i) for i in range(1, right_n + 1)])
-            den = U - f(4, 3) * sigma - f(9 - n, 3 * n - 3) * mu
-            rhs = head * exact_div(num, den, "U")
-        else:
-            tau = table.zero()
-            for i in range(1, left_n + 1):
-                tau = tau + tp(i)
-            shift = -f(1, 9 - kk) * tau - f(9 - n, (9 - kk) * (n - kk)) * mu
-            rhs = _fprod(U, [tp(i) for i in range(1, left_n + 1)]) \
-                * _fprod(U + shift, [tq(i) if right_n > 1 else table.zero()
-                                     for i in range(1, right_n + 1)])
+    lhs = from_roots(U, [sub[f"t{i}"].to_table(table) for i in range(1, spec.n + 1)])
+    tqs = part_functionals(vs.right, "tq", table)
+    rhs = vertex_product(spec, k, from_roots(U, part_functionals(vs.left, "tp", table)),
+                         from_roots(U, tqs), table.var("mu1"),
+                         -tqs[0] if tqs else table.zero())
     return RelationReport(spec, k, lhs - rhs)
 
 
@@ -142,12 +123,9 @@ def _scf_table(kind: str, left_n: int, right_n: int) -> VarTable:
     return VarTable(names, weights)
 
 
-def _fA_sym(table: VarTable, m: int, arg: Polynomial, prefix: str) -> Polynomial:
-    """A-type distinguished polynomial in its coordinates: arg^m + sum a_j arg^{m-j}."""
-    out = arg ** m
-    for j in range(2, m + 1):
-        out = out + table.var(f"{prefix}{j}") * arg ** (m - j)
-    return out
+def _fA(table: VarTable, m: int, prefix: str) -> Polynomial:
+    """A-type distinguished polynomial in its coordinates: U^m + sum a_j U^{m-j}."""
+    return monic(table.var("U"), [table.zero()] + [table.var(f"{prefix}{j}") for j in range(2, m + 1)])
 
 
 def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
@@ -158,9 +136,8 @@ def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
         if not 1 <= k <= n - 1:
             raise ValueError(f"no splitting of {spec.name} at {k}")
         table = _scf_table("A", k, n - k)
-        U, mu = table.var("U"), table.var("mu1")
-        f = _fA_sym(table, k, U + Fraction(1, k) * mu, "ap") \
-            * _fA_sym(table, n - k, U - Fraction(1, n - k) * mu, "aq")
+        f = vertex_product(spec, k, _fA(table, k, "ap"), _fA(table, n - k, "aq"),
+                           table.var("mu1"), table.zero())
         by_u = {e: c.substitute({"mu1": 0}) for e, c in f.coeffs_in("U").items()}
 
         def a(prefix, j, m):
@@ -179,20 +156,16 @@ def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
         raise ValueError(f"low-order congruences cover the A and D families, not ({spec.name}, {k})")
     if k == n:
         table = _scf_table("A", n, 0)
-        mu = table.var("mu1")
-        gamma = _fA_sym(table, n, Fraction(2, n) * mu, "ap")
-        out["gamma"] = gamma.substitute({"mu1": 0}) == table.var(f"ap{n}")
+        f = vertex_product(spec, k, _fA(table, n, "ap"), table.const(1),
+                           table.var("mu1"), table.zero())
+        out["gamma"] = f.substitute({"U": 0, "mu1": 0}) == table.var(f"ap{n}")
         return out
     right_n = n - k
     table = _scf_table("D", k, right_n)
     U, Z, mu = table.var("U"), table.var("Z"), table.var("mu1")
-    fa = _fA_sym(table, k, U + Fraction(1, k) * mu, "ap")
-    gtilde = g_from_f(fa, table)
-    gq = Z ** right_n
-    for j in range(1, right_n):
-        gq = gq + table.var(f"dq{2*j}") * Z ** (right_n - j)
-    gq = gq + table.var("gq") ** 2
-    g = gtilde * gq
+    fa = _fA(table, k, "ap").substitute({"U": U + Fraction(1, k) * mu})
+    gq = monic(Z, [table.var(f"dq{2*j}") for j in range(1, right_n)] + [table.var("gq") ** 2])
+    g = g_from_f(fa, table) * gq
     ap_k = table.var(f"ap{k}") if k >= 2 else table.zero()
     gamma = fa.substitute({"U": 0}) * table.var("gq")
     out["gamma"] = gamma.substitute({"mu1": 0}) == ap_k * table.var("gq")
@@ -260,12 +233,15 @@ def vanishing_coordinates(spec: Spec) -> tuple[str, ...]:
         if spec.n == 7:
             return ("delta2", "delta4", "delta6", "gamma7")
         raise RestrictionError(f"no restricted polynomial tabulated for {spec.name}")
-    return {
+    vanish = {
         4: ("eps2", "eps3", "eps4"),
         5: ("eps2", "eps4", "eps5"),
         6: ("eps2", "eps5", "eps6"),
         7: ("eps2", "eps6"),
-    }[spec.n]
+    }.get(spec.n)
+    if vanish is None:
+        raise RestrictionError(f"no vanishing set is listed for {spec.name}")
+    return vanish
 
 
 def coord_pullbacks(spec: Spec, s_rules: RuleSet,
@@ -289,7 +265,9 @@ def derive_restricted(spec: Spec, form: str = "plain",
     the parameter of its own weight.
     """
     n = spec.n
-    table = LAM_TABLE if n <= 8 else None
+    if n > 8:
+        raise RestrictionError(f"{spec.name} needs lam{n}, and there is no lam beyond lam8")
+    table = LAM_TABLE
     U = table.var("U")
     vanish = vanishing_coordinates(spec)
     if spec.family == "A":
@@ -325,9 +303,7 @@ def derive_restricted(spec: Spec, form: str = "plain",
         sub = {target: sol}
         rules = {k: v.substitute(sub) for k, v in rules.items()}
     rule_set = RuleSet.of(sorted(rules.items(), key=lambda kv: int(kv[0][1:])))
-    r = U ** n
-    for i in range(1, n + 1):
-        r = r + rule_set[f"s{i}"] * U ** (n - i)
+    r = monic(U, [rule_set[f"s{i}"] for i in range(1, n + 1)])
     cname = constant_term_name(spec)
     const = coord_pullbacks(spec, rule_set, cache, [cname])[cname]
     return RestrictedPoly(spec, r, rule_set, tuple(vanish), cname, const)
@@ -389,31 +365,30 @@ def key_case(label: str) -> KeyCase:
     raise KeyError(f"unknown key case {label!r}")
 
 
+def _case_restricted(case: KeyCase, cache: Optional[RuleCache]) -> RestrictedPoly:
+    """The restricted polynomial of the case's side; a right part carries the
+    constant term through the root form."""
+    side = Spec.from_name(case.left if case.phi_side == "left" else case.right)
+    return derive_restricted(side, form="root" if case.phi_side == "right" else "plain",
+                             cache=cache)
+
+
 def case_pullback_poly(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
-    """The pulled-back distinguished polynomial of the parent type."""
-    n = case.parent
-    k = case.k
+    """The pulled-back distinguished polynomial of the parent type.
+
+    It is the vertex product of the restricted polynomial of the case's
+    side with the other side at its origin (U^m), at mu = 0 and with
+    sigma = lam1, the root of the root form.
+    """
     table = LAM_TABLE
-    U = table.var("U")
-    f = Fraction
-    if k == 0:
-        return U ** n + table.var(f"lam{n}")
-    if k == 1:
-        rp = derive_restricted(Spec.from_name(case.left), cache=cache)
-        rho = rp.r.coeffs_in("U").get(n - 2, table.zero())
-        head = -U + f(1, 3) * rho
-        return (-1) ** n * head * rp.r.substitute({"U": -U - f(1, 6) * rho})
-    if k == 2:
-        lam1 = table.var("lam1")
-        total = table.zero()
-        for i in range(n - 1):
-            total = total + lam1 ** i * (U - f(1, 3) * lam1) ** (n - 2 - i)
-        return (U + f(2, 3) * lam1) ** 2 * total
-    rp = derive_restricted(Spec.from_name(case.left), cache=cache)
-    tau = rp.r.coeffs_in("U").get(k - 1, table.zero())
-    if tau != table.var("lam1"):
+    U, lam1 = table.var("U"), table.var("lam1")
+    parts = {side: U ** Spec.from_name(name).n if name else table.const(1)
+             for side, name in (("left", case.left), ("right", case.right))}
+    parts[case.phi_side] = _case_restricted(case, cache).r
+    if case.k >= 3 and parts["left"].coeffs_in("U").get(case.k - 1) != lam1:
         raise RestrictionError("restricted polynomial should expose lam1 as its subleading coefficient")
-    return (U - f(1, 9 - k) * table.var("lam1")) ** (n - k) * rp.r
+    return vertex_product(Spec("E", case.parent), case.k, parts["left"], parts["right"],
+                          table.zero(), lam1)
 
 
 def case_param(case: KeyCase, cache: Optional[RuleCache] = None) -> RuleSet:
@@ -433,15 +408,10 @@ def pullback_eps(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial
 
 def phi_pullback(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
     """psi* of the highest-weight part coordinate named by the case."""
-    side = Spec.from_name(case.left if case.phi_side == "left" else case.right)
-    if case.phi_side == "right":
-        # the right part carries the constant term through the root form
-        rp = derive_restricted(side, form="root", cache=cache)
-    else:
-        rp = derive_restricted(side, cache=cache)
+    rp = _case_restricted(case, cache)
     if case.phi_name == rp.constant_name:
         return rp.constant_pullback
-    return coord_pullbacks(side, rp.s_rules, cache, [case.phi_name])[case.phi_name]
+    return coord_pullbacks(rp.spec, rp.s_rules, cache, [case.phi_name])[case.phi_name]
 
 
 @dataclass(frozen=True)
@@ -482,14 +452,11 @@ def key_constant(case: KeyCase, cache: Optional[RuleCache] = None) -> KeyResult:
     names, expected = case.two_term
     side = Spec.from_name(case.left)
     rp = derive_restricted(side, cache=cache)
-    if case.parent == 8 and case.k == 1:
-        pulls = coord_pullbacks(side, rp.s_rules, cache, ["delta8", "delta12"])
-        A = pulls["delta8"] ** 3
-        B = pulls["delta12"] ** 2
-    else:
-        pulls = coord_pullbacks(side, rp.s_rules, cache, ["eps8", "eps10", "eps18"])
-        A = pulls["eps8"] * pulls["eps10"]
-        B = pulls["eps18"]
+    # names is "A,B", each a product of coordinates such as delta8^3 or eps8*eps10
+    monos = [[(nm, int(e or 1)) for nm, _, e in (f.partition("^") for f in mono.split("*"))]
+             for mono in names.split(",")]
+    pulls = coord_pullbacks(side, rp.s_rules, cache, [nm for mono in monos for nm, _ in mono])
+    A, B = (prod(pulls[nm] ** e for nm, e in mono) for mono in monos)
     computed = _solve_two_term(eps_pb, A, B)
     phi_pb = rp.constant_pullback
     return KeyResult(case, computed, expected, eps_pb, phi_pb)

@@ -85,27 +85,35 @@ def elem_sym(values: list[Polynomial], j: int) -> Polynomial:
     return es[j] if j < len(es) else values[0].table.zero()
 
 
+def monic(U: Polynomial, coeffs: list[Polynomial]) -> Polynomial:
+    """U^m + sum c_i U^(m-i) for coeffs = [c_1, ..., c_m]; the inverse of
+    :func:`rules_from_monic`."""
+    m = len(coeffs)
+    out = U ** m
+    for i, c in enumerate(coeffs, 1):
+        out = out + c * U ** (m - i)
+    return out
+
+
+def from_roots(U: Polynomial, shifts: list[Polynomial]) -> Polynomial:
+    """prod(U + shift) over the shifts; 1 for none."""
+    out = U.table.const(1)
+    for sh in shifts:
+        out = out * (U + sh)
+    return out
+
+
 def f_product(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
     """prod(U + t_i), the factored form of the distinguished polynomial."""
     table = table or ts_table(spec.n)
-    U = table.var("U")
-    out = table.const(1)
-    for t in functionals(spec, table):
-        out = out * (U + t)
-    return out
+    return from_roots(table.var("U"), functionals(spec, table))
 
 
 def f_sform(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
     """U^n + sum s_i U^{n-i}; the A family drops s_1 (it vanishes there)."""
     table = table or ts_table(spec.n)
-    U = table.var("U")
-    n = spec.n
-    out = U ** n
-    for i in range(1, n + 1):
-        if spec.family == "A" and i == 1:
-            continue
-        out = out + table.var(f"s{i}") * U ** (n - i)
-    return out
+    return monic(table.var("U"), [table.zero() if spec.family == "A" and i == 1
+                                  else table.var(f"s{i}") for i in range(1, spec.n + 1)])
 
 
 def s_to_t_rules(n: int, table: Optional[VarTable] = None) -> dict[str, Polynomial]:
@@ -496,13 +504,10 @@ def split_params_D(n: int) -> tuple[RuleSet, RuleSet]:
     names = [f"p{i}" for i in range(1, m + 1)] + ["aa", "bb"]
     weights = list(range(1, m + 1)) + [1, 2]
     ptab = VarTable(["U"] + names, [1] + weights)
-    U = ptab.var("U")
-    head = U ** m
-    for i in range(1, m + 1):
-        head = head + ptab.var(f"p{i}") * U ** (m - i)
-    tail = U ** 2 + ptab.var("aa") * U + ptab.var("bb")
-    plain = head * tail
-    flipped = head * (U ** 2 - ptab.var("aa") * U + ptab.var("bb"))
+    U, aa, bb = ptab.var("U"), ptab.var("aa"), ptab.var("bb")
+    head = monic(U, [ptab.var(f"p{i}") for i in range(1, m + 1)])
+    plain = head * monic(U, [aa, bb])
+    flipped = head * monic(U, [-aa, bb])
     return rules_from_monic(plain, n), rules_from_monic(flipped, n)
 
 
@@ -517,12 +522,9 @@ def split_params_E(n: int) -> tuple[RuleSet, RuleSet]:
     names = ["p1", "p2", "p3"] + [f"q{j}" for j in range(1, m + 1)]
     weights = [1, 2, 3] + list(range(1, m + 1))
     ptab = VarTable(["U"] + names, [1] + weights)
-    U = ptab.var("U")
-    p1 = ptab.var("p1")
-    f3 = U ** 3 + p1 * U ** 2 + ptab.var("p2") * U + ptab.var("p3")
-    frest = U ** m
-    for j in range(1, m + 1):
-        frest = frest + ptab.var(f"q{j}") * U ** (m - j)
+    U, p1 = ptab.var("U"), ptab.var("p1")
+    f3 = monic(U, [p1, ptab.var("p2"), ptab.var("p3")])
+    frest = monic(U, [ptab.var(f"q{j}") for j in range(1, m + 1)])
     plain = f3 * frest
     shifted = (f3.substitute({"U": U - Fraction(2, 3) * p1})
                * frest.substitute({"U": U + Fraction(1, 3) * p1}))

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .distpoly import monic
 from .poly import (
     InconsistentSystemError,
     LinearSystem,
@@ -93,11 +94,7 @@ def _p(n: int, text: str) -> Polynomial:
 def psi_n(n: int, table: Optional[VarTable] = None) -> Polynomial:
     """Monic degree-n polynomial in U whose roots are the functionals."""
     table = table or pipeline_table(n)
-    U = table.var("U")
-    out = U ** n
-    for i in range(1, n + 1):
-        out = out + (-1) ** i * table.var(f"s{i}") * U ** (n - i)
-    return out
+    return monic(table.var("U"), [(-1) ** i * table.var(f"s{i}") for i in range(1, n + 1)])
 
 
 def eta_star(p: Polynomial, n: int) -> Polynomial:

@@ -314,7 +314,7 @@ class UnsupportedSplitError(ValueError):
     pass
 
 
-def _part_functionals(part: Optional[Spec], prefix: str, table: VarTable) -> list[Polynomial]:
+def part_functionals(part: Optional[Spec], prefix: str, table: VarTable) -> list[Polynomial]:
     if part is None:
         return []
     if part.family == "A" and part.n == 1:
@@ -336,8 +336,8 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         left, right = Spec("A", k), Spec("A", n - k)
         table = split_table(left, right)
         mu = table.var("mu1")
-        tps = _part_functionals(left, "tp", table)
-        tqs = _part_functionals(right, "tq", table)
+        tps = part_functionals(left, "tp", table)
+        tqs = part_functionals(right, "tq", table)
         rules = [(f"t{i}", frac(1, k) * mu + tps[i - 1]) for i in range(1, k + 1)]
         rules += [(f"t{k+i}", -frac(1, n - k) * mu + tqs[i - 1]) for i in range(1, n - k + 1)]
         left_map = tuple(range(1, k))
@@ -355,8 +355,8 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
             left, right = Spec("A", k), Spec("D", n - k)
             table = split_table(left, right)
             mu = table.var("mu1")
-            tps = _part_functionals(left, "tp", table)
-            tqs = _part_functionals(right, "tq", table)
+            tps = part_functionals(left, "tp", table)
+            tqs = part_functionals(right, "tq", table)
             rules = [(f"t{i}", frac(1, k) * mu + tps[i - 1]) for i in range(1, k + 1)]
             rules += [(f"t{k+i}", tqs[i - 1]) for i in range(1, n - k + 1)]
             left_map = tuple(range(1, k))
@@ -371,7 +371,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         left = Spec("A", n)
         table = split_table(left, None)
         mu = table.var("mu1")
-        tps = _part_functionals(left, "tp", table)
+        tps = part_functionals(left, "tp", table)
         rules = [(f"t{i}", frac(2, n) * mu + tps[i - 1]) for i in range(1, n + 1)]
         left_map = tuple(range(1, n))
         parts = [(Fraction(1), basis[n])]
@@ -387,7 +387,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         left = Spec("A", n)
         table = split_table(left, None)
         mu = table.var("mu1")
-        tps = _part_functionals(left, "tp", table)
+        tps = part_functionals(left, "tp", table)
         shift = -frac(9 - n, 3 * n) * mu
         rules = [(f"t{i}", shift + tps[i - 1]) for i in range(1, n + 1)]
         left_map = tuple(range(1, n))
@@ -401,7 +401,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         left = Spec("D", n - 1)
         table = split_table(left, None)
         mu = table.var("mu1")
-        tps = _part_functionals(left, "tp", table)
+        tps = part_functionals(left, "tp", table)
         sp1 = table.zero()
         for p in tps:
             sp1 = sp1 + p
@@ -420,9 +420,9 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         left, right = Spec("A", 2), Spec("A", n - 1)
         table = split_table(left, right)
         mu = table.var("mu1")
-        tps = _part_functionals(left, "tp", table)
+        tps = part_functionals(left, "tp", table)
         tq1 = table.var("tq1")
-        tqs = _part_functionals(right, "tq", table)
+        tqs = part_functionals(right, "tq", table)
         rules = [(f"t{i}", frac(9 - n, 6 * n - 6) * mu - frac(2, 3) * tq1 + tps[i - 1])
                  for i in (1, 2)]
         for i in range(2, n):
@@ -441,8 +441,8 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
     left, right = Spec("E", k), Spec("A", n - k)
     table = split_table(left, right)
     mu = table.var("mu1")
-    tps = _part_functionals(left, "tp", table)
-    tqs = _part_functionals(right, "tq", table)
+    tps = part_functionals(left, "tp", table)
+    tqs = part_functionals(right, "tq", table)
     sp1 = table.zero()
     for p in tps:
         sp1 = sp1 + p

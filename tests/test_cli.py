@@ -64,6 +64,8 @@ def test_invariants_bad_type(capsys):
     ["classify", "--profile-file", "{dir}/fractional_order.json"],
     ["classify", "--profile-file", "{dir}/bool_order.json"],
     ["classify", "--profile-file", "{dir}/zero_order.json"],
+    ["classify", "--profile-file", "{dir}/unknown_e6_name.json"],
+    ["classify", "--profile-file", "{dir}/unknown_a5_name.json"],
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")
@@ -73,6 +75,9 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     for name, order in (("fractional", 1.5), ("bool", True), ("zero", 0)):
         (tmp_path / f"{name}_order.json").write_text(
             json.dumps({"type": "E6", "orders": {"eps2": order}}))
+    for name, profile in (("e6", {"type": "E6", "orders": {"eps99": 1}}),
+                          ("a5", {"type": "A5", "orders": {"eps2": 1}})):
+        (tmp_path / f"unknown_{name}_name.json").write_text(json.dumps(profile))
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

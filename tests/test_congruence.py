@@ -139,11 +139,39 @@ def test_restriction_annihilates_exactly_the_listed_coordinates(cache):
 
 
 def test_unsupported_restriction_rejected():
-    with pytest.raises(RestrictionError):
-        derive_restricted(Spec.from_name("D5"))
+    # D5: no tabulated shape; A8, D10: no lam beyond lam8; E3, E8: no vanishing set
+    for name, reason in (("D5", "no restricted polynomial"), ("A8", "no lam beyond lam8"),
+                         ("D10", "no lam beyond lam8"), ("E3", "no vanishing set"),
+                         ("E8", "no vanishing set")):
+        with pytest.raises(RestrictionError, match=reason) as info:
+            derive_restricted(Spec.from_name(name))
+        assert "\n" not in str(info.value), name
 
 
 # -- case pullbacks ------------------------------------------------------------------
+
+
+def closed_form_pullback(case, cache):
+    """The pulled-back distinguished polynomial from its closed form at each k."""
+    n, k = case.parent, case.k
+    U, lam1 = LAM_TABLE.var("U"), LAM_TABLE.var("lam1")
+    if k == 0:
+        return U ** n + LAM_TABLE.var(f"lam{n}")
+    if k == 2:
+        total = LAM_TABLE.zero()
+        for i in range(n - 1):
+            total = total + lam1 ** i * (U - Fraction(1, 3) * lam1) ** (n - 2 - i)
+        return (U + Fraction(2, 3) * lam1) ** 2 * total
+    r = derive_restricted(Spec.from_name(case.left), cache=cache).r
+    if k == 1:
+        rho = r.coeffs_in("U").get(n - 2, LAM_TABLE.zero())
+        return (-1) ** n * (-U + Fraction(1, 3) * rho) * r.substitute({"U": -U - Fraction(1, 6) * rho})
+    return (U - Fraction(1, 9 - k) * lam1) ** (n - k) * r
+
+
+@pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: c.label)
+def test_case_pullback_matches_the_closed_forms(case, cache):
+    assert case_pullback_poly(case, cache).serialize() == closed_form_pullback(case, cache).serialize()
 
 
 def test_vertex0_pullbacks():

@@ -17,7 +17,9 @@ from rdpinv.distpoly import (
     g_dist,
     invariant_under_literal,
     invariant_under_split,
+    monic,
     pq_split,
+    rules_from_monic,
     s_to_t_rules,
     standard_coords,
     symmetric_reduce,
@@ -401,6 +403,15 @@ def test_symmetric_reduce_rejects_an_added_term(case, data):
     terms[key] = terms.get(key, 0) + 1
     with pytest.raises(NonSymmetricError):
         symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(s_polys(min_n=4, max_n=4), max_size=6))
+def test_rules_from_monic_inverts_monic(cases):
+    cs = [phi for _, phi in cases]
+    rules = rules_from_monic(monic(ts_table(4).var("U"), cs), len(cs))
+    assert [name for name, _ in rules.rules] == [f"s{i}" for i in range(1, len(cs) + 1)]
+    assert [v.serialize() for _, v in rules.rules] == [c.serialize() for c in cs]
 
 
 @pytest.mark.parametrize("name", ["U", "s1", "t7"])
