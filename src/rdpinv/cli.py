@@ -19,10 +19,25 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+class UsageError(Exception):
+    """A usage error found inside a command; :func:`main` reports it."""
+
+
 def _usage_error(message: str) -> int:
     """Report a usage error on one stderr line; the command then exits 2."""
     print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
+
+
+def _rule_cache(args) -> RuleCache:
+    """The rule cache at --cache-dir (else $CACHE_DIR), its directory made."""
+    cache = RuleCache(args.cache_dir)
+    try:
+        cache.directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {cache.directory} as the rule cache directory: "
+                         f"{exc.strerror or exc}") from exc
+    return cache
 
 
 def _emit(pairs: list[tuple[str, Polynomial]], fmt: str, out) -> None:
@@ -44,7 +59,7 @@ def coordinates_for(name: str, cache: RuleCache) -> list[tuple[str, Polynomial]]
 
 def cmd_invariants(args) -> int:
     try:
-        pairs = coordinates_for(args.type, RuleCache(args.cache_dir))
+        pairs = coordinates_for(args.type, _rule_cache(args))
     except ValueError as exc:
         return _usage_error(str(exc))
     _emit(pairs, args.format, sys.stdout)
@@ -125,7 +140,7 @@ def cmd_verify(args) -> int:
         return verify_identities(sys.stdout)
     if target == "relations":
         return verify_relations(sys.stdout)
-    return verify_appendix(6 if target == "appendix1" else 7, RuleCache(args.cache_dir), sys.stdout)
+    return verify_appendix(6 if target == "appendix1" else 7, _rule_cache(args), sys.stdout)
 
 
 def cmd_congruence(args) -> int:
@@ -138,7 +153,7 @@ def cmd_congruence(args) -> int:
         return _usage_error(exc.args[0])
     if args.jobs < 1:
         return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
-    cache = RuleCache(args.cache_dir)
+    cache = _rule_cache(args)
     fmt = lambda t: ", ".join(str(c) for c in t) if t else "none"
     ok = True
     for case in cases:
@@ -248,7 +263,10 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return USAGE_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Third, the restricted polynomials: monic families whose coefficient maps
 annihilate a maximal set of standard coordinates, the pullbacks of the
 remaining coordinates along them, and the constants relating a parent
 coordinate to a power of the highest-weight part coordinate -- one
-verified constant per row of the key-computation table.  All three build
+exact linear fit per row of the key-computation table.  All three build
 the parent's polynomial from the parts' by one :func:`vertex_product`.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from typing import Optional
 
@@ -206,22 +207,9 @@ class RestrictionError(RuntimeError):
 
 
 def scf_names(spec: Spec) -> list[str]:
-    if spec.family == "A":
-        return [f"alpha{i}" for i in range(2, spec.n + 1)]
-    if spec.family == "D":
-        return [f"gamma{spec.n}"] + [f"delta{2*i}" for i in range(1, spec.n)]
-    if spec.n in (6, 7, 8):
+    if spec.family == "E" and spec.n in (6, 7, 8):
         return eps_names(spec.n)
     return list(standard_coords(spec))
-
-
-def constant_term_name(spec: Spec) -> str:
-    names = scf_names(spec)
-    if spec.family == "A":
-        return f"alpha{spec.n}"
-    if spec.family == "D":
-        return f"delta{2*spec.n - 2}"
-    return names[-1]
 
 
 def vanishing_coordinates(spec: Spec) -> tuple[str, ...]:
@@ -267,6 +255,10 @@ def derive_restricted(spec: Spec, form: str = "plain",
     n = spec.n
     if n > 8:
         raise RestrictionError(f"{spec.name} needs lam{n}, and there is no lam beyond lam8")
+    names = scf_names(spec)
+    if not names:
+        raise RestrictionError(f"{spec.name} has no standard coordinate to restrict")
+    cname = names[-1]
     table = LAM_TABLE
     U = table.var("U")
     vanish = vanishing_coordinates(spec)
@@ -276,9 +268,8 @@ def derive_restricted(spec: Spec, form: str = "plain",
         else:
             r = U ** n + table.var(f"lam{n}")
         rules = rules_from_monic(r, n)
-        const = coord_pullbacks(spec, rules, cache, [constant_term_name(spec)])
-        return RestrictedPoly(spec, r, rules, vanish, constant_term_name(spec),
-                              const[constant_term_name(spec)])
+        return RestrictedPoly(spec, r, rules, vanish, cname,
+                              coord_pullbacks(spec, rules, cache, [cname])[cname])
     if spec.family == "D" and n % 2 == 0:
         r = U ** n - table.var(f"lam{n-1}") * U
         rules = rules_from_monic(r, n)
@@ -286,8 +277,7 @@ def derive_restricted(spec: Spec, form: str = "plain",
         for nm in vanish:
             if not pulls[nm].is_zero:
                 raise RestrictionError(f"{nm} does not vanish on the even-D restriction")
-        return RestrictedPoly(spec, r, rules, vanish, constant_term_name(spec),
-                              pulls[constant_term_name(spec)])
+        return RestrictedPoly(spec, r, rules, vanish, cname, pulls[cname])
     # triangular elimination
     rules = {f"s{i}": table.var(f"lam{i}") for i in range(1, n + 1)}
     for nm in vanish:
@@ -304,7 +294,6 @@ def derive_restricted(spec: Spec, form: str = "plain",
         rules = {k: v.substitute(sub) for k, v in rules.items()}
     rule_set = RuleSet.of(sorted(rules.items(), key=lambda kv: int(kv[0][1:])))
     r = monic(U, [rule_set[f"s{i}"] for i in range(1, n + 1)])
-    cname = constant_term_name(spec)
     const = coord_pullbacks(spec, rule_set, cache, [cname])[cname]
     return RestrictedPoly(spec, r, rule_set, tuple(vanish), cname, const)
 
@@ -314,47 +303,52 @@ def derive_restricted(spec: Spec, form: str = "plain",
 
 @dataclass(frozen=True)
 class KeyCase:
+    """One row of the key-computation table: psi*(target) is the sum of
+    constant * monomial over ``terms``, and phi is the last term's variable."""
+
     parent: int
     k: int
     length: int
     left: str
     right: Optional[str]
     phi_side: str
-    phi_name: str
     target: str
-    degree: int
-    constant: Optional[Fraction]
-    two_term: Optional[tuple[str, tuple[Fraction, Fraction]]]
-    monomial: str
+    terms: tuple[tuple[str, Fraction], ...]
     section: str
 
     @property
     def label(self) -> str:
         return f"E{self.parent}:v{self.k}"
 
+    @property
+    def degree(self) -> int:
+        """phi's exponent in the last term."""
+        return _factors(self.terms[-1][0])[-1][1]
 
-def _fr(a, b=1) -> Fraction:
-    return Fraction(a, b)
+
+def _factors(monomial: str) -> list[tuple[str, int]]:
+    """The (name, exponent) factors of a monomial such as delta8^3 or eps8*eps10."""
+    return [(nm, int(e or 1)) for nm, _, e in (f.partition("^") for f in monomial.split("*"))]
 
 
 KEY_CASES: list[KeyCase] = [
-    KeyCase(6, 0, 2, "A5", None, "left", "alpha6", "eps6", 1, _fr(-1), None, "T*Z^2", "D4"),
-    KeyCase(6, 4, 2, "E4", "A1", "left", "eps5", "eps5", 1, _fr(-1), None, "T*Y*Z", "D4"),
-    KeyCase(6, 5, 1, "E5", "A0", "left", "eps8", "eps8", 1, _fr(-1, 4), None, "T*Y", "A1"),
-    KeyCase(7, 0, 2, "A6", None, "left", "alpha7", "eps14", 2, _fr(64), None, "T^2*Z", "D4"),
-    KeyCase(7, 1, 2, "D6", None, "left", "delta10", "eps10", 1, _fr(16), None, "T*Z^2", "D4"),
-    KeyCase(7, 2, 3, "A1", "A5", "right", "alpha6", "eps6", 1, _fr(-12), None, "T*Y^2", "E6"),
-    KeyCase(7, 4, 3, "E4", "A2", "left", "eps5", "eps10", 2, _fr(16), None, "T^2*Z^2", "E6"),
-    KeyCase(7, 5, 2, "E5", "A1", "left", "eps8", "eps8", 1, _fr(-4), None, "T*Y*Z", "D4"),
-    KeyCase(7, 6, 1, "E6", "A0", "left", "eps12", "eps12", 1, _fr(16), None, "T*Y", "A1"),
-    KeyCase(8, 0, 3, "A7", None, "left", "alpha8", "eps24", 3, _fr(1), None, "T^3*Z", "E6"),
-    KeyCase(8, 1, 2, "D7", None, "left", "delta12", "eps24", 2, _fr(-1, 16),
-            ("delta8^3,delta12^2", (_fr(0), _fr(-1, 16))), "T^2*Z", "D4"),
-    KeyCase(8, 2, 4, "A1", "A6", "right", "alpha7", "eps14", 2, _fr(1), None, "T^2*Y*Z", "E7"),
-    KeyCase(8, 5, 4, "E5", "A2", "left", "eps8", "eps8", 1, _fr(-1, 4), None, "T*Y*Z^2", "E7"),
-    KeyCase(8, 6, 3, "E6", "A1", "left", "eps12", "eps12", 1, _fr(1), None, "T*Z^3", "E6"),
-    KeyCase(8, 7, 2, "E7", "A0", "left", "eps18", "eps18", 1, _fr(1, 64),
-            ("eps8*eps10,eps18", (_fr(-1, 3072), _fr(1, 64))), "T*Z^2", "D4"),
+    KeyCase(6, 0, 2, "A5", None, "left", "eps6", (("alpha6", Fraction(-1)),), "D4"),
+    KeyCase(6, 4, 2, "E4", "A1", "left", "eps5", (("eps5", Fraction(-1)),), "D4"),
+    KeyCase(6, 5, 1, "E5", "A0", "left", "eps8", (("eps8", Fraction(-1, 4)),), "A1"),
+    KeyCase(7, 0, 2, "A6", None, "left", "eps14", (("alpha7^2", Fraction(64)),), "D4"),
+    KeyCase(7, 1, 2, "D6", None, "left", "eps10", (("delta10", Fraction(16)),), "D4"),
+    KeyCase(7, 2, 3, "A1", "A5", "right", "eps6", (("alpha6", Fraction(-12)),), "E6"),
+    KeyCase(7, 4, 3, "E4", "A2", "left", "eps10", (("eps5^2", Fraction(16)),), "E6"),
+    KeyCase(7, 5, 2, "E5", "A1", "left", "eps8", (("eps8", Fraction(-4)),), "D4"),
+    KeyCase(7, 6, 1, "E6", "A0", "left", "eps12", (("eps12", Fraction(16)),), "A1"),
+    KeyCase(8, 0, 3, "A7", None, "left", "eps24", (("alpha8^3", Fraction(1)),), "E6"),
+    KeyCase(8, 1, 2, "D7", None, "left", "eps24",
+            (("delta8^3", Fraction(0)), ("delta12^2", Fraction(-1, 16))), "D4"),
+    KeyCase(8, 2, 4, "A1", "A6", "right", "eps14", (("alpha7^2", Fraction(1)),), "E7"),
+    KeyCase(8, 5, 4, "E5", "A2", "left", "eps8", (("eps8", Fraction(-1, 4)),), "E7"),
+    KeyCase(8, 6, 3, "E6", "A1", "left", "eps12", (("eps12", Fraction(1)),), "E6"),
+    KeyCase(8, 7, 2, "E7", "A0", "left", "eps18",
+            (("eps8*eps10", Fraction(-1, 3072)), ("eps18", Fraction(1, 64))), "D4"),
 ]
 
 
@@ -365,34 +359,34 @@ def key_case(label: str) -> KeyCase:
     raise KeyError(f"unknown key case {label!r}")
 
 
-def _case_restricted(case: KeyCase, cache: Optional[RuleCache]) -> RestrictedPoly:
+def case_restriction(case: KeyCase, cache: Optional[RuleCache]) -> RestrictedPoly:
     """The restricted polynomial of the case's side; a right part carries the
-    constant term through the root form."""
+    constant term through the root form.  The one derivation of a case."""
     side = Spec.from_name(case.left if case.phi_side == "left" else case.right)
     return derive_restricted(side, form="root" if case.phi_side == "right" else "plain",
                              cache=cache)
 
 
-def case_pullback_poly(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
+def case_pullback_poly(case: KeyCase, rp: RestrictedPoly) -> Polynomial:
     """The pulled-back distinguished polynomial of the parent type.
 
-    It is the vertex product of the restricted polynomial of the case's
-    side with the other side at its origin (U^m), at mu = 0 and with
-    sigma = lam1, the root of the root form.
+    It is the vertex product of ``rp``, the restricted polynomial of the
+    case's side, with the other side at its origin (U^m), at mu = 0 and
+    with sigma = lam1, the root of the root form.
     """
     table = LAM_TABLE
     U, lam1 = table.var("U"), table.var("lam1")
     parts = {side: U ** Spec.from_name(name).n if name else table.const(1)
              for side, name in (("left", case.left), ("right", case.right))}
-    parts[case.phi_side] = _case_restricted(case, cache).r
+    parts[case.phi_side] = rp.r
     if case.k >= 3 and parts["left"].coeffs_in("U").get(case.k - 1) != lam1:
         raise RestrictionError("restricted polynomial should expose lam1 as its subleading coefficient")
     return vertex_product(Spec("E", case.parent), case.k, parts["left"], parts["right"],
                           table.zero(), lam1)
 
 
-def case_param(case: KeyCase, cache: Optional[RuleCache] = None) -> RuleSet:
-    pf = case_pullback_poly(case, cache)
+def case_param(case: KeyCase, rp: RestrictedPoly) -> RuleSet:
+    pf = case_pullback_poly(case, rp)
     n = case.parent
     by_u = pf.coeffs_in("U")
     if by_u.get(n) != LAM_TABLE.const(1) or max(by_u) != n:
@@ -400,18 +394,10 @@ def case_param(case: KeyCase, cache: Optional[RuleCache] = None) -> RuleSet:
     return rules_from_monic(pf, n)
 
 
-def pullback_eps(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
+def pullback_eps(case: KeyCase, rp: RestrictedPoly, cache: Optional[RuleCache]) -> Polynomial:
     """psi* of the target coordinate: the expanded eps pulled back."""
-    pipe = VersalPipeline(case.parent, param=case_param(case, cache), cache=cache)
-    return pipe.versal_rules([case.target])[case.target]
-
-
-def phi_pullback(case: KeyCase, cache: Optional[RuleCache] = None) -> Polynomial:
-    """psi* of the highest-weight part coordinate named by the case."""
-    rp = _case_restricted(case, cache)
-    if case.phi_name == rp.constant_name:
-        return rp.constant_pullback
-    return coord_pullbacks(rp.spec, rp.s_rules, cache, [case.phi_name])[case.phi_name]
+    return coord_pullbacks(Spec("E", case.parent), case_param(case, rp), cache,
+                           [case.target])[case.target]
 
 
 @dataclass(frozen=True)
@@ -427,53 +413,30 @@ class KeyResult:
         return self.computed == self.expected
 
 
-def _constant_ratio(num: Polynomial, den: Polynomial) -> Optional[Fraction]:
-    if den.is_zero:
-        return None
-    if num.is_zero:
-        return Fraction(0)
-    # on one table, num == r * den puts both leading terms on one monomial
-    table = num.table.merged(den.table)
-    (mn, cn), (md, cd) = num.to_table(table).leading_term(), den.to_table(table).leading_term()
-    if mn != md:
-        return None
-    ratio = Fraction(cn) / Fraction(cd)
-    return ratio if num == ratio * den else None
-
-
 def key_constant(case: KeyCase, cache: Optional[RuleCache] = None) -> KeyResult:
-    """Verify one row of the key-computation table."""
-    eps_pb = pullback_eps(case, cache)
-    if case.two_term is None:
-        phi_pb = phi_pullback(case, cache)
-        ratio = _constant_ratio(eps_pb, phi_pb ** case.degree)
-        computed = None if ratio is None else (ratio,)
-        return KeyResult(case, computed, (case.constant,), eps_pb, phi_pb)
-    names, expected = case.two_term
-    side = Spec.from_name(case.left)
-    rp = derive_restricted(side, cache=cache)
-    # names is "A,B", each a product of coordinates such as delta8^3 or eps8*eps10
-    monos = [[(nm, int(e or 1)) for nm, _, e in (f.partition("^") for f in mono.split("*"))]
-             for mono in names.split(",")]
-    pulls = coord_pullbacks(side, rp.s_rules, cache, [nm for mono in monos for nm, _ in mono])
-    A, B = (prod(pulls[nm] ** e for nm, e in mono) for mono in monos)
-    computed = _solve_two_term(eps_pb, A, B)
-    phi_pb = rp.constant_pullback
-    return KeyResult(case, computed, expected, eps_pb, phi_pb)
+    """Verify one row of the key-computation table: fit psi* of the target
+    to the pulled-back monomials of the row's terms."""
+    rp = case_restriction(case, cache)
+    eps_pb = pullback_eps(case, rp, cache)
+    monos = [_factors(mono) for mono, _ in case.terms]
+    pulls = coord_pullbacks(rp.spec, rp.s_rules, cache, [nm for mono in monos for nm, _ in mono])
+    basis = [prod(pulls[nm] ** e for nm, e in mono) for mono in monos]
+    return KeyResult(case, _fit(eps_pb, basis), tuple(c for _, c in case.terms),
+                     eps_pb, pulls[monos[-1][-1][0]])
 
 
-def _solve_two_term(target: Polynomial, A: Polynomial, B: Polynomial) -> "tuple[Fraction, Fraction] | None":
-    """Exact undetermined coefficients for target = c1*A + c2*B."""
-    target, A, B = (p.compact() for p in (target, A, B))
-    table = target.table.merged(A.table).merged(B.table)
-    target, A, B = (dict(p.to_table(table).items()) for p in (target, A, B))
+def _fit(target: Polynomial, basis: list[Polynomial]) -> "tuple[Fraction, ...] | None":
+    """The unique c with target == sum c_i * basis_i, or None when there is none."""
+    polys = [p.compact() for p in (target, *basis)]
+    table = reduce(VarTable.merged, (p.table for p in polys))
+    target, *basis = (dict(p.to_table(table).items()) for p in polys)
     system = LinearSystem()
     try:
-        for m in A.keys() | B.keys() | target.keys():
-            system.add({1: A.get(m, 0), 2: B.get(m, 0)}, target.get(m, 0))
+        for m in set(target).union(*basis):
+            system.add({i: b.get(m, 0) for i, b in enumerate(basis)}, target.get(m, 0))
     except InconsistentSystemError:
         return None
-    if system.rank < 2:
+    if system.rank < len(basis):
         return None
     c = system.solution()
-    return (c[1], c[2])
+    return tuple(c[i] for i in range(len(basis)))

@@ -287,9 +287,7 @@ class VertexSplit:
 
     ``rules`` rewrites each t_i of the parent system in terms of mu1 (the
     dual coordinate of the removed vertex) and the distinguished
-    functionals tp*/tq* of the two complementary parts.  ``missing`` is
-    the extra linear factor that the k = 2 splitting of the E family
-    divides out.
+    functionals tp*/tq* of the two complementary parts.
     """
 
     spec: Spec
@@ -300,7 +298,6 @@ class VertexSplit:
     tilde_v: Vector
     left_map: tuple[int, ...]
     right_map: tuple[int, ...]
-    missing: Optional[Polynomial]
 
     def part_vectors(self) -> tuple[list[Vector], list[Vector]]:
         basis = root_basis(self.spec)
@@ -346,7 +343,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
                         + [(frac(i, k), basis[i]) for i in range(1, k)]
                         + [(frac(n - k - i, n - k), basis[k + i]) for i in range(1, n - k)])
         return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                           left_map, right_map, None)
+                           left_map, right_map)
 
     if family == "D":
         if k == n - 1 or not 1 <= k <= n:
@@ -367,7 +364,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
             parts += [(frac(1, 2), basis[n - 1]), (frac(1, 2), basis[n])]
             tilde = combine(dim, parts)
             return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                               left_map, right_map, None)
+                               left_map, right_map)
         left = Spec("A", n)
         table = split_table(left, None)
         mu = table.var("mu1")
@@ -379,7 +376,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         parts += [(frac(n - 2, n), basis[n - 1])]
         tilde = combine(dim, parts)
         return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, (), None)
+                           left_map, ())
 
     if not 0 <= k <= n - 1:
         raise UnsupportedSplitError(f"no splitting of {spec.name} at vertex {k}")
@@ -396,7 +393,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         parts += [(frac(3 * n - 3 * i, n), basis[i]) for i in range(3, n)]
         tilde = combine(dim, parts)
         return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, (), None)
+                           left_map, ())
     if k == 1:
         left = Spec("D", n - 1)
         table = split_table(left, None)
@@ -415,7 +412,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         parts += [(frac(n - 1, 4), basis[2]), (frac(n - 3, 4), basis[0])]
         tilde = combine(dim, parts)
         return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, (), None)
+                           left_map, ())
     if k == 2:
         left, right = Spec("A", 2), Spec("A", n - 1)
         table = split_table(left, right)
@@ -428,7 +425,6 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         for i in range(2, n):
             rules.append((f"t{i+1}",
                           frac(n - 9, 3 * n - 3) * mu + frac(1, 3) * tq1 + tqs[i - 1]))
-        missing = frac(n - 9, 3 * n - 3) * mu + frac(4, 3) * tq1
         left_map = (1,)
         right_map = (0,) + tuple(range(3, n))
         parts = [(Fraction(1), basis[2]), (frac(1, 2), basis[1]),
@@ -436,7 +432,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
         parts += [(frac(2 * n - 2 * i - 2, n - 1), basis[i + 1]) for i in range(2, n - 1)]
         tilde = combine(dim, parts)
         return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                           left_map, right_map, missing)
+                           left_map, right_map)
     # 3 <= k <= n-1
     left, right = Spec("E", k), Spec("A", n - k)
     table = split_table(left, right)
@@ -459,7 +455,7 @@ def vertex_split(spec: Spec, k: int) -> VertexSplit:
     parts += [(frac(n - k - i, n - k), basis[k + i]) for i in range(1, n - k)]
     tilde = combine(dim, parts)
     return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                       left_map, right_map, None)
+                       left_map, right_map)
 
 
 def supported_splits(spec: Spec) -> list[int]:

@@ -66,6 +66,9 @@ def test_invariants_bad_type(capsys):
     ["classify", "--profile-file", "{dir}/zero_order.json"],
     ["classify", "--profile-file", "{dir}/unknown_e6_name.json"],
     ["classify", "--profile-file", "{dir}/unknown_a5_name.json"],
+    ["--cache-dir", "{dir}/bad.txt", "verify", "appendix1"],
+    ["--cache-dir", "{dir}/bad.txt", "congruence", "--all"],
+    ["--cache-dir", "{dir}/bad.txt", "invariants", "--type", "E6"],
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.txt").write_text("-X^2 + Y^3 +* Z^5\n")

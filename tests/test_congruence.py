@@ -1,26 +1,29 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from rdpinv import congruence
 from rdpinv.congruence import (
     KEY_CASES,
     LAM_TABLE,
     RestrictionError,
+    _fit,
     case_param,
     case_pullback_poly,
+    case_restriction,
     coord_pullbacks,
     derive_restricted,
     dist_relation,
     key_case,
     key_constant,
     low_order_congruences,
-    phi_pullback,
     pullback_eps,
     scf_names,
     vanishing_coordinates,
 )
 from rdpinv.distpoly import elem_sym, standard_coords, ts_table
-from rdpinv.poly import parse
+from rdpinv.poly import Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec, supported_splits, vertex_split
 
 ALL_SPECS = ["A2", "A3", "A4", "A5", "A6", "A7", "A8", "D2", "D3", "D4", "D5",
@@ -139,10 +142,11 @@ def test_restriction_annihilates_exactly_the_listed_coordinates(cache):
 
 
 def test_unsupported_restriction_rejected():
-    # D5: no tabulated shape; A8, D10: no lam beyond lam8; E3, E8: no vanishing set
+    # D5: no tabulated shape; A8, D10: no lam beyond lam8; E3, E8: no vanishing
+    # set; A0: no coordinate at all
     for name, reason in (("D5", "no restricted polynomial"), ("A8", "no lam beyond lam8"),
                          ("D10", "no lam beyond lam8"), ("E3", "no vanishing set"),
-                         ("E8", "no vanishing set")):
+                         ("E8", "no vanishing set"), ("A0", "no standard coordinate")):
         with pytest.raises(RestrictionError, match=reason) as info:
             derive_restricted(Spec.from_name(name))
         assert "\n" not in str(info.value), name
@@ -171,23 +175,26 @@ def closed_form_pullback(case, cache):
 
 @pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: c.label)
 def test_case_pullback_matches_the_closed_forms(case, cache):
-    assert case_pullback_poly(case, cache).serialize() == closed_form_pullback(case, cache).serialize()
+    pf = case_pullback_poly(case, case_restriction(case, cache))
+    assert pf.serialize() == closed_form_pullback(case, cache).serialize()
 
 
 def test_vertex0_pullbacks():
     for n in (6, 7, 8):
         case = key_case(f"E{n}:v0")
-        pf = case_pullback_poly(case)
+        pf = case_pullback_poly(case, case_restriction(case, None))
         assert pf == L(f"U^{n} + lam{n}")
 
 
 def test_e7_v1_pullback_shape():
-    pf = case_pullback_poly(key_case("E7:v1"))
+    case = key_case("E7:v1")
+    pf = case_pullback_poly(case, case_restriction(case, None))
     assert pf == L("U^7 + lam5*U^2")
 
 
 def test_e8_v1_pullback_uses_the_odd_restriction(cache):
-    pf = case_pullback_poly(key_case("E8:v1"), cache)
+    case = key_case("E8:v1")
+    pf = case_pullback_poly(case, case_restriction(case, cache))
     rp = derive_restricted(Spec.from_name("D7"), cache=cache)
     U = LAM_TABLE.var("U")
     lam1 = LAM_TABLE.var("lam1")
@@ -203,22 +210,24 @@ def test_displayed_delta8_pullback(cache):
 
 
 def test_e7_v1_eps10_value(cache):
-    eps = pullback_eps(key_case("E7:v1"), cache)
+    case = key_case("E7:v1")
+    eps = pullback_eps(case, case_restriction(case, cache), cache)
     assert eps == L("16*lam5^2")
 
 
 def test_e8_v5_against_direct_substitution(cache, pipe8):
     # oracle: substitute the coefficient rules into the fully expanded value
     case = key_case("E8:v5")
-    via_pullback = pullback_eps(case, cache)
-    param = case_param(case, cache)
+    rp = case_restriction(case, cache)
+    via_pullback = pullback_eps(case, rp, cache)
+    param = case_param(case, rp)
     direct = pipe8.versal_rules()["eps8"].substitute(param.mapping())
     assert via_pullback == direct
 
 
 def test_phi_pullback_right_side_uses_a_root(cache):
     case = key_case("E7:v2")
-    assert phi_pullback(case, cache) == L("-lam1^6")
+    assert key_constant(case, cache).phi_pullback == L("-lam1^6")
 
 
 @pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: c.label)
@@ -231,3 +240,83 @@ def test_scf_names_and_vanishing_sets():
     assert scf_names(Spec.from_name("D4")) == ["gamma4", "delta2", "delta4", "delta6"]
     assert vanishing_coordinates(Spec.from_name("E6")) == ("eps2", "eps5", "eps6")
     assert vanishing_coordinates(Spec.from_name("D6"))[0] == "gamma6"
+
+
+def test_key_constant_derives_each_restriction_once(cache, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return derive_restricted(*args, **kwargs)
+
+    monkeypatch.setattr(congruence, "derive_restricted", counting)
+    for case in KEY_CASES:
+        calls.clear()
+        assert key_constant(case, cache).ok, case.label
+        assert len(calls) == 1, (case.label, calls)
+
+
+# -- the exact fit of one row ------------------------------------------------------
+
+
+TX = VarTable(["x", "y"], [1, 1])
+TY = VarTable(["y", "z", "x"], [1, 1, 1])
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def polys(draw, table):
+    exps = st.tuples(*(st.integers(0, 3) for _ in table.names))
+    return Polynomial.from_items(table, draw(st.dictionaries(exps, COEFFS, max_size=5)))
+
+
+def constant_ratio(num, den):
+    """The single-term solver that the fit replaced: compare leading terms, then check."""
+    if den.is_zero:
+        return None
+    if num.is_zero:
+        return Fraction(0)
+    table = num.table.merged(den.table)
+    (mn, cn), (md, cd) = num.to_table(table).leading_term(), den.to_table(table).leading_term()
+    if mn != md:
+        return None
+    ratio = Fraction(cn) / Fraction(cd)
+    return ratio if num == ratio * den else None
+
+
+def as_fit(ratio):
+    return None if ratio is None else (ratio,)
+
+
+@given(polys(TX), COEFFS)
+def test_fit_matches_the_ratio_on_a_proportional_pair(p, r):
+    target = (r * p).to_table(TY)
+    assert _fit(target, [p]) == as_fit(constant_ratio(target, p))
+    assert _fit(target, [p]) == (None if p.is_zero else (r,))
+
+
+@given(polys(TX), polys(TY))
+def test_fit_matches_the_ratio_on_any_pair(num, den):
+    assert _fit(num, [den]) == as_fit(constant_ratio(num, den))
+
+
+def test_fit_of_a_zero_target_and_on_a_zero_basis():
+    p = parse("x^2*y - 3*x", TX)
+    assert _fit(TY.zero(), [p]) == (Fraction(0),) == as_fit(constant_ratio(TY.zero(), p))
+    assert _fit(p, [TY.zero()]) is None and constant_ratio(p, TY.zero()) is None
+    assert _fit(TX.zero(), [TY.zero()]) is None
+    assert _fit(p, [parse("x^2*y", TY)]) is None  # not proportional
+
+
+@given(polys(TX), polys(TY), COEFFS, COEFFS)
+def test_fit_recovers_two_coefficients(A, B, c1, c2):
+    assume(not A.is_zero and constant_ratio(B, A) is None)  # A, B independent
+    assert _fit(c1 * A + c2 * B, [A, B]) == (c1, c2)
+    # x^9 lies outside the span of A and B, whose exponents are at most 3
+    assert _fit(c1 * A + c2 * B + TX.var("x", 9), [A, B]) is None
+
+
+@given(polys(TX), COEFFS)
+def test_fit_rejects_a_rank_deficient_basis(A, r):
+    # the target lies in the span, so only the rank can reject it
+    assert _fit(A, [A, (r * A).to_table(TY)]) is None

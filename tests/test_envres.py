@@ -20,7 +20,7 @@ from rdpinv.envres import (
 )
 from rdpinv.poly import parse, univar_divmod
 from rdpinv.cli import load_golden
-from rdpinv.congruence import KEY_CASES, case_param
+from rdpinv.congruence import KEY_CASES, case_param, case_restriction
 from rdpinv.distpoly import split_params_E
 from rdpinv.solvelist import RuleSet
 
@@ -172,7 +172,8 @@ def _assert_same_rules(got, want):
 
 @pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: c.label)
 def test_rbar_drops_z_before_the_key_case_parameter(case, cache):
-    pipe = VersalPipeline(case.parent, param=case_param(case, cache), cache=cache)
+    param = case_param(case, case_restriction(case, cache))
+    pipe = VersalPipeline(case.parent, param=param, cache=cache)
     for z_zero in (False, True):
         _assert_same_rules(_rbar_pulled_back(pipe, z_zero), _rbar_param_first(pipe, z_zero))
 

@@ -202,15 +202,6 @@ def test_part_identifications_respect_the_diagram():
                     assert inner(v, v) == -2
 
 
-def test_missing_factor_recorded_for_k2():
-    spec = Spec("E", 7)
-    vs = vertex_split(spec, 2)
-    table = vs.rules.rules[0][1].table
-    expect = Fraction(7 - 9, 3 * 7 - 3) * table.var("mu1") + Fraction(4, 3) * table.var("tq1")
-    assert vs.missing == expect
-    assert vertex_split(spec, 0).missing is None
-
-
 def test_unsupported_split_rejected():
     with pytest.raises(UnsupportedSplitError):
         vertex_split(Spec("D", 6), 5)  # the omitted next-to-last vertex
