@@ -827,6 +827,29 @@ class Polynomial:
                   Fraction(t["c"])) for t in data["terms"]]
         return _from_pairs(table, terms)
 
+    def to_rows(self) -> tuple[int, int, list[int]]:
+        """The private store as JSON integers: ``(den, shift, [k1, n1, k2, n2, ...])``,
+        each packed key ``k`` followed by its numerator, keys ascending."""
+        return self.den, self.shift, [x for term in sorted(self.terms.items()) for x in term]
+
+    @staticmethod
+    def from_rows(table: VarTable, den: int, shift: int, flat: list) -> "Polynomial":
+        """The polynomial on ``table`` that :meth:`to_rows` gave.  Raises
+        ``ValueError`` unless the rows are a canonical store on ``table``."""
+        keys, nums = flat[::2], flat[1::2]
+        if not (all(type(x) is int for x in (den, shift, *flat)) and den >= 1
+                and shift >= _S and not shift & (shift - 1) and min(keys, default=0) >= 0):
+            raise ValueError("not a polynomial store")
+        # the guard bits of the fields below the top key's bit length
+        top = max(keys, default=0).bit_length()
+        guards = _pack(((i, 1 << shift - 1) for i in range(top // shift)), shift)
+        terms = dict(zip(keys, nums))
+        # each key distinct and with its numerator, no field past the table
+        if (2 * len(terms) != len(flat) or top > len(table) * shift
+                or any(k & guards for k in keys) or not all(nums) or gcd(den, *nums) != 1):
+            raise ValueError("not a canonical polynomial store")
+        return Polynomial(table, terms, den, shift)
+
 
 def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:
     """The sum of ``c * prod(var_i ** e)`` over ``({i: e}, c)`` in ``terms``."""

@@ -20,7 +20,10 @@ tenth of the image or less.
 Expanded rule sets can be persisted in a content-addressed cache keyed by
 a hash of (base, template, pairs, extraction variables, expansion
 version), so repeated runs of the heavy eliminations are free; so are
-their pull-backs through a parameter.
+their pull-backs through a parameter.  An entry holds the rules in the
+kernel's own form, read back without the text parser once checked to be
+a canonical store; the keys are those of the older text entries, which
+are read as misses and recomputed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
@@ -42,7 +45,6 @@ from .poly import (
     Polynomial,
     PolyError,
     VarTable,
-    parse,
 )
 
 
@@ -110,25 +112,19 @@ class RuleSet:
                 out.append((v, p))
         return RuleSet(tuple(out))
 
+    @cached_property
+    def _table(self) -> VarTable:
+        """The merged table of the rule values, in order of first use."""
+        return reduce(VarTable.merged, (p.table for _, p in self.rules), VarTable((), ()))
+
     def to_json(self) -> dict:
-        tables: list[VarTable] = []
-        for _, p in self.rules:
-            if p.table not in tables:
-                tables.append(p.table)
-        table = tables[0] if tables else VarTable((), ())
-        for t in tables[1:]:
-            table = table.merged(t)
+        table = self._table
         return {
             "format": "rdpinv-rules-v1",
             "vars": list(table.names),
             "weights": list(table.weights),
             "rules": [[v, p.to_table(table).serialize()] for v, p in self.rules],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "RuleSet":
-        table = VarTable(data["vars"], data["weights"])
-        return RuleSet(tuple((v, parse(text, table)) for v, text in data["rules"]))
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True).encode()
@@ -286,9 +282,15 @@ class SolveList:
             "monomial_vars": list(self.monomial_vars),
         }
 
+    @cached_property
+    def _digest(self):
+        """The hash state of the canonical JSON, before the expansion version."""
+        return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode())
+
     def content_key(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True) + f"|expansion={EXPANSION_VERSION}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        digest = self._digest.copy()
+        digest.update(f"|expansion={EXPANSION_VERSION}".encode())
+        return digest.hexdigest()
 
 
 def pull_back_key(sl_key: str, param: RuleSet, names: Iterable[str]) -> str:
@@ -308,6 +310,11 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rdpinv"
 
 
+#: the format of a cache entry: its key, the merged table of its rules, and
+#: per rule ``[name, den, shift, [k1, n1, k2, n2, ...]]``, the kernel's own store
+ENTRY_FORMAT = "rdpinv-cache-v2"
+
+
 class RuleCache:
     """File-backed store of expanded rule sets, keyed by content hash; its
     memory also holds values that are never written (:meth:`memo`)."""
@@ -325,16 +332,21 @@ class RuleCache:
         if hit is not None:
             return hit
         path = self.path_for(key)
-        # a missing entry is a quiet miss; a truncated, garbled or foreign
-        # one is a miss with a warning: fetch() recomputes it and put()
-        # overwrites the file
+        # a missing entry, or one in an older format, is a quiet miss; a
+        # truncated, garbled or foreign one, or one whose rules are not a
+        # canonical store, is a miss with a warning: fetch() recomputes it
+        # and put() overwrites the file
         try:
             data = json.loads(path.read_text())
+            if data.get("format") != ENTRY_FORMAT:
+                return None
             if data.get("key") != key:
                 print(f"warning: rule cache entry {path} carries another key; recomputing",
                       file=sys.stderr)
                 return None
-            rules = RuleSet.from_json(data["rules"])
+            table = VarTable(data["vars"], data["weights"])
+            rules = RuleSet(tuple((v, Polynomial.from_rows(table, *row))
+                                  for v, *row in data["rules"]))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, LookupError, TypeError, AttributeError, PolyError) as exc:
@@ -347,13 +359,15 @@ class RuleCache:
     def put(self, key: str, rules: RuleSet) -> None:
         self._memory[key] = rules
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"format": "rdpinv-cache-v1", "key": key, "rules": rules.to_json()}
+        table = rules._table
+        payload = {"format": ENTRY_FORMAT, "key": key, "vars": table.names, "weights": table.weights,
+                   "rules": [[v, *p.to_table(table).to_rows()] for v, p in rules.rules]}
         # a private temp file per writer, so concurrent writers of one key
         # each publish a whole entry with one atomic rename
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload, sort_keys=True))
+                json.dump(payload, fh, sort_keys=True)
             os.replace(tmp, self.path_for(key))
         except BaseException:
             os.unlink(tmp)

@@ -201,6 +201,39 @@ def test_json_round_trip():
     assert q == p
 
 
+# -- the store as JSON integers ----------------------------------------------------
+
+R = VarTable(["x", "y", "z"], [1, 2, 0])
+#: x, y and z again, after two new names, so a move repacks every key
+R_MERGED = VarTable(["w", "v"], [3, 1]).merged(R)
+
+
+def _assert_rows_round_trip(p):
+    den, shift, flat = p.to_rows()
+    assert all(type(x) is int for x in (den, shift, *flat))
+    q = Polynomial.from_rows(p.table, den, shift, flat)
+    assert q == p and q.serialize() == p.serialize()
+    assert (q.den, q.shift, q.terms) == (p.den, p.shift, p.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 127, 128, 1 << 15, 1 << 17]).flatmap(lambda top: st.dictionaries(
+           st.tuples(*[st.integers(0, top)] * 3),
+           st.fractions(-5, 5, max_denominator=12), max_size=6)),
+       st.booleans())
+def test_rows_round_trip(items, moved):
+    # exponents up to 127 fit 8-bit fields, 128 needs 16 bits and 2^15 needs 32
+    p = Polynomial.from_items(R, items)
+    _assert_rows_round_trip(p.to_table(R_MERGED) if moved else p)
+
+
+@pytest.mark.parametrize("p", [R.zero(), R.const(Fraction(-3, 4)), R.const(5),
+                               R.var("y", 1 << 15).to_table(R_MERGED) / 7],
+                         ids=["zero", "fraction", "integer", "wide-moved"])
+def test_rows_round_trip_examples(p):
+    _assert_rows_round_trip(p)
+
+
 def test_truncated_multiplication():
     x, y = V("x"), V("z")
     p = (1 + x + y) ** 3

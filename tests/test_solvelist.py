@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -338,8 +339,6 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_file_carries_its_key(tmp_path):
-    import json
-
     table = VarTable(["X", "a"], [1, 0])
     sl = SolveList.of(RuleSet.identity(), (table.var("a") + 1) * table.var("X"),
                       [({"X": 1}, "a")], ("X",))
@@ -419,6 +418,92 @@ def test_pull_back_key_covers_its_inputs(tmp_path, monkeypatch):
     RuleCache(tmp_path).pull_back(sl, param, ["a", "c"])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{k}.json" for k in (key(), sl.content_key()))
+
+
+def _pinned_solve_list():
+    table = VarTable(["X", "Y", "a", "b", "c"], [1, 1, 0, 0, 0])
+    a, b, c, X, Y = (table.var(v) for v in "abcXY")
+    return SolveList.of(RuleSet.of([("b", (c ** 2 + 1).compact())]),
+                        (a + b) * X + (c - 2 * b) * Y, [({"X": 1}, "a"), ({"Y": 1}, "c")],
+                        ("X", "Y"))
+
+
+def test_content_keys_are_pinned():
+    # the names of the cache files: a change here orphans every stored entry
+    sl = _pinned_solve_list()
+    b = VarTable(["b"], [0]).var("b")
+    assert sl.content_key() == \
+        "121ad85e0ec085fbd3a79d21cc1a80f6ff92797cc902d96e3aa3ea8fea359f38"
+    assert solvelist.pull_back_key(sl.content_key(), RuleSet.of([("b", b / 3 + 1)]),
+                                   ["c", "a"]) == \
+        "c4ddf2ef07a22ff7e8075e5b68e9d4a46a69d08ddedc3a2ed580a1bca6e246bb"
+
+
+def test_content_key_serializes_the_solve_list_once(monkeypatch):
+    calls = []
+    to_json = SolveList.to_json
+    monkeypatch.setattr(SolveList, "to_json", lambda self: calls.append(self) or to_json(self))
+    sl = _pinned_solve_list()
+    assert len({sl.content_key() for _ in range(3)}) == 1
+    assert calls == [sl]
+
+
+def _entry_solve_list():
+    """A solve list whose one rule, a -> 1/6*b + 1/3*c^2, is ``_GOOD_RULE``."""
+    table = VarTable(["X", "a", "b", "c"], [1, 0, 0, 0])
+    a, b, c, X = (table.var(v) for v in "abcX")
+    return SolveList.of(RuleSet.identity(), (3 * a - b / 2 - c ** 2) * X, [({"X": 1}, "a")],
+                        ("X",))
+
+
+# fields 8 bits wide: b (index 2) is 1 << 16 and c^2 (index 3) is 2 << 24
+_GOOD_RULE = ["a", 6, 8, [1 << 16, 1, 2 << 24, 2]]
+_BROKEN_RULES = {
+    "zero numerator": ["a", 6, 8, [1 << 16, 1, 2 << 24, 2, 1 << 8, 0]],
+    "den 0": ["a", 0, 8, [1 << 16, 1, 2 << 24, 2]],
+    "den -1": ["a", -1, 8, [1 << 16, 1, 2 << 24, 2]],
+    "gcd not 1": ["a", 12, 8, [1 << 16, 2, 2 << 24, 4]],
+    "duplicate key": ["a", 6, 8, [1 << 16, 1, 2 << 24, 2, 1 << 16, 1]],
+    "guard bit": ["a", 6, 8, [1 << 16 | 1 << 23, 1, 2 << 24, 2]],
+    "field past table": ["a", 6, 8, [1 << 16, 1, 2 << 32, 2]],
+    "odd term list": ["a", 6, 8, [1 << 16, 1, 2 << 24]],
+    "true": ["a", 6, 8, [1 << 16, True, 2 << 24, 2]],
+    "float": ["a", 6, 8, [1 << 16, 1.0, 2 << 24, 2]],
+    "string": ["a", "6", 8, [1 << 16, 1, 2 << 24, 2]],
+    "shift 12": ["a", 6, 12, [1 << 24, 1, 2 << 36, 2]],
+}
+
+
+@pytest.mark.parametrize("rule", _BROKEN_RULES.values(), ids=_BROKEN_RULES.keys())
+def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, rule):
+    sl = _entry_solve_list()
+    want = RuleCache(tmp_path).expand(sl)
+    path = RuleCache(tmp_path).path_for(sl.content_key())
+    good = path.read_text()
+    entry = json.loads(good)
+    assert entry == {"format": "rdpinv-cache-v2", "key": sl.content_key(),
+                     "vars": ["X", "a", "b", "c"], "weights": [1, 0, 0, 0],
+                     "rules": [_GOOD_RULE]}
+    path.write_text(json.dumps(dict(entry, rules=[rule])))
+    capsys.readouterr()
+    assert RuleCache(tmp_path).expand(sl).mapping() == want.mapping()
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("warning: ") and path.name in err
+    assert path.read_text() == good
+
+
+def test_older_cache_entry_is_a_quiet_miss(tmp_path, capsys):
+    sl = _entry_solve_list()
+    want = RuleCache(tmp_path).expand(sl)
+    path = RuleCache(tmp_path).path_for(sl.content_key())
+    good = path.read_text()
+    path.write_text(json.dumps({"format": "rdpinv-cache-v1", "key": sl.content_key(),
+                                "rules": want.to_json()}))
+    capsys.readouterr()
+    assert RuleCache(tmp_path).expand(sl).mapping() == want.mapping()
+    assert capsys.readouterr() == ("", "")
+    assert path.read_text() == good
 
 
 _PUT_LOOP = """
