@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Optional
@@ -358,10 +359,6 @@ def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = Non
 # -- standard coordinate functions ----------------------------------------------
 
 
-def _parse_s(text: str, n: int) -> Polynomial:
-    return parse(text, ts_table(n))
-
-
 _E4_COORDS = {
     "eps2": "s2 - 3/5*s1^2",
     "eps3": "s3 - 1/5*s2*s1 + 2/25*s1^3",
@@ -386,8 +383,14 @@ _E5_COORDS = {
 def standard_coords(spec: Spec) -> dict[str, Polynomial]:
     """Standard coordinate functions as polynomials in s_1..s_n.
 
-    E6/E7/E8 are produced by the versal pipeline, not here.
+    E6/E7/E8 are produced by the versal pipeline, not here.  Each type is
+    derived (or parsed) once; every call returns a fresh dict.
     """
+    return dict(_standard_coords(spec))
+
+
+@lru_cache(maxsize=None)
+def _standard_coords(spec: Spec) -> dict[str, Polynomial]:
     n = spec.n
     table = ts_table(n)
     if spec.family == "A":
@@ -406,9 +409,9 @@ def standard_coords(spec: Spec) -> dict[str, Polynomial]:
             "eps3": s3 - Fraction(1, 3) * s1 * s2 + Fraction(2, 27) * s1 ** 3,
         }
     if n == 4:
-        return {k: _parse_s(v, 4) for k, v in _E4_COORDS.items()}
+        return {k: parse(v, table) for k, v in _E4_COORDS.items()}
     if n == 5:
-        return {k: _parse_s(v, 5) for k, v in _E5_COORDS.items()}
+        return {k: parse(v, table) for k, v in _E5_COORDS.items()}
     raise ValueError(f"{spec.name} standard coordinates come from the versal pipeline")
 
 

@@ -8,6 +8,11 @@ triangular change of generators (the psi rules) removes the forbidden
 monomials, and a final solve-list expansion recovers the versal-form
 coefficients eps_i as exact polynomials in s_1..s_n.
 
+The E8 generating set's weight-16 sextic is derived, not transcribed: its
+two base conditions (eta*Yb = psi^2, and psi divides eta*(dYb/dx)) become
+one integer linear system, assembled directly from the remainders
+U^e mod psi, and solved exactly.
+
 For n = 7, 8 the versal stage sets z = 0 before expanding (the relevant
 extraction monomials never involve z), which shrinks the computation by
 orders of magnitude; the E8 barred stage is z-free as well.
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence
 
 from .distpoly import monic
@@ -30,7 +36,6 @@ from .poly import (
     Polynomial,
     VarTable,
     parse,
-    univar_divmod,
 )
 from .solvelist import RuleCache, RuleSet, SolveList
 
@@ -141,21 +146,13 @@ class GoodGenSet:
 
 
 # scalar unknowns of the weight-16 sextic live on partitions of s-weights
-def _weight_monomials(n: int, w: int) -> list[tuple[int, ...]]:
-    """Exponent vectors (e1..en) with sum i*e_i = w."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i > n:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        max_e = remaining // i
-        for e in range(max_e + 1):
-            rec(i + 1, remaining - i * e, acc + [e])
-
-    rec(1, w, [])
-    return out
+@lru_cache(maxsize=None)
+def _weight_monomials(n: int, w: int, i: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors (e_i..e_n) with sum j*e_j = w, in lexicographic order."""
+    if i > n:
+        return ((),) if w == 0 else ()
+    return tuple((e,) + rest for e in range(w // i + 1)
+                 for rest in _weight_monomials(n, w - i * e, i + 1))
 
 
 class SexticSolveError(RuntimeError):
@@ -168,6 +165,79 @@ _SEXTIC_FREE = ((3, 3, 0), (4, 2, 0), (3, 2, 1), (5, 1, 0), (4, 1, 1),
                 (3, 1, 2), (6, 0, 0), (5, 0, 1), (4, 0, 2), (3, 0, 3))
 
 
+def _sextic_equations(n: int) -> tuple[dict, list, list]:
+    """The sextic's base conditions as one integer linear system.
+
+    Returns ``(terms, columns, equations)``: the sextic with every unknown
+    at zero, as (xyz exponents, s exponents) -> coefficient; per unknown
+    c_k its (free monomial m, carrier f, s-monomial sm); and the
+    equations, each ``(row, rhs)`` as :class:`LinearSystem` reads them.
+
+    The first condition puts psi^2's U^j coefficient q_j on the one fixed
+    monomial f of pullback degree j (the carrier); c_k moves sm*m against
+    sm*f.  The pullback of the x-derivative of x^a*y^b*z^c is
+    a*U^(a+3b-1), so the second condition asks every (U^u, s-monomial)
+    coefficient of
+        sum_k c_k (a_m - a_f) sm R_(j-1)  +  sum_j a_f q_j R_(j-1)
+    to vanish, where R_e = U^e mod psi (a = 0 at j = 0, so R_(-1) is never
+    read).
+    """
+    s_names = [f"s{i}" for i in range(1, n + 1)]
+    ring = VarTable(["U"] + s_names, [1] + list(range(1, n + 1)))
+    U, psi = ring.var("U"), psi_n(n, ring)
+    # R_(e+1) = U*R_e minus its U^n coefficient times psi, for e < 16; terms
+    # as (u, s, c) with u the exponent of U and s that of s1..sn
+    powers = [ring.const(1)]
+    for _ in range(15):
+        r = U * powers[-1]
+        top = r.coeffs_in("U").get(n)
+        powers.append(r if top is None else r - top * psi)
+    rem = [[(e[0], e[1:], c) for e, c in r.items()] for r in powers]
+    q: dict[int, list] = {}
+    for e, c in (psi * psi).items():
+        q.setdefault(e[0], []).append((e[1:], c))
+
+    by_eta: dict[int, list[tuple[int, int, int]]] = {}
+    for b in range(6, -1, -1):
+        for a in range(7 - b):
+            if a + 3 * b <= 16:
+                by_eta.setdefault(a + 3 * b, []).append((a, b, 6 - a - b))
+
+    terms: dict = {}
+    columns = []
+    rows: dict = {}     # (u, s exponents) -> {k: coefficient}
+    rhs: dict = {}      # (u, s exponents) -> right-hand side
+    for j, cls in sorted(by_eta.items()):
+        qj = q.get(j, [])
+        fixed = [m for m in cls if m not in _SEXTIC_FREE]
+        if len(fixed) > 1:
+            raise SexticSolveError(f"degree {j} pins more than one monomial: {fixed}")
+        carrier = fixed[0] if fixed else None
+        if carrier is None and qj:
+            qj_poly = Polynomial.from_items(ring, {(0,) + t: c for t, c in qj})
+            raise SexticSolveError(f"degree {j} has no monomial to carry {qj_poly.serialize()}")
+        af = carrier[0] if carrier else 0
+        for t, c in qj:
+            terms[carrier, t] = c
+            if af:
+                for u, r, rc in rem[j - 1]:
+                    key = (u, tuple(map(add, t, r)))
+                    rhs[key] = rhs.get(key, 0) - af * c * rc
+        for m in cls:
+            if m not in _SEXTIC_FREE:
+                continue
+            d = m[0] - af
+            for sm in _weight_monomials(n, 16 - j):
+                k = len(columns)
+                columns.append((m, carrier, sm))
+                if d:
+                    for u, r, rc in rem[j - 1]:
+                        row = rows.setdefault((u, tuple(map(add, sm, r))), {})
+                        row[k] = row.get(k, 0) + d * rc
+    equations = [(rows.get(key, {}), rhs.get(key, 0)) for key in dict.fromkeys([*rows, *rhs])]
+    return terms, columns, equations
+
+
 def solve_e8_sextic() -> Polynomial:
     """Derive the weight-16 sextic generator for n = 8 from its base conditions.
 
@@ -178,83 +248,36 @@ def solve_e8_sextic() -> Polynomial:
     fixed by zeroing the x^3*y^3 and x^6 coefficients.
     """
     n = 8
-    table = pipeline_table(n)
-    psi = psi_n(n, table)
-    q = (psi * psi).coeffs_in("U")
-
-    def mono(exps, names) -> Polynomial:
-        full = [0] * len(table)
-        for name, e in zip(names, exps):
-            full[table.index_of(name)] = e
-        return Polynomial.from_items(table, {tuple(full): 1})
-
-    s_names = [f"s{i}" for i in range(1, n + 1)]
-    by_eta: dict[int, list[tuple[int, int, int]]] = {}
-    for b in range(6, -1, -1):
-        for a in range(7 - b):
-            if a + 3 * b <= 16:
-                by_eta.setdefault(a + 3 * b, []).append((a, b, 6 - a - b))
-
-    # the first condition puts psi^2's U^j coefficient on the one fixed
-    # monomial of pullback degree j; every scalar unknown then moves an
-    # s-multiple of a free monomial against that carrier:
-    # sextic = known + sum_k c_k * basis[k]
-    known = table.zero()
-    basis: list[Polynomial] = []
-    block: list[tuple[int, int, int]] = []
-    for j, cls in sorted(by_eta.items()):
-        qj = q.get(j, table.zero())
-        fixed = [m for m in cls if m not in _SEXTIC_FREE]
-        if len(fixed) > 1:
-            raise SexticSolveError(f"degree {j} pins more than one monomial: {fixed}")
-        if not fixed and not qj.is_zero:
-            raise SexticSolveError(f"degree {j} has no monomial to carry {qj.serialize()}")
-        carrier = mono(fixed[0], "xyz") if fixed else table.zero()
-        known = known + qj * carrier
-        for m in cls:
-            if m in _SEXTIC_FREE:
-                for sm in _weight_monomials(n, 16 - j):
-                    basis.append(mono(sm, s_names) * (mono(m, "xyz") - carrier))
-                    block.append(m)
-    if known.coeff_of({"x": 1, "y": 5}, "xyz") != 1:
+    terms, columns, equations = _sextic_equations(n)
+    if {t: c for (m, t), c in terms.items() if m == (1, 5, 0)} != {(0,) * n: 1}:
         raise SexticSolveError("leading pullback coefficient is not monic")
-
-    # the second condition: the remainder of the x-derivative's pullback
-    # modulo psi vanishes coefficient by coefficient
-    unknowns = [f"c{k}" for k in range(len(basis))]
-    ext = table.merged(VarTable(unknowns, [0] * len(unknowns)))
-    slot = {name: k for k, name in enumerate(unknowns)}
-    generic = known.to_table(ext)
-    for name, p in zip(unknowns, basis):
-        generic = generic + ext.var(name) * p
-    _, rem = univar_divmod(eta_star(generic.derivative("x"), n), psi, "U")
     system = LinearSystem()
     try:
-        for cof in rem.coefficients_over(["U"] + s_names).values():
-            # linear in the unknowns: each key but the constant one holds one 1
-            names = tuple(cof.variables())
-            system.add({slot[names[k.index(1)]]: c.constant_value()
-                        for k, c in cof.coefficients_over(names).items() if any(k)},
-                       -cof.constant_value())
-        nullity = len(basis) - system.rank
+        for row, rhs in equations:
+            system.add(row, rhs)
+        nullity = len(columns) - system.rank
         expected = len(_weight_monomials(n, 4)) + len(_weight_monomials(n, 10))
         if nullity != expected:
             raise SexticSolveError(
                 f"solution family has dimension {nullity}, expected {expected}"
             )
         # normalization: kill the x^3*y^3 and x^6 coefficients entirely
-        for k, m in enumerate(block):
+        for k, (m, _, _) in enumerate(columns):
             if m in ((3, 3, 0), (6, 0, 0)):
                 system.add({k: 1})
     except InconsistentSystemError as exc:
         raise SexticSolveError("inconsistent linear system for the sextic") from exc
-    if system.rank != len(basis):
+    if system.rank != len(columns):
         raise SexticSolveError("normalization did not make the sextic unique")
-    result = known
     for k, value in system.solution().items():
-        if value:
-            result = result + value * basis[k]
-    return result
+        m, carrier, sm = columns[k]
+        terms[m, sm] = terms.get((m, sm), 0) + value
+        if carrier:
+            terms[carrier, sm] = terms.get((carrier, sm), 0) - value
+    # pipeline_table starts x, y, z, s1..sn
+    table = pipeline_table(n)
+    pad = (0,) * (len(table) - 3 - n)
+    return Polynomial.from_items(table, {m + t + pad: c for (m, t), c in terms.items()})
 
 
 @lru_cache(maxsize=None)

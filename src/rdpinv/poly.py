@@ -997,14 +997,9 @@ def exact_div(num: Polynomial, den: Polynomial, name: str) -> Polynomial:
 # -- exact linear systems -----------------------------------------------------
 
 
-def _sub_scaled(row: dict, factor, other: dict) -> None:
-    """row -= factor * other in place, dropping zero entries."""
-    for v, c in other.items():
-        s = row.get(v, 0) - factor * c
-        if s:
-            row[v] = s
-        else:
-            row.pop(v, None)
+def _whole(c):
+    """``c`` as an int when integral; a Fraction otherwise."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 class LinearSystem:
@@ -1013,10 +1008,15 @@ class LinearSystem:
     A row is a mapping unknown -> coefficient, read as sum c*u == rhs;
     unknowns are any mutually orderable keys.  Pivot rows are kept fully
     reduced: each is stored without its pivot and mentions no other pivot.
+    Integral entries stay ``int``; a row becomes fractional only when it is
+    divided by a pivot coefficient other than 1.  An occurrence index maps
+    each unknown to the pivots whose rows mention it, so a new pivot
+    rewrites only those rows.
     """
 
     def __init__(self):
         self._pivots: dict = {}
+        self._uses: dict = {}
 
     @property
     def rank(self) -> int:
@@ -1027,31 +1027,50 @@ class LinearSystem:
 
         Raises :class:`InconsistentSystemError` when it contradicts them.
         """
-        row = {u: Fraction(c) for u, c in row.items() if c}
-        rhs = Fraction(rhs)
+        pivots, uses = self._pivots, self._uses
+        row = {u: c if type(c) is int else _whole(Fraction(c)) for u, c in row.items() if c}
+        rhs = rhs if type(rhs) is int else _whole(Fraction(rhs))
         # pivot rows mention no pivot, so one pass over the original support
         # clears every pivot from the row
-        for u in [u for u in row if u in self._pivots]:
+        for u in [u for u in row if u in pivots]:
             factor = row.pop(u)
-            prow, prhs = self._pivots[u]
-            _sub_scaled(row, factor, prow)
-            rhs -= factor * prhs
+            prow, prhs = pivots[u]
+            for v, c in prow.items():
+                s = row.get(v, 0) - factor * c
+                if s:
+                    row[v] = _whole(s)
+                else:
+                    del row[v]
+            rhs = _whole(rhs - factor * prhs)
         if not row:
             if rhs:
                 raise InconsistentSystemError("inconsistent linear system")
             return False
         pv = min(row)
-        inv = 1 / row.pop(pv)
-        row = {v: c * inv for v, c in row.items()}
-        rhs *= inv
-        for u, (prow, prhs) in self._pivots.items():
-            f = prow.pop(pv, None)
-            if f is not None:
-                _sub_scaled(prow, f, row)
-                self._pivots[u] = (prow, prhs - f * rhs)
-        self._pivots[pv] = (row, rhs)
+        p = row.pop(pv)
+        if p != 1:
+            row = {v: _whole(Fraction(c, p)) for v, c in row.items()}
+            rhs = _whole(Fraction(rhs, p))
+        for u in uses.pop(pv, ()):
+            prow, prhs = pivots[u]
+            f = prow.pop(pv)
+            for v, c in row.items():
+                s = prow.get(v, 0) - f * c
+                if s:
+                    if v not in prow:
+                        uses.setdefault(v, set()).add(u)
+                    prow[v] = _whole(s)
+                else:
+                    del prow[v]
+                    uses[v].discard(u)
+                    if not uses[v]:
+                        del uses[v]
+            pivots[u] = (prow, _whole(prhs - f * rhs))
+        for v in row:
+            uses.setdefault(v, set()).add(pv)
+        pivots[pv] = (row, rhs)
         return True
 
     def solution(self) -> dict:
-        """Values of the pivot unknowns with every free unknown set to zero."""
-        return {u: rhs for u, (_, rhs) in self._pivots.items()}
+        """Values of the pivot unknowns, as Fractions, with every free unknown set to zero."""
+        return {u: Fraction(rhs) for u, (_, rhs) in self._pivots.items()}

@@ -137,6 +137,20 @@ def test_standard_coords_paper_values():
     assert e3["eps2_2"] == t3.var("s2")
 
 
+def test_standard_coords_derived_once_and_returned_fresh(monkeypatch):
+    import rdpinv.distpoly as distpoly
+    first = standard_coords(Spec("E", 5))
+    first.clear()
+
+    def no_parse(*args):
+        raise AssertionError("E5 coordinates parsed again")
+
+    monkeypatch.setattr(distpoly, "parse", no_parse)
+    again = standard_coords(Spec("E", 5))
+    assert list(again) == ["eps2", "eps4", "eps5", "eps6", "eps8"]
+    assert again is not standard_coords(Spec("E", 5))
+
+
 def test_large_types_are_rejected_here():
     with pytest.raises(ValueError):
         standard_coords(Spec("E", 6))

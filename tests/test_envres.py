@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from rdpinv import envres
 from rdpinv.envres import (
     APPENDIX_MULTIPLIERS,
     BAR_EXTENSION,
+    SexticSolveError,
     VersalPipeline,
     eps_names,
     eta_star,
@@ -18,7 +20,7 @@ from rdpinv.envres import (
     solve_e8_sextic,
     versal_template,
 )
-from rdpinv.poly import parse, univar_divmod
+from rdpinv.poly import LinearSystem, Polynomial, VarTable, parse, univar_divmod
 from rdpinv.cli import load_golden
 from rdpinv.congruence import KEY_CASES, case_param, case_restriction
 from rdpinv.distpoly import split_params_E
@@ -109,6 +111,129 @@ def test_sextic_corner_coefficient():
     yb = solve_e8_sextic()
     s8 = pipeline_table(8).var("s8")
     assert yb.coeff_of({"z": 6}, ["x", "y", "z"]) == s8 ** 2
+
+
+def _weight_vectors(n, w):
+    """Exponent vectors (e1..en) with sum i*e_i = w, lexicographic."""
+    out = []
+
+    def rec(i, remaining, acc):
+        if i > n:
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        for e in range(remaining // i + 1):
+            rec(i + 1, remaining - i * e, acc + [e])
+
+    rec(1, w, [])
+    return out
+
+
+def _sextic_by_generic_remainder():
+    """The sextic by the generic-polynomial route: one sextic over the
+    scalar unknowns c_k, the remainder of its x-derivative's pullback by
+    long division by psi, and one row per (U, s) coefficient of that
+    remainder.  Returns the nullity before normalization and the sextic."""
+    n = 8
+    table = pipeline_table(n)
+    psi = psi_n(n, table)
+    q = (psi * psi).coeffs_in("U")
+    s_names = [f"s{i}" for i in range(1, n + 1)]
+
+    def mono(exps, names):
+        full = [0] * len(table)
+        for name, e in zip(names, exps):
+            full[table.index_of(name)] = e
+        return Polynomial.from_items(table, {tuple(full): 1})
+
+    by_eta = {}
+    for b in range(6, -1, -1):
+        for a in range(7 - b):
+            if a + 3 * b <= 16:
+                by_eta.setdefault(a + 3 * b, []).append((a, b, 6 - a - b))
+    known, basis, block = table.zero(), [], []
+    for j, cls in sorted(by_eta.items()):
+        fixed = [m for m in cls if m not in envres._SEXTIC_FREE]
+        assert len(fixed) == 1 or (not fixed and j not in q)
+        carrier = mono(fixed[0], "xyz") if fixed else table.zero()
+        known = known + q.get(j, table.zero()) * carrier
+        for m in cls:
+            if m in envres._SEXTIC_FREE:
+                for sm in _weight_vectors(n, 16 - j):
+                    basis.append(mono(sm, s_names) * (mono(m, "xyz") - carrier))
+                    block.append(m)
+    unknowns = [f"c{k}" for k in range(len(basis))]
+    ext = table.merged(VarTable(unknowns, [0] * len(unknowns)))
+    slot = {name: k for k, name in enumerate(unknowns)}
+    generic = known.to_table(ext)
+    for name, p in zip(unknowns, basis):
+        generic = generic + ext.var(name) * p
+    _, rem = univar_divmod(eta_star(generic.derivative("x"), n), psi, "U")
+    system = LinearSystem()
+    for cof in rem.coefficients_over(["U"] + s_names).values():
+        names = tuple(cof.variables())
+        system.add({slot[names[k.index(1)]]: c.constant_value()
+                    for k, c in cof.coefficients_over(names).items() if any(k)},
+                   -cof.constant_value())
+    nullity = len(basis) - system.rank
+    for k, m in enumerate(block):
+        if m in ((3, 3, 0), (6, 0, 0)):
+            system.add({k: 1})
+    assert system.rank == len(basis)
+    result = known
+    for k, value in system.solution().items():
+        result = result + value * basis[k]
+    return nullity, result
+
+
+def test_sextic_matches_the_generic_remainder_route():
+    nullity, oracle = _sextic_by_generic_remainder()
+    assert nullity == 45 == len(_weight_vectors(8, 4)) + len(_weight_vectors(8, 10))
+    _, columns, equations = envres._sextic_equations(8)
+    system = LinearSystem()
+    for row, rhs in equations:
+        system.add(row, rhs)
+    assert len(columns) - system.rank == nullity
+    assert solve_e8_sextic().serialize() == oracle.serialize()
+
+
+@pytest.mark.parametrize("change, message", [
+    # (3, 3, 0) and (0, 4, 2) both have pullback degree 12
+    (lambda free: tuple(m for m in free if m != (3, 3, 0)),
+     "degree 12 pins more than one monomial"),
+    (lambda free: free + ((0, 4, 2),), "degree 12 has no monomial to carry"),
+    # x^6 fixed and y^2*z^4 free: the x^6 normalization pins nothing
+    (lambda free: tuple((0, 2, 4) if m == (6, 0, 0) else m for m in free),
+     "normalization did not make the sextic unique"),
+])
+def test_sextic_with_a_wrong_free_set_is_refused(monkeypatch, change, message):
+    monkeypatch.setattr(envres, "_SEXTIC_FREE", change(envres._SEXTIC_FREE))
+    with pytest.raises(SexticSolveError, match=message):
+        envres.solve_e8_sextic()
+
+
+def test_sextic_with_a_repeated_unknown_is_refused(monkeypatch):
+    plain = envres._weight_monomials
+
+    def repeated(n, w, i=1):
+        # the unknowns of x^4*y^2 (weight 6) list their first s-monomial twice
+        vectors = plain(n, w, i)
+        return vectors + vectors[:1] if (w, i) == (6, 1) else vectors
+
+    monkeypatch.setattr(envres, "_weight_monomials", repeated)
+    with pytest.raises(SexticSolveError, match="dimension 46, expected 45"):
+        envres.solve_e8_sextic()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda psi: 2 * psi, "leading pullback coefficient is not monic"),
+    (lambda psi: psi + 1, "inconsistent linear system for the sextic"),
+])
+def test_sextic_over_a_wrong_psi_is_refused(monkeypatch, change, message):
+    plain = envres.psi_n
+    monkeypatch.setattr(envres, "psi_n", lambda n, table=None: change(plain(n, table)))
+    with pytest.raises(SexticSolveError, match=message):
+        envres.solve_e8_sextic()
 
 
 # -- barred coefficients ----------------------------------------------------------------

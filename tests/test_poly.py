@@ -450,6 +450,73 @@ def test_linear_system_unique_solution():
     assert system.solution() == {"a": Fraction(7, 4), "b": Fraction(5, 4)}
 
 
+def _check_reduced_and_indexed(system):
+    """Pivot rows mention no pivot, integral entries are ints, and the
+    occurrence index is exactly the one the rows imply."""
+    implied = {}
+    for pv, (row, rhs) in system._pivots.items():
+        assert not row.keys() & system._pivots.keys()
+        for u, c in row.items():
+            assert c and (type(c) is int or c.denominator != 1)
+            implied.setdefault(u, set()).add(pv)
+        assert type(rhs) is int or rhs.denominator != 1
+    assert system._uses == implied
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_system())
+def test_linear_system_rows_stay_reduced_and_indexed(case):
+    _, rows, _ = case
+    system = LinearSystem()
+    for row, rhs in rows:
+        system.add(row, rhs)
+        _check_reduced_and_indexed(system)
+    assert all(type(v) is Fraction for v in system.solution().values())
+
+
+big_q = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(10**9, 10**15))
+
+
+@st.composite
+def mixed_system(draw):
+    """Rows of ints and large-denominator Fractions that a hidden point satisfies."""
+    n = draw(st.integers(1, 6))
+    point = [draw(st.one_of(st.integers(-4, 4), big_q)) for _ in range(n)]
+    entry = st.one_of(st.just(0), st.integers(-5, 5), big_q)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = {u: c for u, c in enumerate(draw(st.lists(entry, min_size=n, max_size=n))) if c}
+        rows.append((row, sum(c * point[u] for u, c in row.items())))
+    return n, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_system())
+def test_linear_system_mixed_rows_match_dense_rank(case):
+    n, rows = case
+    system = LinearSystem()
+    for row, rhs in rows:
+        system.add(row, rhs)
+        _check_reduced_and_indexed(system)
+    assert system.rank == _dense_rank(rows, n)
+    sol = system.solution()
+    assert all(type(v) is Fraction for v in sol.values())
+    for row, rhs in rows:
+        assert sum(c * sol.get(u, 0) for u, c in row.items()) == rhs
+
+
+def test_linear_system_cancelled_entry_leaves_the_index():
+    system = LinearSystem()
+    system.add({"a": 1, "c": 1, "d": 1})
+    assert system._uses == {"c": {"a"}, "d": {"a"}}
+    # the new pivot c rewrites a's row {c: 1, d: 1} to {d: 1 - 1}: d cancels
+    system.add({"c": 2, "d": 2}, 4)
+    assert system._pivots == {"a": ({}, -2), "c": ({"d": 1}, 2)}
+    assert system._uses == {"d": {"c"}}
+    assert all(type(v) is int for _, v in system._pivots.values())
+    assert system.solution() == {"a": Fraction(-2), "c": Fraction(2)}
+
+
 # -- the kernel boundary: exact coefficients only ---------------------------------
 
 
