@@ -24,17 +24,9 @@ from typing import Optional
 
 from .distpoly import from_roots, g_from_f, monic, rules_from_monic, standard_coords
 from .envres import VersalPipeline, eps_names
-from .poly import (
-    AbsentVariableError,
-    InconsistentSystemError,
-    LinearSystem,
-    NonLinearError,
-    Polynomial,
-    VarTable,
-    exact_div,
-)
+from .poly import InconsistentSystemError, LinearSystem, Polynomial, VarTable, exact_div
 from .rootsys import Spec, part_functionals, vertex_split
-from .solvelist import RuleCache, RuleSet
+from .solvelist import RuleCache, RuleSet, ValidityViolation, solve_in_order
 
 
 # -- the relation among distinguished polynomials -------------------------------
@@ -194,12 +186,14 @@ LAM_TABLE = VarTable(["U"] + [f"lam{i}" for i in range(1, 9)], [1] + list(range(
 
 @dataclass(frozen=True)
 class RestrictedPoly:
+    """A restricted polynomial, its coefficient map s_i -> lam polynomial,
+    and every standard coordinate pulled back along that map."""
+
     spec: Spec
     r: Polynomial
     s_rules: RuleSet
     vanishing: tuple[str, ...]
-    constant_name: str
-    constant_pullback: Polynomial
+    pulls: dict[str, Polynomial]
 
 
 class RestrictionError(RuntimeError):
@@ -248,54 +242,46 @@ def derive_restricted(spec: Spec, form: str = "plain",
 
     The A family admits both tabulated forms ("plain": U^n + lam_n;
     "root": U^n - lam_1^n, exposing a root).  Even D uses the special
-    factorization shape U^n - lam_{n-1} U; everything else sets the
-    vanishing coordinates to zero in increasing weight and solves each for
-    the parameter of its own weight.
+    factorization shape U^n - lam_{n-1} U; everything else pulls the
+    vanishing coordinates back along s_i -> lam_i and solves them, in
+    increasing weight, each for the parameter of its own weight.  Every
+    standard coordinate is then pulled back along the restriction, and
+    each vanishing one must be zero.
     """
     n = spec.n
     if n > 8:
         raise RestrictionError(f"{spec.name} needs lam{n}, and there is no lam beyond lam8")
-    names = scf_names(spec)
-    if not names:
+    if not scf_names(spec):
         raise RestrictionError(f"{spec.name} has no standard coordinate to restrict")
-    cname = names[-1]
     table = LAM_TABLE
     U = table.var("U")
     vanish = vanishing_coordinates(spec)
     if spec.family == "A":
-        if form == "root":
-            r = U ** n - table.var("lam1") ** n
-        else:
-            r = U ** n + table.var(f"lam{n}")
-        rules = rules_from_monic(r, n)
-        return RestrictedPoly(spec, r, rules, vanish, cname,
-                              coord_pullbacks(spec, rules, cache, [cname])[cname])
-    if spec.family == "D" and n % 2 == 0:
+        r = U ** n - table.var("lam1") ** n if form == "root" else U ** n + table.var(f"lam{n}")
+    elif spec.family == "D" and n % 2 == 0:
         r = U ** n - table.var(f"lam{n-1}") * U
-        rules = rules_from_monic(r, n)
-        pulls = coord_pullbacks(spec, rules, cache)
+    else:
+        lams = [table.var(f"lam{i}") for i in range(1, n + 1)]
+        start = RuleSet.of((f"s{i}", lam) for i, lam in enumerate(lams, 1))
+        pulled = coord_pullbacks(spec, start, cache, list(vanish))
+        targets = []
         for nm in vanish:
-            if not pulls[nm].is_zero:
-                raise RestrictionError(f"{nm} does not vanish on the even-D restriction")
-        return RestrictedPoly(spec, r, rules, vanish, cname, pulls[cname])
-    # triangular elimination
-    rules = {f"s{i}": table.var(f"lam{i}") for i in range(1, n + 1)}
-    for nm in vanish:
-        pulled = coord_pullbacks(spec, RuleSet.of(rules.items()), cache, [nm])[nm]
-        w = pulled.homogeneous_weight()
-        if w is None or w > n:
-            raise RestrictionError(f"{nm} cannot pin a parameter of its own weight")
-        target = f"lam{w}"
+            w = pulled[nm].homogeneous_weight()
+            if w is None or w > n:
+                raise RestrictionError(f"{nm} cannot pin a parameter of its own weight")
+            targets.append(f"lam{w}")
         try:
-            sol = pulled.solve_linear(target)
-        except (NonLinearError, AbsentVariableError) as exc:
-            raise RestrictionError(f"system is not triangular at {nm}: {exc}") from exc
-        sub = {target: sol}
-        rules = {k: v.substitute(sub) for k, v in rules.items()}
-    rule_set = RuleSet.of(sorted(rules.items(), key=lambda kv: int(kv[0][1:])))
-    r = monic(U, [rule_set[f"s{i}"] for i in range(1, n + 1)])
-    const = coord_pullbacks(spec, rule_set, cache, [cname])[cname]
-    return RestrictedPoly(spec, r, rule_set, tuple(vanish), cname, const)
+            solved = solve_in_order([pulled[nm] for nm in vanish], targets)
+        except ValidityViolation as exc:
+            raise RestrictionError(
+                f"system is not triangular at {vanish[exc.index]}: {exc.reason}") from exc
+        r = monic(U, [solved.apply(lam) for lam in lams])
+    rules = rules_from_monic(r, n)
+    pulls = coord_pullbacks(spec, rules, cache)
+    for nm in vanish:
+        if not pulls[nm].is_zero:
+            raise RestrictionError(f"{nm} does not vanish on the {spec.name} restriction")
+    return RestrictedPoly(spec, r, rules, vanish, pulls)
 
 
 # -- the key computations ----------------------------------------------------------
@@ -419,10 +405,9 @@ def key_constant(case: KeyCase, cache: Optional[RuleCache] = None) -> KeyResult:
     rp = case_restriction(case, cache)
     eps_pb = pullback_eps(case, rp, cache)
     monos = [_factors(mono) for mono, _ in case.terms]
-    pulls = coord_pullbacks(rp.spec, rp.s_rules, cache, [nm for mono in monos for nm, _ in mono])
-    basis = [prod(pulls[nm] ** e for nm, e in mono) for mono in monos]
+    basis = [prod(rp.pulls[nm] ** e for nm, e in mono) for mono in monos]
     return KeyResult(case, _fit(eps_pb, basis), tuple(c for _, c in case.terms),
-                     eps_pb, pulls[monos[-1][-1][0]])
+                     eps_pb, rp.pulls[monos[-1][-1][0]])
 
 
 def _fit(target: Polynomial, basis: list[Polynomial]) -> "tuple[Fraction, ...] | None":

@@ -205,11 +205,10 @@ def pq_split(n: int) -> DistData:
 
 
 def f_dist(spec: Spec) -> DistData:
-    table = ts_table(spec.n)
-    data = DistData(spec, f_product(spec, table), f_sform(spec, table))
     if spec.family == "D":
         return pq_split(spec.n)
-    return data
+    table = ts_table(spec.n)
+    return DistData(spec, f_product(spec, table), f_sform(spec, table))
 
 
 # -- expansion and symmetric reduction on partitions ---------------------------

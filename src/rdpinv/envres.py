@@ -37,7 +37,7 @@ from .poly import (
     VarTable,
     parse,
 )
-from .solvelist import RuleCache, RuleSet, SolveList
+from .solvelist import RuleCache, RuleSet, SolveList, solve_in_order
 
 S_MAX = {6: 6, 7: 7, 8: 8}
 XYZW_WEIGHTS = {6: (9, 7, 6, 3), 7: (15, 9, 7, 3), 8: (24, 16, 9, 3)}
@@ -284,7 +284,6 @@ def solve_e8_sextic() -> Polynomial:
 def good_gens_bar(n: int) -> GoodGenSet:
     if n not in (6, 7, 8):
         raise ValueError("good generating sets exist for n in {6, 7, 8}")
-    table = pipeline_table(n)
     if n == 6:
         return GoodGenSet(6, _p(6, _E6_XB), _p(6, _E6_YB), _p(6, _E6_ZB),
                           _p(6, "x^3 - y*z^2"))
@@ -293,13 +292,11 @@ def good_gens_bar(n: int) -> GoodGenSet:
         wb = _p(7, "x^3 - y*z^2")
         xb = Fraction(1, 3) * jacobian3(yb, zb, wb)
         return GoodGenSet(7, xb, yb, zb, wb)
-    if n == 8:
-        yb = solve_e8_sextic()
-        zb = _p(8, _E8_ZB)
-        wb = _p(8, "x^3 - y*z^2")
-        xb = Fraction(-1, 6) * jacobian3(yb, zb, wb)
-        return GoodGenSet(8, xb, yb, zb, wb)
-    raise ValueError("good generating sets exist for n in {6, 7, 8}")
+    yb = solve_e8_sextic()
+    zb = _p(8, _E8_ZB)
+    wb = _p(8, "x^3 - y*z^2")
+    xb = Fraction(-1, 6) * jacobian3(yb, zb, wb)
+    return GoodGenSet(8, xb, yb, zb, wb)
 
 
 def reduce_mod_m(p: Polynomial) -> Polynomial:
@@ -343,9 +340,7 @@ def _template(n: int, barred: bool) -> Polynomial:
 
 def phibar_template(n: int) -> Polynomial:
     """Defining polynomial in the raw generators, undetermined coefficients."""
-    t = pipeline_table(n)
-    sub = {f"eps{w}": t.var(f"ebar{w}") for w in EPS_WEIGHTS[n]}
-    return _template(n, barred=True).substitute(sub)
+    return _template(n, barred=True)
 
 
 def versal_template(n: int) -> Polynomial:
@@ -425,16 +420,9 @@ def mu_rules(n: int) -> RuleSet:
 
 def mu_inverse(n: int) -> RuleSet:
     """Solve the triangular change of generators for the plain X, Y, Z, W."""
-    t = pipeline_table(n)
-    mu = mu_rules(n).mapping()
-    solved: dict[str, Polynomial] = {}
-    out = []
-    for name in ("W", "Z", "Y", "X"):
-        correction = mu[f"{name}b"] - t.var(name)
-        value = t.var(f"{name}b") - correction.substitute(solved)
-        solved[name] = value
-        out.append((name, value))
-    return RuleSet.of(reversed(out))
+    t, mu, names = pipeline_table(n), mu_rules(n), ("W", "Z", "Y", "X")
+    solved = solve_in_order([mu[f"{v}b"] - t.var(f"{v}b") for v in names], names)
+    return RuleSet.of(reversed(solved.rules))
 
 
 # -- pipeline ---------------------------------------------------------------------

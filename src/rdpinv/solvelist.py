@@ -7,7 +7,9 @@ determines further rules lazily: substitute the base rules into the
 template, then walk the pairs in order, each time reading off the
 coefficient of the monomial, solving it for the unknown (which must occur
 linearly with a nonzero rational constant coefficient) and eliminating
-that unknown from the remaining coefficients.
+that unknown from the remaining coefficients.  That ordered elimination,
+:func:`solve_in_order`, is the one exact triangular solver: it also
+inverts the change of generators and solves the restricted polynomials.
 
 The substituted template is never built whole.  Its coefficients are
 computed in (Q[parameters, unknowns])[monomial variables] modulo the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .poly import (
     AbsentVariableError,
@@ -49,7 +51,8 @@ from .poly import (
 
 
 class ValidityViolation(Exception):
-    """A solve-list pair failed the linearity or ordering condition."""
+    """An equation of :func:`solve_in_order`, such as a solve-list pair's
+    coefficient, failed the linearity or ordering condition."""
 
     def __init__(self, index: int, variable: str, reason: str):
         super().__init__(f"pair {index} ({variable}): {reason}")
@@ -130,11 +133,41 @@ class RuleSet:
         return json.dumps(self.to_json(), sort_keys=True).encode()
 
 
+def solve_in_order(equations: Sequence[Polynomial], unknowns: Sequence[str]) -> RuleSet:
+    """Solve equation i for unknown i, in order, eliminating each as found.
+
+    Each unknown must occur linearly with a nonzero rational constant
+    coefficient and in no earlier solution.  Raises
+    :class:`ValidityViolation` naming the first offending equation.  A
+    solution is free of its own unknown and of every earlier one, which is
+    eliminated first, and the ordering check keeps every later one out; so
+    no solution mentions a solved unknown and nothing needs cleaning up.
+    """
+    coeffs = list(equations)
+    solved: list[tuple[str, Polynomial]] = []
+    for i, var in enumerate(unknowns):
+        try:
+            value = coeffs[i].solve_linear(var)
+        except (NonLinearError, AbsentVariableError) as exc:
+            raise ValidityViolation(i, var, str(exc)) from exc
+        for w, wval in solved:
+            if wval.contains_var(var):
+                raise ValidityViolation(
+                    i, var, f"already occurs in the coefficient solved for {w}"
+                )
+        solved.append((var, value))
+        sub = {var: value}
+        for j in range(i + 1, len(coeffs)):
+            if coeffs[j].contains_var(var):
+                coeffs[j] = coeffs[j].substitute(sub)
+    return RuleSet(tuple(solved))
+
+
 # Part of every solve-list cache key.  Bump it whenever a change to the
 # expansion could give different rules for the same solve list (the order
-# of solving, the clean-up of late pairs, the rule format), so that entries
-# written by older code are never read.  A change that only computes the
-# same rules faster, such as the divisor truncation, keeps it.
+# of solving, the rule format), so that entries written by older code are
+# never read.  A change that only computes the same rules faster, such as
+# the divisor truncation, keeps it.
 EXPANSION_VERSION = 1
 
 MonoSpec = tuple[tuple[str, int], ...]
@@ -247,31 +280,7 @@ class SolveList:
 
         Raises :class:`ValidityViolation` naming the first offending pair.
         """
-        coeffs = self.coefficient_equations()
-        solved: list[tuple[str, Polynomial]] = []
-        for i, (mono, var) in enumerate(self.pairs):
-            ci = coeffs[i]
-            try:
-                value = ci.solve_linear(var)
-            except (NonLinearError, AbsentVariableError) as exc:
-                raise ValidityViolation(i, var, str(exc)) from exc
-            for w, wval in solved:
-                if wval.contains_var(var):
-                    raise ValidityViolation(
-                        i, var, f"already occurs in the coefficient solved for {w}"
-                    )
-            solved.append((var, value))
-            sub = {var: value}
-            for j in range(i + 1, len(coeffs)):
-                if coeffs[j].contains_var(var):
-                    coeffs[j] = coeffs[j].substitute(sub)
-        # late pairs may appear in earlier solutions; clean in reverse order
-        for i in range(len(solved) - 2, -1, -1):
-            var, value = solved[i]
-            later = {w: wval for w, wval in solved[i + 1:] if value.contains_var(w)}
-            if later:
-                solved[i] = (var, value.substitute(later))
-        return RuleSet(tuple(solved))
+        return solve_in_order(self.coefficient_equations(), [v for _, v in self.pairs])
 
     def to_json(self) -> dict:
         return {

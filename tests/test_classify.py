@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rdpinv.classify import (
     COLUMNS,
+    VERSAL_MONOMIALS,
     NotRDPError,
     RdpType,
     SectionBound,
@@ -22,6 +23,7 @@ from rdpinv.classify import (
     section_type,
 )
 from rdpinv.congruence import KEY_CASES
+from rdpinv.envres import versal_template
 from rdpinv.poly import Polynomial, VarTable, parse
 
 T = VarTable(["X", "Y", "Z"], [1, 1, 1])
@@ -342,3 +344,18 @@ def test_section_monotone_in_every_order():
 def test_infinite_orders_contribute_nothing():
     profile = ValuationProfile("E8", {"eps30": float("inf"), "eps24": 3})
     assert section_type(profile).column == "E6"
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_versal_monomials_are_read_off_the_template(n):
+    # the (Y, Z) exponents of the monomial that each eps multiplies
+    template = versal_template(n)
+    got = {}
+    for exps, _ in template.items():
+        powers = dict(zip(template.table.names, exps))
+        eps = [v for v, e in powers.items() if e and v.startswith("eps")]
+        if eps:
+            (name,) = eps
+            assert name not in got, name
+            got[name] = (powers["Y"], powers["Z"])
+    assert got == VERSAL_MONOMIALS[f"E{n}"]

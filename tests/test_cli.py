@@ -148,8 +148,8 @@ def test_congruence_all_deterministic_across_jobs(capsys):
 
 
 def test_congruence_all_cold_jobs_2_matches_jobs_1(tmp_path, capsys):
-    # on empty caches the two workers write the same plain and pulled-back
-    # keys side by side
+    # --jobs has no effect: on empty caches both runs write the same plain
+    # and pulled-back keys
     one, two = tmp_path / "one", tmp_path / "two"
     serial = run(capsys, "--cache-dir", str(one), "congruence", "--all", "--jobs", "1")
     parallel = run(capsys, "--cache-dir", str(two), "congruence", "--all", "--jobs", "2")

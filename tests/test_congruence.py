@@ -103,24 +103,29 @@ def test_restricted_polynomials_match_table(name, cache):
     assert rp.r == L(TABLE8[name]), name
 
 
+def constant_pullback(rp):
+    """The pulled-back constant term: the last standard coordinate."""
+    return rp.pulls[scf_names(rp.spec)[-1]]
+
+
 def test_restricted_constant_terms(cache):
-    assert derive_restricted(Spec.from_name("E4")).constant_pullback == \
+    assert constant_pullback(derive_restricted(Spec.from_name("E4"))) == \
         L("243/3125*lam1^5")
-    assert derive_restricted(Spec.from_name("E5")).constant_pullback == \
+    assert constant_pullback(derive_restricted(Spec.from_name("E5"))) == \
         L("2601/16384*lam1^8 + 9/4*lam3^2*lam1^2 - 153/128*lam1^5*lam3")
-    assert derive_restricted(Spec.from_name("D6")).constant_pullback == L("lam5^2")
+    assert constant_pullback(derive_restricted(Spec.from_name("D6"))) == L("lam5^2")
     d7 = derive_restricted(Spec.from_name("D7"))
     base = L("lam1*lam5 - 1/2*lam3*lam1^3 + 1/16*lam1^6 + 1/2*lam3^2")
-    assert d7.constant_pullback == base * base
+    assert constant_pullback(d7) == base * base
 
 
 def test_a_family_both_forms():
     plain = derive_restricted(Spec.from_name("A5"))
     assert plain.r == L("U^6 + lam6")
-    assert plain.constant_pullback == L("lam6")
+    assert constant_pullback(plain) == L("lam6")
     root = derive_restricted(Spec.from_name("A5"), form="root")
     assert root.r == L("U^6 - lam1^6")
-    assert root.constant_pullback == L("-lam1^6")
+    assert constant_pullback(root) == L("-lam1^6")
 
 
 def test_restriction_annihilates_exactly_the_listed_coordinates(cache):
@@ -133,12 +138,44 @@ def test_restriction_annihilates_exactly_the_listed_coordinates(cache):
             assert pulls[nm].is_zero, (name, nm)
             max_w = max(max_w, int(standard_coords(spec)[nm].homogeneous_weight())
                         if spec.family != "E" or spec.n <= 5 else max_w)
-        assert not pulls[rp.constant_name].is_zero, name
+        cname = scf_names(spec)[-1]
+        assert pulls == rp.pulls, name
+        assert not pulls[cname].is_zero, name
         for nm, val in pulls.items():
-            if nm not in rp.vanishing and nm != rp.constant_name:
+            if nm not in rp.vanishing and nm != cname:
                 w = val.homogeneous_weight()
                 if w is not None and w <= max_w:
                     assert not val.is_zero, (name, nm)
+
+
+def test_each_restriction_pulls_back_at_most_twice(cache, monkeypatch):
+    # once to set up the triangular system, once along the restriction
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return coord_pullbacks(*args, **kwargs)
+
+    monkeypatch.setattr(congruence, "coord_pullbacks", counting)
+    for name in ALL_SPECS + ["D10"]:
+        for form in ("plain", "root"):
+            calls.clear()
+            try:
+                derive_restricted(Spec.from_name(name), form=form, cache=cache)
+            except RestrictionError:
+                pass
+            assert len(calls) <= 2, (name, form, calls)
+
+
+@pytest.mark.parametrize("name, at", [("E4", "eps3"), ("E5", "eps4"), ("E6", "eps5")])
+def test_restriction_out_of_weight_order_is_not_triangular(name, at, cache, monkeypatch):
+    # solved in decreasing weight, the parameter solved first mentions the next
+    listed = vanishing_coordinates
+    monkeypatch.setattr(congruence, "vanishing_coordinates", lambda spec: listed(spec)[::-1])
+    with pytest.raises(RestrictionError, match=f"^system is not triangular at {at}: "
+                       "already occurs in the coefficient solved for lam") as info:
+        derive_restricted(Spec.from_name(name), cache=cache)
+    assert "\n" not in str(info.value)
 
 
 def test_unsupported_restriction_rejected():
@@ -243,17 +280,26 @@ def test_scf_names_and_vanishing_sets():
 
 
 def test_key_constant_derives_each_restriction_once(cache, monkeypatch):
-    calls = []
+    # and reads its terms from the restriction's pull-backs: the only other
+    # pull-back is the parent's target
+    calls, pulls = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[0].name)
         return derive_restricted(*args, **kwargs)
 
+    def counting_pulls(*args, **kwargs):
+        pulls.append(args[0].name)
+        return coord_pullbacks(*args, **kwargs)
+
     monkeypatch.setattr(congruence, "derive_restricted", counting)
+    monkeypatch.setattr(congruence, "coord_pullbacks", counting_pulls)
     for case in KEY_CASES:
         calls.clear()
+        pulls.clear()
         assert key_constant(case, cache).ok, case.label
         assert len(calls) == 1, (case.label, calls)
+        assert len(pulls) <= 3 and pulls.count(f"E{case.parent}") == 1, (case.label, pulls)
 
 
 # -- the exact fit of one row ------------------------------------------------------

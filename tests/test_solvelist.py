@@ -12,7 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rdpinv
 from rdpinv import solvelist
-from rdpinv.distpoly import split_params_E
+from rdpinv.congruence import (
+    LAM_TABLE,
+    RestrictionError,
+    coord_pullbacks,
+    derive_restricted,
+    scf_names,
+    vanishing_coordinates,
+)
+from rdpinv.distpoly import monic, rules_from_monic, split_params_E
 from rdpinv.envres import (
     eps_names,
     mu_inverse,
@@ -20,8 +28,9 @@ from rdpinv.envres import (
     phibar_template,
     pipeline_table,
 )
-from rdpinv.poly import VarTable, parse
-from rdpinv.solvelist import RuleCache, RuleSet, SolveList, ValidityViolation
+from rdpinv.poly import AbsentVariableError, NonLinearError, VarTable, parse
+from rdpinv.rootsys import Spec
+from rdpinv.solvelist import RuleCache, RuleSet, SolveList, ValidityViolation, solve_in_order
 
 
 def test_synthetic_solve_list():
@@ -55,6 +64,197 @@ def test_ordering_violation_detected():
     with pytest.raises(ValidityViolation) as err:
         sl.expand()
     assert err.value.index == 1 and err.value.variable == "b"
+
+
+# -- the shared elimination ----------------------------------------------------
+
+
+def _old_expand_loop(equations, unknowns):
+    """The loop SolveList.expand ran before the shared elimination, with its
+    reverse clean-up of late unknowns in earlier solutions; an oracle."""
+    coeffs = list(equations)
+    solved = []
+    for i, var in enumerate(unknowns):
+        try:
+            value = coeffs[i].solve_linear(var)
+        except (NonLinearError, AbsentVariableError) as exc:
+            raise ValidityViolation(i, var, str(exc)) from exc
+        for w, wval in solved:
+            if wval.contains_var(var):
+                raise ValidityViolation(i, var, f"already occurs in the coefficient solved for {w}")
+        solved.append((var, value))
+        for j in range(i + 1, len(coeffs)):
+            if coeffs[j].contains_var(var):
+                coeffs[j] = coeffs[j].substitute({var: value})
+    for i in range(len(solved) - 2, -1, -1):
+        var, value = solved[i]
+        later = {w: wval for w, wval in solved[i + 1:] if value.contains_var(w)}
+        if later:
+            solved[i] = (var, value.substitute(later))
+    return RuleSet(tuple(solved))
+
+
+def _elimination_outcome(solve, equations, unknowns):
+    try:
+        return solve(equations, unknowns).to_json()
+    except ValidityViolation as exc:
+        return (exc.index, exc.variable, exc.reason)
+
+
+_UNKNOWNS = ("u0", "u1", "u2", "u3")
+_ELIM = VarTable(["p", "q", *_UNKNOWNS], [0] * 6)
+
+
+@st.composite
+def _elimination_systems(draw, triangular=True):
+    """Equations and their unknowns, in a drawn order.  Triangular: equation
+    i is a nonzero constant times unknown i plus a polynomial in p, q and
+    the earlier unknowns; otherwise any polynomial in p, q and all of them."""
+    unknowns = draw(st.permutations(_UNKNOWNS))[:draw(st.integers(1, len(_UNKNOWNS)))]
+    equations = []
+    for i, u in enumerate(unknowns):
+        eq = draw(_COEFFS) * _ELIM.var(u) if triangular else _ELIM.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            term = _ELIM.const(draw(_COEFFS))
+            for v in ("p", "q", *(unknowns[:i] if triangular else _UNKNOWNS)):
+                term = term * _ELIM.var(v) ** draw(st.integers(0, 2))
+            eq = eq + term
+        equations.append(eq)
+    return equations, list(unknowns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_systems())
+def test_elimination_solves_a_triangular_system(system):
+    equations, unknowns = system
+    rules = solve_in_order(equations, unknowns)
+    assert [v for v, _ in rules.rules] == unknowns
+    for eq in equations:
+        assert rules.apply(eq).is_zero
+    for v, value in rules.rules:
+        assert not any(value.contains_var(u) for u in unknowns), v
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_systems(triangular=False) | _elimination_systems())
+def test_elimination_matches_the_old_loop(system):
+    # the reverse clean-up of the old loop never has anything to clean: the
+    # ordering check refuses a late unknown in an earlier solution first
+    equations, unknowns = system
+    assert _elimination_outcome(solve_in_order, equations, unknowns) == \
+        _elimination_outcome(_old_expand_loop, equations, unknowns)
+
+
+def test_elimination_rejects_a_squared_or_absent_unknown():
+    p, q, u0, u1 = (_ELIM.var(v) for v in ("p", "q", "u0", "u1"))
+    nonlinear = "appears with exponent >= 2 or a non-constant coefficient"
+    for equations, unknowns, index, reason in (
+            ([u0 - p, u1 ** 2 + q], ["u0", "u1"], 1, f"u1 {nonlinear}"),
+            ([u0 * q + p], ["u0"], 0, f"u0 {nonlinear}"),
+            ([u0 - p, p + q], ["u0", "u1"], 1, "u1 does not appear in the expression"),
+            # an unknown solved once is eliminated from every later equation
+            ([u0 - p, u0 + q], ["u0", "u0"], 1, "u0 does not appear in the expression")):
+        with pytest.raises(ValidityViolation) as err:
+            solve_in_order(equations, unknowns)
+        assert (err.value.index, err.value.variable, err.value.reason) == \
+            (index, unknowns[index], reason)
+
+
+def test_elimination_refuses_a_late_unknown_in_an_earlier_solution():
+    # u0 = -u1 mentions u1, which the second equation solves: the old loop
+    # would have cleaned u0 up in reverse; both refuse it at u1 instead
+    p, u0, u1 = (_ELIM.var(v) for v in ("p", "u0", "u1"))
+    equations = [u0 + u1, u1 - p]
+    for solve in (solve_in_order, _old_expand_loop):
+        with pytest.raises(ValidityViolation) as err:
+            solve(equations, ["u0", "u1"])
+        assert (err.value.index, err.value.variable) == (1, "u1")
+        assert err.value.reason == "already occurs in the coefficient solved for u0"
+    # solved in the other order, the same system is triangular
+    rules = solve_in_order(equations[::-1], ["u1", "u0"])
+    assert rules["u1"] == p and rules["u0"] == -p
+
+
+def _old_mu_inverse(n):
+    """The loop mu_inverse ran before the shared elimination; an oracle."""
+    t = pipeline_table(n)
+    mu = mu_rules(n).mapping()
+    solved, out = {}, []
+    for name in ("W", "Z", "Y", "X"):
+        correction = mu[f"{name}b"] - t.var(name)
+        value = t.var(f"{name}b") - correction.substitute(solved)
+        solved[name] = value
+        out.append((name, value))
+    return RuleSet.of(reversed(out))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_elimination_inverts_mu_as_the_old_loop(n):
+    got, want = mu_inverse(n), _old_mu_inverse(n)
+    assert got.canonical_bytes() == want.canonical_bytes()
+    assert [(v, p.table) for v, p in got.rules] == [(v, p.table) for v, p in want.rules]
+
+
+def _old_derive_restricted(spec, form, cache):
+    """``(r, s_rules, vanishing, constant pull-back)`` as derive_restricted
+    found them before the shared elimination: one pull-back per vanishing
+    coordinate along the rules solved so far; an oracle."""
+    n = spec.n
+    if n > 8:
+        raise RestrictionError(f"{spec.name} needs lam{n}, and there is no lam beyond lam8")
+    names = scf_names(spec)
+    if not names:
+        raise RestrictionError(f"{spec.name} has no standard coordinate to restrict")
+    cname, table = names[-1], LAM_TABLE
+    U = table.var("U")
+    vanish = vanishing_coordinates(spec)
+    if spec.family == "A" or (spec.family == "D" and n % 2 == 0):
+        if spec.family == "D":
+            r = U ** n - table.var(f"lam{n-1}") * U
+        else:
+            r = U ** n - table.var("lam1") ** n if form == "root" else U ** n + table.var(f"lam{n}")
+        rules = rules_from_monic(r, n)
+        pulls = coord_pullbacks(spec, rules, cache)
+        return r, rules, vanish, pulls[cname]
+    rules = {f"s{i}": table.var(f"lam{i}") for i in range(1, n + 1)}
+    for nm in vanish:
+        pulled = coord_pullbacks(spec, RuleSet.of(rules.items()), cache, [nm])[nm]
+        w = pulled.homogeneous_weight()
+        if w is None or w > n:
+            raise RestrictionError(f"{nm} cannot pin a parameter of its own weight")
+        target = f"lam{w}"
+        try:
+            sol = pulled.solve_linear(target)
+        except (NonLinearError, AbsentVariableError) as exc:
+            raise RestrictionError(f"system is not triangular at {nm}: {exc}") from exc
+        rules = {k: v.substitute({target: sol}) for k, v in rules.items()}
+    rule_set = RuleSet.of(sorted(rules.items(), key=lambda kv: int(kv[0][1:])))
+    r = monic(U, [rule_set[f"s{i}"] for i in range(1, n + 1)])
+    return r, rule_set, vanish, coord_pullbacks(spec, rule_set, cache, [cname])[cname]
+
+
+_RESTRICTED_TYPES = [f"A{n}" for n in range(2, 9)] + [f"D{n}" for n in range(2, 9)] + \
+    ["D10"] + [f"E{n}" for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("form", ["plain", "root"])
+@pytest.mark.parametrize("name", _RESTRICTED_TYPES)
+def test_elimination_restricts_as_the_old_loop(name, form, cache):
+    spec = Spec.from_name(name)
+    try:
+        want = _old_derive_restricted(spec, form, cache)
+    except RestrictionError as exc:
+        with pytest.raises(RestrictionError) as err:
+            derive_restricted(spec, form=form, cache=cache)
+        assert str(err.value) == str(exc)
+        return
+    rp = derive_restricted(spec, form=form, cache=cache)
+    r, rules, vanish, const = want
+    assert rp.r.serialize() == r.serialize()
+    assert [(v, p.serialize()) for v, p in rp.s_rules.rules] == \
+        [(v, p.serialize()) for v, p in rules.rules]
+    assert rp.vanishing == vanish
+    assert rp.pulls[scf_names(spec)[-1]].serialize() == const.serialize()
 
 
 def _full_image_coefficients(sl):
