@@ -17,12 +17,17 @@ For n = 7, 8 the versal stage sets z = 0 before expanding (the relevant
 extraction monomials never involve z), which shrinks the computation by
 orders of magnitude; the E8 barred stage is z-free as well.
 
-All heavy expansions stream through the content-addressed rule cache; a
-restriction of the base is applied to the expanded eps, not to the stages.
+All heavy expansions stream through the rule cache; a restriction of the
+base is applied to the expanded eps, not to the stages.  The bar stage is
+keyed by its content; the versal expansion, and its pull-backs, by its
+recipe (:meth:`VersalPipeline.versal_key`), so a warm run builds no psi
+or r_pi stage.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +42,7 @@ from .poly import (
     VarTable,
     parse,
 )
+from . import solvelist
 from .solvelist import RuleCache, RuleSet, SolveList, solve_in_order
 
 S_MAX = {6: 6, 7: 7, 8: 8}
@@ -309,6 +315,8 @@ def reduce_mod_m(p: Polynomial) -> Polynomial:
 # -- templates and solve-list data ----------------------------------------------
 
 
+# shared like the generators: Polynomial arithmetic returns new objects
+@lru_cache(maxsize=None)
 def _template(n: int, barred: bool) -> Polynomial:
     t = pipeline_table(n)
     b = "b" if barred else ""
@@ -474,10 +482,13 @@ class VersalPipeline:
 
     # stage 3: the triangular psi system ------------------------------------------
 
+    def psi_recipe(self) -> SolveList:
+        """The psi solve list before its pull-back through the bar rules."""
+        return SolveList.of(mu_rules(self.n), phibar_template(self.n),
+                            _PSI_PAIRS[self.n], ("X", "Y", "Z", "W"))
+
     def psi_solvelist(self) -> SolveList:
-        sl = SolveList.of(mu_rules(self.n), phibar_template(self.n),
-                          _PSI_PAIRS[self.n], ("X", "Y", "Z", "W"))
-        return sl.pull_back(self.bar_rules())
+        return self.psi_recipe().pull_back(self.bar_rules())
 
     def psi_rules(self) -> RuleSet:
         return self._stage("psi", lambda: self.psi_solvelist().expand())
@@ -495,16 +506,37 @@ class VersalPipeline:
     # stage 5: versal coefficients ---------------------------------------------------
 
     def versal_solvelist(self) -> SolveList:
-        return self._stage("versal_solvelist", lambda: SolveList.of(
-            self.r_pi(), versal_template(self.n), _VERSAL_PAIRS[self.n], ("x", "y", "z")))
+        return SolveList.of(self.r_pi(), versal_template(self.n), _VERSAL_PAIRS[self.n],
+                            ("x", "y", "z"))
+
+    def versal_key(self) -> str:
+        """The cache key of the plain versal expansion, hashed from its recipe.
+
+        The recipe is every input of the stages that compose r_pi: the bar
+        solve list's key, the psi solve list before its pull-back, the
+        generator rules and the versal template and pairs, with the
+        expansion version.  It needs no stage, so a warm hit reads no bar
+        rules and builds no psi or r_pi stage.
+        """
+        def build() -> str:
+            n = self.n
+            versal = SolveList.of(RuleSet.identity(), versal_template(n),
+                                  _VERSAL_PAIRS[n], ("x", "y", "z"))
+            recipe = {"bar": self.bar_solvelist().content_key(),
+                      "psi": self.psi_recipe().to_json(),
+                      "rbar": self.rbar_pi(n in (7, 8)).to_json(),
+                      "versal": versal.to_json(),
+                      "expansion": solvelist.EXPANSION_VERSION}
+            return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
+        return self._stage("versal_key", build)
 
     def versal_rules(self, names: Optional[Sequence[str]] = None) -> RuleSet:
         """The eps_i in s_1..s_n; with ``param``, the eps_i ``names`` (by
         default all) pulled back, cached under a key of their own."""
-        sl = self.versal_solvelist()
+        key, expand = self.versal_key(), lambda: self.versal_solvelist().expand()
         if self.param is None:
-            return self._stage("versal", lambda: self.cache.expand(sl))
-        return self.cache.pull_back(sl, self.param, names or eps_names(self.n))
+            return self.cache.fetch(key, expand)
+        return self.cache.pull_back(key, expand, self.param, names or eps_names(self.n))
 
 
 def versal_coeffs(n: int, cache: Optional[RuleCache] = None) -> dict[str, Polynomial]:

@@ -19,13 +19,13 @@ never reaches a pair's monomial, and dropping it (before or after any
 product) changes no coefficient that is read.  Typically this keeps a
 tenth of the image or less.
 
-Expanded rule sets can be persisted in a content-addressed cache keyed by
-a hash of (base, template, pairs, extraction variables, expansion
-version), so repeated runs of the heavy eliminations are free; so are
-their pull-backs through a parameter.  An entry holds the rules in the
-kernel's own form, read back without the text parser once checked to be
-a canonical store; the keys are those of the older text entries, which
-are read as misses and recomputed.
+Expanded rule sets can be persisted in a cache keyed by a hash of
+(base, template, pairs, extraction variables, expansion version), or by
+a caller's hash of a recipe that determines them, so repeated runs of
+the heavy eliminations are free; so are their pull-backs through a
+parameter.  An entry holds the rules in the kernel's own form, read
+back without the text parser once checked to be a canonical store;
+entries in the older text format are read as misses and recomputed.
 """
 
 from __future__ import annotations
@@ -163,11 +163,14 @@ def solve_in_order(equations: Sequence[Polynomial], unknowns: Sequence[str]) -> 
     return RuleSet(tuple(solved))
 
 
-# Part of every solve-list cache key.  Bump it whenever a change to the
-# expansion could give different rules for the same solve list (the order
-# of solving, the rule format), so that entries written by older code are
-# never read.  A change that only computes the same rules faster, such as
-# the divisor truncation, keeps it.
+# Part of every solve-list cache key, and of every key made from a
+# recipe.  Bump it whenever a change to the expansion could give different
+# rules for the same solve list (the order of solving, the rule format),
+# or a change to how the stages compose could give different rules for the
+# same recipe (psi_rules, mu_inverse, r_pi, the z = 0 choices in envres),
+# so that entries written by older code are never read.  A change that
+# only computes the same rules faster, such as the divisor truncation,
+# keeps it.
 EXPANSION_VERSION = 1
 
 MonoSpec = tuple[tuple[str, int], ...]
@@ -325,8 +328,8 @@ ENTRY_FORMAT = "rdpinv-cache-v2"
 
 
 class RuleCache:
-    """File-backed store of expanded rule sets, keyed by content hash; its
-    memory also holds values that are never written (:meth:`memo`)."""
+    """File-backed store of expanded rule sets, keyed by hash; its memory
+    also holds values that are never written (:meth:`memo`)."""
 
     def __init__(self, directory: "Path | str | None" = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
@@ -399,19 +402,21 @@ class RuleCache:
     def expand(self, sl: SolveList) -> RuleSet:
         return self.fetch(sl.content_key(), sl.expand)
 
-    def pull_back(self, sl: SolveList, param: RuleSet, names: Iterable[str]) -> RuleSet:
-        """The rules ``names`` of ``sl.expand()`` pulled back through ``param``.
+    def pull_back(self, key: str, expand: Callable[[], RuleSet], param: RuleSet,
+                  names: Iterable[str]) -> RuleSet:
+        """The rules ``names`` of the expansion keyed ``key`` pulled back
+        through ``param``; ``expand`` computes that expansion on a miss.
 
         Pulling back is a ring map that fixes the unknowns and the monomial
-        variables and keeps the constant pivots, so whenever ``sl`` expands
-        this equals ``sl.pull_back(param).expand()``.  A hit does not load
-        the expansion.  Each value is compacted first, so no stale variable
-        clashes with the parameter's table.
+        variables and keeps the constant pivots, so whenever a solve list
+        ``sl`` expands this equals ``sl.pull_back(param).expand()``.  A hit
+        neither loads nor builds the expansion.  Each value is compacted
+        first, so no stale variable clashes with the parameter's table.
         """
-        key, names = sl.content_key(), tuple(names)
+        names = tuple(names)
 
         def compute() -> RuleSet:
-            plain = self.fetch(key, sl.expand)
+            plain = self.fetch(key, expand)
             return RuleSet(tuple((nm, param.apply(plain[nm].compact())) for nm in names))
 
         return self.fetch(pull_back_key(key, param, names), compute)

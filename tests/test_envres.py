@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from rdpinv import envres
+from rdpinv import envres, solvelist
 from rdpinv.envres import (
     APPENDIX_MULTIPLIERS,
     BAR_EXTENSION,
@@ -22,9 +23,9 @@ from rdpinv.envres import (
 )
 from rdpinv.poly import LinearSystem, Polynomial, VarTable, parse, univar_divmod
 from rdpinv.cli import load_golden
-from rdpinv.congruence import KEY_CASES, case_param, case_restriction
+from rdpinv.congruence import KEY_CASES, case_param, case_restriction, key_case, key_constant
 from rdpinv.distpoly import split_params_E
-from rdpinv.solvelist import RuleSet
+from rdpinv.solvelist import RuleCache, RuleSet, SolveList
 
 
 def P(n, text):
@@ -389,3 +390,111 @@ def test_invalid_rank_rejected():
         VersalPipeline(5)
     with pytest.raises(ValueError):
         good_gens_bar(9)
+
+
+# -- the versal expansion keyed by its recipe ------------------------------------------
+
+
+def _reversed_at(table, n):
+    return {**table, n: table[n][::-1]}
+
+
+def _doubled_mu_rules(monkeypatch, n):
+    plain = envres.mu_rules
+    monkeypatch.setattr(envres, "mu_rules",
+                        lambda m: RuleSet.of([(v, 2 * p) for v, p in plain(m).rules]))
+
+
+def _doubled_versal_template(monkeypatch, n):
+    plain = envres._template
+    monkeypatch.setattr(envres, "_template",
+                        lambda m, barred: plain(m, barred) if barred else 2 * plain(m, barred))
+
+
+def _doubled_generator(monkeypatch, n):
+    plain = envres.good_gens_bar
+    monkeypatch.setattr(envres, "good_gens_bar",
+                        lambda m: dataclasses.replace(plain(m), Wb=2 * plain(m).Wb))
+
+
+# each change, and whether it also moves the bar solve list's key
+RECIPE_CHANGES = {
+    "bar pairs": (lambda mp, n: mp.setattr(envres, "_BAR_PAIRS",
+                                           _reversed_at(envres._BAR_PAIRS, n)), True),
+    "psi pairs": (lambda mp, n: mp.setattr(envres, "_PSI_PAIRS",
+                                           _reversed_at(envres._PSI_PAIRS, n)), False),
+    "versal pairs": (lambda mp, n: mp.setattr(envres, "_VERSAL_PAIRS",
+                                              _reversed_at(envres._VERSAL_PAIRS, n)), False),
+    "mu rules": (_doubled_mu_rules, False),
+    "versal template": (_doubled_versal_template, False),
+    "generators": (_doubled_generator, True),
+    "expansion version": (lambda mp, n: mp.setattr(solvelist, "EXPANSION_VERSION",
+                                                   solvelist.EXPANSION_VERSION + 1), True),
+}
+
+
+def _keys(n, directory):
+    pipe = VersalPipeline(n, cache=RuleCache(directory))
+    return pipe.versal_key(), pipe.bar_solvelist().content_key()
+
+
+def test_recipe_key_differs_by_rank_and_from_the_bar_key(tmp_path):
+    keys = [key for n in (6, 7, 8) for key in _keys(n, tmp_path)]
+    assert len(set(keys)) == 6
+
+
+@pytest.mark.parametrize("change", list(RECIPE_CHANGES))
+def test_recipe_key_changes_with_each_input(change, tmp_path, monkeypatch):
+    before = {n: _keys(n, tmp_path) for n in (6, 7, 8)}
+    patch, moves_bar = RECIPE_CHANGES[change]
+    for n in (6, 7, 8):
+        with monkeypatch.context() as mp:
+            patch(mp, n)
+            versal, bar = _keys(n, tmp_path)
+        assert versal != before[n][0], n
+        assert (bar != before[n][1]) == moves_bar, n
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a warm recipe hit built a stage")
+
+
+def test_warm_recipe_hit_builds_no_stage(cache, monkeypatch):
+    case = key_case("E6:v0")
+    want = {n: VersalPipeline(n, cache=cache).versal_rules() for n in (6, 7, 8)}
+    want_split = [VersalPipeline(6, param=p, cache=cache).versal_rules() for p in split_params_E(6)]
+    want_key = key_constant(case, cache)
+    for owner, attr in ((VersalPipeline, "bar_rules"), (VersalPipeline, "psi_rules"),
+                        (VersalPipeline, "r_pi"), (VersalPipeline, "versal_solvelist"),
+                        (SolveList, "expand")):
+        monkeypatch.setattr(owner, attr, _raise)
+    # fresh caches over the filled directory: every value comes from disk
+    for n in (6, 7, 8):
+        got = VersalPipeline(n, cache=RuleCache(cache.directory)).versal_rules()
+        assert got.canonical_bytes() == want[n].canonical_bytes(), n
+    for param, rules in zip(split_params_E(6), want_split):
+        got = VersalPipeline(6, param=param, cache=RuleCache(cache.directory)).versal_rules()
+        assert got.canonical_bytes() == rules.canonical_bytes()
+    assert key_constant(case, RuleCache(cache.directory)) == want_key
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_recipe_entry_is_the_versal_expansion(n, cache, request):
+    pipe = request.getfixturevalue(f"pipe{n}")
+    pipe.versal_rules()
+    stored = RuleCache(cache.directory).get(pipe.versal_key())
+    expanded = pipe.versal_solvelist().expand()
+    assert [[v, p.serialize()] for v, p in stored.rules] == \
+        [[v, p.serialize()] for v, p in expanded.rules]
+
+
+def test_recipe_templates_are_shared_and_unchanged_by_arithmetic():
+    for template in (phibar_template, versal_template):
+        t = template(7)
+        text, terms = t.serialize(), dict(t.items())
+        table = t.table
+        t * t, t + table.var("X"), -t, 3 * t, t.substitute({"X": table.var("Y")})
+        t += table.var("s1")
+        assert template(7) is not t
+        assert template(7).serialize() == text and dict(template(7).items()) == terms
+        assert template(7) is template(7)

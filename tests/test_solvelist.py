@@ -397,7 +397,7 @@ def test_expansion_commutes_with_pull_back(tmp_path_factory, sl, ring_map):
     names = [v for v, _ in plain.rules][::-1]
     directory = tmp_path_factory.mktemp("pulled")
     for cache in (RuleCache(directory), RuleCache(directory)):
-        got = cache.pull_back(sl, param, names)
+        got = cache.pull_back(sl.content_key(), sl.expand, param, names)
         assert [v for v, _ in got.rules] == names
         for v in names:
             assert got[v] == pulled[v], v
@@ -556,7 +556,7 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
     # the expansion's entry, then the entry of its pull-back
     for key, compute in ((sl.content_key(), lambda cache: cache.expand(sl)),
                          (solvelist.pull_back_key(sl.content_key(), param, ["a"]),
-                          lambda cache: cache.pull_back(sl, param, ["a"]))):
+                          lambda cache: cache.pull_back(sl.content_key(), sl.expand, param, ["a"]))):
         first = compute(RuleCache(tmp_path))
         path = RuleCache(tmp_path).path_for(key)
         text = path.read_text()
@@ -615,7 +615,7 @@ def test_pull_back_key_covers_its_inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(solvelist, "EXPANSION_VERSION", solvelist.EXPANSION_VERSION + 1)
     assert key() not in variants
     # the cache stores the expansion and the pull-back under exactly these keys
-    RuleCache(tmp_path).pull_back(sl, param, ["a", "c"])
+    RuleCache(tmp_path).pull_back(sl.content_key(), sl.expand, param, ["a", "c"])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{k}.json" for k in (key(), sl.content_key()))
 
