@@ -128,7 +128,7 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
-    slope = p.derivative(var) / (2 * a)
+    slope = p.derivative_along({var: 1}) / (2 * a)
     phi = p.table.zero()
     for k in range(1, d // 2 + 1):
         phi = phi - slope.substitute({var: phi}, max_total_degree=k)

@@ -255,16 +255,16 @@ class _EProducts(dict):
         return out
 
 
-def _rearrangements(lam: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+def _rearrangements(lam: tuple[int, ...], tails: dict) -> list[tuple[int, ...]]:
     """Every distinct rearrangement of the descending vector lam, once each;
-    ``memo`` keeps those of the tails, which many partitions share."""
-    hit = memo.get(lam)
+    ``tails`` keeps those of the tails, which many partitions share."""
+    hit = tails.get(lam)
     if hit is None:
         hit = [] if lam else [()]
         for i, v in enumerate(lam):
             if not i or v != lam[i - 1]:
-                hit += [(v,) + w for w in _rearrangements(lam[:i] + lam[i + 1:], memo)]
-        memo[lam] = hit
+                hit += [(v,) + w for w in _rearrangements(lam[:i] + lam[i + 1:], tails)]
+        tails[lam] = hit
     return hit
 
 
@@ -295,12 +295,12 @@ def t_expand(phi: Polynomial, n: int, products: Optional[_EProducts] = None) -> 
         a = c.numerator * (den // c.denominator)
         for lam, g in products[tuple(d)].items():
             totals[lam] += a * g
-    memo: dict = {}
+    tails: dict = {}
     items = {}
     for lam, total in totals.items():
         if total:
             c = Fraction(total, _orbit_size(lam) * den)
-            for w in _rearrangements(lam, memo):
+            for w in _rearrangements(lam, tails):
                 items[(0, 0) + w + (0,) * n] = c
     return Polynomial.from_items(ts_table(n), items)
 

@@ -17,11 +17,11 @@ For n = 7, 8 the versal stage sets z = 0 before expanding (the relevant
 extraction monomials never involve z), which shrinks the computation by
 orders of magnitude; the E8 barred stage is z-free as well.
 
-All heavy expansions stream through the rule cache; a restriction of the
-base is applied to the expanded eps, not to the stages.  The bar stage is
-keyed by its content; the versal expansion, and its pull-backs, by its
-recipe (:meth:`VersalPipeline.versal_key`), so a warm run builds no psi
-or r_pi stage.
+The versal expansion streams through the rule cache, keyed by its recipe
+(:func:`_recipe_key`), and so do its pull-backs: a restriction of the base
+is applied to the expanded eps, not to the stages.  The stages are not
+cached: they are built only when the versal entry is missing, so a warm
+run builds no bar, psi or r_pi stage.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def eta_star(p: Polynomial, n: int) -> Polynomial:
 
 
 def jacobian3(fy: Polynomial, fz: Polynomial, fw: Polynomial) -> Polynomial:
-    rows = [[f.derivative(v) for v in ("x", "y", "z")] for f in (fy, fz, fw)]
+    rows = [[f.derivative_along({v: 1}) for v in ("x", "y", "z")] for f in (fy, fz, fw)]
     return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
@@ -439,8 +439,10 @@ def mu_inverse(n: int) -> RuleSet:
 class VersalPipeline:
     """One run of the versal-form computation for n in {6, 7, 8}.
 
-    The stages never see ``param``; they live in the cache's memory, built
-    once per rank and cache.  ``param`` optionally rewrites the s_i (a
+    The stages never see ``param``.  Each is built when asked for; the
+    versal rules build them once, and only when their cache entry is
+    missing.  The entry's key needs no stage and is built once per rank
+    (:func:`_recipe_key`).  ``param`` optionally rewrites the s_i (a
     restriction of the base of the deformation), and :meth:`versal_rules`
     pulls the expanded coefficients back through it.
     """
@@ -457,15 +459,12 @@ class VersalPipeline:
         self.param = param
         self.cache = cache if cache is not None else RuleCache()
 
-    def _stage(self, name: str, build):
-        return self.cache.memo(f"E{self.n}.{name}", build)
-
     # stage 1: generator rules -------------------------------------------------
 
     def rbar_pi(self, z_zero: bool) -> RuleSet:
         gens, drop = good_gens_bar(self.n), {"z": 0} if z_zero else {}
-        return self._stage(f"rbar.{z_zero}", lambda: RuleSet.of(
-            [(name, getattr(gens, name).substitute(drop)) for name in ("Xb", "Yb", "Zb", "Wb")]))
+        return RuleSet.of([(name, getattr(gens, name).substitute(drop))
+                           for name in ("Xb", "Yb", "Zb", "Wb")])
 
     # stage 2: barred coefficients ----------------------------------------------
 
@@ -477,8 +476,7 @@ class VersalPipeline:
         return SolveList.of(self.rbar_pi(z_zero), phibar_template(self.n), pairs, ("x", "y", "z"))
 
     def bar_rules(self, extended: bool = False) -> RuleSet:
-        return self._stage(f"bar.{extended}",
-                           lambda: self.cache.expand(self.bar_solvelist(extended=extended)))
+        return self.bar_solvelist(extended=extended).expand()
 
     # stage 3: the triangular psi system ------------------------------------------
 
@@ -491,17 +489,14 @@ class VersalPipeline:
         return self.psi_recipe().pull_back(self.bar_rules())
 
     def psi_rules(self) -> RuleSet:
-        return self._stage("psi", lambda: self.psi_solvelist().expand())
+        return self.psi_solvelist().expand()
 
     # stage 4: the composed map in versal coordinates ------------------------------
 
     def r_pi(self) -> RuleSet:
-        def build() -> RuleSet:
-            z_zero = self.n in (7, 8)
-            sub = dict(self.rbar_pi(z_zero).mapping())
-            sub.update(self.psi_rules().mapping())
-            return RuleSet.of([(v, p.substitute(sub)) for v, p in mu_inverse(self.n).rules])
-        return self._stage("rpi", build)
+        sub = self.rbar_pi(self.n in (7, 8)).mapping()
+        sub.update(self.psi_rules().mapping())
+        return RuleSet.of([(v, p.substitute(sub)) for v, p in mu_inverse(self.n).rules])
 
     # stage 5: versal coefficients ---------------------------------------------------
 
@@ -510,25 +505,7 @@ class VersalPipeline:
                             ("x", "y", "z"))
 
     def versal_key(self) -> str:
-        """The cache key of the plain versal expansion, hashed from its recipe.
-
-        The recipe is every input of the stages that compose r_pi: the bar
-        solve list's key, the psi solve list before its pull-back, the
-        generator rules and the versal template and pairs, with the
-        expansion version.  It needs no stage, so a warm hit reads no bar
-        rules and builds no psi or r_pi stage.
-        """
-        def build() -> str:
-            n = self.n
-            versal = SolveList.of(RuleSet.identity(), versal_template(n),
-                                  _VERSAL_PAIRS[n], ("x", "y", "z"))
-            recipe = {"bar": self.bar_solvelist().content_key(),
-                      "psi": self.psi_recipe().to_json(),
-                      "rbar": self.rbar_pi(n in (7, 8)).to_json(),
-                      "versal": versal.to_json(),
-                      "expansion": solvelist.EXPANSION_VERSION}
-            return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
-        return self._stage("versal_key", build)
+        return _recipe_key(self.n)
 
     def versal_rules(self, names: Optional[Sequence[str]] = None) -> RuleSet:
         """The eps_i in s_1..s_n; with ``param``, the eps_i ``names`` (by
@@ -537,6 +514,26 @@ class VersalPipeline:
         if self.param is None:
             return self.cache.fetch(key, expand)
         return self.cache.pull_back(key, expand, self.param, names or eps_names(self.n))
+
+
+@lru_cache(maxsize=None)
+def _recipe_key(n: int) -> str:
+    """The cache key of the plain versal expansion, hashed from its recipe.
+
+    The recipe is every input of the stages that compose r_pi: the bar
+    solve list's key, the psi solve list before its pull-back, the
+    generator rules and the versal template and pairs, with the expansion
+    version.  It needs no stage, so a warm hit builds no bar, psi or r_pi
+    stage.
+    """
+    pipe = VersalPipeline(n)
+    versal = SolveList.of(RuleSet.identity(), versal_template(n), _VERSAL_PAIRS[n], ("x", "y", "z"))
+    recipe = {"bar": pipe.bar_solvelist().content_key(),
+              "psi": pipe.psi_recipe().to_json(),
+              "rbar": pipe.rbar_pi(n in (7, 8)).to_json(),
+              "versal": versal.to_json(),
+              "expansion": solvelist.EXPANSION_VERSION}
+    return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
 def versal_coeffs(n: int, cache: Optional[RuleCache] = None) -> dict[str, Polynomial]:

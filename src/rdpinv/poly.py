@@ -697,15 +697,6 @@ class Polynomial:
             total += term
         return total / self.den
 
-    def derivative(self, name: str) -> "Polynomial":
-        s = self.shift
-        offset = self.table.index_of(name) * s
-        field, unit = ((1 << s) - 1) << offset, 1 << offset
-        # distinct monomials keep distinct derivatives, so nothing merges
-        out = {k - unit: n * ((k & field) >> offset)
-               for k, n in self.terms.items() if k & field}
-        return _reduced(self.table, out, self.den, s)
-
     def derivative_along(self, direction: Mapping[str, "int | Fraction"],
                          divisor: int = 1) -> "Polynomial":
         """``sum c_v * d/dv`` of this polynomial over ``direction``, divided
@@ -863,22 +854,23 @@ def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> 
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+# a factor: a coefficient p or p/q, or a variable name or name^e
+_FACTOR_TEXT = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
+#: a term, optionally signed (group 1), its '*'-joined factors (group 2)
+_TERM = re.compile(rf"\s*([-+]?)\s*((?:{_FACTOR_TEXT})(?:\s*\*\s*(?:{_FACTOR_TEXT}))*)")
+#: one factor of a term, with the '*' before it
+_FACTOR = re.compile(rf"\s*\*?\s*(?:{_FACTOR_TEXT})")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.lastgroup is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:pos+1]!r}", pos)
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return out
+def _syntax_error(text: str, pos: int, first: bool) -> ParseError:
+    """The error for ``text[pos:]``, which does not start with a term
+    (after the first term, with a signed one)."""
+    rest = text[pos:].lstrip()
+    expected = "a coefficient or variable" if first else "'+' or '-'"
+    if rest[:1] in ("+", "-"):
+        rest, expected = rest[1:].lstrip(), "a coefficient or variable"
+    got = repr(rest[0]) if rest else "end of input"
+    return ParseError(f"expected {expected}, got {got}", len(text) - len(rest))
 
 
 def parse(text: str, table: VarTable) -> Polynomial:
@@ -886,69 +878,37 @@ def parse(text: str, table: VarTable) -> Polynomial:
 
     Grammar: signed terms joined by + / -, each term a '*'-separated list
     of an optional rational coefficient p or p/q and variable powers
-    name or name^e.  Round-trips with :meth:`Polynomial.serialize`.
+    name or name^e, with whitespace allowed between any two of these.
+    Round-trips with :meth:`Polynomial.serialize`.
     """
-    tokens = _tokenize(text)
-    n = len(tokens)
-    if n == 0:
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty input", 0)
+    index = table._index
     terms: list[tuple[dict, "int | Fraction"]] = []
-    i = 0
-    first = True
-    while i < n:
-        sign = 1
-        kind, val, pos = tokens[i]
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign", pos)
-        num, den = sign, 1
+    pos = 0
+    while pos < end:
+        m = _TERM.match(text, pos, end)
+        if m is None or (terms and not m[1]):
+            raise _syntax_error(text, pos, not terms)
+        num, den = -1 if m[1] == "-" else 1, 1
         mono: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            kind, val, pos = tokens[i]
-            if kind == "num":
-                num *= int(val)
-                if i + 2 < n and tokens[i + 1][:2] == ("op", "/") and tokens[i + 2][0] == "num":
-                    d = int(tokens[i + 2][1])
-                    if d == 0:
-                        raise ParseError("zero denominator", tokens[i + 2][2])
-                    den *= d
-                    i += 2
-                i += 1
-            elif kind == "name":
-                if val not in table:
-                    raise ParseError(f"unknown variable {val!r}", pos)
-                idx = table.index_of(val)
-                exp = 1
-                if i + 2 < n and tokens[i + 1][:2] == ("op", "^") and tokens[i + 2][0] == "num":
-                    exp = int(tokens[i + 2][1])
-                    i += 2
-                elif i + 1 < n and tokens[i + 1][:2] == ("op", "^"):
-                    raise ParseError("expected integer exponent after '^'", tokens[i + 1][2])
-                mono[idx] = mono.get(idx, 0) + exp
-                i += 1
-            else:
-                raise ParseError(f"expected coefficient or variable, got {val!r}", pos)
-            saw_factor = True
-            if i < n and tokens[i][:2] == ("op", "*"):
-                i += 1
-                if i >= n:
-                    raise ParseError("dangling '*'", tokens[i - 1][2])
+        for f in _FACTOR.finditer(text, m.start(2), m.end()):
+            p, q, name, e = f.groups()
+            if name is None:
+                num *= int(p)
+                if q is not None:
+                    den *= int(q)
+                    if not den:
+                        raise ParseError("zero denominator", f.start(2))
                 continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", pos)
+            i = index.get(name)
+            if i is None:
+                raise ParseError(f"unknown variable {name!r}", f.start(3))
+            mono[i] = mono.get(i, 0) + (1 if e is None else int(e))
         terms.append((mono, num if den == 1 else Fraction(num, den)))
-        if i < n and tokens[i][0] != "op":
-            raise ParseError(f"expected operator, got {tokens[i][1]!r}", tokens[i][2])
+        pos = m.end()
     return _from_pairs(table, terms)
-
-
 
 
 # -- univariate-style helpers -------------------------------------------------

@@ -294,15 +294,9 @@ class SolveList:
             "monomial_vars": list(self.monomial_vars),
         }
 
-    @cached_property
-    def _digest(self):
-        """The hash state of the canonical JSON, before the expansion version."""
-        return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode())
-
     def content_key(self) -> str:
-        digest = self._digest.copy()
-        digest.update(f"|expansion={EXPANSION_VERSION}".encode())
-        return digest.hexdigest()
+        payload = json.dumps(self.to_json(), sort_keys=True) + f"|expansion={EXPANSION_VERSION}"
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def pull_back_key(sl_key: str, param: RuleSet, names: Iterable[str]) -> str:
@@ -328,12 +322,12 @@ ENTRY_FORMAT = "rdpinv-cache-v2"
 
 
 class RuleCache:
-    """File-backed store of expanded rule sets, keyed by hash; its memory
-    also holds values that are never written (:meth:`memo`)."""
+    """File-backed store of expanded rule sets, keyed by hash; every rule
+    set it reads or writes is kept in memory as well."""
 
     def __init__(self, directory: "Path | str | None" = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self._memory: dict[str, object] = {}
+        self._memory: dict[str, RuleSet] = {}
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -356,7 +350,14 @@ class RuleCache:
                 print(f"warning: rule cache entry {path} carries another key; recomputing",
                       file=sys.stderr)
                 return None
-            table = VarTable(data["vars"], data["weights"])
+            names, weights = data["vars"], data["weights"]
+            # VarTable would coerce a weight 2.5, true or "2" with int(), and
+            # neither it nor RuleSet asks for names that are strings
+            if not (type(names) is list and type(weights) is list
+                    and all(type(w) is int for w in weights)
+                    and all(type(v) is str for v in names + [v for v, *_ in data["rules"]])):
+                raise ValueError("not string names with integer weights")
+            table = VarTable(names, weights)
             rules = RuleSet(tuple((v, Polynomial.from_rows(table, *row))
                                   for v, *row in data["rules"]))
         except FileNotFoundError:
@@ -392,15 +393,6 @@ class RuleCache:
             rules = compute()
             self.put(key, rules)
         return rules
-
-    def memo(self, name: str, compute: Callable[[], object]) -> object:
-        """A value kept in memory only, computed on first use."""
-        if name not in self._memory:
-            self._memory[name] = compute()
-        return self._memory[name]
-
-    def expand(self, sl: SolveList) -> RuleSet:
-        return self.fetch(sl.content_key(), sl.expand)
 
     def pull_back(self, key: str, expand: Callable[[], RuleSet], param: RuleSet,
                   names: Iterable[str]) -> RuleSet:

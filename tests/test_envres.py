@@ -22,7 +22,7 @@ from rdpinv.envres import (
     versal_template,
 )
 from rdpinv.poly import LinearSystem, Polynomial, VarTable, parse, univar_divmod
-from rdpinv.cli import load_golden
+from rdpinv.cli import load_golden, main
 from rdpinv.congruence import KEY_CASES, case_param, case_restriction, key_case, key_constant
 from rdpinv.distpoly import split_params_E
 from rdpinv.solvelist import RuleCache, RuleSet, SolveList
@@ -98,7 +98,7 @@ def test_sextic_base_conditions_and_golden_match():
     yb = solve_e8_sextic()
     psi8 = psi_n(8)
     assert eta_star(yb, 8) == psi8 * psi8
-    _, rem = univar_divmod(eta_star(yb.derivative("x"), 8), psi8, "U")
+    _, rem = univar_divmod(eta_star(yb.derivative_along({"x": 1}), 8), psi8, "U")
     assert rem.is_zero
     golden = load_golden("appendix0", pipeline_table(8))
     assert yb == golden["Yb"][1]
@@ -169,7 +169,7 @@ def _sextic_by_generic_remainder():
     generic = known.to_table(ext)
     for name, p in zip(unknowns, basis):
         generic = generic + ext.var(name) * p
-    _, rem = univar_divmod(eta_star(generic.derivative("x"), n), psi, "U")
+    _, rem = univar_divmod(eta_star(generic.derivative_along({"x": 1}), n), psi, "U")
     system = LinearSystem()
     for cof in rem.coefficients_over(["U"] + s_names).values():
         names = tuple(cof.variables())
@@ -434,8 +434,13 @@ RECIPE_CHANGES = {
 
 
 def _keys(n, directory):
+    # the recipe key is kept per rank and process: drop it, so a patched
+    # input is read, and drop it again after, so no patched key outlives it
+    envres._recipe_key.cache_clear()
     pipe = VersalPipeline(n, cache=RuleCache(directory))
-    return pipe.versal_key(), pipe.bar_solvelist().content_key()
+    keys = pipe.versal_key(), pipe.bar_solvelist().content_key()
+    envres._recipe_key.cache_clear()
+    return keys
 
 
 def test_recipe_key_differs_by_rank_and_from_the_bar_key(tmp_path):
@@ -453,6 +458,19 @@ def test_recipe_key_changes_with_each_input(change, tmp_path, monkeypatch):
             versal, bar = _keys(n, tmp_path)
         assert versal != before[n][0], n
         assert (bar != before[n][1]) == moves_bar, n
+
+
+def test_recipe_key_is_built_once_per_rank(tmp_path, monkeypatch):
+    envres._recipe_key.cache_clear()
+    calls = []
+    bar_solvelist = VersalPipeline.bar_solvelist
+    monkeypatch.setattr(VersalPipeline, "bar_solvelist",
+                        lambda self, extended=False: calls.append(self.n)
+                        or bar_solvelist(self, extended))
+    keys = {n: {VersalPipeline(n, cache=RuleCache(tmp_path)).versal_key() for _ in range(3)}
+            for n in (6, 7, 8)}
+    assert calls == [6, 7, 8] and all(len(k) == 1 for k in keys.values())
+    envres._recipe_key.cache_clear()
 
 
 def _raise(*args, **kwargs):
@@ -498,3 +516,33 @@ def test_recipe_templates_are_shared_and_unchanged_by_arithmetic():
         assert template(7) is not t
         assert template(7).serialize() == text and dict(template(7).items()) == terms
         assert template(7) is template(7)
+
+
+def test_warm_rerun_cache_traffic_reads_every_entry_and_writes_none(tmp_path, monkeypatch):
+    """A cold run writes only entries that a warm rerun reads, so no
+    stage of the pipeline is written."""
+    commands = [["invariants", "--type", "E8"], ["verify", "appendix0"],
+                ["verify", "appendix1"], ["verify", "appendix2"], ["congruence", "--all"]]
+
+    def run_all():
+        for argv in commands:
+            assert main(["--cache-dir", str(tmp_path), *argv]) == 0, argv
+
+    run_all()
+    entries = {path.stem for path in tmp_path.iterdir()}
+    assert len(entries) == 22
+    # each command makes a fresh RuleCache, whose memory starts empty
+    read, written = set(), []
+    get = RuleCache.get
+
+    def get_from_disk(self, key):
+        in_memory = key in self._memory
+        rules = get(self, key)
+        if rules is not None and not in_memory:
+            read.add(key)
+        return rules
+
+    monkeypatch.setattr(RuleCache, "get", get_from_disk)
+    monkeypatch.setattr(RuleCache, "put", lambda self, key, rules: written.append(key))
+    run_all()
+    assert read == entries and written == []

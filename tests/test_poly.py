@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -666,7 +669,7 @@ def test_kernel_matches_dense_reference(data):
     _check(b.to_table(ta), rb.on(Dense(ta.names, {}).merged(rb)))
     _check((a * b).compact(), ra.times(rb).compact())
     name = data.draw(st.sampled_from(ta.names))
-    _check(a.derivative(name), ra.derivative(name))
+    _check(a.derivative_along({name: 1}), ra.derivative(name))
     # a directional derivative over a divisor, against the sum of partials
     direction = {v: data.draw(QS) for v in data.draw(
         st.lists(st.sampled_from(ta.names), max_size=3, unique=True))}
@@ -751,3 +754,175 @@ def test_one_term_rules_match_dense_reference(data):
     out = _kernel(ref).substitute({v: _kernel(r) for v, r in rules.items()},
                                   max_total_degree=bound)
     _check(out, _dense_substitute(ref, rules, bound))
+
+
+# -- the parser against the token-walking parser it replaced -----------------------
+
+_OLD_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+
+
+def _old_tokenize(text):
+    pos, out = 0, []
+    while pos < len(text):
+        m = _OLD_TOKEN.match(text, pos)
+        if m is None or m.lastgroup is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos:pos+1]!r}", pos)
+        out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return out
+
+
+def _old_parse(text, table):
+    """The tokenizer and token walk that ``parse`` used before, as the oracle."""
+    tokens = _old_tokenize(text)
+    n = len(tokens)
+    if n == 0:
+        raise ParseError("empty input", 0)
+    terms, i, first = [], 0, True
+    while i < n:
+        sign = 1
+        kind, val, pos = tokens[i]
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            i += 1
+        elif not first:
+            raise ParseError(f"expected '+' or '-', got {val!r}", pos)
+        first = False
+        if i >= n:
+            raise ParseError("dangling sign", pos)
+        num, den, mono = sign, 1, {}
+        while True:
+            kind, val, pos = tokens[i]
+            if kind == "num":
+                num *= int(val)
+                if i + 2 < n and tokens[i + 1][:2] == ("op", "/") and tokens[i + 2][0] == "num":
+                    d = int(tokens[i + 2][1])
+                    if d == 0:
+                        raise ParseError("zero denominator", tokens[i + 2][2])
+                    den *= d
+                    i += 2
+                i += 1
+            elif kind == "name":
+                if val not in table:
+                    raise ParseError(f"unknown variable {val!r}", pos)
+                exp = 1
+                if i + 2 < n and tokens[i + 1][:2] == ("op", "^") and tokens[i + 2][0] == "num":
+                    exp = int(tokens[i + 2][1])
+                    i += 2
+                elif i + 1 < n and tokens[i + 1][:2] == ("op", "^"):
+                    raise ParseError("expected integer exponent after '^'", tokens[i + 1][2])
+                mono[val] = mono.get(val, 0) + exp
+                i += 1
+            else:
+                raise ParseError(f"expected coefficient or variable, got {val!r}", pos)
+            if i < n and tokens[i][:2] == ("op", "*"):
+                i += 1
+                if i >= n:
+                    raise ParseError("dangling '*'", tokens[i - 1][2])
+                continue
+            break
+        terms.append((mono, num if den == 1 else Fraction(num, den)))
+        if i < n and tokens[i][0] != "op":
+            raise ParseError(f"expected operator, got {tokens[i][1]!r}", tokens[i][2])
+    return Polynomial.from_items(table, _summed(table, terms))
+
+
+def _summed(table, terms):
+    out = {}
+    for mono, c in terms:
+        exps = tuple(mono.get(v, 0) for v in table.names)
+        out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _agree(text, table):
+    """Both parsers accept ``text`` with equal results, or both refuse it."""
+    try:
+        want = _old_parse(text, table)
+    except ParseError:
+        want = None
+    try:
+        got = parse(text, table)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text), (text, exc.position)
+        got = None
+    assert (got is None) == (want is None), (text, got, want)
+    assert got == want, text
+
+
+_PIECES = st.sampled_from(
+    # names, some unknown
+    ["x", "y", "z", "s1", "s2", "lam2", "q", "x1", "S1", "_", "xy"]
+    # digits, an Arabic-Indic three among them
+    + ["0", "1", "2", "7", "10", "003", "\u0663"]
+    + ["+", "-", "*", "/", "^"] * 3
+    # whitespace, a no-break space and a separator control among it
+    + [" ", "  ", "\t", "\n", "\u00a0", "\x1c"]
+    # stray characters: a zero-width space and a superscript two among them
+    + ["$", "(", ")", ".", ",", "=", "\u00e9", "\x00", "\u200b", "\u00b2"])
+
+
+_SPACE = st.sampled_from(["", "", " ", "\t\n", "\u00a0"])
+
+
+@st.composite
+def _shaped_factor(draw):
+    """p, p/q, name or name^e, with random whitespace around '/' and '^'."""
+    if draw(st.booleans()):
+        head, op, tails = draw(st.sampled_from(["0", "2", "10", "\u0663"])), "/", ["3", "0", "7"]
+    else:
+        head, op, tails = draw(st.sampled_from(["x", "s1", "lam2", "q"])), "^", ["2", "0", "12"]
+    if draw(st.booleans()):
+        return head
+    return head + draw(_SPACE) + op + draw(_SPACE) + draw(st.sampled_from(tails))
+
+
+@st.composite
+def _shaped(draw):
+    """Text in the grammar, up to an unknown name or a zero denominator,
+    or with one of its pieces replaced by a random one."""
+    parts = []
+    for k in range(draw(st.integers(1, 4))):
+        parts += [draw(_SPACE), draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-"]))]
+        for i, factor in enumerate(draw(st.lists(_shaped_factor(), min_size=1, max_size=3))):
+            parts += [draw(_SPACE), "*", draw(_SPACE), factor] if i else [draw(_SPACE), factor]
+    parts.append(draw(_SPACE))
+    if draw(st.booleans()):
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_PIECES)
+    return "".join(parts)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.lists(_PIECES, max_size=14).map("".join), _shaped()))
+def test_parse_agrees_with_the_token_walk(text):
+    _agree(text, T)
+
+
+@pytest.mark.parametrize("name,n", [("appendix0", 8), ("appendix1", 6), ("appendix2", 7)])
+def test_parse_agrees_with_the_token_walk_on_golden_bodies(name, n):
+    from rdpinv.envres import pipeline_table
+
+    text = resources.files("rdpinv").joinpath(f"golden/{name}.txt").read_text()
+    bodies = [line.split(":=", 1)[1] for line in text.splitlines()
+              if ":=" in line and not line.startswith("#")]
+    assert len(bodies) == {8: 3, 6: 6, 7: 7}[n]
+    for body in bodies:
+        _agree(body, pipeline_table(n))
+        assert parse(body, pipeline_table(n))
+
+
+def test_parse_agrees_with_the_token_walk_on_a_classifier_battery():
+    table = VarTable(["X", "Y", "Z"], [1, 1, 1])
+    X, Y, Z = (table.var(v) for v in "XYZ")
+    rng = random.Random(11)
+    for form in ("-X*Y + Z^5", "-X^2 - Y^2*Z + Z^4", "-X^2 + Y^3 - Z^5", "-X^2 - X*Z^2 + Y^3"):
+        f = parse(form, table)
+        for _ in range(4):
+            change = {v: sum((Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) * w
+                              for w in (X, Y, Z, X * Y, Z ** 2)), table.zero())
+                      for v in "XYZ"}
+            text = f.substitute(change, max_total_degree=10).serialize()
+            _agree(text, table)
+            _agree(text.replace(" ", ""), table)

@@ -528,10 +528,10 @@ def test_cache_round_trip(tmp_path):
     template = (table.var("a") + 2) * table.var("X") + table.var("b") * table.var("X") ** 2
     sl = SolveList.of(RuleSet.identity(), template, [({"X": 1}, "a")], ("X",))
     cache = RuleCache(tmp_path)
-    first = cache.expand(sl)
+    first = cache.fetch(sl.content_key(), sl.expand)
     assert cache.path_for(sl.content_key()).exists()
     fresh = RuleCache(tmp_path)
-    again = fresh.expand(sl)
+    again = fresh.fetch(sl.content_key(), sl.expand)
     assert again.mapping() == first.mapping()
     # key reflects content: a different template gives a different key
     sl2 = SolveList.of(RuleSet.identity(), template + 1, [({"X": 1}, "a")], ("X",))
@@ -543,7 +543,7 @@ def test_cache_file_carries_its_key(tmp_path):
     sl = SolveList.of(RuleSet.identity(), (table.var("a") + 1) * table.var("X"),
                       [({"X": 1}, "a")], ("X",))
     cache = RuleCache(tmp_path)
-    cache.expand(sl)
+    cache.fetch(sl.content_key(), sl.expand)
     payload = json.loads(cache.path_for(sl.content_key()).read_text())
     assert payload["key"] == sl.content_key()
 
@@ -554,7 +554,8 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
                       [({"X": 1}, "a")], ("X",))
     param = RuleSet.of([("b", table.var("b") ** 2 + 1)])
     # the expansion's entry, then the entry of its pull-back
-    for key, compute in ((sl.content_key(), lambda cache: cache.expand(sl)),
+    for key, compute in ((sl.content_key(),
+                          lambda cache: cache.fetch(sl.content_key(), sl.expand)),
                          (solvelist.pull_back_key(sl.content_key(), param, ["a"]),
                           lambda cache: cache.pull_back(sl.content_key(), sl.expand, param, ["a"]))):
         first = compute(RuleCache(tmp_path))
@@ -639,15 +640,6 @@ def test_content_keys_are_pinned():
         "c4ddf2ef07a22ff7e8075e5b68e9d4a46a69d08ddedc3a2ed580a1bca6e246bb"
 
 
-def test_content_key_serializes_the_solve_list_once(monkeypatch):
-    calls = []
-    to_json = SolveList.to_json
-    monkeypatch.setattr(SolveList, "to_json", lambda self: calls.append(self) or to_json(self))
-    sl = _pinned_solve_list()
-    assert len({sl.content_key() for _ in range(3)}) == 1
-    assert calls == [sl]
-
-
 def _entry_solve_list():
     """A solve list whose one rule, a -> 1/6*b + 1/3*c^2, is ``_GOOD_RULE``."""
     table = VarTable(["X", "a", "b", "c"], [1, 0, 0, 0])
@@ -671,22 +663,34 @@ _BROKEN_RULES = {
     "float": ["a", 6, 8, [1 << 16, 1.0, 2 << 24, 2]],
     "string": ["a", "6", 8, [1 << 16, 1, 2 << 24, 2]],
     "shift 12": ["a", 6, 12, [1 << 24, 1, 2 << 36, 2]],
+    "rule name not a string": [7, 6, 8, [1 << 16, 1, 2 << 24, 2]],
 }
+# entries whose table is not string names with integer weights, which
+# VarTable alone would coerce or accept
+_BROKEN_TABLES = {
+    "weight 2.5": {"weights": [1, 0, 2.5, 0]},
+    "weight 2.0": {"weights": [1, 0, 2.0, 0]},
+    "weight true": {"weights": [1, 0, True, 0]},
+    "weight string": {"weights": [1, 0, "2", 0]},
+    "table name not a string": {"vars": ["X", "a", 2, "c"]},
+}
+_BROKEN_ENTRIES = {**{name: {"rules": [rule]} for name, rule in _BROKEN_RULES.items()},
+                   **_BROKEN_TABLES}
 
 
-@pytest.mark.parametrize("rule", _BROKEN_RULES.values(), ids=_BROKEN_RULES.keys())
-def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, rule):
+@pytest.mark.parametrize("change", _BROKEN_ENTRIES.values(), ids=_BROKEN_ENTRIES.keys())
+def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, change):
     sl = _entry_solve_list()
-    want = RuleCache(tmp_path).expand(sl)
+    want = RuleCache(tmp_path).fetch(sl.content_key(), sl.expand)
     path = RuleCache(tmp_path).path_for(sl.content_key())
     good = path.read_text()
     entry = json.loads(good)
     assert entry == {"format": "rdpinv-cache-v2", "key": sl.content_key(),
                      "vars": ["X", "a", "b", "c"], "weights": [1, 0, 0, 0],
                      "rules": [_GOOD_RULE]}
-    path.write_text(json.dumps(dict(entry, rules=[rule])))
+    path.write_text(json.dumps(dict(entry, **change)))
     capsys.readouterr()
-    assert RuleCache(tmp_path).expand(sl).mapping() == want.mapping()
+    assert RuleCache(tmp_path).fetch(sl.content_key(), sl.expand).mapping() == want.mapping()
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("warning: ") and path.name in err
@@ -695,13 +699,13 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, rule):
 
 def test_older_cache_entry_is_a_quiet_miss(tmp_path, capsys):
     sl = _entry_solve_list()
-    want = RuleCache(tmp_path).expand(sl)
+    want = RuleCache(tmp_path).fetch(sl.content_key(), sl.expand)
     path = RuleCache(tmp_path).path_for(sl.content_key())
     good = path.read_text()
     path.write_text(json.dumps({"format": "rdpinv-cache-v1", "key": sl.content_key(),
                                 "rules": want.to_json()}))
     capsys.readouterr()
-    assert RuleCache(tmp_path).expand(sl).mapping() == want.mapping()
+    assert RuleCache(tmp_path).fetch(sl.content_key(), sl.expand).mapping() == want.mapping()
     assert capsys.readouterr() == ("", "")
     assert path.read_text() == good
 
