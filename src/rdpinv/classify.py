@@ -5,8 +5,10 @@ sufficiently long jet of its defining polynomial.  Squares are split off
 in the given coordinates (the splitting lemma), up to two of them; their
 number picks the branch.  Two leave an A tail read off its order; one
 leaves a binary cubic, whose factorization shape (read off its Hessian)
-and then the orders of the fully reduced tail decide D or E.  A square is
-split off at its critical point, a tail by formal shears, both exact and
+and then the orders of the tail decide D or E.  All three reductions are
+one closed-form step (``_root``): a square is split off at the zero of
+its variable's first derivative, a D tail at the zero of dg/dy and an E
+tail at the zero of d2g/dy2, each found degree by degree, exact and
 truncated at the caller's jet order; no square root is ever needed, as
 the tree only consumes counts, factor multiplicities and vanishing orders.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import Polynomial, VarTable
+from .poly import Polynomial, exact_div
 
 
 @dataclass(frozen=True)
@@ -76,63 +78,43 @@ def _order(p: Polynomial) -> Optional[int]:
     return min(sum(m) for m, _ in p.items())
 
 
-def _exps(table: VarTable, mono: Mapping[str, int]) -> tuple:
-    """The exponent tuple of ``mono`` over ``table``."""
-    return tuple(mono.get(v, 0) for v in table.names)
-
-
 def _coeff(p: Polynomial, mono: Mapping[str, int]):
     """The rational coefficient of the monomial ``mono`` in ``p``."""
     return p.coeff_of(mono, p.table.names).constant_value()
 
 
-def _lowered(m: tuple, i: int, k: int) -> tuple:
-    """The exponent tuple ``m`` divided by the ``k``-th power of variable ``i``."""
-    return m[:i] + (m[i] - k,) + m[i + 1:]
+def _root(g: Polynomial, var: str, order: int, lead: Polynomial, d: int) -> Polynomial:
+    """phi, free of ``var``, where the ``order``-th ``var``-derivative of g
+    vanishes, to degree d // 2 (the splitting lemma).
 
-
-def _shear(g: Polynomial, var: str, d: int, shift_for) -> Polynomial:
-    """Formal shears ``var -> var + shift`` until no term asks for one.
-
-    This normalizes the D and E tails.  ``shift_for(m, c)`` maps a term,
-    with ``m`` its exponent tuple, to the (exponent tuple, coefficient) it
-    adds to the shift, or to None.  Each pass removes the whole offending
-    layer at once and strictly raises its minimal degree, so truncation at
-    total degree ``d`` ends the loop within ``d`` passes.  A shift rule
-    that breaks this raises RuntimeError instead of looping on ever larger
-    coefficients.
+    That derivative is lead*var + rest, ``lead`` a nonzero constant or a
+    constant times one other variable, and phi = -rest(phi)/lead is fixed
+    one degree at a time by one truncated substitution each.  At each
+    caller, once phi is right below degree k, rest(phi)/lead is right to
+    degree k.  An error of order e in phi moves a split square only from
+    degree 2e on, a D tail from 2e + 1, the y^1 coefficient of an E tail
+    from 2e and its y^0 coefficient from ord B + e >= 6, so no order that
+    a decision reads needs phi beyond degree d // 2.
     """
-    x = g.table.var(var)
-    for passes in range(d + 1):
-        shift = {}
-        for m, c in g.items():
-            s = shift_for(m, c)
-            if s is not None:
-                shift[s[0]] = s[1]
-        if not shift:
-            return g
-        if passes == d:
-            break
-        g = g.substitute({var: x + Polynomial.from_items(g.table, shift)}, max_total_degree=d)
-    raise RuntimeError(f"shear in {var} still asks for a shift after {d} passes")
+    for _ in range(order):
+        g = g.derivative_along({var: 1})
+    rest = g - lead * g.table.var(var)
+    by = lead.variables()
+    phi = g.table.zero()
+    for k in range(1, d // 2 + 1):
+        # dividing by a variable lowers the degree, so rest(phi) needs one more
+        r = rest.substitute({var: phi}, max_total_degree=k + len(by))
+        phi = -(exact_div(r, lead, *by) if by else r / lead.constant_value())
+    return phi
 
 
 def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
-    """The ``var``-free part of p, to degree d, once a*var^2 is split off.
-
-    It is p(phi, rest), where var = phi(rest) solves dp/dvar = 0 (the
-    splitting lemma).  Once phi is right below degree k, dp/dvar(phi)
-    starts at degree k with 2a times the error of phi.  An error of order
-    e moves p(phi) only from degree 2e on, so phi is needed to degree d // 2.
-    """
+    """The ``var``-free part of p, to degree d, once a*var^2 is split off:
+    p(phi, rest), where var = phi(rest) solves dp/dvar = 0."""
     a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
-    slope = p.derivative_along({var: 1}) / (2 * a)
-    phi = p.table.zero()
-    for k in range(1, d // 2 + 1):
-        phi = phi - slope.substitute({var: phi}, max_total_degree=k)
-    return p.substitute({var: phi}, max_total_degree=d)
+    return p.substitute({var: _root(p, var, 1, p.table.const(2 * a), d)}, max_total_degree=d)
 
 
 def _square_to_split(f: Polynomial, left: list[str]) -> tuple[Polynomial, str]:
@@ -189,39 +171,6 @@ def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> P
     return g.substitute(rules)
 
 
-def _absorb(yi: int, keep: tuple, scale: Fraction):
-    """Shift rule absorbing each y^a z^b with a >= 2, except ``keep``, into the cubic."""
-
-    def rule(m, c):
-        if m != keep and m[yi] >= 2:
-            return _lowered(m, yi, 2), -Fraction(c) / scale
-
-    return rule
-
-
-def _reduce_tail_D(g: Polynomial, y: str, z: str, c3, d: int) -> Optional[int]:
-    """Normalize g = c3*y^2 z + higher; return the order of the pure-z tail."""
-    table = g.table
-    yi, zi = table.index_of(y), table.index_of(z)
-
-    def kill_linear(m, c):
-        if m[yi] == 1:
-            b = m[zi]
-            if b <= 1:
-                raise NotRDPError("unexpected low-order mixed term in the reduced tail")
-            return _exps(table, {z: b - 1}), Fraction(-c, 2) / c3
-
-    g = _shear(g, z, d, _absorb(yi, _exps(table, {y: 2, z: 1}), c3))
-    g = _shear(g, y, d, kill_linear)
-    return _order(g.coeff_of({y: 0}, [y]))
-
-
-def _reduce_tail_E(g: Polynomial, y: str, z: str, c3, d: int) -> tuple[Optional[int], Optional[int]]:
-    """Normalize g = c3*y^3 + y*B(z) + C(z); return (ord B, ord C)."""
-    g = _shear(g, y, d, _absorb(g.table.index_of(y), _exps(g.table, {y: 3}), 3 * c3))
-    return _order(g.coeff_of({y: 1}, [y])), _order(g.coeff_of({y: 0}, [y]))
-
-
 def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     """Classify an isolated double point from a jet of its equation.
 
@@ -267,7 +216,9 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         c3 = _coeff(g, {y: 2, z: 1})
         if not c3:
             raise NotRDPError("double factor did not straighten")
-        order = _reduce_tail_D(g, y, z, Fraction(c3), jet_order)
+        # the y^0 coefficient of g(y + phi), the tail once y*z^b is split off
+        phi = _root(g, y, 1, 2 * c3 * g.table.var(z), jet_order)
+        order = _order(g.substitute({y: phi}, max_total_degree=jet_order))
         if order is None:
             raise UndecidableError(jet_order, "pure tail vanishes to jet order")
         return RdpType("D", order + 1)
@@ -276,7 +227,9 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         raise NotRDPError("triple factor did not straighten")
     if jet_order < 5:
         raise UndecidableError(jet_order, "the exceptional branch needs a degree-5 jet")
-    ordB, ordC = _reduce_tail_E(g, y, z, Fraction(c3), jet_order)
+    phi = _root(g, y, 2, g.table.const(6 * c3), jet_order)
+    tail = g.substitute({y: g.table.var(y) + phi}, max_total_degree=jet_order).coeffs_in(y)
+    ordB, ordC = (_order(tail.get(e, g.table.zero())) for e in (1, 0))
     if ordC == 4:
         return RdpType("E", 6)
     if ordB == 3:

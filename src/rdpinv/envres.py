@@ -45,7 +45,6 @@ from .poly import (
 from . import solvelist
 from .solvelist import RuleCache, RuleSet, SolveList, solve_in_order
 
-S_MAX = {6: 6, 7: 7, 8: 8}
 XYZW_WEIGHTS = {6: (9, 7, 6, 3), 7: (15, 9, 7, 3), 8: (24, 16, 9, 3)}
 
 _BAR_COEFFS = {

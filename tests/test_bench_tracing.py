@@ -25,7 +25,7 @@ CLASSIFY = """
 from rdpinv.classify import rdp_type
 from rdpinv.poly import VarTable, parse
 table = VarTable(["X", "Y", "Z"], [1, 1, 1])
-name = rdp_type(parse("-X^2 - 2*X*Y^2 - Y^2*Z + Z^4", table), jet_order=10).name
+name = rdp_type(parse(sys.argv[3], table), jet_order=10).name
 spans = [{"name": n, "start": s, "end": e, "parent": p, "attrs": a}
          for n, s, e, p, a in tracer.spans]
 print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
@@ -44,9 +44,21 @@ print(json.dumps({"substitutions": subs, "terms": len(moved.terms)}))
 """
 
 
-def run_traced(body: str, tmp_path) -> dict:
+D5 = "-X^2 - 2*X*Y^2 - Y^2*Z + Z^4"
+
+
+def moved_d5() -> str:
+    """The D5 example moved by X -> X + Y, Y -> Y + Z, Z -> Z + X."""
+    from rdpinv.poly import VarTable, parse
+
+    table = VarTable(["X", "Y", "Z"], [1, 1, 1])
+    X, Y, Z = (table.var(v) for v in "XYZ")
+    return parse(D5, table).substitute({"X": X + Y, "Y": Y + Z, "Z": Z + X}).serialize()
+
+
+def run_traced(body: str, tmp_path, *args: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", PREAMBLE + body, str(ROOT / "bench"), str(ROOT / "src")],
+        [sys.executable, "-c", PREAMBLE + body, str(ROOT / "bench"), str(ROOT / "src"), *args],
         capture_output=True, text=True, cwd=tmp_path, timeout=120,
     )
     assert out.returncode == 0, out.stderr
@@ -54,7 +66,10 @@ def run_traced(body: str, tmp_path) -> dict:
 
 
 def test_tracer_installs_and_counts_one_classification(tmp_path):
-    result = run_traced(CLASSIFY, tmp_path)
+    assert run_traced(CLASSIFY, tmp_path, D5)["type"] == "D5"
+    # the example's own tail root forms no truncated product; the moved
+    # copy's square and tail need several
+    result = run_traced(CLASSIFY, tmp_path, moved_d5())
     assert result["type"] == "D5"
     metrics = result["metrics"]
     assert metrics["classify.rdp_type_s"] > 0

@@ -14,8 +14,8 @@ from rdpinv.classify import (
     UndecidableError,
     ValuationProfile,
     _binary_cubic_shape,
-    _lowered,
-    _shear,
+    _order,
+    _root,
     _split_off_square,
     _square_to_split,
     length_type,
@@ -141,35 +141,83 @@ def test_binary_cubic_shape_of_products(shape, l1, l2, l3):
         assert proportional((hy, hz), l1)
 
 
-def test_shear_stops_on_a_shift_rule_that_never_settles():
-    xi = T.index_of("X")
-    square = tuple(2 if v == "X" else 0 for v in T.names)
+# -- oracles: the shear loops that normalized squares and tails before the
+# closed form of _root, kept as test-local copies to check it against
 
-    def completion(scale):
-        def rule(m, c):
-            if m != square and m[xi]:
-                return _lowered(m, xi, 1), Fraction(c, scale)
-        return rule
 
-    g = P("X^2 + X*Y + Z^3")
-    # the right rule removes X*Y in one pass; half of it only halves X*Y
-    assert _shear(g, "X", 6, completion(-2)) == P("X^2 - 1/4*Y^2 + Z^3")
-    with pytest.raises(RuntimeError, match="after 6 passes"):
-        _shear(g, "X", 6, completion(-4))
+def lowered(m, i, k):
+    """The exponent tuple ``m`` divided by the ``k``-th power of variable ``i``."""
+    return m[:i] + (m[i] - k,) + m[i + 1:]
+
+
+def exps(mono):
+    return tuple(mono.get(v, 0) for v in T.names)
+
+
+def shear(g, var, d, shift_for):
+    """Formal shears ``var -> var + shift`` until no term asks for one.
+
+    ``shift_for(m, c)`` maps a term, with ``m`` its exponent tuple, to the
+    (exponent tuple, coefficient) it adds to the shift, or to None.
+    """
+    x = g.table.var(var)
+    for passes in range(d + 1):
+        shift = {}
+        for m, c in g.items():
+            s = shift_for(m, c)
+            if s is not None:
+                shift[s[0]] = s[1]
+        if not shift:
+            return g
+        if passes == d:
+            break
+        g = g.substitute({var: x + Polynomial.from_items(g.table, shift)}, max_total_degree=d)
+    raise RuntimeError(f"shear in {var} still asks for a shift after {d} passes")
 
 
 def sheared_square(p, var, d):
     """The split by square completion: shear var by minus (each var-term
     other than a*var^2) / (2a*var) until none is left, then drop var."""
     vi = T.index_of(var)
-    square = tuple(2 if v == var else 0 for v in T.names)
+    square = exps({var: 2})
     a = dict(p.items())[square]
 
     def complete_square(m, c):
         if m != square and m[vi]:
-            return _lowered(m, vi, 1), Fraction(c, -2 * a)
+            return lowered(m, vi, 1), Fraction(c, -2 * a)
 
-    return _shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
+    return shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
+
+
+def absorb(keep, scale):
+    """Shift rule absorbing each Y^a Z^b with a >= 2, except ``keep``, into the cubic."""
+    yi = T.index_of("Y")
+
+    def rule(m, c):
+        if m != keep and m[yi] >= 2:
+            return lowered(m, yi, 2), -Fraction(c) / scale
+
+    return rule
+
+
+def sheared_tail_D(g, c3, d):
+    """Normalize g = c3*Y^2*Z + higher by shears; the order of the pure-Z tail."""
+    yi, zi = T.index_of("Y"), T.index_of("Z")
+
+    def kill_linear(m, c):
+        if m[yi] == 1:
+            assert m[zi] >= 2, "low-order mixed term in the reduced tail"
+            return exps({"Z": m[zi] - 1}), Fraction(-c, 2) / c3
+
+    g = shear(g, "Z", d, absorb(exps({"Y": 2, "Z": 1}), c3))
+    g = shear(g, "Y", d, kill_linear)
+    return _order(g.coeff_of({"Y": 0}, ["Y"]))
+
+
+def sheared_tail_E(g, c3, d):
+    """Normalize g = c3*Y^3 + Y*B(Z) + C(Z) by shears; (ord B, ord C)."""
+    g = shear(g, "Y", d, absorb(exps({"Y": 3}), 3 * c3))
+    return _order(g.coeff_of({"Y": 1}, ["Y"])), _order(g.coeff_of({"Y": 0}, ["Y"]))
 
 
 @st.composite
@@ -205,6 +253,62 @@ def test_split_off_square_matches_square_completion(jet):
 def test_split_off_square_needs_the_square():
     with pytest.raises(ValueError, match="pure square"):
         _split_off_square(P("X*Y + Y^2 + Z^3"), "X", 6)
+
+
+@st.composite
+def straightened_tails(draw):
+    """A jet in Y, Z as the tails reach it, once the square is split off and
+    the cubic straightened: c*Y^2*Z + a*Y^3 (a possibly 0) for the D branch,
+    c*Y^3 for the E branch, plus terms of degree 4..d."""
+    branch = draw(st.sampled_from(["D", "E"]))
+    d = draw(st.integers(3 if branch == "D" else 5, 10))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    yz = st.tuples(st.just(0), st.integers(0, d), st.integers(0, d))
+    terms = draw(st.dictionaries(yz.filter(lambda m: 4 <= sum(m) <= d), coeff, max_size=8))
+    c3 = draw(st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2)]))
+    if branch == "D":
+        terms[exps({"Y": 2, "Z": 1})] = c3
+        terms[exps({"Y": 3})] = draw(st.one_of(st.just(0), coeff))
+    else:
+        terms[exps({"Y": 3})] = c3
+    return branch, Polynomial.from_items(T, {m: c for m, c in terms.items() if c}), c3, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(straightened_tails())
+def test_tail_roots_match_the_sheared_normal_forms(jet):
+    branch, g, c3, d = jet
+    order, lead = (1, 2 * c3 * T.var("Z")) if branch == "D" else (2, T.const(6 * c3))
+    phi = _root(g, "Y", order, lead, d)
+    assert not phi.contains_var("Y")
+    derivative = g
+    for _ in range(order):
+        derivative = derivative.derivative_along({"Y": 1})
+    # phi is right to degree d // 2; a lead with a variable lifts the error once more
+    vanishes_to = d // 2 + (branch == "D")
+    assert derivative.substitute({"Y": phi}, max_total_degree=vanishes_to).is_zero, (g.serialize(), d)
+    if branch == "D":
+        # the y^0 coefficient of g(y + phi) is g(phi)
+        got = _order(g.substitute({"Y": phi}, max_total_degree=d))
+        assert got == sheared_tail_D(g, Fraction(c3), d), (g.serialize(), d)
+    else:
+        tail = g.substitute({"Y": T.var("Y") + phi}, max_total_degree=d).coeffs_in("Y")
+        got = [_order(tail.get(e, T.zero())) for e in (1, 0)]
+        want = sheared_tail_E(g, Fraction(c3), d)
+        # rdp_type reads only ord B = 3 and ord C = 4 or 5
+        capped = lambda orders: tuple(top if o is None else min(o, top)
+                                      for o, top in zip(orders, (4, 6)))
+        assert capped(got) == capped(want), (g.serialize(), d, got, want)
+
+
+def test_a_d_tail_root_divides_by_its_variable():
+    # Y^2*Z + 2*Y*Z^3 + Z^5 = Z*(Y + Z^2)^2: at d = 5, phi = -Z^2 has degree
+    # d // 2 and leaves no tail; with Z^7 added, the tail is exactly that
+    g = P("Y^2*Z + 2*Y*Z^3 + Z^5")
+    assert _root(g, "Y", 1, 2 * T.var("Z"), 5) == P("-Z^2")
+    with pytest.raises(UndecidableError, match="pure tail"):
+        rdp_type(P("-X^2") + g, jet_order=5)
+    assert rdp_type(P("-X^2 + Z^7") + g, jet_order=7).name == "D8"
 
 
 @st.composite
