@@ -68,10 +68,6 @@ def length_type(length: int) -> RdpType:
 # -- jet utilities ----------------------------------------------------------------
 
 
-def _degree_part(p: Polynomial, d: int) -> Polynomial:
-    return p.truncate(d) - p.truncate(d - 1)
-
-
 def _order(p: Polynomial) -> Optional[int]:
     if p.is_zero:
         return None
@@ -124,7 +120,7 @@ def _square_to_split(f: Polynomial, left: list[str]) -> tuple[Polynomial, str]:
     is nonzero.  If that part has only cross terms c*u*v, f is first sheared
     by u -> u + v, which adds c*v^2 and no other square.
     """
-    q = _degree_part(f, 2)
+    q = f.degree_part(2)
     for var in left:
         if _coeff(q, {var: 2}):
             return f, var
@@ -185,12 +181,12 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     f = f.truncate(jet_order)
     if f.constant_value() != 0:
         raise ValueError("the origin must lie on the surface")
-    if not _degree_part(f, 1).is_zero:
+    if not f.degree_part(1).is_zero:
         return RdpType("A", 0)
     if jet_order < 2:
         raise UndecidableError(jet_order, "the quadratic part needs a degree-2 jet")
     g, left = f, list(names)
-    while len(left) > 1 and not _degree_part(g, 2).is_zero:
+    while len(left) > 1 and not g.degree_part(2).is_zero:
         g, var = _square_to_split(g, left)
         g = _split_off_square(g, var, jet_order)
         left.remove(var)
@@ -205,7 +201,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     if jet_order < 3:
         raise UndecidableError(jet_order, "the cubic part needs a degree-3 jet")
     y, z = left
-    g3 = _degree_part(g, 3)
+    g3 = g.degree_part(3)
     if g3.is_zero:
         raise NotRDPError("no cubic part after splitting the square")
     shape = _binary_cubic_shape(g3, y, z)

@@ -392,7 +392,7 @@ class Polynomial:
         else:
             g = gcd(a.den, b.den)
             fa, fb = b.den // g, a.den // g
-            out = {k: n * fa for k, n in a.terms.items()}
+            out = dict(a.terms) if fa == 1 else {k: n * fa for k, n in a.terms.items()}
         get = out.get
         for k, n in b.terms.items():
             s = get(k, 0) + n * fb
@@ -659,6 +659,12 @@ class Polynomial:
                         {k: n for k, n in self.terms.items() if _degree(k, s) <= bound},
                         self.den, s)
 
+    def degree_part(self, d: int) -> "Polynomial":
+        """The terms of total degree exactly ``d``."""
+        s = self.shift
+        return _reduced(self.table, {k: n for k, n in self.terms.items() if _degree(k, s) == d},
+                        self.den, s)
+
     def mul_truncated(self, other: "Polynomial", bound: int) -> "Polynomial":
         """Product with every monomial of total degree above ``bound`` dropped.
 
@@ -682,6 +688,35 @@ class Polynomial:
             for _, kb, nb in islice(by_degree, bisect_right(degrees, rem)):
                 k = ka + kb
                 out[k] = get(k, 0) + na * nb
+        return a._product(b, out)
+
+    def mul_kept(self, other: "Polynomial", names: Sequence[str],
+                 cells: Iterable[tuple[int, ...]]) -> "Polynomial":
+        """The terms of the product whose exponents in ``names`` form one of
+        ``cells``, nonnegative exponent tuples aligned with ``names``.  Both
+        factors are grouped by packed cell once, and a pair of cells whose
+        sum is not kept is skipped before any of its terms is formed."""
+        a, b = self._factors(other)
+        s = a.shift
+        offsets = [a.table.index_of(n) * s for n in names]
+        mask = sum(((1 << s) - 1) << o for o in offsets)
+        # every product exponent stays below the guard bit, so a cell at or
+        # above it is never reached, and packing it could only alias another
+        kept = {sum(e << o for o, e in zip(offsets, c)) for c in cells
+                if max(c, default=0) < 1 << s - 1}
+        groups: list[dict] = [{}, {}]
+        for group, p in zip(groups, (a, b)):
+            for k, n in p.terms.items():
+                group.setdefault(k & mask, []).append((k, n))
+        out: dict = {}
+        get = out.get
+        for ca, ta in groups[0].items():
+            for cb, tb in groups[1].items():
+                if ca + cb in kept:
+                    for ka, na in ta:
+                        for kb, nb in tb:
+                            k = ka + kb
+                            out[k] = get(k, 0) + na * nb
         return a._product(b, out)
 
     def evaluate(self, values: Mapping[str, "int | Fraction"]) -> Fraction:

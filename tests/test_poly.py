@@ -688,6 +688,47 @@ def test_kernel_matches_dense_reference(data):
         _check(flat.derivative_along({u: cu, v: cv}, divisor), Dense(ta.names, {}))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_cell_product_is_the_product_filtered_by_cells(data):
+    """mul_kept against the full product with every term off the cells
+    dropped: cell variables at any place in the table, Fraction
+    coefficients, empty cell sets, zero factors, and exponents in 16-bit
+    fields, in the factors or only in a cell that no product reaches."""
+    ta, tb = data.draw(st.sampled_from([(SMALL, SMALL), (SMALL, FOREIGN), (FOREIGN, SMALL),
+                                        (WIDE, WIDE), (SMALL, WIDE)]))
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(data.draw(st.sampled_from(LARGE))))
+    a, b = (_kernel(data.draw(dense_polys(t, exps))) for t in (ta, tb))
+    full = a * b
+    table = full.table
+    names = data.draw(st.lists(st.sampled_from(table.names), max_size=3, unique=True))
+    reached = list(full.coefficients_over(names))
+    cell = st.tuples(*[exps] * len(names))
+    cells = set(data.draw(st.lists(st.sampled_from(reached) | cell if reached else cell,
+                                   max_size=4)))
+    where = [table.index_of(v) for v in names]
+    kept = a.mul_kept(b, names, cells)
+    assert kept.table is table
+    assert dict(kept.items()) == {m: c for m, c in full.items()
+                                  if tuple(m[i] for i in where) in cells}
+    assert kept == Polynomial.from_items(table, dict(kept.items()))
+    assert b.mul_kept(a, names, cells).to_table(table) == kept
+    assert a.mul_kept(b, names, reached) == full
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degree_part_is_the_difference_of_two_truncations(data):
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(data.draw(st.sampled_from(LARGE))))
+    p = _kernel(data.draw(dense_polys(data.draw(st.sampled_from([SMALL, FOREIGN, WIDE])), exps)))
+    degrees = [sum(m) for m, _ in p.items()]
+    d = data.draw(st.integers(-1, 8) | st.sampled_from(degrees) if degrees else st.integers(-1, 8))
+    part = p.degree_part(d)
+    want = p.truncate(d) - p.truncate(d - 1)
+    assert part.table is want.table and part == want and part.shift == p.shift
+    assert dict(part.items()) == {m: c for m, c in p.items() if sum(m) == d}
+
+
 def test_powers_cross_the_guard_bit():
     x = SMALL.var("x")
     for e in (127, 128, 255, 256, 300, 2**15, 2**16 + 1):
@@ -706,6 +747,9 @@ def test_powers_cross_the_guard_bit():
     assert dict(image.items()) == {(0, 381, 0): 1}
     # a Horner rule into a term whose kept exponent is near the guard bit
     assert (x ** 126 * y).substitute({"y": x + 1}) == x ** 127 + x ** 126
+    # a kept cell past every field is never reached; packed, it would read as y
+    assert y.mul_kept(SMALL.const(1), ("x", "y"), [(256, 0)]).is_zero
+    assert y.mul_kept(x ** 255, ("x", "y"), [(256, 0), (255, 1)]) == x ** 255 * y
 
 
 def _dense_substitute(ref, rules, bound):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rdpinv
 from rdpinv import solvelist
@@ -99,6 +99,8 @@ def _elimination_outcome(solve, equations, unknowns):
         return solve(equations, unknowns).to_json()
     except ValidityViolation as exc:
         return (exc.index, exc.variable, exc.reason)
+    except KeyError as exc:  # an unknown missing from its equation's table
+        return repr(exc)
 
 
 _UNKNOWNS = ("u0", "u1", "u2", "u3")
@@ -106,10 +108,12 @@ _ELIM = VarTable(["p", "q", *_UNKNOWNS], [0] * 6)
 
 
 @st.composite
-def _elimination_systems(draw, triangular=True):
+def _elimination_systems(draw, triangular=True, tables=False):
     """Equations and their unknowns, in a drawn order.  Triangular: equation
     i is a nonzero constant times unknown i plus a polynomial in p, q and
-    the earlier unknowns; otherwise any polynomial in p, q and all of them."""
+    the earlier unknowns; otherwise any polynomial in p, q and all of them.
+    With ``tables`` each equation lives on its own table: some of the
+    variables in a drawn order, then the rest of those it uses."""
     unknowns = draw(st.permutations(_UNKNOWNS))[:draw(st.integers(1, len(_UNKNOWNS)))]
     equations = []
     for i, u in enumerate(unknowns):
@@ -119,6 +123,9 @@ def _elimination_systems(draw, triangular=True):
             for v in ("p", "q", *(unknowns[:i] if triangular else _UNKNOWNS)):
                 term = term * _ELIM.var(v) ** draw(st.integers(0, 2))
             eq = eq + term
+        if tables:
+            names = draw(st.permutations(_ELIM.names))[:draw(st.integers(0, len(_ELIM)))]
+            eq = eq.compact().to_table(VarTable(names, [0] * len(names)))
         equations.append(eq)
     return equations, list(unknowns)
 
@@ -135,11 +142,22 @@ def test_elimination_solves_a_triangular_system(system):
         assert not any(value.contains_var(u) for u in unknowns), v
 
 
+def _zero_solution_system():
+    """u1 = 0 on a table of its own, substituted into an equation on another."""
+    one, two = VarTable(["u1", "p"], [0, 0]), VarTable(["q", "u0", "u1", "p"], [0] * 4)
+    u0, u1, p, q = (two.var(v) for v in ("u0", "u1", "p", "q"))
+    return [3 * one.var("u1"), u0 + u1 * q - p], ["u1", "u0"]
+
+
 @settings(max_examples=150, deadline=None)
-@given(_elimination_systems(triangular=False) | _elimination_systems())
+@given(_elimination_systems(triangular=False) | _elimination_systems()
+       | _elimination_systems(triangular=False, tables=True) | _elimination_systems(tables=True))
+@example(_zero_solution_system())
 def test_elimination_matches_the_old_loop(system):
     # the reverse clean-up of the old loop never has anything to clean: the
-    # ordering check refuses a late unknown in an earlier solution first
+    # ordering check refuses a late unknown in an earlier solution first; and
+    # substituting every earlier solution at once gives the old loop's rules,
+    # its merged table (the vars order of to_json) included
     equations, unknowns = system
     assert _elimination_outcome(solve_in_order, equations, unknowns) == \
         _elimination_outcome(_old_expand_loop, equations, unknowns)
@@ -350,10 +368,15 @@ def test_coefficients_equal_full_image_coefficients(sl):
     assert _expansion_outcome(sl) == _expansion_outcome(oracle)
 
 
-@pytest.mark.parametrize("param", [None, "moved"])
-def test_e6_coefficients_equal_full_image_coefficients(param, pipe6):
-    for sl in (pipe6.bar_solvelist(), pipe6.psi_solvelist(), pipe6.versal_solvelist()):
-        _assert_same_coefficients(sl.pull_back(split_params_E(6)[1]) if param else sl)
+@pytest.mark.parametrize("n, param", [pytest.param(6, None, id="E6"),
+                                      pytest.param(6, "moved", id="E6-moved"),
+                                      pytest.param(7, None, id="E7"),
+                                      pytest.param(8, None, id="E8")])
+def test_stage_coefficients_equal_full_image_coefficients(n, param, request):
+    # the plain E8 versal image is 9,641 terms, of which the pairs read 4,871
+    pipe = request.getfixturevalue(f"pipe{n}")
+    for sl in (pipe.bar_solvelist(), pipe.psi_solvelist(), pipe.versal_solvelist()):
+        _assert_same_coefficients(sl.pull_back(split_params_E(n)[1]) if param else sl)
 
 
 def _weight_of(sl, name):
