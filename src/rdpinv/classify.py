@@ -5,12 +5,13 @@ sufficiently long jet of its defining polynomial.  Squares are split off
 in the given coordinates (the splitting lemma), up to two of them; their
 number picks the branch.  Two leave an A tail read off its order; one
 leaves a binary cubic, whose factorization shape (read off its Hessian)
-and then the orders of the tail decide D or E.  All three reductions are
-one closed-form step (``_root``): a square is split off at the zero of
-its variable's first derivative, a D tail at the zero of dg/dy and an E
-tail at the zero of d2g/dy2, each found degree by degree, exact and
-truncated at the caller's jet order; no square root is ever needed, as
-the tree only consumes counts, factor multiplicities and vanishing orders.
+and then the orders of the tail decide D or E.  Both splits are one
+closed-form step (``_root``): a square is split off at the zero of its
+variable's first derivative and a D tail at the zero of dg/dy, each found
+degree by degree, exact and truncated at the caller's jet order; an E
+tail needs no split, as the orders it is decided on are read the same
+off the unsplit coefficients.  No square root is ever needed, as the
+tree only consumes counts, factor multiplicities and vanishing orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -79,21 +80,19 @@ def _coeff(p: Polynomial, mono: Mapping[str, int]):
     return p.coeff_of(mono, p.table.names).constant_value()
 
 
-def _root(g: Polynomial, var: str, order: int, lead: Polynomial, d: int) -> Polynomial:
-    """phi, free of ``var``, where the ``order``-th ``var``-derivative of g
-    vanishes, to degree d // 2 (the splitting lemma).
+def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
+    """phi, free of ``var``, where the ``var``-derivative of g vanishes, to
+    degree d // 2 (the splitting lemma).
 
     That derivative is lead*var + rest, ``lead`` a nonzero constant or a
     constant times one other variable, and phi = -rest(phi)/lead is fixed
     one degree at a time by one truncated substitution each.  At each
     caller, once phi is right below degree k, rest(phi)/lead is right to
     degree k.  An error of order e in phi moves a split square only from
-    degree 2e on, a D tail from 2e + 1, the y^1 coefficient of an E tail
-    from 2e and its y^0 coefficient from ord B + e >= 6, so no order that
-    a decision reads needs phi beyond degree d // 2.
+    degree 2e on and a D tail from 2e + 1, so no order that a decision
+    reads needs phi beyond degree d // 2.
     """
-    for _ in range(order):
-        g = g.derivative_along({var: 1})
+    g = g.derivative_along({var: 1})
     rest = g - lead * g.table.var(var)
     by = lead.variables()
     phi = g.table.zero()
@@ -110,7 +109,7 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
-    return p.substitute({var: _root(p, var, 1, p.table.const(2 * a), d)}, max_total_degree=d)
+    return p.substitute({var: _root(p, var, p.table.const(2 * a), d)}, max_total_degree=d)
 
 
 def _square_to_split(f: Polynomial, left: list[str]) -> tuple[Polynomial, str]:
@@ -213,7 +212,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         if not c3:
             raise NotRDPError("double factor did not straighten")
         # the y^0 coefficient of g(y + phi), the tail once y*z^b is split off
-        phi = _root(g, y, 1, 2 * c3 * g.table.var(z), jet_order)
+        phi = _root(g, y, 2 * c3 * g.table.var(z), jet_order)
         order = _order(g.substitute({y: phi}, max_total_degree=jet_order))
         if order is None:
             raise UndecidableError(jet_order, "pure tail vanishes to jet order")
@@ -223,8 +222,11 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         raise NotRDPError("triple factor did not straighten")
     if jet_order < 5:
         raise UndecidableError(jet_order, "the exceptional branch needs a degree-5 jet")
-    phi = _root(g, y, 2, g.table.const(6 * c3), jet_order)
-    tail = g.substitute({y: g.table.var(y) + phi}, max_total_degree=jet_order).coeffs_in(y)
+    # g = c3*y^3 + y^2*A(z) + y*B(z) + C(z) + (y^3 and up), ord A >= 2 and
+    # ord B >= 3.  A split at the zero y = phi(z) of d2g/dy2 (ord phi >= 2)
+    # would change B only from degree 4 on and C from degree ord B + 2 on,
+    # 6 once ord B >= 4: each decision below reads the same orders unsplit
+    tail = g.coeffs_in(y)
     ordB, ordC = (_order(tail.get(e, g.table.zero())) for e in (1, 0))
     if ordC == 4:
         return RdpType("E", 6)

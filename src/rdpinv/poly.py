@@ -44,10 +44,9 @@ names carry equal weights; the tables are merged by name.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -252,6 +251,14 @@ def _reduced(table: VarTable, terms: dict, den: int, s: int) -> "Polynomial":
     return Polynomial(table, terms, den, s)
 
 
+def _grouped(terms: dict, part) -> dict[int, list[tuple[int, int]]]:
+    """The ``(key, numerator)`` pairs of ``terms``, grouped by ``part(key)``."""
+    groups: dict = {}
+    for k, n in terms.items():
+        groups.setdefault(part(k), []).append((k, n))
+    return groups
+
+
 def _from_rationals(table: VarTable, coeffs: dict, s: int, den: int = 1) -> "Polynomial":
     """The polynomial sum of ``c * key / den`` over ``coeffs``, whose values
     are ints and Fractions; zero values are dropped."""
@@ -426,17 +433,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._factors(other)
-        if not a.terms or not b.terms:
-            return Polynomial(a.table, {})
         small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-        out: dict = {}
-        get = out.get
-        big = list(big.items())
-        for ks, ns in small.items():
-            for kb, nb in big:
-                k = ks + kb
-                out[k] = get(k, 0) + ns * nb
-        return a._product(b, out)
+        return a._product(b, [(small.items(), list(big.items()))])
 
     __rmul__ = __mul__
 
@@ -450,8 +448,17 @@ class Polynomial:
         s = _fit(s, top if bound is None else min(top, bound))
         return a._widened(s), b._widened(s)
 
-    def _product(self, other: "Polynomial", out: dict) -> "Polynomial":
-        """The product whose numerators ``out`` collects."""
+    def _product(self, other: "Polynomial", blocks) -> "Polynomial":
+        """The product over the term pairs of ``blocks``, each block two runs
+        of ``(key, numerator)``, one per factor: the one pair loop behind
+        ``*``, ``mul_truncated`` and ``mul_kept``."""
+        out: dict = {}
+        get = out.get
+        for ta, tb in blocks:
+            for ka, na in ta:
+                for kb, nb in tb:
+                    k = ka + kb
+                    out[k] = get(k, 0) + na * nb
         return _reduced(self.table, {k: n for k, n in out.items() if n},
                         self.den * other.den, self.shift)
 
@@ -652,43 +659,32 @@ class Polynomial:
             return Polynomial(table, {})
         return combine(blocks, 0, bound)
 
+    def _of_degree(self, keep) -> "Polynomial":
+        """The terms whose total degree satisfies ``keep``."""
+        s = self.shift
+        return _reduced(self.table, {k: n for k, n in self.terms.items() if keep(_degree(k, s))},
+                        self.den, s)
+
     def truncate(self, bound: int) -> "Polynomial":
         """The terms of total degree at most ``bound``."""
-        s = self.shift
-        return _reduced(self.table,
-                        {k: n for k, n in self.terms.items() if _degree(k, s) <= bound},
-                        self.den, s)
+        return self._of_degree(lambda e: e <= bound)
 
     def degree_part(self, d: int) -> "Polynomial":
         """The terms of total degree exactly ``d``."""
-        s = self.shift
-        return _reduced(self.table, {k: n for k, n in self.terms.items() if _degree(k, s) == d},
-                        self.den, s)
+        return self._of_degree(lambda e: e == d)
 
     def mul_truncated(self, other: "Polynomial", bound: int) -> "Polynomial":
         """Product with every monomial of total degree above ``bound`` dropped.
 
-        Skips doomed pairs before forming them, which is what makes jet
-        arithmetic cheap.
+        Both factors are grouped by total degree once, and a pair of groups
+        whose degrees sum past ``bound`` is skipped before any of its terms
+        is formed, which is what makes jet arithmetic cheap.
         """
         a, b = self._factors(other, max(bound, 0))
-        if not a.terms or not b.terms:
-            return Polynomial(a.table, {})
-        if len(a.terms) > len(b.terms):
-            a, b = b, a
         s = a.shift
-        by_degree = sorted((_degree(k, s), k, n) for k, n in b.terms.items())
-        degrees = [d for d, _, _ in by_degree]
-        out: dict = {}
-        get = out.get
-        for ka, na in a.terms.items():
-            rem = bound - _degree(ka, s)
-            if rem < 0:
-                continue
-            for _, kb, nb in islice(by_degree, bisect_right(degrees, rem)):
-                k = ka + kb
-                out[k] = get(k, 0) + na * nb
-        return a._product(b, out)
+        ga, gb = (_grouped(p.terms, lambda k: _degree(k, s)) for p in (a, b))
+        return a._product(b, [(ta, tb) for da, ta in ga.items() for db, tb in gb.items()
+                              if da + db <= bound])
 
     def mul_kept(self, other: "Polynomial", names: Sequence[str],
                  cells: Iterable[tuple[int, ...]]) -> "Polynomial":
@@ -704,20 +700,9 @@ class Polynomial:
         # above it is never reached, and packing it could only alias another
         kept = {sum(e << o for o, e in zip(offsets, c)) for c in cells
                 if max(c, default=0) < 1 << s - 1}
-        groups: list[dict] = [{}, {}]
-        for group, p in zip(groups, (a, b)):
-            for k, n in p.terms.items():
-                group.setdefault(k & mask, []).append((k, n))
-        out: dict = {}
-        get = out.get
-        for ca, ta in groups[0].items():
-            for cb, tb in groups[1].items():
-                if ca + cb in kept:
-                    for ka, na in ta:
-                        for kb, nb in tb:
-                            k = ka + kb
-                            out[k] = get(k, 0) + na * nb
-        return a._product(b, out)
+        ga, gb = (_grouped(p.terms, lambda k: k & mask) for p in (a, b))
+        return a._product(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
+                              if ca + cb in kept])
 
     def evaluate(self, values: Mapping[str, "int | Fraction"]) -> Fraction:
         missing = self.variables() - set(values)

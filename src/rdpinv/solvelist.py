@@ -349,7 +349,7 @@ class RuleCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, self.path_for(key))
         except BaseException:
             os.unlink(tmp)

@@ -43,6 +43,19 @@ subs = [a for n, _, _, _, a in tracer.spans[first:] if n == "poly.substitute"]
 print(json.dumps({"substitutions": subs, "terms": len(moved.terms)}))
 """
 
+PRODUCTS = """
+from rdpinv.poly import VarTable
+x, y = (VarTable(["x", "y"], [1, 1]).var(v) for v in "xy")
+a, b = 1 + x + y, 2 - x * y
+spans = {}
+for op, call in [("mul_truncated", lambda: a.mul_truncated(b, 2)),
+                 ("mul_kept", lambda: a.mul_kept(b, ["x"], [(1,)])), ("*", lambda: a * b)]:
+    first = len(tracer.spans)
+    call()
+    spans[op] = [n for n, _, _, _, _ in tracer.spans[first:]]
+print(json.dumps(spans))
+"""
+
 
 D5 = "-X^2 - 2*X*Y^2 - Y^2*Z + Z^4"
 
@@ -82,3 +95,12 @@ def test_reflection_substitution_is_one_traced_span(tmp_path):
     result = run_traced(REFLECTION_SUBSTITUTION, tmp_path)
     assert result["terms"] > 100
     assert result["substitutions"] == [{"terms": result["terms"]}]
+
+
+def test_only_the_full_product_is_a_traced_mul_span(tmp_path):
+    # the three products share one private pair loop; none calls another,
+    # so poly.mul counts direct products only
+    spans = run_traced(PRODUCTS, tmp_path)
+    assert spans["mul_truncated"].count("poly.mul") == 0
+    assert spans["mul_kept"].count("poly.mul") == 0
+    assert spans["*"].count("poly.mul") == 1
