@@ -93,8 +93,10 @@ def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
     reads needs phi beyond degree d // 2.
     """
     g = g.derivative_along({var: 1})
-    rest = g - lead * g.table.var(var)
     by = lead.variables()
+    # phi has no constant term, so a term of rest above the last step's
+    # bound never reaches a kept degree
+    rest = (g - lead * g.table.var(var)).truncate(d // 2 + len(by))
     phi = g.table.zero()
     for k in range(1, d // 2 + 1):
         # dividing by a variable lowers the degree, so rest(phi) needs one more
@@ -112,14 +114,14 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     return p.substitute({var: _root(p, var, p.table.const(2 * a), d)}, max_total_degree=d)
 
 
-def _square_to_split(f: Polynomial, left: list[str]) -> tuple[Polynomial, str]:
+def _square_to_split(f: Polynomial, q: Polynomial,
+                     left: list[str]) -> tuple[Polynomial, str]:
     """A variable of ``left`` whose square occurs in f, with f made to show it.
 
     The terms of f lie in the variables of ``left`` and its quadratic part
-    is nonzero.  If that part has only cross terms c*u*v, f is first sheared
-    by u -> u + v, which adds c*v^2 and no other square.
+    q is nonzero.  If q has only cross terms c*u*v, f is first sheared by
+    u -> u + v, which adds c*v^2 and no other square.
     """
-    q = f.degree_part(2)
     for var in left:
         if _coeff(q, {var: 2}):
             return f, var
@@ -153,8 +155,9 @@ def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
     return ("distinct",)
 
 
-def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> Polynomial:
-    """Linear change making the repeated factor the first coordinate."""
+def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str,
+                              d: int) -> Polynomial:
+    """Linear change making the repeated factor the first coordinate, to degree d."""
     table = g.table
     a, b = Fraction(_coeff(h, {y: 1})), Fraction(_coeff(h, {z: 1}))
     yv, zv = table.var(y), table.var(z)
@@ -163,7 +166,7 @@ def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str) -> P
         rules = {y: (yv - b * zv) / a}
     else:
         rules = {y: zv / b, z: yv}
-    return g.substitute(rules)
+    return g.substitute(rules, max_total_degree=d)
 
 
 def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
@@ -185,8 +188,8 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     if jet_order < 2:
         raise UndecidableError(jet_order, "the quadratic part needs a degree-2 jet")
     g, left = f, list(names)
-    while len(left) > 1 and not g.degree_part(2).is_zero:
-        g, var = _square_to_split(g, left)
+    while len(left) > 1 and not (q := g.degree_part(2)).is_zero:
+        g, var = _square_to_split(g, q, left)
         g = _split_off_square(g, var, jet_order)
         left.remove(var)
     squares = len(names) - len(left)
@@ -206,7 +209,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     shape = _binary_cubic_shape(g3, y, z)
     if shape[0] == "distinct":
         return RdpType("D", 4)
-    g = _straighten_double_factor(g, shape[1], y, z).truncate(jet_order)
+    g = _straighten_double_factor(g, shape[1], y, z, jet_order)
     if shape[0] == "double":
         c3 = _coeff(g, {y: 2, z: 1})
         if not c3:

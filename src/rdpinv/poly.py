@@ -26,7 +26,12 @@ exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
   bounds the result's exponents from its operands (the top field of their
   keys OR'd together) and doubles the width until that bound clears the
   guard bit: exponents never wrap.  Decoding a key reads it only up to its
-  highest nonzero field.
+  highest nonzero field.  As 2**s is 1 mod m = 2**s - 1, a key is its
+  field sum mod m, so a total degree is read as one ``k % m`` when the
+  field sums of the keys read are bounded below m: for a term set by the
+  fields of its keys OR'd together, for the blocks of a substitution by
+  the input's kept fields plus each one-term value's degree times the top
+  exponent of its variable.  Above that the fields are decoded and summed.
 * Coefficients are integer numerators over one denominator ``den`` per
   polynomial, positive and coprime to the gcd of the numerators.  That
   makes the store canonical (``den`` is the lcm of the coefficients'
@@ -135,6 +140,18 @@ def _key(exps: Sequence[int], s: int) -> int:
 def _degree(k: int, s: int) -> int:
     """Total degree of key ``k``."""
     return sum(_fields(k, s))
+
+
+def _reader(bound: int, s: int):
+    """The total degree of a key whose fields sum to at most ``bound``:
+    ``k % m`` when ``bound`` < m = 2**s - 1, else the exact decode."""
+    m = (1 << s) - 1
+    return m.__rmod__ if bound < m else lambda k: _degree(k, s)
+
+
+def _degrees(keys: Iterable[int], s: int):
+    """The degree reader for ``keys``; the fields of their OR bound their field sums."""
+    return _reader(_degree(reduce(or_, keys, 0), s), s)
 
 
 def _top(keys: Iterable[int], s: int) -> int:
@@ -535,8 +552,17 @@ class Polynomial:
         within = tuple(within)
         if any(v not in within for v in mono):
             raise ValueError("monomial involves variables outside the given subset")
-        key = tuple(mono.get(v, 0) for v in within)
-        return self.coefficients_over(within).get(key, self.table.zero())
+        s = self.shift
+        offsets = [self.table.index_of(v) * s for v in within]
+        exps = [mono.get(v, 0) for v in within]
+        # a stored exponent is nonnegative and below the guard bit, so no
+        # other exponent occurs, and packing one could only alias a field
+        if not all(0 <= e < 1 << s - 1 for e in exps):
+            return self.table.zero()
+        mask = sum(((1 << s) - 1) << o for o in offsets)
+        cell = sum(e << o for o, e in zip(offsets, exps))
+        terms = {k - cell: n for k, n in self.terms.items() if k & mask == cell}
+        return _reduced(self.table, terms, self.den, s) if terms else self.table.zero()
 
     # -- substitution ------------------------------------------------------
 
@@ -608,10 +634,14 @@ class Polynomial:
             order.append(i)
         order.reverse()
         values = [horner[i] for i in order]
-        lows = [min(_degree(k, s) for k in r.terms) for r in values]
+        lows = [min(map(_degrees(r.terms, s), r.terms)) for r in values]
         offsets = [i * s for i in order]
         ruled = [(i * s, v) for i, v in direct.items()]
         keep = ~sum(field << o for o in offsets + [o for o, _ in ruled])
+        # the field sum of a block key: the input's kept exponents plus what
+        # each one-term value brings at the input's top exponent of its variable
+        degree = _reader(sum(e for i, e in enumerate(tops) if i not in live) + sum(
+            tops[i] * _degree(v[0], s) for i, v in direct.items() if v), s)
 
         # split the terms by their exponents of the Horner variables; the
         # rest of each term, with the direct rules applied, forms the block
@@ -631,7 +661,7 @@ class Polynomial:
                 c *= rn ** e
                 q *= rd ** e
             else:
-                if bound is not None and (_degree(rest, s)
+                if bound is not None and (degree(rest)
                                           + sum(e * low for e, low in zip(key, lows)) > bound):
                     continue
                 block = blocks.setdefault(key, {})
@@ -659,19 +689,20 @@ class Polynomial:
             return Polynomial(table, {})
         return combine(blocks, 0, bound)
 
-    def _of_degree(self, keep) -> "Polynomial":
-        """The terms whose total degree satisfies ``keep``."""
-        s = self.shift
-        return _reduced(self.table, {k: n for k, n in self.terms.items() if keep(_degree(k, s))},
-                        self.den, s)
+    def _of_degree(self, low: int, high: int) -> "Polynomial":
+        """The terms of total degree from ``low`` to ``high``."""
+        degree = _degrees(self.terms, self.shift)
+        return _reduced(self.table,
+                        {k: n for k, n in self.terms.items() if low <= degree(k) <= high},
+                        self.den, self.shift)
 
     def truncate(self, bound: int) -> "Polynomial":
         """The terms of total degree at most ``bound``."""
-        return self._of_degree(lambda e: e <= bound)
+        return self._of_degree(0, bound)
 
     def degree_part(self, d: int) -> "Polynomial":
         """The terms of total degree exactly ``d``."""
-        return self._of_degree(lambda e: e == d)
+        return self._of_degree(d, d)
 
     def mul_truncated(self, other: "Polynomial", bound: int) -> "Polynomial":
         """Product with every monomial of total degree above ``bound`` dropped.
@@ -682,7 +713,7 @@ class Polynomial:
         """
         a, b = self._factors(other, max(bound, 0))
         s = a.shift
-        ga, gb = (_grouped(p.terms, lambda k: _degree(k, s)) for p in (a, b))
+        ga, gb = (_grouped(p.terms, _degrees(p.terms, s)) for p in (a, b))
         return a._product(b, [(ta, tb) for da, ta in ga.items() for db, tb in gb.items()
                               if da + db <= bound])
 

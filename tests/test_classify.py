@@ -348,7 +348,7 @@ def quadratic_jets(draw):
 @given(quadratic_jets())
 def test_square_to_split_shows_a_square_by_an_invertible_change(jet):
     f, left = jet
-    g, var = _square_to_split(f, left)
+    g, var = _square_to_split(f, f.degree_part(2), left)
     assert var in left
     assert dict(g.items()).get(tuple(2 * (v == var) for v in T.names)), (f.serialize(), var)
     if g != f:  # only a shear u -> u + v, undone by u -> u - v

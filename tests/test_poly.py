@@ -752,6 +752,36 @@ def test_powers_cross_the_guard_bit():
     assert y.mul_kept(x ** 255, ("x", "y"), [(256, 0), (255, 1)]) == x ** 255 * y
 
 
+def test_degree_reads_exact_when_the_field_sum_reaches_the_modulus():
+    """A key is its field sum mod 2**s - 1.  On 8-bit fields a^127*b^127*c
+    has degree 255, which reads as 0 mod 255: each degree read decodes it."""
+    table = VarTable(["a", "b", "c", "z", "w"], [1] * 5)
+    p = parse("a^127*b^127*c + a", table)
+    a = table.var("a")
+    assert p.shift == 8
+    assert p.truncate(3) == a
+    assert p.degree_part(0).is_zero
+    assert p.mul_truncated(table.const(1), 2) == a
+    # a one-term value raises the block keys' field sum past the input's:
+    # 240 kept, plus 15 from w^15 at the top exponent of z
+    q = parse("a^80*b^80*c^80*z + a", table)
+    assert q.substitute({"z": table.var("w", 15)}, max_total_degree=5) == a
+
+
+def test_coeff_of_an_exponent_no_field_holds_is_zero():
+    table = VarTable(["x", "y", "z"], [1, 1, 1])
+    p = parse("y^127 + x*y + y + 3", table)
+    assert p.shift == 8
+    names = ["x", "y", "z"]
+    # packed on 8-bit fields, x^256 is y and y^-129*z is y^127
+    for mono in ({"x": 256}, {"y": -1}, {"y": -129, "z": 1}):
+        got = p.coeff_of(mono, names)
+        assert got.is_zero and got.table is table
+    assert p.coeff_of({"y": 1}, names) == 1
+    got = p.coeff_of({"y": 1}, ["y"])
+    assert got == table.var("x") + 1 and got.table is table
+
+
 def _dense_substitute(ref, rules, bound):
     """``ref`` with each ruled variable replaced by its one-term value."""
     names = ref.names
