@@ -14,15 +14,18 @@ and the t's work on partitions, since a symmetric polynomial is
 sum c_lam m_lam over the orbit sums m_lam, and both use one table of
 products of the e_j kept as orbit totals on partitions (the triangular
 m -> e transition; Sturmfels, *Algorithms in Invariant Theory* 1.1,
-Macdonald, *Symmetric Functions* I.2, I.6).  Expanding a coordinate in
-the t's sums those products over its terms and writes each partition's
-orbit out once.  Symmetric rewriting (from the t's back to the s_i) checks
-in one pass that every S_n orbit of exponent vectors is complete and
-carries one coefficient, which certifies symmetry, and then peels the
-partitions from the top against the same products.  The literal
-invariance check expands a coordinate in the t's, applies a generator as
-the rank-one reflection of :func:`rdpinv.rootsys.weyl_action`, and
-compares; expansion and reduction share one product table per check.
+Macdonald, *Symmetric Functions* I.2, I.6).  Both work in integer
+numerators over one denominator, through the kernel's packed read and write
+(:meth:`Polynomial.numerators_over`, :meth:`Polynomial.from_numerators`),
+never per term.  Expanding a coordinate in the t's sums those products over
+its terms and writes each partition's orbit out once.  Symmetric rewriting
+(from the t's back to the s_i) checks in one read that every S_n orbit of
+exponent vectors is complete and carries one numerator, which certifies
+symmetry, and then peels the partitions from the top against the same
+products.  The literal invariance check expands a coordinate in the t's,
+applies a generator as the rank-one reflection of
+:func:`rdpinv.rootsys.weyl_action`, and compares; expansion and reduction
+share one product table per check.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Optional
@@ -255,104 +259,74 @@ class _EProducts(dict):
         return out
 
 
-def _rearrangements(lam: tuple[int, ...], tails: dict) -> list[tuple[int, ...]]:
-    """Every distinct rearrangement of the descending vector lam, once each;
-    ``tails`` keeps those of the tails, which many partitions share."""
-    hit = tails.get(lam)
-    if hit is None:
-        hit = [] if lam else [()]
-        for i, v in enumerate(lam):
-            if not i or v != lam[i - 1]:
-                hit += [(v,) + w for w in _rearrangements(lam[:i] + lam[i + 1:], tails)]
-        tails[lam] = hit
-    return hit
-
-
 def t_expand(phi: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
     """phi with each s_j replaced by the elementary symmetric function e_j of
     t_1..t_n, on ``ts_table(n)``.
 
     The expansion is symmetric, so it is built on partitions: each term
-    c * s^d adds c * prod e_j^d_j, kept as orbit totals (the products that
-    :func:`symmetric_reduce` peels against; pass ``products`` to share
-    them), and each partition's orbit is written out once, every term
-    carrying the total over the orbit size.  A variable other than
-    s_1..s_n raises ``ValueError``.
+    a * s^d (a a numerator over phi's denominator) adds a * prod e_j^d_j,
+    kept as orbit totals (the products :func:`symmetric_reduce` peels
+    against; pass ``products`` to share them).  With L the lcm of the orbit
+    sizes, each orbit is written out once, every term carrying total * (L /
+    size) over L * den.  A variable other than s_1..s_n raises ``ValueError``.
     """
-    slot = {name: j for j, name in enumerate(_s_names(n))}
-    extraneous = phi.variables() - slot.keys()
+    extraneous = phi.variables() - set(_s_names(n))
     if extraneous:
         raise ValueError(f"input involves non-s variables {sorted(extraneous)}")
     products = _EProducts(n) if products is None else products
-    slots = {i: slot[name] for i, name in enumerate(phi.table.names) if name in slot}
-    terms = list(phi.items())
-    den = lcm(*[c.denominator for _, c in terms])  # the totals stay integers
+    den, rows = phi.numerators_over(_s_names(n))
     totals: Counter = Counter()
-    for exps, c in terms:
-        d = [0] * n
-        for i, j in slots.items():
-            d[j] = exps[i]
-        a = c.numerator * (den // c.denominator)
-        for lam, g in products[tuple(d)].items():
+    for d, (a,) in rows.items():
+        for lam, g in products[d].items():
             totals[lam] += a * g
-    tails: dict = {}
-    items = {}
-    for lam, total in totals.items():
-        if total:
-            c = Fraction(total, _orbit_size(lam) * den)
-            for w in _rearrangements(lam, tails):
-                items[(0, 0) + w + (0,) * n] = c
-    return Polynomial.from_items(ts_table(n), items)
+    sizes = {lam: _orbit_size(lam) for lam, total in totals.items() if total}
+    L = lcm(*sizes.values())
+    return Polynomial.from_numerators(
+        ts_table(n), _t_names(n), {lam: totals[lam] * (L // size) for lam, size in sizes.items()},
+        den * L, orbits=True)
 
 
 def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
     """Rewrite a symmetric polynomial in t_1..t_n as a polynomial in s_1..s_n.
 
-    A symmetric polynomial is sum c_lam m_lam over partitions lam, so it is
-    worked on partitions only.  One pass groups the t-exponent vectors by
-    their sorted partition; every orbit must carry one coefficient and be
-    complete (n! / prod mult! terms), else :class:`NonSymmetricError` is
-    raised.  Then partitions are peeled in descending (degree, lex) order:
-    the top lam with coefficient c gives c * prod s_j^(lam_j - lam_{j+1}),
-    and c times that product of e_j is subtracted.  The products are built
-    one e_j at a time on orbit totals (the triangular m -> e transition),
-    memoized by their exponent vector in ``products`` (a fresh table when
-    none is passed).
+    Every orbit of t-exponents must carry one numerator and be complete
+    (n! / prod mult! terms), else :class:`NonSymmetricError` is raised.
+    Then partitions are peeled off a heap in descending (degree, lex)
+    order: the top lam with orbit total T gives c * prod s_j^(lam_j -
+    lam_{j+1}), c = T / size exactly (a remainder raises
+    ``ArithmeticError``), and c times that product of e_j, memoized in
+    ``products`` (a fresh table when none is passed), is subtracted.
     """
     extraneous = p.variables() - set(_t_names(n))
     if extraneous:
         raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
-    at = [p.table.index_of(t) for t in _t_names(n) if t in p.table]
-    pad = (0,) * (n - len(at))
-    coeffs: dict[tuple[int, ...], "int | Fraction"] = {}
-    count: Counter = Counter()
-    for exps, c in p.items():
-        lam = tuple(sorted([exps[i] for i in at], reverse=True)) + pad
-        if coeffs.setdefault(lam, c) != c:
-            raise NonSymmetricError(
-                f"terms of the orbit of {lam} carry different coefficients; "
-                "input not symmetric")
-        count[lam] += 1
-    rest: Counter = Counter()  # orbit totals
-    for lam, k in count.items():
+    den, orbits = p.numerators_over(_t_names(n), orbits=True)
+    rest = {}  # orbit totals
+    for lam, nums in orbits.items():
         size = _orbit_size(lam)
-        if k != size:
-            raise NonSymmetricError(
-                f"{k} of the {size} terms of the orbit of {lam}; input not symmetric")
-        rest[lam] = coeffs[lam] * size
+        if len(nums) != size or nums.count(nums[0]) != size:
+            raise NonSymmetricError(f"{len(nums)} of the {size} terms of the orbit of {lam}, "
+                                    f"{len(set(nums))} coefficients; input not symmetric")
+        rest[lam] = nums[0] * size
 
     products = _EProducts(n) if products is None else products
+    # ascending by (-degree, -lam): a sorted list is a heap, popped top first
+    heap = sorted((-sum(lam), [-a for a in lam], lam) for lam in rest)
     out = {}
-    while rest:
-        lam = max(rest, key=lambda m: (sum(m), m))
+    while heap:
+        lam = heappop(heap)[2]
         if rest[lam]:
-            c = Fraction(rest[lam], _orbit_size(lam))
+            c, r = divmod(rest[lam], _orbit_size(lam))
+            if r:
+                raise ArithmeticError(f"the orbit total of {lam} leaves remainder {r}")
             d = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
-            out[(0,) * (n + 2) + d] = c
+            out[d] = c
             for mu, g in products[d].items():
-                rest[mu] -= c * g
+                if mu not in rest:  # below lam, so not yet peeled
+                    heappush(heap, (-sum(mu), [-a for a in mu], mu))
+                rest[mu] = rest.get(mu, 0) - c * g
         del rest[lam]  # its total is zero now
-    return Polynomial.from_items(ts_table(n), out)
+    return Polynomial.from_numerators(ts_table(n), _s_names(n), out, den)
 
 
 # -- standard coordinate functions ----------------------------------------------
@@ -468,8 +442,11 @@ def invariant_under_literal(spec: Spec, phi: Polynomial, generator: int,
                             reduce_back: bool = False) -> bool:
     """Exact invariance test by applying the generator action on t's.
 
-    With ``reduce_back`` the transformed expansion is rewritten in s via
-    symmetric reduction and compared to the original coordinate function.
+    The moved t-expansion is compared with the unmoved one, or, with
+    ``reduce_back``, rewritten in s via symmetric reduction and compared to
+    the original coordinate function.  Both modes decide the same, exactly:
+    s -> t is injective, so a moved expansion that differs either is not
+    symmetric or reduces to another polynomial in s.
     """
     phi = phi.compact()
     products = _EProducts(spec.n)

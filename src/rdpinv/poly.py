@@ -6,13 +6,18 @@ eigenvalue exponent under the background torus action).  Coefficients
 are exact rationals: the kernel accepts ``int`` and ``fractions.Fraction``
 values and raises ``TypeError`` for anything else, a float included.
 
-The public contract is the term view: ``p.items()`` yields ``(exps, c)``
-with ``exps`` a tuple aligned with ``p.table.names`` and ``c`` nonzero, an
-``int`` when integral and a reduced ``Fraction`` otherwise, and
-:meth:`Polynomial.from_items` builds a polynomial from such pairs.
-``coefficients_over`` splits the terms by their exponents in chosen
-variables; ``coeffs_in``, ``coeff_of``, ``truncate`` and ``leading_term``
-read through the same exponent tuples.
+The public contract is the term view and a packed read and write.
+``p.items()`` yields ``(exps, c)`` with ``exps`` a tuple aligned with
+``p.table.names`` and ``c`` nonzero, an ``int`` when integral and a reduced
+``Fraction`` otherwise, and :meth:`Polynomial.from_items` builds a
+polynomial from such pairs.  ``coefficients_over`` splits the terms by
+their exponents in chosen variables; ``coeffs_in``, ``coeff_of``,
+``truncate`` and ``leading_term`` read through the same exponent tuples.
+``numerators_over`` instead gives the integer numerators over the common
+denominator, grouped by exponents in chosen variables read straight off
+the keys (sorted, for orbits under their permutations), and
+:meth:`Polynomial.from_numerators` packs such groups, or every distinct
+rearrangement of each, straight into keys and normalizes once.
 
 The store behind the view is private to this module; it follows the packed
 exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
@@ -53,7 +58,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import mul, or_
+from operator import itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -130,11 +135,19 @@ def _pack(pairs: Iterable[tuple[int, int]], s: int) -> int:
     return sum(e << i * s for i, e in pairs)
 
 
-def _key(exps: Sequence[int], s: int) -> int:
-    """The key of a dense exponent tuple; 8-bit fields are its bytes."""
-    if s == 8:
-        return int.from_bytes(bytes(exps), "little")
-    return _pack(enumerate(exps), s)
+def _arrangements(lam: tuple[int, ...], offsets: list[int], memo: dict) -> list[int]:
+    """The keys of the distinct rearrangements of the descending tuple ``lam``
+    over the fields at the last ``len(lam)`` of ``offsets``, once each;
+    ``memo`` keeps those of the tails, which many tuples share."""
+    hit = memo.get(lam)
+    if hit is None:
+        hit = [] if lam else [0]
+        for i, v in enumerate(lam):
+            if not i or v != lam[i - 1]:
+                o = v << offsets[-len(lam)]
+                hit += [o + w for w in _arrangements(lam[:i] + lam[i + 1:], offsets, memo)]
+        memo[lam] = hit
+    return hit
 
 
 def _degree(k: int, s: int) -> int:
@@ -306,7 +319,22 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not fit {table}")
             _check_rational(c)
         s = _width_for([e for exps in items for e in exps])
-        return _from_rationals(table, {_key(exps, s): c for exps, c in items.items()}, s)
+        return _from_rationals(table, {_pack(enumerate(e), s): c for e, c in items.items()}, s)
+
+    @staticmethod
+    def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
+                        den: int = 1, orbits: bool = False) -> "Polynomial":
+        """The sum of ``n/den * prod(names ** exps)`` over ``numerators``, each int
+        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped; with
+        ``orbits`` a descending ``exps`` stands for its distinct rearrangements."""
+        if not (type(den) is int and den >= 1 and all(
+                type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
+            raise ValueError(f"not integer numerators over {names} and a positive denominator")
+        s = _width_for([e for exps in numerators for e in exps])
+        offsets, memo = [table.index_of(v) * s for v in names], {}
+        keys = (lambda e: _arrangements(e, offsets, memo)) if orbits else (
+            lambda e: [sum(map(lshift, e, offsets))])
+        return _reduced(table, {k: n for e, n in numerators.items() if n for k in keys(e)}, den, s)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
         """Each term as ``(exps, c)``, ``exps`` aligned with ``table.names``."""
@@ -538,6 +566,22 @@ class Polynomial:
             key = tuple([(k >> o) & field for o in offsets])
             out.setdefault(key, {})[k & rest] = c
         return {key: _reduced(self.table, t, self.den, s) for key, t in out.items()}
+
+    def numerators_over(self, names: Sequence[str], orbits: bool = False
+                        ) -> tuple[int, dict[tuple[int, ...], list[int]]]:
+        """``(den, groups)``: the terms' integer numerators over their common
+        ``den``, grouped by their exponents in ``names`` (0 for a name not in
+        the table), which ``orbits`` sorts descending so that a group is an
+        orbit under permutations of ``names``; :meth:`from_numerators` inverts it."""
+        s, m = self.shift, len(self.table) + 1
+        at = [self.table._index.get(v, m - 1) for v in names]  # no key has a field m - 1
+        get = itemgetter(*at) if len(at) > 1 else lambda f: tuple([f[i] for i in at])
+        row = (lambda k: k.to_bytes(m, "little")) if s == 8 else lambda k: _dense(_fields(k, s), m)
+        groups: dict = {}
+        for k, n in self.terms.items():
+            e = get(row(k))
+            groups.setdefault(tuple(sorted(e, reverse=True)) if orbits else e, []).append(n)
+        return self.den, groups
 
     def coeffs_in(self, name: str) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``name``: degree -> coefficient."""

@@ -285,8 +285,9 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rdpinv"
 
 
-#: the format of a cache entry: its key, the merged table of its rules, and
-#: per rule ``[name, den, shift, [k1, n1, k2, n2, ...]]``, the kernel's own store
+#: the format of a cache entry, and the subdirectory that holds the entries: its key,
+#: the merged table of its rules, and per rule ``[name, den, shift, [k1, n1, k2, n2, ...]]``,
+#: the kernel's own store; another format's entries are never read
 ENTRY_FORMAT = "rdpinv-cache-v2"
 
 
@@ -299,7 +300,7 @@ class RuleCache:
         self._memory: dict[str, RuleSet] = {}
 
     def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        return self.directory / ENTRY_FORMAT / f"{key}.json"
 
     def get(self, key: str) -> Optional[RuleSet]:
         """The stored rules, or None when the entry is absent or unreadable."""
@@ -307,17 +308,14 @@ class RuleCache:
         if hit is not None:
             return hit
         path = self.path_for(key)
-        # a missing entry, or one in an older format, is a quiet miss; a
-        # truncated, garbled or foreign one, or one whose rules are not a
-        # canonical store, is a miss with a warning: fetch() recomputes it
-        # and put() overwrites the file
+        # a missing entry is a quiet miss; a truncated, garbled or foreign one, one of
+        # another format, or one whose rules are not a canonical store, is a miss with
+        # a warning: fetch() recomputes it and put() overwrites the file
         try:
             data = json.loads(path.read_text())
-            if data.get("format") != ENTRY_FORMAT:
-                return None
-            if data.get("key") != key:
-                print(f"warning: rule cache entry {path} carries another key; recomputing",
-                      file=sys.stderr)
+            if data.get("format") != ENTRY_FORMAT or data.get("key") != key:
+                print(f"warning: rule cache entry {path} carries another format or key;"
+                      " recomputing", file=sys.stderr)
                 return None
             names, weights = data["vars"], data["weights"]
             # VarTable would coerce a weight 2.5, true or "2" with int(), and
@@ -340,17 +338,18 @@ class RuleCache:
 
     def put(self, key: str, rules: RuleSet) -> None:
         self._memory[key] = rules
-        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         table = rules._table
         payload = {"format": ENTRY_FORMAT, "key": key, "vars": table.names, "weights": table.weights,
                    "rules": [[v, *p.to_table(table).to_rows()] for v, p in rules.rules]}
         # a private temp file per writer, so concurrent writers of one key
         # each publish a whole entry with one atomic rename
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, self.path_for(key))
+            os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -447,3 +447,98 @@ def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
     for name in ("eps2", "eps6", "eps8", "eps10", "eps12", "eps14", "eps18"):
         assert invariant_under_literal(e7, rules[name], 0, reduce_back=True), name
     assert not invariant_under_literal(e7, ts_table(7).var("s1"), 0, reduce_back=True)
+
+
+# -- both literal modes, and the packed expansion and reduction -------------------
+
+
+def _swap(spec, generator):
+    """Whether the generator swaps two t's (the D sign change and the E
+    generator 0 do not), so that it fixes every polynomial in the s's."""
+    return generator != (spec.n if spec.family == "D" else 0)
+
+
+def _literal_coords(name, request):
+    spec = Spec.from_name(name)
+    if name != "E6":
+        return spec, standard_coords(spec)
+    rules = request.getfixturevalue("pipe6").versal_rules()
+    # compacted: the pipeline's table carries a Z of another weight
+    return spec, {nm: rules[nm].compact() for nm in ("eps2", "eps5", "eps6", "eps8")}
+
+
+def _both_modes(spec, phi, generator):
+    reduced = invariant_under_literal(spec, phi, generator, reduce_back=True)
+    compared = invariant_under_literal(spec, phi, generator, reduce_back=False)
+    assert reduced == compared, (spec.name, phi, generator)
+    return reduced
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "E4", "E5", "E6"])
+def test_both_literal_modes_agree_on_every_coordinate(name, request):
+    spec, coords = _literal_coords(name, request)
+    t = ts_table(spec.n)
+    s1, s1s2 = t.var("s1"), t.var("s1") * t.var("s2")
+    for generator in spec.generators():
+        swap = _swap(spec, generator)
+        assert _both_modes(spec, s1, generator) is swap
+        for cname, phi in coords.items():
+            assert _both_modes(spec, phi, generator), (cname, generator)
+            assert _both_modes(spec, phi + s1s2, generator) is swap, (cname, generator)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["D4", "D5", "E4", "E5", "E6"]), st.data())
+def test_both_literal_modes_agree_on_perturbed_coordinates(request, name, data):
+    """A coordinate plus c times an s-monomial, c possibly zero: reducing the
+    moved expansion back to s and comparing it with the unmoved one in the
+    t's decide the same, exactly."""
+    spec, coords = _literal_coords(name, request)
+    phi = coords[data.draw(st.sampled_from(sorted(coords)))]
+    generator = data.draw(st.sampled_from(spec.generators()))
+    c = data.draw(coefficients)
+    mono = data.draw(st.tuples(*[st.integers(0, 2)] * spec.n))
+    q = phi + c * Polynomial.from_items(ts_table(spec.n), {(0,) * (spec.n + 2) + mono: 1})
+    assert _both_modes(spec, q, generator) is (not c or _swap(spec, generator))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("text", ["s1^130", "2/3*s1^130 - 1/7*s2^64 + 5"])
+def test_t_expand_and_reduce_with_wide_fields(n, text):
+    # t-exponents from 128 up need 16-bit fields; the second text has denominators
+    phi = parse(text.replace("s2", "s1") if n == 1 else text, ts_table(n))
+    pt = t_expand(phi, n)
+    oracle = phi.substitute(s_to_t_rules(n)).to_table(ts_table(n))
+    assert pt == oracle and pt.serialize() == oracle.serialize()
+    assert max(max(exps) for exps, _ in pt.items()) >= 128
+    assert symmetric_reduce(pt, n) == phi
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_t_expand_and_reduce_the_zero_polynomial(n):
+    zero = ts_table(n).zero()
+    assert t_expand(zero, n).is_zero and t_expand(zero, n).table is ts_table(n)
+    assert symmetric_reduce(zero, n).is_zero
+
+
+def _wide_expansion():
+    """A symmetric input with 16-bit fields, a denominator, and orbits of
+    sizes 1 and 2; it reduces to s1^129 + 1/3*s2^2."""
+    return t_expand(parse("s1^129 + 1/3*s2^2", ts_table(2)), 2)
+
+
+@pytest.mark.parametrize("change", ["coefficient", "dropped", "added"])
+def test_symmetric_reduce_rejects_wide_non_symmetric_inputs(change):
+    p = _wide_expansion()
+    assert symmetric_reduce(p, 2) == parse("s1^129 + 1/3*s2^2", ts_table(2))
+    terms = dict(p.items())
+    moved = (0, 0, 100, 29, 0, 0)  # one of an orbit of two
+    assert moved in terms
+    if change == "coefficient":
+        terms[moved] += Fraction(1, 3)
+    elif change == "dropped":
+        del terms[moved]
+    else:
+        terms[(0, 0, 130, 1, 0, 0)] = 1
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(Polynomial.from_items(p.table, terms), 2)

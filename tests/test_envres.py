@@ -529,7 +529,8 @@ def test_warm_rerun_cache_traffic_reads_every_entry_and_writes_none(tmp_path, mo
             assert main(["--cache-dir", str(tmp_path), *argv]) == 0, argv
 
     run_all()
-    entries = {path.stem for path in tmp_path.iterdir()}
+    assert [path.name for path in tmp_path.iterdir()] == [solvelist.ENTRY_FORMAT]
+    entries = {path.stem for path in (tmp_path / solvelist.ENTRY_FORMAT).iterdir()}
     assert len(entries) == 22
     # each command makes a fresh RuleCache, whose memory starts empty
     read, written = set(), []

@@ -2,6 +2,8 @@ import random
 import re
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,59 @@ def test_rows_round_trip(items, moved):
                          ids=["zero", "fraction", "integer", "wide-moved"])
 def test_rows_round_trip_examples(p):
     _assert_rows_round_trip(p)
+
+
+# -- the packed grouped read and its writer ---------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 127, 128, 1 << 15]).flatmap(lambda top: st.dictionaries(
+           st.tuples(*[st.integers(0, top)] * 3),
+           st.fractions(-5, 5, max_denominator=12), max_size=6)),
+       st.booleans(), st.permutations(R.names + ("q",)), st.integers(0, 4), st.booleans())
+def test_numerators_match_the_term_view(items, moved, order, k, orbits):
+    p = Polynomial.from_items(R, items)
+    p = p.to_table(R_MERGED) if moved else p
+    names = order[:k]  # q is in no table: it reads exponent 0
+    den, groups = p.numerators_over(names, orbits)
+    want: dict = {}
+    for exps, c in p.items():
+        e = [dict(zip(p.table.names, exps)).get(v, 0) for v in names]
+        want.setdefault(tuple(sorted(e, reverse=True) if orbits else e), []).append(c * den)
+    assert {e: sorted(ns) for e, ns in groups.items()} == {e: sorted(ns) for e, ns in want.items()}
+    assert all(type(n) is int and n for ns in groups.values() for n in ns)
+    assert den == lcm(1, *[Fraction(c).denominator for _, c in p.items()])
+    # over every variable each group is one term, and the writer inverts the read
+    full = [v for v in order if v in p.table.names] + [v for v in p.table.names if v not in R.names]
+    den, groups = p.numerators_over(full)
+    q = Polynomial.from_numerators(p.table, full, {e: n for e, (n,) in groups.items()}, den)
+    assert q == p and q.serialize() == p.serialize()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, 130), min_size=3, max_size=3).map(
+           lambda e: tuple(sorted(e, reverse=True))), st.integers(-20, 20), max_size=5),
+       st.integers(1, 30), st.permutations(R_MERGED.names))
+def test_orbit_writer_matches_every_rearrangement(orbits, den, order):
+    names = order[:3]
+    items: dict = {}
+    for lam, n in orbits.items():
+        for w in set(permutations(lam)):
+            exps = dict(zip(names, w))
+            items[tuple(exps.get(v, 0) for v in R_MERGED.names)] = Fraction(n, den)
+    p = Polynomial.from_numerators(R_MERGED, names, orbits, den, orbits=True)
+    want = Polynomial.from_items(R_MERGED, items)
+    assert p == want and p.serialize() == want.serialize()
+    d, groups = p.numerators_over(names, orbits=True)
+    assert {lam: Fraction(ns[0], d) for lam, ns in groups.items()} == {
+        lam: Fraction(n, den) for lam, n in orbits.items() if n}
+
+
+@pytest.mark.parametrize("numerators, den", [({(1, 0): Fraction(1, 2)}, 1), ({(1, 0): 1.0}, 1),
+                                              ({(1,): 1}, 1), ({(1, 0): 1}, 0), ({(1, 0): 1}, 2.0)])
+def test_from_numerators_rejects_bad_input(numerators, den):
+    with pytest.raises(ValueError):
+        Polynomial.from_numerators(R, ["x", "y"], numerators, den)
 
 
 def test_truncated_multiplication():

@@ -640,7 +640,7 @@ def test_pull_back_key_covers_its_inputs(tmp_path, monkeypatch):
     assert key() not in variants
     # the cache stores the expansion and the pull-back under exactly these keys
     RuleCache(tmp_path).pull_back(sl.content_key(), sl.expand, param, ["a", "c"])
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+    assert sorted(p.name for p in (tmp_path / solvelist.ENTRY_FORMAT).iterdir()) == sorted(
         f"{k}.json" for k in (key(), sl.content_key()))
 
 
@@ -698,7 +698,9 @@ _BROKEN_TABLES = {
     "table name not a string": {"vars": ["X", "a", 2, "c"]},
 }
 _BROKEN_ENTRIES = {**{name: {"rules": [rule]} for name, rule in _BROKEN_RULES.items()},
-                   **_BROKEN_TABLES}
+                   **_BROKEN_TABLES,
+                   # the format names the directory, so another one there is foreign
+                   "older format": {"format": "rdpinv-cache-v1"}}
 
 
 @pytest.mark.parametrize("change", _BROKEN_ENTRIES.values(), ids=_BROKEN_ENTRIES.keys())
@@ -721,16 +723,20 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, change):
 
 
 def test_older_cache_entry_is_a_quiet_miss(tmp_path, capsys):
+    # an older format kept its entries in the cache directory itself, which
+    # is never read: the entry is recomputed into the format's subdirectory
     sl = _entry_solve_list()
-    want = RuleCache(tmp_path).fetch(sl.content_key(), sl.expand)
-    path = RuleCache(tmp_path).path_for(sl.content_key())
-    good = path.read_text()
-    path.write_text(json.dumps({"format": "rdpinv-cache-v1", "key": sl.content_key(),
-                                "rules": want.to_json()}))
-    capsys.readouterr()
+    want = sl.expand()
+    old = tmp_path / f"{sl.content_key()}.json"
+    text = json.dumps({"format": "rdpinv-cache-v1", "key": sl.content_key(),
+                       "rules": want.to_json()})
+    old.write_text(text)
     assert RuleCache(tmp_path).fetch(sl.content_key(), sl.expand).mapping() == want.mapping()
     assert capsys.readouterr() == ("", "")
-    assert path.read_text() == good
+    path = RuleCache(tmp_path).path_for(sl.content_key())
+    assert path.parent == tmp_path / "rdpinv-cache-v2" and path.exists()
+    assert old.read_text() == text
+    assert RuleCache(tmp_path).get(sl.content_key()).mapping() == want.mapping()
 
 
 _PUT_LOOP = """
@@ -757,7 +763,7 @@ def test_concurrent_writers_of_one_key(tmp_path):
     assert [p.returncode for p in procs] == [0, 0], errors
     table = VarTable(["a"], [0])
     assert RuleCache(tmp_path).get("k").mapping() == {"a": table.var("a") + 1}
-    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_chain_agrees_with_direct_substitution_at_random_points(pipe6):
