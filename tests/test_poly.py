@@ -448,7 +448,8 @@ def _combine(rows, weights):
 
 
 def _dense_rank(rows, n):
-    mat = [[row.get(u, Fraction(0)) for u in range(n)] for row, _ in rows]
+    # Fractions throughout: int / int would divide to a float and lose exactness
+    mat = [[Fraction(row.get(u, 0)) for u in range(n)] for row, _ in rows]
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
