@@ -38,10 +38,6 @@ class RdpType:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
-    def smooth(self) -> bool:
-        return self.family == "A" and self.rank == 0
-
     def __str__(self) -> str:
         return self.name
 

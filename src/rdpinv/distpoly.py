@@ -25,7 +25,7 @@ symmetry, and then peels the partitions from the top against the same
 products.  The literal invariance check expands a coordinate in the t's,
 applies a generator as the rank-one reflection of
 :func:`rdpinv.rootsys.weyl_action`, and compares; expansion and reduction
-share one product table per check.
+share one product table per n, kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ class _EProducts(dict):
     """prod e_j^d_j in t_1..t_n as orbit totals on partitions, keyed by d.
 
     A missing d is built from the entry with one fewer factor of its
-    highest e_j, by one :func:`_times_e`.  A table lives as long as its
-    holder: one literal check shares one between expansion and reduction.
+    highest e_j, by one :func:`_times_e`.  There is one table per n
+    (:func:`_e_products`), shared by every expansion and reduction.
     """
 
     def __init__(self, n: int):
@@ -259,21 +259,26 @@ class _EProducts(dict):
         return out
 
 
-def t_expand(phi: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
+@lru_cache(maxsize=None)
+def _e_products(n: int) -> _EProducts:
+    return _EProducts(n)
+
+
+def t_expand(phi: Polynomial, n: int) -> Polynomial:
     """phi with each s_j replaced by the elementary symmetric function e_j of
     t_1..t_n, on ``ts_table(n)``.
 
     The expansion is symmetric, so it is built on partitions: each term
     a * s^d (a a numerator over phi's denominator) adds a * prod e_j^d_j,
     kept as orbit totals (the products :func:`symmetric_reduce` peels
-    against; pass ``products`` to share them).  With L the lcm of the orbit
+    against, from the same table).  With L the lcm of the orbit
     sizes, each orbit is written out once, every term carrying total * (L /
     size) over L * den.  A variable other than s_1..s_n raises ``ValueError``.
     """
     extraneous = phi.variables() - set(_s_names(n))
     if extraneous:
         raise ValueError(f"input involves non-s variables {sorted(extraneous)}")
-    products = _EProducts(n) if products is None else products
+    products = _e_products(n)
     den, rows = phi.numerators_over(_s_names(n))
     totals: Counter = Counter()
     for d, (a,) in rows.items():
@@ -286,7 +291,7 @@ def t_expand(phi: Polynomial, n: int, products: Optional[_EProducts] = None) -> 
         den * L, orbits=True)
 
 
-def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = None) -> Polynomial:
+def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
     """Rewrite a symmetric polynomial in t_1..t_n as a polynomial in s_1..s_n.
 
     Every orbit of t-exponents must carry one numerator and be complete
@@ -295,7 +300,7 @@ def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = Non
     order: the top lam with orbit total T gives c * prod s_j^(lam_j -
     lam_{j+1}), c = T / size exactly (a remainder raises
     ``ArithmeticError``), and c times that product of e_j, memoized in
-    ``products`` (a fresh table when none is passed), is subtracted.
+    the table of n that :func:`t_expand` shares, is subtracted.
     """
     extraneous = p.variables() - set(_t_names(n))
     if extraneous:
@@ -309,7 +314,7 @@ def symmetric_reduce(p: Polynomial, n: int, products: Optional[_EProducts] = Non
                                     f"{len(set(nums))} coefficients; input not symmetric")
         rest[lam] = nums[0] * size
 
-    products = _EProducts(n) if products is None else products
+    products = _e_products(n)
     # ascending by (-degree, -lam): a sorted list is a heap, popped top first
     heap = sorted((-sum(lam), [-a for a in lam], lam) for lam in rest)
     out = {}
@@ -388,14 +393,6 @@ def _standard_coords(spec: Spec) -> dict[str, Polynomial]:
     raise ValueError(f"{spec.name} standard coordinates come from the versal pipeline")
 
 
-def d2_constant_terms() -> tuple[Polynomial, Polynomial]:
-    """Constant terms of the two A1 constituents of D2: -(delta2 -+ 2*gamma2)/4."""
-    coords = standard_coords(Spec("D", 2))
-    delta2, gamma2 = coords["delta2"], coords["gamma2"]
-    quarter = Fraction(-1, 4)
-    return (quarter * (delta2 - 2 * gamma2), quarter * (delta2 + 2 * gamma2))
-
-
 @dataclass(frozen=True)
 class E45Report:
     matches: dict[str, bool]
@@ -449,13 +446,12 @@ def invariant_under_literal(spec: Spec, phi: Polynomial, generator: int,
     symmetric or reduces to another polynomial in s.
     """
     phi = phi.compact()
-    products = _EProducts(spec.n)
-    pt = t_expand(phi, spec.n, products)
+    pt = t_expand(phi, spec.n)
     moved = weyl_action(spec, generator).apply(pt)
     if not reduce_back:
         return moved == pt
     try:
-        back = symmetric_reduce(moved, spec.n, products)
+        back = symmetric_reduce(moved, spec.n)
     except NonSymmetricError:
         return False
     return back == phi

@@ -519,7 +519,7 @@ class VersalPipeline:
 def _recipe_key(n: int) -> str:
     """The cache key of the plain versal expansion, hashed from its recipe.
 
-    The recipe is every input of the stages that compose r_pi: the bar
+    The recipe is every input of the stages that make up r_pi: the bar
     solve list's key, the psi solve list before its pull-back, the
     generator rules and the versal template and pairs, with the expansion
     version.  It needs no stage, so a warm hit builds no bar, psi or r_pi

@@ -11,8 +11,8 @@ The public contract is the term view and a packed read and write.
 ``p.table.names`` and ``c`` nonzero, an ``int`` when integral and a reduced
 ``Fraction`` otherwise, and :meth:`Polynomial.from_items` builds a
 polynomial from such pairs.  ``coefficients_over`` splits the terms by
-their exponents in chosen variables; ``coeffs_in``, ``coeff_of``,
-``truncate`` and ``leading_term`` read through the same exponent tuples.
+their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
+``truncate`` read through the same exponent tuples.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
 the keys (sorted, for orbits under their permutations), and
@@ -779,19 +779,6 @@ class Polynomial:
         return a._product(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
                               if ca + cb in kept])
 
-    def evaluate(self, values: Mapping[str, "int | Fraction"]) -> Fraction:
-        missing = self.variables() - set(values)
-        if missing:
-            raise ValueError(f"no values for variables {sorted(missing)}")
-        names = self.table.names
-        total = Fraction(0)
-        for k, n in self.terms.items():
-            term = Fraction(n)
-            for i, e in _pairs(k, self.shift):
-                term *= Fraction(values[names[i]]) ** e
-            total += term
-        return total / self.den
-
     def derivative_along(self, direction: Mapping[str, "int | Fraction"],
                          divisor: int = 1) -> "Polynomial":
         """``sum c_v * d/dv`` of this polynomial over ``direction``, divided
@@ -849,29 +836,16 @@ class Polynomial:
 
     # -- ordering and serialization -----------------------------------------
 
-    def _ranked(self) -> Iterator[tuple[int, "bytes | list[int]", int]]:
-        """``(weight, fields, numerator)`` per term.  These tuples sort as the
-        terms in graded-lex order: fields compare from index 0 like exponent
-        tuples, a shorter run of fields reading as zero-padded."""
+    def _sorted(self) -> list[tuple[int, "bytes | list[int]", int]]:
+        """``(weight, fields, numerator)`` per term, in descending graded-lex
+        order: fields compare from index 0 like exponent tuples, a shorter
+        run of fields reading as zero-padded."""
         s, w = self.shift, self.table.weights
+        ranked = []
         for k, n in self.terms.items():
             f = _fields(k, s)
-            yield sum(map(mul, f, w)), f, n
-
-    def _sorted(self) -> list[tuple[int, "bytes | list[int]", int]]:
-        return sorted(self._ranked(), reverse=True)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], "int | Fraction"]]:
-        """The :meth:`items` in descending graded-lex order (weighted grading)."""
-        size, d = len(self.table), self.den
-        return [(_dense(f, size), _coeff(n, d)) for _, f, n in self._sorted()]
-
-    def leading_term(self) -> tuple[tuple[int, ...], "int | Fraction"]:
-        """The first of :meth:`sorted_terms`, as ``(exps, c)``."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        _, f, n = max(self._ranked())
-        return _dense(f, len(self.table)), _coeff(n, self.den)
+            ranked.append((sum(map(mul, f, w)), f, n))
+        return sorted(ranked, reverse=True)
 
     def serialize(self) -> str:
         if not self.terms:
@@ -905,13 +879,6 @@ class Polynomial:
                 for _, f, n in self._sorted()
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Polynomial":
-        table = VarTable(data["vars"], data["weights"])
-        terms = [({table.index_of(v): int(e) for v, e in t["m"].items() if int(e)},
-                  Fraction(t["c"])) for t in data["terms"]]
-        return _from_pairs(table, terms)
 
     def to_rows(self) -> tuple[int, int, list[int]]:
         """The private store as JSON integers: ``(den, shift, [k1, n1, k2, n2, ...])``,

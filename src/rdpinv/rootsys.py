@@ -84,11 +84,6 @@ class Spec:
         return VarTable([f"vs{i}" for i in range(hi)], [1] * hi)
 
 
-def t_vars(spec: Spec) -> list[Polynomial]:
-    t = spec.t_table()
-    return [t.var(f"t{i}") for i in range(1, spec.n + 1)]
-
-
 # -- ambient basis ------------------------------------------------------------
 
 
@@ -212,7 +207,8 @@ class Reflection(RuleSet):
     """A rank-one reflection t -> t + form(t) * coroot on t_1..t_n.
 
     Its rules are t_i -> t_i + c_i * form for each nonzero entry c_i of
-    the coroot, so it composes and indexes as any other rule set.
+    the coroot, so it indexes as any other rule set; :meth:`apply` moves a
+    polynomial by a Taylor expansion along the coroot, not by substitution.
     """
 
     form: Polynomial
@@ -298,13 +294,6 @@ class VertexSplit:
     tilde_v: Vector
     left_map: tuple[int, ...]
     right_map: tuple[int, ...]
-
-    def part_vectors(self) -> tuple[list[Vector], list[Vector]]:
-        basis = root_basis(self.spec)
-        return (
-            [basis[i] for i in self.left_map],
-            [basis[i] for i in self.right_map],
-        )
 
 
 class UnsupportedSplitError(ValueError):

@@ -22,8 +22,9 @@ Expanded rule sets can be persisted in a cache keyed by a hash of
 a caller's hash of a recipe that determines them, so repeated runs of
 the heavy eliminations are free; so are their pull-backs through a
 parameter.  An entry holds the rules in the kernel's own form, read
-back without the text parser once checked to be a canonical store;
-entries in the older text format are read as misses and recomputed.
+back without the text parser once checked to be a canonical store.
+Entries live in ``<cache>/rdpinv-cache-v2/``; files of older formats sit
+outside it and are never read.
 """
 
 from __future__ import annotations
@@ -100,19 +101,6 @@ class RuleSet:
     def apply(self, p: Polynomial) -> Polynomial:
         return p.substitute(self._by_name)
 
-    def compose(self, inner: "RuleSet") -> "RuleSet":
-        """Rules whose application equals: apply ``inner``, then ``self``."""
-        m = self._by_name
-        out: list[tuple[str, Polynomial]] = []
-        seen = set()
-        for v, p in inner.rules:
-            out.append((v, p.substitute(m)))
-            seen.add(v)
-        for v, p in self.rules:
-            if v not in seen:
-                out.append((v, p))
-        return RuleSet(tuple(out))
-
     @cached_property
     def _table(self) -> VarTable:
         """The merged table of the rule values, in order of first use."""
@@ -161,7 +149,7 @@ def solve_in_order(equations: Sequence[Polynomial], unknowns: Sequence[str]) -> 
 # Part of every solve-list cache key, and of every key made from a
 # recipe.  Bump it whenever a change to the expansion could give different
 # rules for the same solve list (the order of solving, the rule format),
-# or a change to how the stages compose could give different rules for the
+# or a change to how the stages combine could give different rules for the
 # same recipe (psi_rules, mu_inverse, r_pi, the z = 0 choices in envres),
 # so that entries written by older code are never read.  A change that
 # only computes the same rules faster, such as forming products only

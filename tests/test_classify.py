@@ -247,7 +247,7 @@ def test_split_off_square_matches_square_completion(jet):
     p, var, d = jet
     got, want = _split_off_square(p, var, d), sheared_square(p, var, d)
     assert got.table is want.table
-    assert got.sorted_terms() == want.sorted_terms(), (p.serialize(), var, d)
+    assert got.serialize() == want.serialize(), (p.serialize(), var, d)
 
 
 def test_split_off_square_needs_the_square():
@@ -381,7 +381,7 @@ def test_terms_above_the_determinacy_degree_keep_the_type(text, want):
 
 
 def test_smooth_point():
-    assert rdp_type(P("X + Y^2 + Z^5")).smooth
+    assert rdp_type(P("X + Y^2 + Z^5")).name == "A0"
 
 
 def test_e7_branch_example():

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from rdpinv.cli import main
+from rdpinv.poly import VarTable
 from rdpinv.solvelist import ENTRY_FORMAT
 
 
@@ -26,14 +28,25 @@ def test_invariants_d4(capsys):
     assert lines["delta2"] == "s1^2 - 2*s2"
 
 
-def test_invariants_json_round_trip(capsys):
-    from rdpinv.poly import Polynomial
+def from_json(data):
+    """The polynomial of one ``--format json`` entry: a table and its terms."""
+    table = VarTable(data["vars"], data["weights"])
+    total = table.zero()
+    for term in data["terms"]:
+        mono = table.const(Fraction(term["c"]))
+        for v, e in term["m"].items():
+            mono = mono * table.var(v) ** e
+        total = total + mono
+    return total
 
+
+def test_invariants_json_round_trip(capsys):
     code, out, _ = run(capsys, "invariants", "--type", "E3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    eps3 = Polynomial.from_json(payload["eps3"])
+    eps3 = from_json(payload["eps3"])
     assert eps3.homogeneous_weight() == 3
+    assert eps3.to_json() == payload["eps3"]
 
 
 def test_invariants_e6_appendix_scaling(capsys, cache):

@@ -316,6 +316,12 @@ def polys(draw, table):
     return Polynomial.from_items(table, draw(st.dictionaries(exps, COEFFS, max_size=5)))
 
 
+def leading_term(p):
+    """The graded-lex first ``(exps, c)`` of p, by weighted degree, then exponents."""
+    w = p.table.weights
+    return max(p.items(), key=lambda t: (sum(e * x for e, x in zip(t[0], w)), t[0]))
+
+
 def constant_ratio(num, den):
     """The single-term solver that the fit replaced: compare leading terms, then check."""
     if den.is_zero:
@@ -323,7 +329,7 @@ def constant_ratio(num, den):
     if num.is_zero:
         return Fraction(0)
     table = num.table.merged(den.table)
-    (mn, cn), (md, cd) = num.to_table(table).leading_term(), den.to_table(table).leading_term()
+    (mn, cn), (md, cd) = leading_term(num.to_table(table)), leading_term(den.to_table(table))
     if mn != md:
         return None
     ratio = Fraction(cn) / Fraction(cd)

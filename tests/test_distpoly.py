@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
     NonSymmetricError,
-    d2_constant_terms,
+    _e_products,
     e45_check,
     elem_sym,
     elementary,
@@ -157,7 +157,10 @@ def test_large_types_are_rejected_here():
 
 
 def test_d2_constant_terms():
-    minus, plus = d2_constant_terms()
+    # the constant terms of the two A1 constituents of D2: -(delta2 -+ 2*gamma2)/4
+    coords = standard_coords(Spec("D", 2))
+    delta2, gamma2 = coords["delta2"], coords["gamma2"]
+    minus, plus = (Fraction(-1, 4) * (delta2 - 2 * gamma2), Fraction(-1, 4) * (delta2 + 2 * gamma2))
     table = ts_table(2)
     s1, s2 = table.var("s1"), table.var("s2")
     assert minus == Fraction(-1, 4) * (s1 ** 2 - 4 * s2)
@@ -272,6 +275,12 @@ def test_symmetric_reduce_inverts_t_expand(n, text):
     assert symmetric_reduce(t_expand(phi, n), n) == phi
 
 
+def leading_term(p):
+    """The graded-lex first ``(exps, c)`` of p, by weighted degree, then exponents."""
+    w = p.table.weights
+    return max(p.items(), key=lambda t: (sum(e * x for e, x in zip(t[0], w)), t[0]))
+
+
 def division_oracle(p, n):
     """Symmetric reduction by leading-term division, as the module did it
     before the partition peel: divide the graded-lex leading term by the
@@ -287,7 +296,7 @@ def division_oracle(p, n):
     out = table.zero()
     work = p
     while not work.is_zero:
-        mono, coeff = work.leading_term()
+        mono, coeff = leading_term(work)
         exps = [mono[i] for i in tpos]
         if any(exps[i] < exps[i + 1] for i in range(n - 1)):
             raise NonSymmetricError(f"leading monomial {exps} is not dominant")
@@ -439,6 +448,27 @@ def test_symmetric_reduce_rejects_non_t_variables(name):
 def test_symmetric_reduce_in_one_variable():
     t1 = ts_table(1).var("t1")
     assert symmetric_reduce(t1 ** 3, 1).serialize() == "s1^3"
+
+
+def test_product_table_is_unchanged_by_calls_that_raise():
+    # one table of e-products per n lives across calls, so a call that
+    # raises must leave what the next expansion and reduction read intact
+    n = 4
+    table = ts_table(n)
+    phi = parse("s1^3*s2 - 2*s1*s4 + 1/3*s2^2 + s3", table)
+    t1, t2 = table.var("t1"), table.var("t2")
+    _e_products.cache_clear()
+    expanded = t_expand(phi, n)
+    reduced = symmetric_reduce(expanded, n)
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(expanded + t1 ** 5 * t2, n)
+    with pytest.raises(ValueError, match="non-s variables"):
+        t_expand(phi + table.var("U") * table.var("s4") ** 2, n)
+    with pytest.raises(ValueError, match="non-t variables"):
+        symmetric_reduce(expanded + table.var("s1") * t1 ** 6, n)
+    assert t_expand(phi, n) == expanded == phi.substitute(s_to_t_rules(n, table))
+    assert symmetric_reduce(expanded, n) == reduced == phi
+    assert _e_products(n) is _e_products(n)
 
 
 def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
