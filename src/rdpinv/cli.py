@@ -49,17 +49,18 @@ def _emit(pairs: list[tuple[str, Polynomial]], fmt: str, out) -> None:
             out.write(f"{name} = {p.serialize()}\n")
 
 
-def coordinates_for(name: str, cache: RuleCache) -> list[tuple[str, Polynomial]]:
-    spec = Spec.from_name(name)
-    if spec.family == "E" and spec.n >= 6:
-        return list(envres.versal_coeffs(spec.n, cache).items())
+def coordinates_for(args) -> list[tuple[str, Polynomial]]:
+    """The standard coordinates of ``--type``; only a versal type opens the rule cache."""
+    spec = Spec.from_name(args.type)
+    if envres.from_versal(spec):
+        return list(envres.versal_coeffs(spec.n, _rule_cache(args)).items())
     coords = distpoly.standard_coords(spec)
     return [(nm, poly.compact()) for nm, poly in coords.items()]
 
 
 def cmd_invariants(args) -> int:
     try:
-        pairs = coordinates_for(args.type, _rule_cache(args))
+        pairs = coordinates_for(args)
     except ValueError as exc:
         return _usage_error(str(exc))
     _emit(pairs, args.format, sys.stdout)

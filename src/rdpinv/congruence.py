@@ -23,9 +23,9 @@ from math import prod
 from typing import Optional
 
 from .distpoly import from_roots, g_from_f, monic, rules_from_monic, standard_coords
-from .envres import VersalPipeline, eps_names
+from .envres import VersalPipeline, eps_names, from_versal
 from .poly import InconsistentSystemError, LinearSystem, Polynomial, VarTable, exact_div
-from .rootsys import Spec, part_functionals, vertex_split
+from .rootsys import Spec, part_functionals, vertex_parts, vertex_split
 from .solvelist import RuleCache, RuleSet, ValidityViolation, solve_in_order
 
 
@@ -123,13 +123,14 @@ def _fA(table: VarTable, m: int, prefix: str) -> Polynomial:
 
 def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
     """The congruences between parent and part coordinates at low order."""
-    n = spec.n
+    if spec.family == "E":
+        raise ValueError(f"low-order congruences cover the A and D families, not ({spec.name}, {k})")
+    left, right = vertex_parts(spec, k)
+    p, q = left.n, right.n if right else 0
     out: dict[str, bool] = {}
     if spec.family == "A":
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"no splitting of {spec.name} at {k}")
-        table = _scf_table("A", k, n - k)
-        f = vertex_product(spec, k, _fA(table, k, "ap"), _fA(table, n - k, "aq"),
+        table = _scf_table("A", p, q)
+        f = vertex_product(spec, k, _fA(table, p, "ap"), _fA(table, q, "aq"),
                            table.var("mu1"), table.zero())
         by_u = {e: c.substitute({"mu1": 0}) for e, c in f.coeffs_in("U").items()}
 
@@ -140,40 +141,37 @@ def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
                 return table.zero()
             return table.var(f"{prefix}{j}")
 
-        want_n1 = a("ap", k - 1, k) * a("aq", n - k, n - k) \
-            + a("ap", k, k) * a("aq", n - k - 1, n - k)
+        want_n1 = a("ap", p - 1, p) * a("aq", q, q) \
+            + a("ap", p, p) * a("aq", q - 1, q)
         out["alpha_n_minus_1"] = by_u.get(1, table.zero()) == want_n1
-        out["alpha_n"] = by_u.get(0, table.zero()) == a("ap", k, k) * a("aq", n - k, n - k)
+        out["alpha_n"] = by_u.get(0, table.zero()) == a("ap", p, p) * a("aq", q, q)
         return out
-    if spec.family != "D" or k == n - 1 or not 1 <= k <= n:
-        raise ValueError(f"low-order congruences cover the A and D families, not ({spec.name}, {k})")
-    if k == n:
-        table = _scf_table("A", n, 0)
-        f = vertex_product(spec, k, _fA(table, n, "ap"), table.const(1),
+    if right is None:
+        table = _scf_table("A", p, q)
+        f = vertex_product(spec, k, _fA(table, p, "ap"), table.const(1),
                            table.var("mu1"), table.zero())
-        out["gamma"] = f.substitute({"U": 0, "mu1": 0}) == table.var(f"ap{n}")
+        out["gamma"] = f.substitute({"U": 0, "mu1": 0}) == table.var(f"ap{p}")
         return out
-    right_n = n - k
-    table = _scf_table("D", k, right_n)
+    table = _scf_table("D", p, q)
     U, Z, mu = table.var("U"), table.var("Z"), table.var("mu1")
-    fa = _fA(table, k, "ap").substitute({"U": U + Fraction(1, k) * mu})
-    gq = monic(Z, [table.var(f"dq{2*j}") for j in range(1, right_n)] + [table.var("gq") ** 2])
+    fa = _fA(table, p, "ap").substitute({"U": U + Fraction(1, p) * mu})
+    gq = monic(Z, [table.var(f"dq{2*j}") for j in range(1, q)] + [table.var("gq") ** 2])
     g = g_from_f(fa, table) * gq
-    ap_k = table.var(f"ap{k}") if k >= 2 else table.zero()
+    ap_p = table.var(f"ap{p}") if p >= 2 else table.zero()
     gamma = fa.substitute({"U": 0}) * table.var("gq")
-    out["gamma"] = gamma.substitute({"mu1": 0}) == ap_k * table.var("gq")
-    if k == 1:
+    out["gamma"] = gamma.substitute({"mu1": 0}) == ap_p * table.var("gq")
+    if p == 1:
         # delta_{2n-4} of the parent restricts to the top delta of the part
         delta_low = g.coeffs_in("Z").get(2, table.zero())
-        out["delta_2n_minus_4"] = delta_low.substitute({"mu1": 0}) == table.var(f"dq{2*right_n - 2}")
+        out["delta_2n_minus_4"] = delta_low.substitute({"mu1": 0}) == table.var(f"dq{2*q - 2}")
     else:
         delta_top = g.coeffs_in("Z").get(1, table.zero())
-        want = ap_k ** 2 * table.var(f"dq{2*right_n - 2}")
-        if k == 2:
-            # at k = 2 the generic degree count degenerates (the weight-0
+        want = ap_p ** 2 * table.var(f"dq{2*q - 2}")
+        if p == 2:
+            # at k = p = 2 the generic degree count degenerates (the weight-0
             # coefficient alpha'_0 = 1 appears) and one more degree-3 term
             # survives the reduction
-            want = want - 2 * ap_k * table.var("gq") ** 2
+            want = want - 2 * ap_p * table.var("gq") ** 2
         out["delta_2n_minus_2"] = delta_top.truncate(3) == want
     return out
 
@@ -201,7 +199,7 @@ class RestrictionError(RuntimeError):
 
 
 def scf_names(spec: Spec) -> list[str]:
-    if spec.family == "E" and spec.n in (6, 7, 8):
+    if from_versal(spec):
         return eps_names(spec.n)
     return list(standard_coords(spec))
 
@@ -230,7 +228,7 @@ def coord_pullbacks(spec: Spec, s_rules: RuleSet,
                     cache: Optional[RuleCache] = None,
                     names: Optional[list[str]] = None) -> dict[str, Polynomial]:
     """Pull standard coordinate functions back along a coefficient map."""
-    if spec.family == "E" and spec.n >= 6:
+    if from_versal(spec):
         return dict(VersalPipeline(spec.n, param=s_rules, cache=cache).versal_rules(names).rules)
     coords = standard_coords(spec)
     return {nm: s_rules.apply(coords[nm]) for nm in names or coords}
@@ -295,8 +293,6 @@ class KeyCase:
     parent: int
     k: int
     length: int
-    left: str
-    right: Optional[str]
     phi_side: str
     target: str
     terms: tuple[tuple[str, Fraction], ...]
@@ -305,6 +301,11 @@ class KeyCase:
     @property
     def label(self) -> str:
         return f"E{self.parent}:v{self.k}"
+
+    @property
+    def parts(self) -> dict[str, Optional[Spec]]:
+        """The left and right parts of the parent's diagram at the vertex."""
+        return dict(zip(("left", "right"), vertex_parts(Spec("E", self.parent), self.k)))
 
     @property
     def degree(self) -> int:
@@ -318,22 +319,22 @@ def _factors(monomial: str) -> list[tuple[str, int]]:
 
 
 KEY_CASES: list[KeyCase] = [
-    KeyCase(6, 0, 2, "A5", None, "left", "eps6", (("alpha6", Fraction(-1)),), "D4"),
-    KeyCase(6, 4, 2, "E4", "A1", "left", "eps5", (("eps5", Fraction(-1)),), "D4"),
-    KeyCase(6, 5, 1, "E5", "A0", "left", "eps8", (("eps8", Fraction(-1, 4)),), "A1"),
-    KeyCase(7, 0, 2, "A6", None, "left", "eps14", (("alpha7^2", Fraction(64)),), "D4"),
-    KeyCase(7, 1, 2, "D6", None, "left", "eps10", (("delta10", Fraction(16)),), "D4"),
-    KeyCase(7, 2, 3, "A1", "A5", "right", "eps6", (("alpha6", Fraction(-12)),), "E6"),
-    KeyCase(7, 4, 3, "E4", "A2", "left", "eps10", (("eps5^2", Fraction(16)),), "E6"),
-    KeyCase(7, 5, 2, "E5", "A1", "left", "eps8", (("eps8", Fraction(-4)),), "D4"),
-    KeyCase(7, 6, 1, "E6", "A0", "left", "eps12", (("eps12", Fraction(16)),), "A1"),
-    KeyCase(8, 0, 3, "A7", None, "left", "eps24", (("alpha8^3", Fraction(1)),), "E6"),
-    KeyCase(8, 1, 2, "D7", None, "left", "eps24",
+    KeyCase(6, 0, 2, "left", "eps6", (("alpha6", Fraction(-1)),), "D4"),
+    KeyCase(6, 4, 2, "left", "eps5", (("eps5", Fraction(-1)),), "D4"),
+    KeyCase(6, 5, 1, "left", "eps8", (("eps8", Fraction(-1, 4)),), "A1"),
+    KeyCase(7, 0, 2, "left", "eps14", (("alpha7^2", Fraction(64)),), "D4"),
+    KeyCase(7, 1, 2, "left", "eps10", (("delta10", Fraction(16)),), "D4"),
+    KeyCase(7, 2, 3, "right", "eps6", (("alpha6", Fraction(-12)),), "E6"),
+    KeyCase(7, 4, 3, "left", "eps10", (("eps5^2", Fraction(16)),), "E6"),
+    KeyCase(7, 5, 2, "left", "eps8", (("eps8", Fraction(-4)),), "D4"),
+    KeyCase(7, 6, 1, "left", "eps12", (("eps12", Fraction(16)),), "A1"),
+    KeyCase(8, 0, 3, "left", "eps24", (("alpha8^3", Fraction(1)),), "E6"),
+    KeyCase(8, 1, 2, "left", "eps24",
             (("delta8^3", Fraction(0)), ("delta12^2", Fraction(-1, 16))), "D4"),
-    KeyCase(8, 2, 4, "A1", "A6", "right", "eps14", (("alpha7^2", Fraction(1)),), "E7"),
-    KeyCase(8, 5, 4, "E5", "A2", "left", "eps8", (("eps8", Fraction(-1, 4)),), "E7"),
-    KeyCase(8, 6, 3, "E6", "A1", "left", "eps12", (("eps12", Fraction(1)),), "E6"),
-    KeyCase(8, 7, 2, "E7", "A0", "left", "eps18",
+    KeyCase(8, 2, 4, "right", "eps14", (("alpha7^2", Fraction(1)),), "E7"),
+    KeyCase(8, 5, 4, "left", "eps8", (("eps8", Fraction(-1, 4)),), "E7"),
+    KeyCase(8, 6, 3, "left", "eps12", (("eps12", Fraction(1)),), "E6"),
+    KeyCase(8, 7, 2, "left", "eps18",
             (("eps8*eps10", Fraction(-1, 3072)), ("eps18", Fraction(1, 64))), "D4"),
 ]
 
@@ -348,9 +349,8 @@ def key_case(label: str) -> KeyCase:
 def case_restriction(case: KeyCase, cache: Optional[RuleCache]) -> RestrictedPoly:
     """The restricted polynomial of the case's side; a right part carries the
     constant term through the root form.  The one derivation of a case."""
-    side = Spec.from_name(case.left if case.phi_side == "left" else case.right)
-    return derive_restricted(side, form="root" if case.phi_side == "right" else "plain",
-                             cache=cache)
+    return derive_restricted(case.parts[case.phi_side],
+                             form="root" if case.phi_side == "right" else "plain", cache=cache)
 
 
 def case_pullback_poly(case: KeyCase, rp: RestrictedPoly) -> Polynomial:
@@ -362,8 +362,8 @@ def case_pullback_poly(case: KeyCase, rp: RestrictedPoly) -> Polynomial:
     """
     table = LAM_TABLE
     U, lam1 = table.var("U"), table.var("lam1")
-    parts = {side: U ** Spec.from_name(name).n if name else table.const(1)
-             for side, name in (("left", case.left), ("right", case.right))}
+    parts = {side: U ** part.n if part else table.const(1)
+             for side, part in case.parts.items()}
     parts[case.phi_side] = rp.r
     if case.k >= 3 and parts["left"].coeffs_in("U").get(case.k - 1) != lam1:
         raise RestrictionError("restricted polynomial should expose lam1 as its subleading coefficient")

@@ -40,7 +40,7 @@ from math import factorial, lcm, prod
 from typing import Optional
 
 from .poly import Polynomial, VarTable, parse
-from .rootsys import Spec, weyl_action
+from .rootsys import Spec, part_functionals, weyl_action
 from .solvelist import RuleSet
 
 
@@ -61,14 +61,6 @@ def ts_table(n: int) -> VarTable:
     names = ["U", "Z"] + _t_names(n) + _s_names(n)
     weights = [1, 2] + [1] * n + list(range(1, n + 1))
     return VarTable(names, weights)
-
-
-def functionals(spec: Spec, table: Optional[VarTable] = None) -> list[Polynomial]:
-    """The n distinguished functionals as polynomials; A0's is literally zero."""
-    table = table or ts_table(spec.n)
-    if spec.family == "A" and spec.n == 1:
-        return [table.zero()]
-    return [table.var(f"t{i}") for i in range(1, spec.n + 1)]
 
 
 def elementary(values: list[Polynomial]) -> list[Polynomial]:
@@ -111,7 +103,7 @@ def from_roots(U: Polynomial, shifts: list[Polynomial]) -> Polynomial:
 def f_product(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
     """prod(U + t_i), the factored form of the distinguished polynomial."""
     table = table or ts_table(spec.n)
-    return from_roots(table.var("U"), functionals(spec, table))
+    return from_roots(table.var("U"), part_functionals(spec, "t", table))
 
 
 def f_sform(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:

@@ -43,6 +43,7 @@ from .poly import (
     parse,
 )
 from . import solvelist
+from .rootsys import Spec
 from .solvelist import RuleCache, RuleSet, SolveList, solve_in_order
 
 XYZW_WEIGHTS = {6: (9, 7, 6, 3), 7: (15, 9, 7, 3), 8: (24, 16, 9, 3)}
@@ -73,6 +74,12 @@ EPS_WEIGHTS = {
 
 def eps_names(n: int) -> list[str]:
     return [f"eps{w}" for w in EPS_WEIGHTS[n]]
+
+
+def from_versal(spec: Spec) -> bool:
+    """Whether this pipeline, not a closed form, gives the standard
+    coordinates of ``spec``: E6, E7 and E8."""
+    return spec.family == "E" and spec.n in EPS_WEIGHTS
 
 
 @lru_cache(maxsize=None)

@@ -268,15 +268,6 @@ def weyl_action(spec: Spec, generator: int) -> Reflection:
 # -- orthogonal splitting at a vertex ------------------------------------------
 
 
-def split_table(left: Optional[Spec], right: Optional[Spec]) -> VarTable:
-    names = ["mu1"]
-    if left is not None:
-        names += [f"tp{i}" for i in range(1, left.n + 1)]
-    if right is not None:
-        names += [f"tq{i}" for i in range(1, right.n + 1)]
-    return VarTable(names, [1] * len(names))
-
-
 @dataclass(frozen=True)
 class VertexSplit:
     """Orthogonal decomposition of a root space at one vertex.
@@ -288,7 +279,7 @@ class VertexSplit:
 
     spec: Spec
     k: int
-    left: Optional[Spec]
+    left: Spec
     right: Optional[Spec]
     rules: RuleSet
     tilde_v: Vector
@@ -301,6 +292,8 @@ class UnsupportedSplitError(ValueError):
 
 
 def part_functionals(part: Optional[Spec], prefix: str, table: VarTable) -> list[Polynomial]:
+    """A part's distinguished functionals as the variables prefix1, prefix2, ...;
+    A0's one functional is literally zero, and an absent part has none."""
     if part is None:
         return []
     if part.family == "A" and part.n == 1:
@@ -308,148 +301,92 @@ def part_functionals(part: Optional[Spec], prefix: str, table: VarTable) -> list
     return [table.var(f"{prefix}{i}") for i in range(1, part.n + 1)]
 
 
-def vertex_split(spec: Spec, k: int) -> VertexSplit:
-    family, n = spec.family, spec.n
-    dim = n + 1
-    basis = root_basis(spec)
+def supported_splits(spec: Spec) -> list[int]:
+    """Every vertex of the diagram but the D family's next-to-last one,
+    which the splitting at vertex n covers by symmetry."""
+    return [k for k in spec.generators() if spec.family != "D" or k != spec.n - 1]
 
-    def frac(a, b):
-        return Fraction(a, b)
 
-    if family == "A":
-        if not 1 <= k <= n - 1:
-            raise UnsupportedSplitError(f"no splitting of {spec.name} at vertex {k}")
-        left, right = Spec("A", k), Spec("A", n - k)
-        table = split_table(left, right)
-        mu = table.var("mu1")
-        tps = part_functionals(left, "tp", table)
-        tqs = part_functionals(right, "tq", table)
-        rules = [(f"t{i}", frac(1, k) * mu + tps[i - 1]) for i in range(1, k + 1)]
-        rules += [(f"t{k+i}", -frac(1, n - k) * mu + tqs[i - 1]) for i in range(1, n - k + 1)]
-        left_map = tuple(range(1, k))
-        right_map = tuple(range(k + 1, n))
-        tilde = combine(dim, [(Fraction(1), basis[k])]
-                        + [(frac(i, k), basis[i]) for i in range(1, k)]
-                        + [(frac(n - k - i, n - k), basis[k + i]) for i in range(1, n - k)])
-        return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                           left_map, right_map)
+def vertex_parts(spec: Spec, k: int) -> tuple[Spec, Optional[Spec]]:
+    """The two parts of the diagram of ``spec`` with vertex k removed.
 
-    if family == "D":
-        if k == n - 1 or not 1 <= k <= n:
-            raise UnsupportedSplitError(f"no splitting of {spec.name} at vertex {k}")
-        if k <= n - 2:
-            left, right = Spec("A", k), Spec("D", n - k)
-            table = split_table(left, right)
-            mu = table.var("mu1")
-            tps = part_functionals(left, "tp", table)
-            tqs = part_functionals(right, "tq", table)
-            rules = [(f"t{i}", frac(1, k) * mu + tps[i - 1]) for i in range(1, k + 1)]
-            rules += [(f"t{k+i}", tqs[i - 1]) for i in range(1, n - k + 1)]
-            left_map = tuple(range(1, k))
-            right_map = tuple(range(k + 1, n + 1))
-            parts = [(Fraction(1), basis[k])]
-            parts += [(frac(i, k), basis[i]) for i in range(1, k)]
-            parts += [(Fraction(1), basis[k + i]) for i in range(1, n - k - 1)]
-            parts += [(frac(1, 2), basis[n - 1]), (frac(1, 2), basis[n])]
-            tilde = combine(dim, parts)
-            return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                               left_map, right_map)
-        left = Spec("A", n)
-        table = split_table(left, None)
-        mu = table.var("mu1")
-        tps = part_functionals(left, "tp", table)
-        rules = [(f"t{i}", frac(2, n) * mu + tps[i - 1]) for i in range(1, n + 1)]
-        left_map = tuple(range(1, n))
-        parts = [(Fraction(1), basis[n])]
-        parts += [(frac(2 * i, n), basis[i]) for i in range(1, n - 1)]
-        parts += [(frac(n - 2, n), basis[n - 1])]
-        tilde = combine(dim, parts)
-        return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, ())
-
-    if not 0 <= k <= n - 1:
+    The right part is None where the removed vertex leaves only one part.
+    Every other module reads the parts of a splitting from here.
+    """
+    if k not in supported_splits(spec):
         raise UnsupportedSplitError(f"no splitting of {spec.name} at vertex {k}")
+    n = spec.n
+    if spec.family == "A":
+        return Spec("A", k), Spec("A", n - k)
+    if spec.family == "D":
+        return (Spec("A", k), Spec("D", n - k)) if k < n else (Spec("A", n), None)
     if k == 0:
-        left = Spec("A", n)
-        table = split_table(left, None)
-        mu = table.var("mu1")
-        tps = part_functionals(left, "tp", table)
-        shift = -frac(9 - n, 3 * n) * mu
-        rules = [(f"t{i}", shift + tps[i - 1]) for i in range(1, n + 1)]
-        left_map = tuple(range(1, n))
-        parts = [(Fraction(1), basis[0]),
-                 (frac(n - 3, n), basis[1]), (frac(2 * n - 6, n), basis[2])]
-        parts += [(frac(3 * n - 3 * i, n), basis[i]) for i in range(3, n)]
-        tilde = combine(dim, parts)
-        return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, ())
+        return Spec("A", n), None
     if k == 1:
-        left = Spec("D", n - 1)
-        table = split_table(left, None)
-        mu = table.var("mu1")
-        tps = part_functionals(left, "tp", table)
-        sp1 = table.zero()
-        for p in tps:
-            sp1 = sp1 + p
-        rules = [("t1", frac(9 - n, 6) * mu - frac(1, 3) * sp1)]
-        for i in range(1, n):
-            rules.append((f"t{i+1}",
-                          frac(n - 9, 12) * mu + frac(1, 6) * sp1 - tps[n - i - 1]))
-        left_map = tuple(n - i for i in range(1, n - 1)) + (0,)
-        parts = [(Fraction(1), basis[1])]
-        parts += [(frac(i, 2), basis[n - i]) for i in range(1, n - 2)]
-        parts += [(frac(n - 1, 4), basis[2]), (frac(n - 3, 4), basis[0])]
-        tilde = combine(dim, parts)
-        return VertexSplit(spec, k, left, None, RuleSet.of(rules), tilde,
-                           left_map, ())
+        return Spec("D", n - 1), None
     if k == 2:
-        left, right = Spec("A", 2), Spec("A", n - 1)
-        table = split_table(left, right)
-        mu = table.var("mu1")
-        tps = part_functionals(left, "tp", table)
-        tq1 = table.var("tq1")
-        tqs = part_functionals(right, "tq", table)
-        rules = [(f"t{i}", frac(9 - n, 6 * n - 6) * mu - frac(2, 3) * tq1 + tps[i - 1])
-                 for i in (1, 2)]
-        for i in range(2, n):
-            rules.append((f"t{i+1}",
-                          frac(n - 9, 3 * n - 3) * mu + frac(1, 3) * tq1 + tqs[i - 1]))
-        left_map = (1,)
-        right_map = (0,) + tuple(range(3, n))
-        parts = [(Fraction(1), basis[2]), (frac(1, 2), basis[1]),
-                 (frac(n - 3, n - 1), basis[0])]
-        parts += [(frac(2 * n - 2 * i - 2, n - 1), basis[i + 1]) for i in range(2, n - 1)]
-        tilde = combine(dim, parts)
-        return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                           left_map, right_map)
-    # 3 <= k <= n-1
-    left, right = Spec("E", k), Spec("A", n - k)
-    table = split_table(left, right)
+        return Spec("A", 2), Spec("A", n - 1)
+    return Spec("E", k), Spec("A", n - k)
+
+
+def vertex_split(spec: Spec, k: int) -> VertexSplit:
+    left, right = vertex_parts(spec, k)
+    family, n = spec.family, spec.n
+    names = ["mu1"]
+    names += [f"tp{i}" for i in range(1, left.n + 1)]
+    names += [f"tq{i}" for i in range(1, right.n + 1)] if right else []
+    table = VarTable(names, [1] * len(names))
     mu = table.var("mu1")
     tps = part_functionals(left, "tp", table)
     tqs = part_functionals(right, "tq", table)
-    sp1 = table.zero()
-    for p in tps:
-        sp1 = sp1 + p
-    rules = [(f"t{i}", tps[i - 1]) for i in range(1, k + 1)]
-    shift = frac(n - 9, (9 - k) * (n - k)) * mu - frac(1, 9 - k) * sp1
-    for i in range(1, n - k + 1):
-        rules.append((f"t{k+i}", shift + tqs[i - 1]))
-    left_map = tuple(range(0, k))
-    right_map = tuple(range(k + 1, n))
-    parts = [(Fraction(1), basis[k]),
-             (frac(3, 9 - k), basis[0]), (frac(2, 9 - k), basis[1]),
-             (frac(4, 9 - k), basis[2])]
-    parts += [(frac(9 - i, 9 - k), basis[i]) for i in range(3, k)]
-    parts += [(frac(n - k - i, n - k), basis[k + i]) for i in range(1, n - k)]
-    tilde = combine(dim, parts)
-    return VertexSplit(spec, k, left, right, RuleSet.of(rules), tilde,
-                       left_map, right_map)
-
-
-def supported_splits(spec: Spec) -> list[int]:
-    if spec.family == "A":
-        return list(range(1, spec.n))
-    if spec.family == "D":
-        return [k for k in range(1, spec.n + 1) if k != spec.n - 1]
-    return list(range(0, spec.n))
+    sp1 = sum(tps, table.zero())
+    f = Fraction
+    # each branch gives t_1..t_n, the vertex maps of the parts and the
+    # (coefficient, vertex) pairs of tilde_v
+    right_map = ()
+    if family == "A":
+        ts = [f(1, k) * mu + p for p in tps]
+        ts += [-f(1, n - k) * mu + q for q in tqs]
+        left_map, right_map = range(1, k), range(k + 1, n)
+        tilde = [(1, k)] + [(f(i, k), i) for i in range(1, k)]
+        tilde += [(f(n - k - i, n - k), k + i) for i in range(1, n - k)]
+    elif family == "D" and k < n:
+        ts = [f(1, k) * mu + p for p in tps] + tqs
+        left_map, right_map = range(1, k), range(k + 1, n + 1)
+        tilde = [(1, k)] + [(f(i, k), i) for i in range(1, k)]
+        tilde += [(1, k + i) for i in range(1, n - k - 1)]
+        tilde += [(f(1, 2), n - 1), (f(1, 2), n)]
+    elif family == "D":
+        ts = [f(2, n) * mu + p for p in tps]
+        left_map = range(1, n)
+        tilde = [(1, n)] + [(f(2 * i, n), i) for i in range(1, n - 1)]
+        tilde += [(f(n - 2, n), n - 1)]
+    elif k == 0:
+        ts = [-f(9 - n, 3 * n) * mu + p for p in tps]
+        left_map = range(1, n)
+        tilde = [(1, 0), (f(n - 3, n), 1), (f(2 * n - 6, n), 2)]
+        tilde += [(f(3 * n - 3 * i, n), i) for i in range(3, n)]
+    elif k == 1:
+        ts = [f(9 - n, 6) * mu - f(1, 3) * sp1]
+        ts += [f(n - 9, 12) * mu + f(1, 6) * sp1 - p for p in reversed(tps)]
+        left_map = tuple(n - i for i in range(1, n - 1)) + (0,)
+        tilde = [(1, 1)] + [(f(i, 2), n - i) for i in range(1, n - 2)]
+        tilde += [(f(n - 1, 4), 2), (f(n - 3, 4), 0)]
+    elif k == 2:
+        ts = [f(9 - n, 6 * n - 6) * mu - f(2, 3) * tqs[0] + p for p in tps]
+        ts += [f(n - 9, 3 * n - 3) * mu + f(1, 3) * tqs[0] + q for q in tqs[1:]]
+        left_map, right_map = (1,), (0,) + tuple(range(3, n))
+        tilde = [(1, 2), (f(1, 2), 1), (f(n - 3, n - 1), 0)]
+        tilde += [(f(2 * n - 2 * i - 2, n - 1), i + 1) for i in range(2, n - 1)]
+    else:
+        shift = f(n - 9, (9 - k) * (n - k)) * mu - f(1, 9 - k) * sp1
+        ts = tps + [shift + q for q in tqs]
+        left_map, right_map = range(0, k), range(k + 1, n)
+        tilde = [(1, k), (f(3, 9 - k), 0), (f(2, 9 - k), 1), (f(4, 9 - k), 2)]
+        tilde += [(f(9 - i, 9 - k), i) for i in range(3, k)]
+        tilde += [(f(n - k - i, n - k), k + i) for i in range(1, n - k)]
+    basis = root_basis(spec)
+    rules = RuleSet.of((f"t{i}", t) for i, t in enumerate(ts, 1))
+    return VertexSplit(spec, k, left, right, rules,
+                       combine(n + 1, [(f(c), basis[i]) for c, i in tilde]),
+                       tuple(left_map), tuple(right_map))

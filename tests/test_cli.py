@@ -60,6 +60,19 @@ def test_invariants_e6_appendix_scaling(capsys, cache):
     assert 6 * parse(lines["eps2"], table) == parse("-2*s1^2 + 3*s2", table)
 
 
+def test_invariants_closed_form_type_never_opens_the_cache(tmp_path, capsys, monkeypatch):
+    # D4's coordinates are closed forms: neither an unusable --cache-dir nor
+    # a missing CACHE_DIR is an error, and no cache directory is made
+    (tmp_path / "bad.txt").write_text("")
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path / "from-env"))
+    for argv in (["--cache-dir", str(tmp_path / "bad.txt")],
+                 ["--cache-dir", str(tmp_path / "unmade")], []):
+        code, out, err = run(capsys, *argv, "invariants", "--type", "D4")
+        assert (code, err) == (0, ""), argv
+        assert "gamma4 = s4" in out.splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
 def test_invariants_bad_type(capsys):
     for name in ("Q3", ""):
         code, _, err = run(capsys, "invariants", "--type", name)

@@ -24,7 +24,7 @@ from rdpinv.congruence import (
 )
 from rdpinv.distpoly import elem_sym, standard_coords, ts_table
 from rdpinv.poly import Polynomial, VarTable, parse
-from rdpinv.rootsys import Spec, supported_splits, vertex_split
+from rdpinv.rootsys import Spec, supported_splits, vertex_parts, vertex_split
 
 ALL_SPECS = ["A2", "A3", "A4", "A5", "A6", "A7", "A8", "D2", "D3", "D4", "D5",
              "D6", "D7", "D8", "E3", "E4", "E5", "E6", "E7", "E8"]
@@ -192,6 +192,24 @@ def test_unsupported_restriction_rejected():
 # -- case pullbacks ------------------------------------------------------------------
 
 
+# the (left, right) parts of each row of the paper's key-computation table
+PAPER_PARTS = {
+    "E6:v0": ("A5", None), "E6:v4": ("E4", "A1"), "E6:v5": ("E5", "A0"),
+    "E7:v0": ("A6", None), "E7:v1": ("D6", None), "E7:v2": ("A1", "A5"),
+    "E7:v4": ("E4", "A2"), "E7:v5": ("E5", "A1"), "E7:v6": ("E6", "A0"),
+    "E8:v0": ("A7", None), "E8:v1": ("D7", None), "E8:v2": ("A1", "A6"),
+    "E8:v5": ("E5", "A2"), "E8:v6": ("E6", "A1"), "E8:v7": ("E7", "A0"),
+}
+
+
+def test_key_case_parts_match_the_paper_table():
+    assert [case.label for case in KEY_CASES] == list(PAPER_PARTS)
+    for case in KEY_CASES:
+        left, right = vertex_parts(Spec("E", case.parent), case.k)
+        assert (left.name, right and right.name) == PAPER_PARTS[case.label], case.label
+        assert case.parts == {"left": left, "right": right}, case.label
+
+
 def closed_form_pullback(case, cache):
     """The pulled-back distinguished polynomial from its closed form at each k."""
     n, k = case.parent, case.k
@@ -203,7 +221,7 @@ def closed_form_pullback(case, cache):
         for i in range(n - 1):
             total = total + lam1 ** i * (U - Fraction(1, 3) * lam1) ** (n - 2 - i)
         return (U + Fraction(2, 3) * lam1) ** 2 * total
-    r = derive_restricted(Spec.from_name(case.left), cache=cache).r
+    r = derive_restricted(Spec.from_name(PAPER_PARTS[case.label][0]), cache=cache).r
     if k == 1:
         rho = r.coeffs_in("U").get(n - 2, LAM_TABLE.zero())
         return (-1) ** n * (-U + Fraction(1, 3) * rho) * r.substitute({"U": -U - Fraction(1, 6) * rho})

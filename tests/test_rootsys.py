@@ -13,6 +13,7 @@ from rdpinv.rootsys import (
     inner,
     root_basis,
     supported_splits,
+    vertex_parts,
     vertex_split,
     weyl_action,
 )
@@ -201,10 +202,23 @@ def test_part_identifications_respect_the_diagram():
 
 
 def test_unsupported_split_rejected():
-    with pytest.raises(UnsupportedSplitError):
-        vertex_split(Spec("D", 6), 5)  # the omitted next-to-last vertex
-    with pytest.raises(UnsupportedSplitError):
-        vertex_split(Spec("A", 5), 5)
+    # D6 v5 is the omitted next-to-last vertex; A4 v5 lies past the diagram
+    names = [f"A{r}" for r in range(1, 9)] + [f"D{r}" for r in range(2, 9)] \
+        + [f"E{r}" for r in range(3, 9)]
+    for name in names:
+        spec = Spec.from_name(name)
+        for k in range(-1, spec.n + 2):
+            if k in supported_splits(spec):
+                vs = vertex_split(spec, k)
+                assert vertex_parts(spec, k) == (vs.left, vs.right), (name, k)
+                # removing one vertex leaves the parts one rank in all
+                ranks = vs.left.lie_rank + (vs.right.lie_rank if vs.right else 0)
+                assert ranks == spec.lie_rank - 1, (name, k)
+                continue
+            for split in (vertex_split, vertex_parts):
+                with pytest.raises(UnsupportedSplitError) as info:
+                    split(spec, k)
+                assert str(info.value) == f"no splitting of {name} at vertex {k}", split
 
 
 def test_split_rules_match_direct_examples():
