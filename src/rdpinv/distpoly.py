@@ -25,7 +25,12 @@ symmetry, and then peels the partitions from the top against the same
 products.  The literal invariance check expands a coordinate in the t's,
 applies a generator as the rank-one reflection of
 :func:`rdpinv.rootsys.weyl_action`, and compares; expansion and reduction
-share one product table per n, kept for the life of the process.
+share one product table per n, kept for the life of the process.  The
+check never writes a t-term out: every input it handles is symmetric
+under the Young subgroup H of the blocks of t's that the generator treats
+alike (:func:`rdpinv.rootsys.reflection_blocks`, S3 x S3 for E6 generator
+0), so the expansion is written, moved and read as an
+:class:`~rdpinv.poly.OrbitSums` store of one numerator per H-orbit.
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations
-from math import factorial, lcm, prod
+from itertools import combinations, groupby
+from math import comb, factorial, lcm, prod
 from typing import Optional
 
-from .poly import Polynomial, VarTable, parse
-from .rootsys import Spec, part_functionals, weyl_action
+from .poly import OrbitSums, Polynomial, VarTable, parse
+from .rootsys import Spec, part_functionals, reflection_blocks, weyl_action
 from .solvelist import RuleSet
 
 
@@ -210,26 +215,39 @@ def f_dist(spec: Spec) -> DistData:
 # -- expansion and symmetric reduction on partitions ---------------------------
 
 
+@lru_cache(maxsize=None)
 def _orbit_size(lam: tuple[int, ...]) -> int:
     """The number of distinct rearrangements of the exponent vector lam."""
     return factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
 
 
-def _times_e(g: dict, j: int, n: int) -> Counter:
+@lru_cache(maxsize=None)
+def _raised(runs: tuple[tuple[int, int], ...], j: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``(mu, ways)`` for each way to raise j places of the partition whose
+    runs (value, length) are ``runs`` by one: k_i places of run i become
+    v_i + 1, which keeps mu descending, in prod C(m_i, k_i) ways."""
+    if not runs:
+        return () if j else (((), 1),)
+    (v, m), rest = runs[0], runs[1:]
+    return tuple(((v + 1,) * k + (v,) * (m - k) + mu, comb(m, k) * ways)
+                 for k in range(min(m, j) + 1) for mu, ways in _raised(rest, j - k))
+
+
+def _times_e(g: dict, j: int) -> Counter:
     """g * e_j, both symmetric and kept as orbit totals on partitions.
 
     The orbit total at a partition is the sum of the coefficients over the
     terms of its orbit.  Each term t^w of nu's orbit meets as many j-subsets
     S with w + 1_S in a given orbit as nu itself does, so g(nu) moves to
-    sort(nu + 1_S) once for every j-subset S of the n places.
+    sort(nu + 1_S) once for every j-subset S of the places; the subsets that
+    raise equally many places of each run of nu give one mu, and are
+    counted at once (:func:`_raised`).
     """
     out = Counter()
     for nu, total in g.items():
-        for S in combinations(range(n), j):
-            v = list(nu)
-            for i in S:
-                v[i] += 1
-            out[tuple(sorted(v, reverse=True))] += total
+        runs = tuple((v, len(list(run))) for v, run in groupby(nu))
+        for mu, ways in _raised(runs, j):
+            out[mu] += total * ways
     return out
 
 
@@ -241,31 +259,47 @@ class _EProducts(dict):
     (:func:`_e_products`), shared by every expansion and reduction.
     """
 
-    def __init__(self, n: int):
-        super().__init__({(0,) * n: {(0,) * n: 1}})
-        self.n = n
-
     def __missing__(self, d: tuple[int, ...]) -> Counter:
         j = max(i for i, e in enumerate(d) if e)
-        out = self[d] = _times_e(self[d[:j] + (d[j] - 1,) + d[j + 1:]], j + 1, self.n)
+        out = self[d] = _times_e(self[d[:j] + (d[j] - 1,) + d[j + 1:]], j + 1)
         return out
 
 
 @lru_cache(maxsize=None)
 def _e_products(n: int) -> _EProducts:
-    return _EProducts(n)
+    return _EProducts({(0,) * n: {(0,) * n: 1}})
 
 
-def t_expand(phi: Polynomial, n: int) -> Polynomial:
+@lru_cache(maxsize=None)
+def _dealings(lam: tuple[int, ...], blocks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every distinct dealing of the descending ``lam`` into consecutive
+    blocks of sizes ``blocks``, each block descending: the representatives
+    of the orbits of the blocks' Young subgroup inside lam's S_n orbit."""
+    if len(blocks) < 2:
+        return (lam,)
+    out = []
+    for head in sorted(set(combinations(lam, blocks[0])), reverse=True):
+        rest = list(lam)
+        for x in head:
+            rest.remove(x)
+        out += [head + tail for tail in _dealings(tuple(rest), blocks[1:])]
+    return tuple(out)
+
+
+def t_expand(phi: Polynomial, n: int, blocks: Optional[tuple[int, ...]] = None
+             ) -> "Polynomial | OrbitSums":
     """phi with each s_j replaced by the elementary symmetric function e_j of
-    t_1..t_n, on ``ts_table(n)``.
+    t_1..t_n, on ``ts_table(n)``; with ``blocks``, the same as an
+    :class:`OrbitSums` store on those blocks of consecutive t's.
 
     The expansion is symmetric, so it is built on partitions: each term
     a * s^d (a a numerator over phi's denominator) adds a * prod e_j^d_j,
     kept as orbit totals (the products :func:`symmetric_reduce` peels
     against, from the same table).  With L the lcm of the orbit
-    sizes, each orbit is written out once, every term carrying total * (L /
-    size) over L * den.  A variable other than s_1..s_n raises ``ValueError``.
+    sizes, each orbit carries total * (L / size) over L * den, written once
+    for each distinct dealing of its partition into the blocks (one block
+    of all t's without ``blocks``).  A variable other than s_1..s_n raises
+    ``ValueError``.
     """
     extraneous = phi.variables() - set(_s_names(n))
     if extraneous:
@@ -278,31 +312,49 @@ def t_expand(phi: Polynomial, n: int) -> Polynomial:
             totals[lam] += a * g
     sizes = {lam: _orbit_size(lam) for lam, total in totals.items() if total}
     L = lcm(*sizes.values())
-    return Polynomial.from_numerators(
-        ts_table(n), _t_names(n), {lam: totals[lam] * (L // size) for lam, size in sizes.items()},
-        den * L, orbits=True)
+    dealt = tuple(blocks or (n,))
+    store = OrbitSums.of(ts_table(n), _t_names(n), dealt, {
+        r: totals[lam] * (L // size) for lam, size in sizes.items() for r in _dealings(lam, dealt)},
+        den * L)
+    return store if blocks else store.polynomial()
 
 
-def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
-    """Rewrite a symmetric polynomial in t_1..t_n as a polynomial in s_1..s_n.
+def symmetric_reduce(p: "Polynomial | OrbitSums", n: int) -> Polynomial:
+    """Rewrite a symmetric polynomial in t_1..t_n, or an :class:`OrbitSums`
+    store over them, as a polynomial in s_1..s_n.
 
-    Every orbit of t-exponents must carry one numerator and be complete
-    (n! / prod mult! terms), else :class:`NonSymmetricError` is raised.
-    Then partitions are peeled off a heap in descending (degree, lex)
+    Every S_n orbit of t-exponents must carry one numerator and be complete,
+    else :class:`NonSymmetricError` is raised.  A plain polynomial is read
+    as a store of one-element blocks, each term its own representative.
+    Representatives are grouped by their partition lam: lam's orbit is
+    complete exactly when the orbits of the representatives present, under
+    the store's Young subgroup H, add up to it (sum |H r| = n! / prod
+    mult!), since distinct representatives have disjoint H-orbits inside
+    it.  Then partitions are peeled off a heap in descending (degree, lex)
     order: the top lam with orbit total T gives c * prod s_j^(lam_j -
     lam_{j+1}), c = T / size exactly (a remainder raises
     ``ArithmeticError``), and c times that product of e_j, memoized in
     the table of n that :func:`t_expand` shares, is subtracted.
     """
-    extraneous = p.variables() - set(_t_names(n))
-    if extraneous:
-        raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
-    den, orbits = p.numerators_over(_t_names(n), orbits=True)
+    names = tuple(_t_names(n))
+    if not isinstance(p, OrbitSums):  # one-element blocks: every term
+        extraneous = p.variables() - set(names)
+        if extraneous:
+            raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
+        den, terms = p.numerators_over(names)
+        p = OrbitSums(p.table, names, (1,) * n, {e: a for e, (a,) in terms.items()}, den)
+    elif p.names != names:
+        raise ValueError(f"a store over {p.names}, not over {names}")
+    orbits, counts, spans = {}, Counter(), p.spans
+    for r, a in p.numerators.items():
+        lam = tuple(sorted(r, reverse=True))
+        orbits.setdefault(lam, []).append(a)
+        counts[lam] += prod([_orbit_size(r[i:j]) for i, j in spans])
     rest = {}  # orbit totals
     for lam, nums in orbits.items():
         size = _orbit_size(lam)
-        if len(nums) != size or nums.count(nums[0]) != size:
-            raise NonSymmetricError(f"{len(nums)} of the {size} terms of the orbit of {lam}, "
+        if counts[lam] != size or nums.count(nums[0]) != len(nums):
+            raise NonSymmetricError(f"{counts[lam]} of the {size} terms of the orbit of {lam}, "
                                     f"{len(set(nums))} coefficients; input not symmetric")
         rest[lam] = nums[0] * size
 
@@ -323,7 +375,7 @@ def symmetric_reduce(p: Polynomial, n: int) -> Polynomial:
                     heappush(heap, (-sum(mu), [-a for a in mu], mu))
                 rest[mu] = rest.get(mu, 0) - c * g
         del rest[lam]  # its total is zero now
-    return Polynomial.from_numerators(ts_table(n), _s_names(n), out, den)
+    return Polynomial.from_numerators(ts_table(n), _s_names(n), out, p.den)
 
 
 # -- standard coordinate functions ----------------------------------------------
@@ -435,10 +487,13 @@ def invariant_under_literal(spec: Spec, phi: Polynomial, generator: int,
     ``reduce_back``, rewritten in s via symmetric reduction and compared to
     the original coordinate function.  Both modes decide the same, exactly:
     s -> t is injective, so a moved expansion that differs either is not
-    symmetric or reduces to another polynomial in s.
+    symmetric or reduces to another polynomial in s.  The expansion, the
+    reflection and the reduction all run on orbit sums of the blocks of
+    :func:`rdpinv.rootsys.reflection_blocks`; the action is used only
+    through its ``apply``.
     """
     phi = phi.compact()
-    pt = t_expand(phi, spec.n)
+    pt = t_expand(phi, spec.n, reflection_blocks(spec, generator))
     moved = weyl_action(spec, generator).apply(pt)
     if not reduce_back:
         return moved == pt

@@ -15,9 +15,11 @@ their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
 ``truncate`` read through the same exponent tuples.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
-the keys (sorted, for orbits under their permutations), and
-:meth:`Polynomial.from_numerators` packs such groups, or every distinct
-rearrangement of each, straight into keys and normalizes once.
+the keys (sorted within blocks of consecutive names, for orbits under the
+permutations within the blocks), and :meth:`Polynomial.from_numerators`
+packs such groups, or every distinct rearrangement of each within its
+blocks, straight into keys and normalizes once.  :class:`OrbitSums` keeps a
+polynomial symmetric under such a Young subgroup as one numerator per orbit.
 
 The store behind the view is private to this module; it follows the packed
 exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
@@ -54,9 +56,10 @@ names carry equal weights; the tables are merged by name.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -148,6 +151,26 @@ def _arrangements(lam: tuple[int, ...], offsets: list[int], memo: dict) -> list[
                 hit += [o + w for w in _arrangements(lam[:i] + lam[i + 1:], offsets, memo)]
         memo[lam] = hit
     return hit
+
+
+def _blocks(orbits: "bool | Sequence[int]", m: int) -> tuple[int, ...]:
+    """The block sizes ``orbits`` stands for over ``m`` names: one block per
+    name for False, one block of all for True, else the sizes given, which
+    must be positive and add up to ``m``."""
+    if orbits is False:
+        return (1,) * m
+    if orbits is True:
+        return (m,) if m else ()
+    blocks = tuple(orbits)
+    if sum(blocks) != m or not all(type(b) is int and b > 0 for b in blocks):
+        raise ValueError(f"blocks {blocks} do not split {m} names")
+    return blocks
+
+
+def _spans(blocks: Sequence[int]) -> list[tuple[int, int]]:
+    """``(start, end)`` of each block of consecutive places."""
+    ends = list(accumulate(blocks))
+    return list(zip([0] + ends[:-1], ends))
 
 
 def _degree(k: int, s: int) -> int:
@@ -325,15 +348,27 @@ class Polynomial:
     def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
                         den: int = 1, orbits: bool = False) -> "Polynomial":
         """The sum of ``n/den * prod(names ** exps)`` over ``numerators``, each int
-        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped; with
-        ``orbits`` a descending ``exps`` stands for its distinct rearrangements."""
+        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped.  With
+        ``orbits`` (True for one block of all names, or the sizes of blocks of
+        consecutive names) an ``exps`` descending within each block stands for
+        its distinct rearrangements within the blocks; :meth:`numerators_over`
+        reads the same keys."""
         if not (type(den) is int and den >= 1 and all(
                 type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
             raise ValueError(f"not integer numerators over {names} and a positive denominator")
         s = _width_for([e for exps in numerators for e in exps])
-        offsets, memo = [table.index_of(v) * s for v in names], {}
-        keys = (lambda e: _arrangements(e, offsets, memo)) if orbits else (
-            lambda e: [sum(map(lshift, e, offsets))])
+        offsets = [table.index_of(v) * s for v in names]
+        spans = _spans(_blocks(orbits, len(names)))
+        memos = [{} for _ in spans]
+
+        def keys(e):
+            if len(spans) == len(e):
+                return [sum(map(lshift, e, offsets))]
+            out = [0]
+            for (a, b), memo in zip(spans, memos):
+                out = [k + w for k in out for w in _arrangements(e[a:b], offsets[a:b], memo)]
+            return out
+
         return _reduced(table, {k: n for e, n in numerators.items() if n for k in keys(e)}, den, s)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
@@ -567,20 +602,25 @@ class Polynomial:
             out.setdefault(key, {})[k & rest] = c
         return {key: _reduced(self.table, t, self.den, s) for key, t in out.items()}
 
-    def numerators_over(self, names: Sequence[str], orbits: bool = False
+    def numerators_over(self, names: Sequence[str], orbits: "bool | Sequence[int]" = False
                         ) -> tuple[int, dict[tuple[int, ...], list[int]]]:
         """``(den, groups)``: the terms' integer numerators over their common
         ``den``, grouped by their exponents in ``names`` (0 for a name not in
-        the table), which ``orbits`` sorts descending so that a group is an
-        orbit under permutations of ``names``; :meth:`from_numerators` inverts it."""
+        the table).  ``orbits`` (True for one block of all names, or the sizes
+        of blocks of consecutive names) sorts the exponents descending within
+        each block, so that a group is an orbit under the permutations within
+        the blocks, keyed by its representative; :meth:`from_numerators`
+        inverts it."""
         s, m = self.shift, len(self.table) + 1
         at = [self.table._index.get(v, m - 1) for v in names]  # no key has a field m - 1
         get = itemgetter(*at) if len(at) > 1 else lambda f: tuple([f[i] for i in at])
         row = (lambda k: k.to_bytes(m, "little")) if s == 8 else lambda k: _dense(_fields(k, s), m)
+        spans = _spans(_blocks(orbits, len(names)))
+        rep = (lambda e: e) if len(spans) == len(names) else (
+            lambda e: tuple([x for a, b in spans for x in sorted(e[a:b], reverse=True)]))
         groups: dict = {}
         for k, n in self.terms.items():
-            e = get(row(k))
-            groups.setdefault(tuple(sorted(e, reverse=True)) if orbits else e, []).append(n)
+            groups.setdefault(rep(get(row(k))), []).append(n)
         return self.den, groups
 
     def coeffs_in(self, name: str) -> dict[int, "Polynomial"]:
@@ -779,21 +819,13 @@ class Polynomial:
         return a._product(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
                               if ca + cb in kept])
 
-    def derivative_along(self, direction: Mapping[str, "int | Fraction"],
-                         divisor: int = 1) -> "Polynomial":
-        """``sum c_v * d/dv`` of this polynomial over ``direction``, divided
-        by the positive integer ``divisor``, in one pass over the terms.
-        The direction's entries are scaled to integers by the lcm of their
-        denominators, so the pass adds plain ints and the result is
-        normalized once."""
-        for c in direction.values():
-            _check_rational(c)
-        if type(divisor) is not int or divisor < 1:
-            raise ValueError(f"divisor {divisor!r} is not a positive integer")
+    def derivative_along(self, direction: Mapping[str, int]) -> "Polynomial":
+        """``sum c_v * d/dv`` of this polynomial over ``direction``, whose
+        entries are ints, in one pass over the terms."""
+        if not all(type(c) is int for c in direction.values()):
+            raise TypeError(f"direction {direction!r} has an entry that is not an int")
         s, index = self.shift, self.table._index
-        common = lcm(*[c.denominator for c in direction.values()])
-        steps = [(index[v] * s, 1 << index[v] * s, c.numerator * (common // c.denominator))
-                 for v, c in direction.items() if c]
+        steps = [(index[v] * s, 1 << index[v] * s, c) for v, c in direction.items() if c]
         mask = (1 << s) - 1
         out: dict = {}
         get = out.get
@@ -803,8 +835,7 @@ class Polynomial:
                 if e:
                     key = k - unit
                     out[key] = get(key, 0) + n * a * e
-        return _reduced(self.table, {k: n for k, n in out.items() if n},
-                        self.den * common * divisor, s)
+        return _reduced(self.table, {k: n for k, n in out.items() if n}, self.den, s)
 
     # -- solving -----------------------------------------------------------
 
@@ -902,6 +933,45 @@ class Polynomial:
                 or any(k & guards for k in keys) or not all(nums) or gcd(den, *nums) != 1):
             raise ValueError("not a canonical polynomial store")
         return Polynomial(table, terms, den, shift)
+
+
+@dataclass(frozen=True)
+class OrbitSums:
+    """A polynomial in ``names`` symmetric under H, the permutations within
+    each block of consecutive names (``blocks`` gives their sizes), kept as
+    one integer numerator over ``den`` per H-orbit of terms.
+
+    An orbit is keyed by its representative, the exponent vector descending
+    within each block: the keys of ``numerators_over(names, orbits=blocks)``
+    and of :meth:`Polynomial.from_numerators`.  One-element blocks keep every
+    term, one block keeps S_n orbits.  :meth:`of` drops zeros and reduces
+    ``den``, so equal polynomials give equal stores.
+    """
+
+    table: VarTable
+    names: tuple[str, ...]
+    blocks: tuple[int, ...]
+    numerators: dict
+    den: int = 1
+
+    @staticmethod
+    def of(table: VarTable, names: Sequence[str], blocks: Sequence[int],
+           numerators: Mapping[tuple, int], den: int = 1) -> "OrbitSums":
+        nums = {r: a for r, a in numerators.items() if a}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {r: a // g for r, a in nums.items()}
+        return OrbitSums(table, tuple(names), tuple(blocks), nums, den // g)
+
+    @property
+    def spans(self) -> list[tuple[int, int]]:
+        """``(start, end)`` of each block."""
+        return _spans(self.blocks)
+
+    def polynomial(self) -> Polynomial:
+        """Every term written out."""
+        return Polynomial.from_numerators(self.table, self.names, self.numerators, self.den,
+                                          orbits=self.blocks)
 
 
 def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from itertools import chain, groupby
+from math import factorial, lcm
+from typing import Optional, Sequence
 
-from .poly import Polynomial, VarTable
+from .poly import OrbitSums, Polynomial, VarTable
 from .solvelist import RuleSet
 
 Vector = tuple[Fraction, ...]
@@ -202,46 +205,132 @@ def dual_basis_in_t(spec: Spec) -> RuleSet:
     return RuleSet.of(rules)
 
 
+@lru_cache(maxsize=None)
+def _lowerings(x: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``(y, w * mult)`` for each distinct w > 0 of the descending block ``x``:
+    y lowers its last w by one, and mult counts the w - 1 in y."""
+    out = []
+    for j, w in enumerate(x):
+        if w and (j + 1 == len(x) or x[j + 1] != w):
+            y = x[:j] + (w - 1,) + x[j + 1:]
+            out.append((y, w * y.count(w - 1)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _raisings(x: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``(y, mult)`` for each distinct v of the descending block ``x``: y
+    raises its first v by one, and mult counts the v + 1 in y."""
+    out = []
+    for j, v in enumerate(x):
+        if not j or x[j - 1] != v:
+            y = x[:j] + (v + 1,) + x[j + 1:]
+            out.append((y, y.count(v + 1)))
+    return tuple(out)
+
+
+def _scattered(q: dict, steps: list[tuple[int, int]], moves) -> dict:
+    """Each representative of ``q`` (a tuple of descending blocks) adds
+    c * mult times its numerator at every (y, mult) of ``moves`` of its
+    block i, block i replaced by y, for each (i, c) of ``steps``; zeros
+    are dropped."""
+    out: dict = {}
+    get = out.get
+    for key, a in q.items():
+        for i, c in steps:
+            ca = c * a
+            head, tail = key[:i], key[i + 1:]
+            for y, mult in moves(key[i]):
+                u = head + (y,) + tail
+                out[u] = get(u, 0) + mult * ca
+    return {u: a for u, a in out.items() if a}
+
+
 @dataclass(frozen=True)
 class Reflection(RuleSet):
     """A rank-one reflection t -> t + form(t) * coroot on t_1..t_n.
 
     Its rules are t_i -> t_i + c_i * form for each nonzero entry c_i of
-    the coroot, so it indexes as any other rule set; :meth:`apply` moves a
-    polynomial by a Taylor expansion along the coroot, not by substitution.
+    the coroot, so it indexes as any other rule set, and :meth:`apply`
+    substitutes them into a plain polynomial.  An :class:`OrbitSums` store
+    whose blocks the coroot and the form are constant on (such a Young
+    subgroup commutes with the reflection) is moved on its orbit
+    representatives, with no term written out.
     """
 
     form: Polynomial
     coroot: tuple[tuple[str, "int | Fraction"], ...]
 
-    def apply(self, p: Polynomial) -> Polynomial:
-        """p(t + form * coroot), exactly, for any p.
+    def _entries(self, names: Sequence[str]) -> list[tuple["int | Fraction", "int | Fraction"]]:
+        """``(coroot entry, form coefficient)`` of each of ``names``, 0 where none."""
+        coroot = dict(self.coroot)
+        form = {self.form.table.names[e.index(1)]: c for e, c in self.form.items()}
+        if not coroot.keys() | form.keys() <= set(names):
+            raise ValueError(f"the reflection moves variables outside {names}")
+        return [(coroot.get(v, 0), form.get(v, 0)) for v in names]
 
-        The Taylor expansion along the coroot is finite:
-        p(t + l c) = sum_k l^k D_k with D_0 = p and D_k = (c . grad) D_{k-1} / k.
-        Each D_k is one directional derivative of D_{k-1}
-        (:meth:`Polynomial.derivative_along`, a single pass over its terms).
-        The D_k run until one vanishes, then Horner's rule in l sums them.
-        The result lives on the table :meth:`RuleSet.apply` would give.
+    def apply(self, p: "Polynomial | OrbitSums") -> "Polynomial | OrbitSums":
+        """p(t + form * coroot), exactly: a polynomial by :meth:`RuleSet.apply`,
+        a store as a store on the same blocks.
+
+        On a store the Taylor expansion along the coroot is finite:
+        p(t + l c) = sum_k l^k D^k p / k!, D = c . grad.  Both D and the
+        product by l keep the store's symmetry, and on representatives u
+        (c_B and f_B the coroot entry and form coefficient on block B, mult
+        counting a value in u's block) they read
+        coef(Dq, u) = sum_B c_B sum_{distinct v in u|B} mult(v) (v + 1) q[u, first v in B raised],
+        coef(lq, u) = sum_B f_B sum_{distinct v > 0 in u|B} mult(v) q[u, last v in B lowered];
+        each is summed by scattering every representative of q to the u it
+        reaches.  Everything runs in integers: c and the form are each scaled to
+        integers by the lcm of their denominators, g is the product of the
+        two, D^k p runs until it vanishes at k = K, Horner's rule in l sums
+        the D^k p with weights g^(K-k) K!/k!, and g^K K! joins the
+        denominator at the end.
         """
-        if not any(name in p.table for name, _ in self.coroot):
-            return p
-        p = p.to_table(p.table.merged(self.form.table))
-        direction = dict(self.coroot)
-        parts = [p]
+        if not isinstance(p, OrbitSums):
+            return super().apply(p)
+        spans = p.spans
+        entries = self._entries(p.names)
+        if any(len(set(entries[a:b])) > 1 for a, b in spans):
+            raise ValueError(f"the reflection is not constant on the blocks {p.blocks}")
+        cs, fs = zip(*[entries[a] for a, _ in spans])
+        gc, gf = (lcm(*[Fraction(x).denominator for x in xs]) for xs in (cs, fs))
+        down = [(i, int(c * gc)) for i, c in enumerate(cs) if c]
+        up = [(i, int(f * gf)) for i, f in enumerate(fs) if f]
+        g = gc * gf
+        parts = [{tuple(r[a:b] for a, b in spans): n for r, n in p.numerators.items()}]
         while True:
-            step = parts[-1].derivative_along(direction, len(parts))
-            if step.is_zero:
+            step = _scattered(parts[-1], down, _lowerings)
+            if not step:
                 break
             parts.append(step)
+        top = len(parts) - 1
         acc = parts.pop()
         while parts:
-            acc = acc * self.form + parts.pop()
-        return acc
+            k = len(parts) - 1
+            acc = _scattered(acc, up, _raisings)
+            w = g ** (top - k) * (factorial(top) // factorial(k))
+            get = acc.get
+            for u, n in parts.pop().items():
+                acc[u] = get(u, 0) + w * n
+        return OrbitSums.of(p.table, p.names, p.blocks,
+                            {tuple(chain.from_iterable(u)): n for u, n in acc.items()},
+                            p.den * g ** top * factorial(top))
 
 
+@lru_cache(maxsize=None)
+def reflection_blocks(spec: Spec, generator: int) -> tuple[int, ...]:
+    """The sizes of the maximal runs of consecutive t's with equal (coroot
+    entry, form coefficient) under the generator: the blocks of the largest
+    such Young subgroup, which the reflection commutes with."""
+    entries = weyl_action(spec, generator)._entries(spec.t_table().names)
+    return tuple(len(list(run)) for _, run in groupby(entries))
+
+
+@lru_cache(maxsize=None)
 def weyl_action(spec: Spec, generator: int) -> Reflection:
-    """The reflection in the given simple root, acting on the t's.
+    """The reflection in the given simple root, acting on the t's; one
+    (immutable) value per type and generator for the life of the process.
 
     A swap of t_i and t_{i+1} has form t_{i+1} - t_i and coroot
     e_i - e_{i+1}; the D-family sign change has form -(t_{n-1} + t_n) and

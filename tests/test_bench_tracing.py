@@ -43,6 +43,19 @@ subs = [a for n, _, _, _, a in tracer.spans[first:] if n == "poly.substitute"]
 print(json.dumps({"substitutions": subs, "terms": len(moved.terms)}))
 """
 
+LITERAL_CHECK = """
+from rdpinv.distpoly import invariant_under_literal, standard_coords
+from rdpinv.rootsys import Spec
+spec = Spec("E", 5)
+out = {}
+for back in (True, False):
+    first = len(tracer.spans)
+    ok = invariant_under_literal(spec, standard_coords(spec)["eps8"], 0, reduce_back=back)
+    names = [n for n, _, _, _, _ in tracer.spans[first:]]
+    out[str(back)] = [ok, [n for n in names if n.startswith("distpoly.")]]
+print(json.dumps(out))
+"""
+
 PRODUCTS = """
 from rdpinv.poly import VarTable
 x, y = (VarTable(["x", "y"], [1, 1]).var(v) for v in "xy")
@@ -104,3 +117,12 @@ def test_only_the_full_product_is_a_traced_mul_span(tmp_path):
     assert spans["mul_truncated"].count("poly.mul") == 0
     assert spans["mul_kept"].count("poly.mul") == 0
     assert spans["*"].count("poly.mul") == 1
+
+
+def test_a_literal_check_opens_one_span_per_layer(tmp_path):
+    # the tracer replaces distpoly.weyl_action with an object that has only
+    # .apply(p), so the check must move its expansion through that call
+    out = run_traced(LITERAL_CHECK, tmp_path)
+    layers = ["distpoly.t_expand", "distpoly.weyl_apply", "distpoly.symmetric_reduce"]
+    assert out["True"] == [True, layers]
+    assert out["False"] == [True, layers[:2]]

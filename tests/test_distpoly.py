@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import prod
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
     NonSymmetricError,
+    _dealings,
     _e_products,
     e45_check,
     elem_sym,
@@ -26,8 +27,8 @@ from rdpinv.distpoly import (
     t_expand,
     ts_table,
 )
-from rdpinv.poly import Polynomial, VarTable, parse
-from rdpinv.rootsys import Spec
+from rdpinv.poly import OrbitSums, Polynomial, VarTable, parse
+from rdpinv.rootsys import Spec, reflection_blocks, weyl_action
 
 
 def test_degenerate_type_has_trivial_polynomial():
@@ -479,6 +480,14 @@ def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
     assert not invariant_under_literal(e7, ts_table(7).var("s1"), 0, reduce_back=True)
 
 
+def test_literal_e8_invariance_with_symmetric_reduction(pipe8):
+    e8 = Spec("E", 8)
+    rules = pipe8.versal_rules()
+    for name in ("eps2", "eps8", "eps12", "eps14"):
+        assert invariant_under_literal(e8, rules[name], 0, reduce_back=True), name
+    assert not invariant_under_literal(e8, ts_table(8).var("s1"), 0, reduce_back=True)
+
+
 # -- both literal modes, and the packed expansion and reduction -------------------
 
 
@@ -572,3 +581,74 @@ def test_symmetric_reduce_rejects_wide_non_symmetric_inputs(change):
         terms[(0, 0, 130, 1, 0, 0)] = 1
     with pytest.raises(NonSymmetricError):
         symmetric_reduce(Polynomial.from_items(p.table, terms), 2)
+
+
+# -- the literal check on orbit sums of a Young subgroup ---------------------------
+
+
+def _blockings(n):
+    """Every way to cut t_1..t_n into blocks of consecutive t's."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for k in range(n) for cuts in combinations(range(1, n), k)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s_polys(min_n=2, max_n=6), st.data())
+def test_t_expand_on_blocks_is_the_expansion_in_orbit_sums(case, data):
+    n, phi = case
+    blocks = data.draw(st.sampled_from(_blockings(n)))
+    store = t_expand(phi, n, blocks)
+    assert store.blocks == blocks and store.table is ts_table(n)
+    assert store.polynomial().serialize() == t_expand(phi, n).serialize()
+    assert symmetric_reduce(store, n).serialize() == phi.serialize()
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "E4", "E5"])
+def test_literal_check_on_orbit_sums_matches_the_written_out_check(name):
+    """Each closed-form coordinate, alone and plus s1*s2, and s1: the moved
+    store, written out, is the substitution of the generator's rules into
+    the whole t-expansion, and it reduces to the same s-polynomial."""
+    spec = Spec.from_name(name)
+    t = ts_table(spec.n)
+    inputs = [t.var("s1")] + [q for phi in standard_coords(spec).values()
+                              for q in (phi, phi + t.var("s1") * t.var("s2"))]
+    for g in spec.generators():
+        act = weyl_action(spec, g)
+        for phi in inputs:
+            moved = act.apply(t_expand(phi, spec.n, reflection_blocks(spec, g)))
+            whole = act.apply(t_expand(phi, spec.n))
+            assert moved.polynomial() == whole, (g, phi)
+            assert _outcome(symmetric_reduce, moved, spec.n) == _outcome(
+                symmetric_reduce, whole, spec.n), (g, phi)
+
+
+@pytest.mark.parametrize("change", ["numerator", "dropped", "added"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=s_polys(min_n=3, max_n=6), data=st.data())
+def test_symmetric_reduce_rejects_a_changed_store(change, case, data):
+    """On a blocking that is neither one block nor all single t's, a store
+    with one numerator changed, one representative dropped or one added,
+    each in an S_n orbit of more than one representative, is not symmetric."""
+    n, phi = case
+    blocks = data.draw(st.sampled_from([b for b in _blockings(n) if 1 < len(b) < n]))
+    store = t_expand(phi, n, blocks)
+    assert symmetric_reduce(store, n) == phi
+    several = lambda r: len(_dealings(tuple(sorted(r, reverse=True)), blocks)) > 1
+    numerators = dict(store.numerators)
+    if change == "added":
+        mono = data.draw(st.tuples(*[st.integers(0, 4)] * n))
+        at = list(accumulate((0,) + blocks))
+        rep = tuple(x for a, b in zip(at, at[1:]) for x in sorted(mono[a:b], reverse=True))
+        assume(rep not in numerators and several(rep))
+        numerators[rep] = data.draw(st.integers(-5, 5).filter(bool))
+    else:
+        movable = sorted(r for r in numerators if several(r))
+        assume(movable)
+        rep = data.draw(st.sampled_from(movable))
+        if change == "numerator":
+            numerators[rep] += data.draw(st.integers(-5, 5).filter(bool))
+        else:
+            del numerators[rep]
+    changed = OrbitSums.of(store.table, store.names, blocks, numerators, store.den)
+    with pytest.raises(NonSymmetricError):
+        symmetric_reduce(changed, n)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rdpinv.distpoly import elem_sym, ts_table
-from rdpinv.poly import VarTable
+from rdpinv.poly import OrbitSums, VarTable
 from rdpinv.rootsys import (
     Spec,
     UnsupportedSplitError,
     distinguished_functionals,
     dual_basis_in_t,
     inner,
+    reflection_blocks,
     root_basis,
     supported_splits,
     vertex_parts,
@@ -112,37 +113,72 @@ def test_e_generator_action():
     assert act["t5"] == tt.var("t5") + Fraction(1, 3) * sigma
 
 
-COEFFS = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]
-
-
 @st.composite
-def t_polys(draw, spec):
-    """A polynomial in t_1..t_n of degree at most 6, not symmetric, on the
-    t-table or compacted to the variables it uses."""
-    tt = spec.t_table()
-    ts = [tt.var(f"t{i}") for i in range(1, spec.n + 1)]
-    p = tt.zero()
-    for _ in range(draw(st.integers(1, 6))):
-        term = tt.const(draw(st.sampled_from(COEFFS)))
-        for i in draw(st.lists(st.integers(0, spec.n - 1), max_size=6)):
-            term = term * ts[i]
-        p = p + term
-    swaps = [{f"t{i}": ts[i], f"t{i+1}": ts[i - 1]} for i in range(1, spec.n)]
-    assume(any(p.substitute(swap) != p for swap in swaps))
-    return p.compact() if draw(st.booleans()) else p
+def stores(draw, spec, blocks):
+    """A store on the t-table on the given blocks: up to four orbits of
+    degree at most 6, each keyed by an exponent vector descending within
+    each block, with integer numerators over a small denominator."""
+    n = spec.n
+    reps = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+            e[i] += 1
+        at = 0
+        for b in blocks:
+            e[at:at + b] = sorted(e[at:at + b], reverse=True)
+            at += b
+        reps[tuple(e)] = draw(st.integers(-3, 3))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    return OrbitSums.of(spec.t_table(), spec.t_table().names, blocks, reps, den)
+
+
+def test_reflection_blocks_are_the_runs_of_coroot_and_form():
+    assert reflection_blocks(Spec("E", 6), 0) == (3, 3)
+    assert reflection_blocks(Spec("E", 4), 0) == (3, 1)
+    assert reflection_blocks(Spec("E", 5), 0) == (3, 2)
+    assert reflection_blocks(Spec("E", 3), 0) == (3,)
+    assert reflection_blocks(Spec("D", 7), 7) == (5, 2)
+    assert reflection_blocks(Spec("D", 2), 2) == (2,)
+    assert reflection_blocks(Spec("A", 6), 1) == (1, 1, 4)
+    assert reflection_blocks(Spec("E", 8), 4) == (3, 1, 1, 3)
+    assert reflection_blocks(Spec("E", 8), 7) == (6, 1, 1)
 
 
 @pytest.mark.parametrize("name", ["A3", "D2", "D5", "E3", "E6", "E8"])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_reflection_matches_substitution_and_is_an_involution(name, data):
+    """On a store symmetric under each generator's blocks, and not under
+    S_n where the blocks allow it, the reflection on orbit sums, written
+    out, is the substitution of its rules, and it undoes itself."""
     spec = Spec.from_name(name)
-    p = data.draw(t_polys(spec))
+    ts = [spec.t_table().var(f"t{i}") for i in range(1, spec.n + 1)]
+    swaps = [{f"t{i}": ts[i], f"t{i+1}": ts[i - 1]} for i in range(1, spec.n)]
     for g in spec.generators():
+        blocks = reflection_blocks(spec, g)
+        store = data.draw(stores(spec, blocks))
+        p = store.polynomial()
+        assume(len(blocks) == 1 or any(p.substitute(swap) != p for swap in swaps))
         act = weyl_action(spec, g)
-        moved, oracle = act.apply(p), p.substitute(act.mapping())
-        assert moved == oracle and moved.table is oracle.table, (name, g)
-        assert act.apply(moved) == p, (name, g)
+        moved = act.apply(store)
+        oracle = p.substitute(act.mapping())
+        assert moved.blocks == blocks and moved.polynomial() == oracle, (name, g)
+        assert act.apply(moved) == store, (name, g)
+
+
+def test_reflection_rejects_a_store_it_does_not_commute_with():
+    spec = Spec("E", 6)
+    names = spec.t_table().names
+    rep = {(2, 1, 0, 1, 0, 0): 1}
+    with pytest.raises(ValueError, match="not constant on the blocks"):
+        weyl_action(spec, 0).apply(OrbitSums.of(spec.t_table(), names, (2, 4), rep))
+    with pytest.raises(ValueError, match="outside"):
+        weyl_action(spec, 0).apply(OrbitSums.of(spec.t_table(), names[:5], (3, 2), {}))
+    # finer blocks than the reflection's are fine
+    fine = OrbitSums.of(spec.t_table(), names, (1,) * 6, rep)
+    assert weyl_action(spec, 0).apply(fine).polynomial() == fine.polynomial().substitute(
+        weyl_action(spec, 0).mapping())
 
 
 def test_reflection_passes_other_variables_through():
