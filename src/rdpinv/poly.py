@@ -15,11 +15,11 @@ their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
 ``truncate`` read through the same exponent tuples.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
-the keys (sorted within blocks of consecutive names, for orbits under the
-permutations within the blocks), and :meth:`Polynomial.from_numerators`
-packs such groups, or every distinct rearrangement of each within its
-blocks, straight into keys and normalizes once.  :class:`OrbitSums` keeps a
-polynomial symmetric under such a Young subgroup as one numerator per orbit.
+the keys, and :meth:`Polynomial.from_numerators` packs such groups, or
+every distinct rearrangement of each within blocks of consecutive names,
+straight into keys and normalizes once.  :class:`OrbitSums` keeps a
+polynomial symmetric under the permutations within such blocks (a Young
+subgroup) as one numerator per orbit.
 
 The store behind the view is private to this module; it follows the packed
 exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
@@ -58,10 +58,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import itemgetter, lshift, mul, or_
+from operator import ge, itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -153,15 +153,9 @@ def _arrangements(lam: tuple[int, ...], offsets: list[int], memo: dict) -> list[
     return hit
 
 
-def _blocks(orbits: "bool | Sequence[int]", m: int) -> tuple[int, ...]:
-    """The block sizes ``orbits`` stands for over ``m`` names: one block per
-    name for False, one block of all for True, else the sizes given, which
-    must be positive and add up to ``m``."""
-    if orbits is False:
-        return (1,) * m
-    if orbits is True:
-        return (m,) if m else ()
-    blocks = tuple(orbits)
+def _blocks(blocks: Sequence[int], m: int) -> tuple[int, ...]:
+    """``blocks`` as a tuple, if they are positive sizes that add up to ``m``."""
+    blocks = tuple(blocks)
     if sum(blocks) != m or not all(type(b) is int and b > 0 for b in blocks):
         raise ValueError(f"blocks {blocks} do not split {m} names")
     return blocks
@@ -171,6 +165,12 @@ def _spans(blocks: Sequence[int]) -> list[tuple[int, int]]:
     """``(start, end)`` of each block of consecutive places."""
     ends = list(accumulate(blocks))
     return list(zip([0] + ends[:-1], ends))
+
+
+@lru_cache(maxsize=None)
+def _neighbours(blocks: tuple[int, ...]) -> list[tuple[itemgetter, itemgetter]]:
+    """Getters of each pair of neighbouring places inside one of ``blocks``."""
+    return [(itemgetter(i), itemgetter(i + 1)) for a, b in _spans(blocks) for i in range(a, b - 1)]
 
 
 def _degree(k: int, s: int) -> int:
@@ -346,24 +346,24 @@ class Polynomial:
 
     @staticmethod
     def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
-                        den: int = 1, orbits: bool = False) -> "Polynomial":
+                        den: int = 1, blocks: "Sequence[int] | None" = None) -> "Polynomial":
         """The sum of ``n/den * prod(names ** exps)`` over ``numerators``, each int
         ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped.  With
-        ``orbits`` (True for one block of all names, or the sizes of blocks of
-        consecutive names) an ``exps`` descending within each block stands for
-        its distinct rearrangements within the blocks; :meth:`numerators_over`
-        reads the same keys."""
+        ``blocks`` (the sizes of blocks of consecutive names) an ``exps``
+        descending within each block stands for its distinct rearrangements
+        within the blocks."""
         if not (type(den) is int and den >= 1 and all(
                 type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
             raise ValueError(f"not integer numerators over {names} and a positive denominator")
         s = _width_for([e for exps in numerators for e in exps])
         offsets = [table.index_of(v) * s for v in names]
-        spans = _spans(_blocks(orbits, len(names)))
+        if blocks is None:
+            keys = {sum(map(lshift, e, offsets)): n for e, n in numerators.items() if n}
+            return _reduced(table, keys, den, s)
+        spans = _spans(_blocks(blocks, len(names)))
         memos = [{} for _ in spans]
 
         def keys(e):
-            if len(spans) == len(e):
-                return [sum(map(lshift, e, offsets))]
             out = [0]
             for (a, b), memo in zip(spans, memos):
                 out = [k + w for k in out for w in _arrangements(e[a:b], offsets[a:b], memo)]
@@ -602,25 +602,17 @@ class Polynomial:
             out.setdefault(key, {})[k & rest] = c
         return {key: _reduced(self.table, t, self.den, s) for key, t in out.items()}
 
-    def numerators_over(self, names: Sequence[str], orbits: "bool | Sequence[int]" = False
-                        ) -> tuple[int, dict[tuple[int, ...], list[int]]]:
+    def numerators_over(self, names: Sequence[str]) -> tuple[int, dict[tuple[int, ...], list[int]]]:
         """``(den, groups)``: the terms' integer numerators over their common
         ``den``, grouped by their exponents in ``names`` (0 for a name not in
-        the table).  ``orbits`` (True for one block of all names, or the sizes
-        of blocks of consecutive names) sorts the exponents descending within
-        each block, so that a group is an orbit under the permutations within
-        the blocks, keyed by its representative; :meth:`from_numerators`
-        inverts it."""
+        the table); :meth:`from_numerators` inverts it over every name."""
         s, m = self.shift, len(self.table) + 1
         at = [self.table._index.get(v, m - 1) for v in names]  # no key has a field m - 1
         get = itemgetter(*at) if len(at) > 1 else lambda f: tuple([f[i] for i in at])
         row = (lambda k: k.to_bytes(m, "little")) if s == 8 else lambda k: _dense(_fields(k, s), m)
-        spans = _spans(_blocks(orbits, len(names)))
-        rep = (lambda e: e) if len(spans) == len(names) else (
-            lambda e: tuple([x for a, b in spans for x in sorted(e[a:b], reverse=True)]))
         groups: dict = {}
         for k, n in self.terms.items():
-            groups.setdefault(rep(get(row(k))), []).append(n)
+            groups.setdefault(get(row(k)), []).append(n)
         return self.den, groups
 
     def coeffs_in(self, name: str) -> dict[int, "Polynomial"]:
@@ -942,10 +934,11 @@ class OrbitSums:
     one integer numerator over ``den`` per H-orbit of terms.
 
     An orbit is keyed by its representative, the exponent vector descending
-    within each block: the keys of ``numerators_over(names, orbits=blocks)``
-    and of :meth:`Polynomial.from_numerators`.  One-element blocks keep every
-    term, one block keeps S_n orbits.  :meth:`of` drops zeros and reduces
-    ``den``, so equal polynomials give equal stores.
+    within each block: the keys of :meth:`Polynomial.from_numerators` on the
+    same blocks.  One-element blocks keep every term, one block keeps S_n
+    orbits.  A store whose blocks do not split ``names``, or with a key that
+    is not such a representative, raises ``ValueError``.  :meth:`of` drops
+    zeros and reduces ``den``, so equal polynomials give equal stores.
     """
 
     table: VarTable
@@ -953,6 +946,13 @@ class OrbitSums:
     blocks: tuple[int, ...]
     numerators: dict
     den: int = 1
+
+    def __post_init__(self):
+        m, keys = len(self.names), self.numerators.keys()
+        neighbours = _neighbours(_blocks(self.blocks, m))
+        if set(map(len, keys)) - {m} or not all(
+                all(map(ge, map(a, keys), map(b, keys))) for a, b in neighbours):
+            raise ValueError(f"a key is not descending within blocks {self.blocks} of {m} names")
 
     @staticmethod
     def of(table: VarTable, names: Sequence[str], blocks: Sequence[int],
@@ -971,7 +971,7 @@ class OrbitSums:
     def polynomial(self) -> Polynomial:
         """Every term written out."""
         return Polynomial.from_numerators(self.table, self.names, self.numerators, self.den,
-                                          orbits=self.blocks)
+                                          self.blocks)
 
 
 def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:

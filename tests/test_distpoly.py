@@ -603,6 +603,13 @@ def test_t_expand_on_blocks_is_the_expansion_in_orbit_sums(case, data):
     assert symmetric_reduce(store, n).serialize() == phi.serialize()
 
 
+@pytest.mark.parametrize("blocks", [(3, 1), (3, 4), (6, 0), (7,)])
+def test_t_expand_rejects_blocks_that_do_not_split_the_ts(blocks):
+    phi = parse("s1^2 + s2", ts_table(6))
+    with pytest.raises(ValueError, match="do not split"):
+        t_expand(phi, 6, blocks)
+
+
 @pytest.mark.parametrize("name", ["D4", "D5", "E4", "E5"])
 def test_literal_check_on_orbit_sums_matches_the_written_out_check(name):
     """Each closed-form coordinate, alone and plus s1*s2, and s1: the moved

@@ -241,16 +241,16 @@ def test_rows_round_trip_examples(p):
 @given(st.sampled_from([3, 127, 128, 1 << 15]).flatmap(lambda top: st.dictionaries(
            st.tuples(*[st.integers(0, top)] * 3),
            st.fractions(-5, 5, max_denominator=12), max_size=6)),
-       st.booleans(), st.permutations(R.names + ("q",)), st.integers(0, 4), st.booleans())
-def test_numerators_match_the_term_view(items, moved, order, k, orbits):
+       st.booleans(), st.permutations(R.names + ("q",)), st.integers(0, 4))
+def test_numerators_match_the_term_view(items, moved, order, k):
     p = Polynomial.from_items(R, items)
     p = p.to_table(R_MERGED) if moved else p
     names = order[:k]  # q is in no table: it reads exponent 0
-    den, groups = p.numerators_over(names, orbits)
+    den, groups = p.numerators_over(names)
     want: dict = {}
     for exps, c in p.items():
         e = [dict(zip(p.table.names, exps)).get(v, 0) for v in names]
-        want.setdefault(tuple(sorted(e, reverse=True) if orbits else e), []).append(c * den)
+        want.setdefault(tuple(e), []).append(c * den)
     assert {e: sorted(ns) for e, ns in groups.items()} == {e: sorted(ns) for e, ns in want.items()}
     assert all(type(n) is int and n for ns in groups.values() for n in ns)
     assert den == lcm(1, *[Fraction(c).denominator for _, c in p.items()])
@@ -259,6 +259,26 @@ def test_numerators_match_the_term_view(items, moved, order, k, orbits):
     den, groups = p.numerators_over(full)
     q = Polynomial.from_numerators(p.table, full, {e: n for e, (n,) in groups.items()}, den)
     assert q == p and q.serialize() == p.serialize()
+
+
+def _block_spans(blocks):
+    ends = list(accumulate(blocks))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _descending_in_blocks(e, blocks):
+    return tuple(x for a, b in _block_spans(blocks) for x in sorted(e[a:b], reverse=True))
+
+
+def _orbit_groups(p, names, blocks):
+    """``(den, groups)``: p's numerators over ``names``, grouped by the
+    representative of each exponent vector under the permutations within
+    ``blocks``."""
+    den, terms = p.numerators_over(names)
+    groups: dict = {}
+    for e, (n,) in terms.items():
+        groups.setdefault(_descending_in_blocks(e, blocks), []).append(n)
+    return den, groups
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,21 +292,12 @@ def test_orbit_writer_matches_every_rearrangement(orbits, den, order):
         for w in set(permutations(lam)):
             exps = dict(zip(names, w))
             items[tuple(exps.get(v, 0) for v in R_MERGED.names)] = Fraction(n, den)
-    p = Polynomial.from_numerators(R_MERGED, names, orbits, den, orbits=True)
+    p = Polynomial.from_numerators(R_MERGED, names, orbits, den, (3,))
     want = Polynomial.from_items(R_MERGED, items)
     assert p == want and p.serialize() == want.serialize()
-    d, groups = p.numerators_over(names, orbits=True)
+    d, groups = _orbit_groups(p, names, (3,))
     assert {lam: Fraction(ns[0], d) for lam, ns in groups.items()} == {
         lam: Fraction(n, den) for lam, n in orbits.items() if n}
-
-
-def _block_spans(blocks):
-    ends = list(accumulate(blocks))
-    return list(zip([0] + ends[:-1], ends))
-
-
-def _descending_in_blocks(e, blocks):
-    return tuple(x for a, b in _block_spans(blocks) for x in sorted(e[a:b], reverse=True))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -296,8 +307,8 @@ def _descending_in_blocks(e, blocks):
        st.integers(1, 30), st.permutations(R_MERGED.names))
 def test_orbit_store_round_trips_on_blocks(case, den, order):
     """A store on blocks of consecutive names writes each representative's
-    rearrangements within the blocks, once each, and the grouped read on the
-    same blocks gives every orbit back with its one numerator."""
+    rearrangements within the blocks, once each, and the terms read back and
+    grouped by representative give every orbit with its one numerator."""
     blocks, reps = case
     names = order[:3]
     orbit = lambda r: set(product(*[permutations(r[a:b]) for a, b in _block_spans(blocks)]))
@@ -310,12 +321,27 @@ def test_orbit_store_round_trips_on_blocks(case, den, order):
     p = store.polynomial()
     want = Polynomial.from_items(R_MERGED, items)
     assert p == want and p.serialize() == want.serialize()
-    d, groups = p.numerators_over(names, orbits=blocks)
+    d, groups = _orbit_groups(p, names, blocks)
     assert d == store.den
-    assert groups == {r: [n] * len(orbit(r)) for r, n in store.numerators.items()}
+    assert {r: sorted(ns) for r, ns in groups.items()} == {
+        r: [n] * len(orbit(r)) for r, n in store.numerators.items()}
     assert OrbitSums.of(R_MERGED, names, blocks, {r: ns[0] for r, ns in groups.items()}, d) == store
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3, 1), (2, 0, 1), [1, 2.0]])
+def test_orbit_store_rejects_blocks_that_do_not_split_the_names(blocks):
+    names = R_MERGED.names[:3]
     with pytest.raises(ValueError, match="do not split"):
-        p.numerators_over(names, orbits=(2,))
+        OrbitSums.of(R_MERGED, names, blocks, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="do not split"):
+        Polynomial.from_numerators(R_MERGED, names, {(1, 0, 0): 1}, 1, blocks)
+
+
+@pytest.mark.parametrize("blocks, key", [((1, 2), (1, 0)), ((1, 2), (1, 0, 0, 0)),
+                                         ((1, 2), (1, 0, 1)), ((3,), (0, 1, 0))])
+def test_orbit_store_rejects_a_key_that_is_no_representative(blocks, key):
+    with pytest.raises(ValueError, match="not descending"):
+        OrbitSums.of(R_MERGED, R_MERGED.names[:3], blocks, {key: 1})
 
 
 @pytest.mark.parametrize("numerators, den", [({(1, 0): Fraction(1, 2)}, 1), ({(1, 0): 1.0}, 1),

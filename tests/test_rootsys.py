@@ -170,7 +170,7 @@ def test_reflection_matches_substitution_and_is_an_involution(name, data):
 def test_reflection_rejects_a_store_it_does_not_commute_with():
     spec = Spec("E", 6)
     names = spec.t_table().names
-    rep = {(2, 1, 0, 1, 0, 0): 1}
+    rep = {(2, 1, 1, 0, 0, 0): 1}  # a representative on (2, 4) and on one-element blocks
     with pytest.raises(ValueError, match="not constant on the blocks"):
         weyl_action(spec, 0).apply(OrbitSums.of(spec.t_table(), names, (2, 4), rep))
     with pytest.raises(ValueError, match="outside"):
@@ -182,12 +182,16 @@ def test_reflection_rejects_a_store_it_does_not_commute_with():
 
 
 def test_reflection_passes_other_variables_through():
+    # a plain polynomial is moved by its rules alone: the image of each
+    # t-factor is its rule value, and U and s3 are left as they are
     table = ts_table(6)
-    p = table.var("U") ** 2 * table.var("t1") * table.var("t5") - table.var("s3") * table.var("t2")
+    U, s3 = table.var("U"), table.var("s3")
     for g in Spec("E", 6).generators():
         act = weyl_action(Spec("E", 6), g)
-        moved, oracle = act.apply(p), p.substitute(act.mapping())
-        assert moved == oracle and moved.table is oracle.table, g
+        t = {v: act[v] if v in act else table.var(v) for v in ("t1", "t2", "t5")}
+        moved = act.apply(U ** 2 * table.var("t1") * table.var("t5") - s3 * table.var("t2"))
+        assert moved == U ** 2 * t["t1"] * t["t5"] - s3 * t["t2"], g
+        assert moved.table is table, g
 
 
 def test_e3_invariants_fixed():
