@@ -17,20 +17,20 @@ m -> e transition; Sturmfels, *Algorithms in Invariant Theory* 1.1,
 Macdonald, *Symmetric Functions* I.2, I.6).  Both work in integer
 numerators over one denominator, through the kernel's packed read and write
 (:meth:`Polynomial.numerators_over`, :meth:`Polynomial.from_numerators`),
-never per term.  Expanding a coordinate in the t's sums those products over
-its terms and writes each partition's orbit out once.  Symmetric rewriting
-(from the t's back to the s_i) checks in one read that every S_n orbit of
-exponent vectors is complete and carries one numerator, which certifies
-symmetry, and then peels the partitions from the top against the same
-products.  The literal invariance check expands a coordinate in the t's,
-applies a generator as the rank-one reflection of
-:func:`rdpinv.rootsys.weyl_action`, and compares; expansion and reduction
-share one product table per n, kept for the life of the process.  The
-check never writes a t-term out: every input it handles is symmetric
-under the Young subgroup H of the blocks of t's that the generator treats
-alike (:func:`rdpinv.rootsys.reflection_blocks`, S3 x S3 for E6 generator
-0), so the expansion is written, moved and read as an
-:class:`~rdpinv.poly.OrbitSums` store of one numerator per H-orbit.
+never per term.  Expanding a coordinate in the t's sums those products
+over its terms and keeps the result as an :class:`~rdpinv.poly.OrbitSums`
+store, one numerator per orbit of the Young subgroup H of the blocks of t's
+it is given (S_n, one block, by default); no t-term is written out.
+Symmetric rewriting (from the t's back to the s_i) reads such a store,
+checks that every S_n orbit of exponent vectors is complete and carries one
+numerator, which certifies symmetry, and then peels the partitions from the
+top against the same products.  The literal invariance check expands a
+coordinate on the blocks of t's that the generator treats alike
+(:func:`rdpinv.rootsys.reflection_blocks`, S3 x S3 for E6 generator 0),
+applies the generator as the rank-one reflection of
+:func:`rdpinv.rootsys.weyl_action`, which moves the store on its
+representatives, and compares; expansion and reduction share one product
+table per n, kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -286,20 +286,18 @@ def _dealings(lam: tuple[int, ...], blocks: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(out)
 
 
-def t_expand(phi: Polynomial, n: int, blocks: Optional[tuple[int, ...]] = None
-             ) -> "Polynomial | OrbitSums":
+def t_expand(phi: Polynomial, n: int, blocks: Optional[tuple[int, ...]] = None) -> OrbitSums:
     """phi with each s_j replaced by the elementary symmetric function e_j of
-    t_1..t_n, on ``ts_table(n)``; with ``blocks``, the same as an
-    :class:`OrbitSums` store on those blocks of consecutive t's.
+    t_1..t_n, as an :class:`OrbitSums` store on ``ts_table(n)`` over the
+    blocks ``blocks`` of consecutive t's (one block of all n t's without).
 
     The expansion is symmetric, so it is built on partitions: each term
     a * s^d (a a numerator over phi's denominator) adds a * prod e_j^d_j,
     kept as orbit totals (the products :func:`symmetric_reduce` peels
     against, from the same table).  With L the lcm of the orbit
     sizes, each orbit carries total * (L / size) over L * den, written once
-    for each distinct dealing of its partition into the blocks (one block
-    of all t's without ``blocks``).  A variable other than s_1..s_n raises
-    ``ValueError``.
+    for each distinct dealing of its partition into the blocks.  A variable
+    other than s_1..s_n raises ``ValueError``.
     """
     extraneous = phi.variables() - set(_s_names(n))
     if extraneous:
@@ -313,40 +311,32 @@ def t_expand(phi: Polynomial, n: int, blocks: Optional[tuple[int, ...]] = None
     sizes = {lam: _orbit_size(lam) for lam, total in totals.items() if total}
     L = lcm(*sizes.values())
     dealt = tuple(blocks or (n,))
-    store = OrbitSums.of(ts_table(n), _t_names(n), dealt, {
+    return OrbitSums.of(ts_table(n), _t_names(n), dealt, {
         r: totals[lam] * (L // size) for lam, size in sizes.items() for r in _dealings(lam, dealt)},
         den * L)
-    return store if blocks else store.polynomial()
 
 
-def symmetric_reduce(p: "Polynomial | OrbitSums", n: int) -> Polynomial:
-    """Rewrite a symmetric polynomial in t_1..t_n, or an :class:`OrbitSums`
-    store over them, as a polynomial in s_1..s_n.
+def symmetric_reduce(store: OrbitSums, n: int) -> Polynomial:
+    """Rewrite an :class:`OrbitSums` store over t_1..t_n, symmetric in them,
+    as a polynomial in s_1..s_n.
 
-    Every S_n orbit of t-exponents must carry one numerator and be complete,
-    else :class:`NonSymmetricError` is raised.  A plain polynomial is read
-    as a store of one-element blocks, each term its own representative.
-    Representatives are grouped by their partition lam: lam's orbit is
-    complete exactly when the orbits of the representatives present, under
-    the store's Young subgroup H, add up to it (sum |H r| = n! / prod
-    mult!), since distinct representatives have disjoint H-orbits inside
-    it.  Then partitions are peeled off a heap in descending (degree, lex)
-    order: the top lam with orbit total T gives c * prod s_j^(lam_j -
-    lam_{j+1}), c = T / size exactly (a remainder raises
-    ``ArithmeticError``), and c times that product of e_j, memoized in
+    A store over other names raises ``ValueError``.  Every S_n orbit of
+    t-exponents must carry one numerator and be complete, else
+    :class:`NonSymmetricError` is raised.  Representatives are grouped by
+    their partition lam: lam's orbit is complete exactly when the orbits of
+    the representatives present, under the store's Young subgroup H, add up
+    to it (sum |H r| = n! / prod mult!), since distinct representatives have
+    disjoint H-orbits inside it.  Then partitions are peeled off a heap in
+    descending (degree, lex) order: the top lam with orbit total T gives
+    c * prod s_j^(lam_j - lam_{j+1}), c = T / size exactly (a remainder
+    raises ``ArithmeticError``), and c times that product of e_j, memoized in
     the table of n that :func:`t_expand` shares, is subtracted.
     """
     names = tuple(_t_names(n))
-    if not isinstance(p, OrbitSums):  # one-element blocks: every term
-        extraneous = p.variables() - set(names)
-        if extraneous:
-            raise ValueError(f"input involves non-t variables {sorted(extraneous)}")
-        den, terms = p.numerators_over(names)
-        p = OrbitSums(p.table, names, (1,) * n, {e: a for e, (a,) in terms.items()}, den)
-    elif p.names != names:
-        raise ValueError(f"a store over {p.names}, not over {names}")
-    orbits, counts, spans = {}, Counter(), p.spans
-    for r, a in p.numerators.items():
+    if store.names != names:
+        raise ValueError(f"a store over {store.names}, not over {names}")
+    orbits, counts, spans = {}, Counter(), store.spans
+    for r, a in store.numerators.items():
         lam = tuple(sorted(r, reverse=True))
         orbits.setdefault(lam, []).append(a)
         counts[lam] += prod([_orbit_size(r[i:j]) for i, j in spans])
@@ -375,7 +365,7 @@ def symmetric_reduce(p: "Polynomial | OrbitSums", n: int) -> Polynomial:
                     heappush(heap, (-sum(mu), [-a for a in mu], mu))
                 rest[mu] = rest.get(mu, 0) - c * g
         del rest[lam]  # its total is zero now
-    return Polynomial.from_numerators(ts_table(n), _s_names(n), out, p.den)
+    return Polynomial.from_numerators(ts_table(n), _s_names(n), out, store.den)
 
 
 # -- standard coordinate functions ----------------------------------------------

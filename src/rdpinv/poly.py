@@ -15,11 +15,12 @@ their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
 ``truncate`` read through the same exponent tuples.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
-the keys, and :meth:`Polynomial.from_numerators` packs such groups, or
-every distinct rearrangement of each within blocks of consecutive names,
+the keys, and :meth:`Polynomial.from_numerators` packs such groups
 straight into keys and normalizes once.  :class:`OrbitSums` keeps a
-polynomial symmetric under the permutations within such blocks (a Young
-subgroup) as one numerator per orbit.
+polynomial symmetric under the permutations within blocks of consecutive
+names (a Young subgroup) as one numerator per orbit; only its
+:meth:`~OrbitSums.polynomial` writes every distinct rearrangement of each
+orbit's representative out.
 
 The store behind the view is private to this module; it follows the packed
 exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
@@ -221,14 +222,15 @@ class VarTable:
     __slots__ = ("names", "weights", "_index")
 
     def __new__(cls, names: Sequence[str], weights: Sequence[int]):
-        names = tuple(names)
-        weights = tuple(int(w) for w in weights)
+        names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
+        if not all(type(v) is str for v in names):
+            raise ValueError(f"variable names {names} are not all strings")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(type(w) is int and w >= 0 for w in weights):
+            raise ValueError(f"weights {weights} are not all nonnegative ints")
         key = (names, weights)
         cached = _TABLE_REGISTRY.get(key)
         if cached is not None:
@@ -312,6 +314,14 @@ def _grouped(terms: dict, part) -> dict[int, list[tuple[int, int]]]:
     return groups
 
 
+def _check_numerators(names: Sequence[str], numerators: Mapping[tuple, int], den: int) -> None:
+    """Raise ``ValueError`` unless ``numerators`` are ints keyed by exponent
+    tuples aligned with ``names`` and ``den`` is a positive int."""
+    if not (type(den) is int and den >= 1 and all(
+            type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
+        raise ValueError(f"not integer numerators over {names} and a positive denominator")
+
+
 def _from_rationals(table: VarTable, coeffs: dict, s: int, den: int = 1) -> "Polynomial":
     """The polynomial sum of ``c * key / den`` over ``coeffs``, whose values
     are ints and Fractions; zero values are dropped."""
@@ -346,30 +356,14 @@ class Polynomial:
 
     @staticmethod
     def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
-                        den: int = 1, blocks: "Sequence[int] | None" = None) -> "Polynomial":
+                        den: int = 1) -> "Polynomial":
         """The sum of ``n/den * prod(names ** exps)`` over ``numerators``, each int
-        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped.  With
-        ``blocks`` (the sizes of blocks of consecutive names) an ``exps``
-        descending within each block stands for its distinct rearrangements
-        within the blocks."""
-        if not (type(den) is int and den >= 1 and all(
-                type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
-            raise ValueError(f"not integer numerators over {names} and a positive denominator")
+        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped."""
+        _check_numerators(names, numerators, den)
         s = _width_for([e for exps in numerators for e in exps])
         offsets = [table.index_of(v) * s for v in names]
-        if blocks is None:
-            keys = {sum(map(lshift, e, offsets)): n for e, n in numerators.items() if n}
-            return _reduced(table, keys, den, s)
-        spans = _spans(_blocks(blocks, len(names)))
-        memos = [{} for _ in spans]
-
-        def keys(e):
-            out = [0]
-            for (a, b), memo in zip(spans, memos):
-                out = [k + w for k in out for w in _arrangements(e[a:b], offsets[a:b], memo)]
-            return out
-
-        return _reduced(table, {k: n for e, n in numerators.items() if n for k in keys(e)}, den, s)
+        keys = {sum(map(lshift, e, offsets)): n for e, n in numerators.items() if n}
+        return _reduced(table, keys, den, s)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], "int | Fraction"]]:
         """Each term as ``(exps, c)``, ``exps`` aligned with ``table.names``."""
@@ -934,8 +928,7 @@ class OrbitSums:
     one integer numerator over ``den`` per H-orbit of terms.
 
     An orbit is keyed by its representative, the exponent vector descending
-    within each block: the keys of :meth:`Polynomial.from_numerators` on the
-    same blocks.  One-element blocks keep every term, one block keeps S_n
+    within each block.  One-element blocks keep every term, one block keeps S_n
     orbits.  A store whose blocks do not split ``names``, or with a key that
     is not such a representative, raises ``ValueError``.  :meth:`of` drops
     zeros and reduces ``den``, so equal polynomials give equal stores.
@@ -969,9 +962,23 @@ class OrbitSums:
         return _spans(self.blocks)
 
     def polynomial(self) -> Polynomial:
-        """Every term written out."""
-        return Polynomial.from_numerators(self.table, self.names, self.numerators, self.den,
-                                          self.blocks)
+        """Every term written out: the distinct rearrangements of each
+        representative within the blocks, once each, packed straight into
+        keys and normalized once."""
+        _check_numerators(self.names, self.numerators, self.den)
+        s = _width_for([e for r in self.numerators for e in r])
+        offsets = [self.table.index_of(v) * s for v in self.names]
+        spans = self.spans
+        memos = [{} for _ in spans]
+
+        def keys(r):
+            out = [0]
+            for (a, b), memo in zip(spans, memos):
+                out = [k + w for k in out for w in _arrangements(r[a:b], offsets[a:b], memo)]
+            return out
+
+        terms = {k: n for r, n in self.numerators.items() if n for k in keys(r)}
+        return _reduced(self.table, terms, self.den, s)
 
 
 def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:

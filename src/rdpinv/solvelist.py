@@ -306,12 +306,11 @@ class RuleCache:
                       " recomputing", file=sys.stderr)
                 return None
             names, weights = data["vars"], data["weights"]
-            # VarTable would coerce a weight 2.5, true or "2" with int(), and
-            # neither it nor RuleSet asks for names that are strings
+            # VarTable checks each name and weight, but would read a string
+            # as its characters; RuleSet does not ask for string rule names
             if not (type(names) is list and type(weights) is list
-                    and all(type(w) is int for w in weights)
-                    and all(type(v) is str for v in names + [v for v, *_ in data["rules"]])):
-                raise ValueError("not string names with integer weights")
+                    and all(type(v) is str for v, *_ in data["rules"])):
+                raise ValueError("not lists of names and weights, or a rule name not a string")
             table = VarTable(names, weights)
             rules = RuleSet(tuple((v, Polynomial.from_rows(table, *row))
                                   for v, *row in data["rules"]))

@@ -31,6 +31,15 @@ from rdpinv.poly import OrbitSums, Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec, reflection_blocks, weyl_action
 
 
+def _store(p, n):
+    """The plain polynomial p in t_1..t_n as a store of one-element blocks,
+    each term its own representative."""
+    names = tuple(f"t{i}" for i in range(1, n + 1))
+    assert p.variables() <= set(names), p
+    den, terms = p.numerators_over(names)
+    return OrbitSums(p.table, names, (1,) * n, {e: a for e, (a,) in terms.items()}, den)
+
+
 def test_degenerate_type_has_trivial_polynomial():
     d = f_dist(Spec("A", 1))
     U = d.f_t.table.var("U")
@@ -86,8 +95,8 @@ def test_second_polynomial_against_product_oracle(n):
     gd = g_dist(n)
     by_z = prod.coeffs_in("Z")
     for i in range(1, n):
-        assert symmetric_reduce(by_z[n - i], n) == gd[f"delta{2*i}"], (n, i)
-    assert symmetric_reduce(by_z[0], n) == gd["gamma"] ** 2
+        assert symmetric_reduce(_store(by_z[n - i], n), n) == gd[f"delta{2*i}"], (n, i)
+    assert symmetric_reduce(_store(by_z[0], n), n) == gd["gamma"] ** 2
 
 
 def test_even_odd_split_small_case():
@@ -189,13 +198,13 @@ def test_symmetric_reduce_round_trip():
     table = ts_table(n)
     q = parse("2*s1*s3 - 5*s4 + s2^2", table)
     expanded = q.substitute(s_to_t_rules(n))
-    assert symmetric_reduce(expanded, n) == q
+    assert symmetric_reduce(_store(expanded, n), n) == q
 
 
 def test_symmetric_reduce_rejects_non_symmetric():
     table = ts_table(3)
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(table.var("t1") * table.var("t2") ** 2, 3)
+        symmetric_reduce(_store(table.var("t1") * table.var("t2") ** 2, 3), 3)
 
 
 def test_all_small_coordinates_are_invariant_and_homogeneous():
@@ -235,7 +244,7 @@ def test_t_expand_matches_elementary_symmetric():
     table = ts_table(3)
     out = t_expand(table.var("s2"), 3)
     ts = [table.var(f"t{i}") for i in (1, 2, 3)]
-    assert out == elem_sym(ts, 2)
+    assert out.polynomial() == elem_sym(ts, 2)
 
 
 def test_elem_sym_degree_bounds():
@@ -349,8 +358,9 @@ def test_symmetric_reduce_round_trips_random_s_polynomials(case):
 def test_t_expand_matches_the_substitution_oracle(case):
     n, phi = case
     oracle = phi.compact().substitute(s_to_t_rules(n))
-    pt = t_expand(phi, n)
-    assert pt.table is ts_table(n)
+    store = t_expand(phi, n)
+    assert type(store) is OrbitSums and store.blocks == (n,) and store.table is ts_table(n)
+    pt = store.polynomial()
     assert dict(pt.items()) == dict(oracle.to_table(ts_table(n)).items())
     assert pt.serialize() == oracle.serialize()
 
@@ -364,7 +374,7 @@ def test_t_expand_rejects_non_s_variables(name):
 
 def _expanded(phi, n):
     """phi in the t's, on ts_table(n), whose exponent tuples read U, Z, t, s."""
-    return t_expand(phi, n).to_table(ts_table(n))
+    return t_expand(phi, n).polynomial().to_table(ts_table(n))
 
 
 def _unequal_terms(p, n):
@@ -387,7 +397,7 @@ def test_symmetric_reduce_agrees_with_division_oracle(case, data):
     for _ in range(data.draw(st.integers(0, 2))):
         mono = data.draw(st.tuples(*[st.integers(0, 3)] * n))
         p = p + Polynomial.from_items(p.table, {(0, 0) + mono + (0,) * n: data.draw(coefficients)})
-    assert _outcome(symmetric_reduce, p, n) == _outcome(division_oracle, p, n)
+    assert _outcome(symmetric_reduce, _store(p, n), n) == _outcome(division_oracle, p, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,7 +410,7 @@ def test_symmetric_reduce_rejects_a_changed_coefficient(case, data):
     terms = dict(p.items())
     terms[data.draw(st.sampled_from(movable))] += data.draw(coefficients.filter(bool))
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+        symmetric_reduce(_store(Polynomial.from_items(p.table, terms), n), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +423,7 @@ def test_symmetric_reduce_rejects_a_dropped_term(case, data):
     terms = dict(p.items())
     del terms[data.draw(st.sampled_from(movable))]
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+        symmetric_reduce(_store(Polynomial.from_items(p.table, terms), n), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +436,7 @@ def test_symmetric_reduce_rejects_an_added_term(case, data):
     terms = dict(p.items())
     terms[key] = terms.get(key, 0) + 1
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(Polynomial.from_items(p.table, terms), n)
+        symmetric_reduce(_store(Polynomial.from_items(p.table, terms), n), n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -440,15 +450,31 @@ def test_rules_from_monic_inverts_monic(cases):
 
 @pytest.mark.parametrize("name", ["U", "s1", "t7"])
 def test_symmetric_reduce_rejects_non_t_variables(name):
+    # a store whose names hold another variable in place of t6
     table = ts_table(6).merged(VarTable(["t7"], [1]))
-    with pytest.raises(ValueError, match="non-t variables") as info:
-        symmetric_reduce(table.var(name) * table.var("t1"), 6)
+    names = [f"t{i}" for i in range(1, 6)] + [name]
+    with pytest.raises(ValueError, match="not over") as info:
+        symmetric_reduce(OrbitSums.of(table, names, (6,), {(1, 0, 0, 0, 0, 0): 1}), 6)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("m, n, order", [(5, 6, None), (6, 5, None),
+                                         (6, 6, (6, 5, 4, 3, 2, 1)), (6, 6, (1, 2, 3, 5, 4, 6))])
+def test_symmetric_reduce_rejects_a_store_over_other_names(m, n, order):
+    # a symmetric store over t_1..t_m, reduced with another n, or relabelled
+    # so that its t's come in another order
+    phi = parse("s1^2 - 2*s2 + s3", ts_table(m))
+    store = t_expand(phi, m)
+    assert symmetric_reduce(store, m) == phi
+    names = tuple(f"t{i}" for i in order) if order else store.names
+    moved = OrbitSums(store.table, names, store.blocks, store.numerators, store.den)
+    with pytest.raises(ValueError, match="not over"):
+        symmetric_reduce(moved, n)
 
 
 def test_symmetric_reduce_in_one_variable():
     t1 = ts_table(1).var("t1")
-    assert symmetric_reduce(t1 ** 3, 1).serialize() == "s1^3"
+    assert symmetric_reduce(_store(t1 ** 3, 1), 1).serialize() == "s1^3"
 
 
 def test_product_table_is_unchanged_by_calls_that_raise():
@@ -462,12 +488,13 @@ def test_product_table_is_unchanged_by_calls_that_raise():
     expanded = t_expand(phi, n)
     reduced = symmetric_reduce(expanded, n)
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(expanded + t1 ** 5 * t2, n)
+        symmetric_reduce(_store(expanded.polynomial() + t1 ** 5 * t2, n), n)
     with pytest.raises(ValueError, match="non-s variables"):
         t_expand(phi + table.var("U") * table.var("s4") ** 2, n)
-    with pytest.raises(ValueError, match="non-t variables"):
-        symmetric_reduce(expanded + table.var("s1") * t1 ** 6, n)
-    assert t_expand(phi, n) == expanded == phi.substitute(s_to_t_rules(n, table))
+    with pytest.raises(ValueError, match="not over"):
+        symmetric_reduce(OrbitSums.of(table, ["t1", "t2", "t3", "U"], (4,), {(6, 1, 0, 0): 1}), n)
+    assert t_expand(phi, n) == expanded
+    assert expanded.polynomial() == phi.substitute(s_to_t_rules(n, table))
     assert symmetric_reduce(expanded, n) == reduced == phi
     assert _e_products(n) is _e_products(n)
 
@@ -546,30 +573,32 @@ def test_both_literal_modes_agree_on_perturbed_coordinates(request, name, data):
 def test_t_expand_and_reduce_with_wide_fields(n, text):
     # t-exponents from 128 up need 16-bit fields; the second text has denominators
     phi = parse(text.replace("s2", "s1") if n == 1 else text, ts_table(n))
-    pt = t_expand(phi, n)
+    store = t_expand(phi, n)
+    pt = store.polynomial()
     oracle = phi.substitute(s_to_t_rules(n)).to_table(ts_table(n))
     assert pt == oracle and pt.serialize() == oracle.serialize()
     assert max(max(exps) for exps, _ in pt.items()) >= 128
-    assert symmetric_reduce(pt, n) == phi
+    assert symmetric_reduce(store, n) == phi
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_t_expand_and_reduce_the_zero_polynomial(n):
     zero = ts_table(n).zero()
-    assert t_expand(zero, n).is_zero and t_expand(zero, n).table is ts_table(n)
-    assert symmetric_reduce(zero, n).is_zero
+    store = t_expand(zero, n)
+    assert store.numerators == {} and store.table is ts_table(n) and store.polynomial().is_zero
+    assert symmetric_reduce(store, n).is_zero and symmetric_reduce(_store(zero, n), n).is_zero
 
 
 def _wide_expansion():
     """A symmetric input with 16-bit fields, a denominator, and orbits of
     sizes 1 and 2; it reduces to s1^129 + 1/3*s2^2."""
-    return t_expand(parse("s1^129 + 1/3*s2^2", ts_table(2)), 2)
+    return t_expand(parse("s1^129 + 1/3*s2^2", ts_table(2)), 2).polynomial()
 
 
 @pytest.mark.parametrize("change", ["coefficient", "dropped", "added"])
 def test_symmetric_reduce_rejects_wide_non_symmetric_inputs(change):
     p = _wide_expansion()
-    assert symmetric_reduce(p, 2) == parse("s1^129 + 1/3*s2^2", ts_table(2))
+    assert symmetric_reduce(_store(p, 2), 2) == parse("s1^129 + 1/3*s2^2", ts_table(2))
     terms = dict(p.items())
     moved = (0, 0, 100, 29, 0, 0)  # one of an orbit of two
     assert moved in terms
@@ -580,7 +609,7 @@ def test_symmetric_reduce_rejects_wide_non_symmetric_inputs(change):
     else:
         terms[(0, 0, 130, 1, 0, 0)] = 1
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(Polynomial.from_items(p.table, terms), 2)
+        symmetric_reduce(_store(Polynomial.from_items(p.table, terms), 2), 2)
 
 
 # -- the literal check on orbit sums of a Young subgroup ---------------------------
@@ -599,7 +628,7 @@ def test_t_expand_on_blocks_is_the_expansion_in_orbit_sums(case, data):
     blocks = data.draw(st.sampled_from(_blockings(n)))
     store = t_expand(phi, n, blocks)
     assert store.blocks == blocks and store.table is ts_table(n)
-    assert store.polynomial().serialize() == t_expand(phi, n).serialize()
+    assert store.polynomial().serialize() == t_expand(phi, n).polynomial().serialize()
     assert symmetric_reduce(store, n).serialize() == phi.serialize()
 
 
@@ -623,10 +652,10 @@ def test_literal_check_on_orbit_sums_matches_the_written_out_check(name):
         act = weyl_action(spec, g)
         for phi in inputs:
             moved = act.apply(t_expand(phi, spec.n, reflection_blocks(spec, g)))
-            whole = act.apply(t_expand(phi, spec.n))
+            whole = act.apply(t_expand(phi, spec.n).polynomial())
             assert moved.polynomial() == whole, (g, phi)
             assert _outcome(symmetric_reduce, moved, spec.n) == _outcome(
-                symmetric_reduce, whole, spec.n), (g, phi)
+                symmetric_reduce, _store(whole, spec.n), spec.n), (g, phi)
 
 
 @pytest.mark.parametrize("change", ["numerator", "dropped", "added"])

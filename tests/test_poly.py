@@ -134,6 +134,16 @@ def test_weight_conflict():
         T.merged(other)
 
 
+@pytest.mark.parametrize("names, weights", [(["x"], [2.5]), (["x"], [2.0]), (["x"], [True]),
+                                            (["x"], ["3"]), (["x"], [-1]), ([1], [1]),
+                                            (["x", b"y"], [1, 1]), (["x", None], [1, 1])])
+def test_var_table_rejects_a_name_or_weight_of_another_type(names, weights):
+    # each would otherwise be coerced, 2.5 to 2, or kept as a name
+    with pytest.raises(ValueError):
+        VarTable(names, weights)
+    assert VarTable(["x"], [2]).weights == (2,) and VarTable([], []).names == ()
+
+
 def test_cross_table_arithmetic():
     a = VarTable(["a"], [1]).var("a")
     b = VarTable(["b"], [2]).var("b")
@@ -282,22 +292,26 @@ def _orbit_groups(p, names, blocks):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.lists(st.integers(0, 130), min_size=3, max_size=3).map(
-           lambda e: tuple(sorted(e, reverse=True))), st.integers(-20, 20), max_size=5),
-       st.integers(1, 30), st.permutations(R_MERGED.names))
-def test_orbit_writer_matches_every_rearrangement(orbits, den, order):
-    names = order[:3]
+@given(st.permutations(R_MERGED.names), st.data(), st.integers(1, 30))
+def test_orbit_writer_matches_every_rearrangement(order, data, den):
+    """``OrbitSums.polynomial`` against an independent writer: each distinct
+    permutation within each block of each representative, summed through
+    ``from_items``.  The store is built directly, so it may hold zeros and a
+    denominator not coprime to its numerators."""
+    names = order[:data.draw(st.integers(1, len(order)))]
+    cut = data.draw(st.lists(st.booleans(), min_size=len(names) - 1, max_size=len(names) - 1))
+    ends = [i + 1 for i, c in enumerate(cut) if c] + [len(names)]
+    blocks = tuple(b - a for a, b in zip([0] + ends, ends))
+    reps = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 130)] * len(names)).map(
+        lambda e: _descending_in_blocks(e, blocks)), st.integers(-20, 20), max_size=5))
     items: dict = {}
-    for lam, n in orbits.items():
-        for w in set(permutations(lam)):
-            exps = dict(zip(names, w))
+    for r, n in reps.items():
+        for w in product(*[set(permutations(r[a:b])) for a, b in _block_spans(blocks)]):
+            exps = dict(zip(names, sum(w, ())))
             items[tuple(exps.get(v, 0) for v in R_MERGED.names)] = Fraction(n, den)
-    p = Polynomial.from_numerators(R_MERGED, names, orbits, den, (3,))
+    p = OrbitSums(R_MERGED, tuple(names), blocks, reps, den).polynomial()
     want = Polynomial.from_items(R_MERGED, items)
     assert p == want and p.serialize() == want.serialize()
-    d, groups = _orbit_groups(p, names, (3,))
-    assert {lam: Fraction(ns[0], d) for lam, ns in groups.items()} == {
-        lam: Fraction(n, den) for lam, n in orbits.items() if n}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -333,8 +347,6 @@ def test_orbit_store_rejects_blocks_that_do_not_split_the_names(blocks):
     names = R_MERGED.names[:3]
     with pytest.raises(ValueError, match="do not split"):
         OrbitSums.of(R_MERGED, names, blocks, {(1, 0, 0): 1})
-    with pytest.raises(ValueError, match="do not split"):
-        Polynomial.from_numerators(R_MERGED, names, {(1, 0, 0): 1}, 1, blocks)
 
 
 @pytest.mark.parametrize("blocks, key", [((1, 2), (1, 0)), ((1, 2), (1, 0, 0, 0)),
