@@ -22,15 +22,14 @@ deformation, via the monomial table of low-degree terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from ._record import Record
 from .poly import Polynomial, exact_div
 
 
-@dataclass(frozen=True)
-class RdpType:
+class RdpType(Record):
     family: str
     rank: int
 
@@ -264,8 +263,7 @@ MONOMIAL_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Record):
     """Vanishing orders of versal coefficients along a deformation arc.
 
     ``orders`` maps coefficient names to positive integers; float('inf')
@@ -280,8 +278,7 @@ class ValuationProfile:
         return self.orders.get(name)
 
 
-@dataclass(frozen=True)
-class SectionBound:
+class SectionBound(Record):
     column: Optional[str]
     witness: Optional[tuple[str, int]]
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import classify as classify_mod
@@ -68,7 +67,7 @@ def cmd_invariants(args) -> int:
 
 
 def load_golden(name: str, table: VarTable) -> dict[str, tuple[int, Polynomial]]:
-    text = resources.files("rdpinv").joinpath(f"golden/{name}.txt").read_text()
+    text = (Path(__file__).with_name("golden") / f"{name}.txt").read_text(encoding="utf-8")
     out: dict[str, tuple[int, Polynomial]] = {}
     for line in text.splitlines():
         line = line.strip()

@@ -16,12 +16,12 @@ the parent's polynomial from the parts' by one :func:`vertex_product`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
 from typing import Optional
 
+from ._record import Record
 from .distpoly import from_roots, g_from_f, monic, rules_from_monic, standard_coords
 from .envres import VersalPipeline, eps_names, from_versal
 from .poly import InconsistentSystemError, LinearSystem, Polynomial, VarTable, exact_div
@@ -32,8 +32,7 @@ from .solvelist import RuleCache, RuleSet, ValidityViolation, solve_in_order
 # -- the relation among distinguished polynomials -------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     spec: Spec
     k: int
     difference: Polynomial
@@ -182,8 +181,7 @@ def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
 LAM_TABLE = VarTable(["U"] + [f"lam{i}" for i in range(1, 9)], [1] + list(range(1, 9)))
 
 
-@dataclass(frozen=True)
-class RestrictedPoly:
+class RestrictedPoly(Record):
     """A restricted polynomial, its coefficient map s_i -> lam polynomial,
     and every standard coordinate pulled back along that map."""
 
@@ -285,8 +283,7 @@ def derive_restricted(spec: Spec, form: str = "plain",
 # -- the key computations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeyCase:
+class KeyCase(Record):
     """One row of the key-computation table: psi*(target) is the sum of
     constant * monomial over ``terms``, and phi is the last term's variable."""
 
@@ -386,8 +383,7 @@ def pullback_eps(case: KeyCase, rp: RestrictedPoly, cache: Optional[RuleCache]) 
                            [case.target])[case.target]
 
 
-@dataclass(frozen=True)
-class KeyResult:
+class KeyResult(Record):
     case: KeyCase
     computed: "tuple[Fraction, ...] | None"
     expected: tuple[Fraction, ...]

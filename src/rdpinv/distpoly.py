@@ -36,7 +36,6 @@ table per n, kept for the life of the process.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -44,6 +43,7 @@ from itertools import combinations, groupby
 from math import comb, factorial, lcm, prod
 from typing import Optional
 
+from ._record import Record
 from .poly import OrbitSums, Polynomial, VarTable, parse
 from .rootsys import Spec, part_functionals, reflection_blocks, weyl_action
 from .solvelist import RuleSet
@@ -125,8 +125,7 @@ def s_to_t_rules(n: int, table: Optional[VarTable] = None) -> dict[str, Polynomi
     return {f"s{j}": es[j] for j in range(1, n + 1)}
 
 
-@dataclass(frozen=True)
-class DistData:
+class DistData(Record):
     """Distinguished polynomial in both forms, plus the D-family extras."""
 
     spec: Spec
@@ -427,8 +426,7 @@ def _standard_coords(spec: Spec) -> dict[str, Polynomial]:
     raise ValueError(f"{spec.name} standard coordinates come from the versal pipeline")
 
 
-@dataclass(frozen=True)
-class E45Report:
+class E45Report(Record):
     matches: dict[str, bool]
 
     @property

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Optional, Sequence
 
+from ._record import Record
 from .distpoly import monic
 from .poly import (
     InconsistentSystemError,
@@ -148,8 +148,7 @@ _E8_ZB = ("y^3 + s2*x*y^2 - s1^2*x*y^2 - s3*y^2*z + s1*s2*y^2*z + s4*x^2*y"
           " - s7*x^2*z + s1*s6*x^2*z + s8*x*z^2 - s1*s7*x*z^2 + s1*s8*z^3")
 
 
-@dataclass(frozen=True)
-class GoodGenSet:
+class GoodGenSet(Record):
     n: int
     Xb: Polynomial
     Yb: Polynomial
@@ -442,13 +441,22 @@ def mu_inverse(n: int) -> RuleSet:
 # -- pipeline ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _rbar_pi(n: int, z_zero: bool) -> RuleSet:
+    """The good generators, with z = 0 if ``z_zero``: built once per rank and choice."""
+    gens, drop = good_gens_bar(n), {"z": 0} if z_zero else {}
+    return RuleSet.of([(name, getattr(gens, name).substitute(drop))
+                       for name in ("Xb", "Yb", "Zb", "Wb")])
+
+
 class VersalPipeline:
     """One run of the versal-form computation for n in {6, 7, 8}.
 
     The stages never see ``param``.  Each is built when asked for; the
     versal rules build them once, and only when their cache entry is
     missing.  The entry's key needs no stage and is built once per rank
-    (:func:`_recipe_key`).  ``param`` optionally rewrites the s_i (a
+    (:func:`_recipe_key`), as are the generator rules, once per rank and
+    choice of z = 0 (:func:`_rbar_pi`).  ``param`` optionally rewrites the s_i (a
     restriction of the base of the deformation), and :meth:`versal_rules`
     pulls the expanded coefficients back through it.
     """
@@ -468,9 +476,7 @@ class VersalPipeline:
     # stage 1: generator rules -------------------------------------------------
 
     def rbar_pi(self, z_zero: bool) -> RuleSet:
-        gens, drop = good_gens_bar(self.n), {"z": 0} if z_zero else {}
-        return RuleSet.of([(name, getattr(gens, name).substitute(drop))
-                           for name in ("Xb", "Yb", "Zb", "Wb")])
+        return _rbar_pi(self.n, z_zero)
 
     # stage 2: barred coefficients ----------------------------------------------
 

@@ -57,13 +57,14 @@ names carry equal weights; the tables are merged by name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import ge, itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from ._record import Record
 
 
 class PolyError(Exception):
@@ -921,8 +922,7 @@ class Polynomial:
         return Polynomial(table, terms, den, shift)
 
 
-@dataclass(frozen=True)
-class OrbitSums:
+class OrbitSums(Record):
     """A polynomial in ``names`` symmetric under H, the permutations within
     each block of consecutive names (``blocks`` gives their sizes), kept as
     one integer numerator over ``den`` per H-orbit of terms.

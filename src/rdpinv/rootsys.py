@@ -19,21 +19,20 @@ The module knows three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby
 from math import factorial, lcm
 from typing import Optional, Sequence
 
+from ._record import Record
 from .poly import OrbitSums, Polynomial, VarTable
 from .solvelist import RuleSet
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(Record):
     """A root-system type: family in {A, D, E} plus functional count n."""
 
     family: str
@@ -246,7 +245,6 @@ def _scattered(q: dict, steps: list[tuple[int, int]], moves) -> dict:
     return {u: a for u, a in out.items() if a}
 
 
-@dataclass(frozen=True)
 class Reflection(RuleSet):
     """A rank-one reflection t -> t + form(t) * coroot on t_1..t_n.
 
@@ -357,8 +355,7 @@ def weyl_action(spec: Spec, generator: int) -> Reflection:
 # -- orthogonal splitting at a vertex ------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexSplit:
+class VertexSplit(Record):
     """Orthogonal decomposition of a root space at one vertex.
 
     ``rules`` rewrites each t_i of the parent system in terms of mu1 (the

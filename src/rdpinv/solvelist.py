@@ -34,12 +34,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import ge, sub
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .poly import (
     AbsentVariableError,
     NonLinearError,
@@ -60,8 +60,7 @@ class ValidityViolation(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     """Ordered substitution rules; no variable is defined twice."""
 
     rules: tuple[tuple[str, Polynomial], ...]
@@ -165,8 +164,7 @@ def _mono_spec(mono: "Mapping[str, int] | MonoSpec") -> MonoSpec:
     return tuple(sorted((v, int(e)) for v, e in mono if e))
 
 
-@dataclass(frozen=True)
-class SolveList:
+class SolveList(Record):
     """Base rules + template + ordered (monomial, unknown) pairs."""
 
     base: RuleSet

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -413,8 +412,11 @@ def _doubled_versal_template(monkeypatch, n):
 
 def _doubled_generator(monkeypatch, n):
     plain = envres.good_gens_bar
-    monkeypatch.setattr(envres, "good_gens_bar",
-                        lambda m: dataclasses.replace(plain(m), Wb=2 * plain(m).Wb))
+
+    def doubled(m):
+        gens = plain(m)
+        return envres.GoodGenSet(gens.n, gens.Xb, gens.Yb, gens.Zb, 2 * gens.Wb)
+    monkeypatch.setattr(envres, "good_gens_bar", doubled)
 
 
 # each change, and whether it also moves the bar solve list's key
@@ -434,12 +436,15 @@ RECIPE_CHANGES = {
 
 
 def _keys(n, directory):
-    # the recipe key is kept per rank and process: drop it, so a patched
-    # input is read, and drop it again after, so no patched key outlives it
+    # the recipe key and the generator rules are kept per rank and process:
+    # drop them, so a patched input is read, and drop them again after, so
+    # nothing built from a patched input outlives it
     envres._recipe_key.cache_clear()
+    envres._rbar_pi.cache_clear()
     pipe = VersalPipeline(n, cache=RuleCache(directory))
     keys = pipe.versal_key(), pipe.bar_solvelist().content_key()
     envres._recipe_key.cache_clear()
+    envres._rbar_pi.cache_clear()
     return keys
 
 
