@@ -44,7 +44,9 @@ exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
   polynomial, positive and coprime to the gcd of the numerators.  That
   makes the store canonical (``den`` is the lcm of the coefficients'
   denominators), so equality compares dicts, and an inner product loop
-  multiplies and adds plain ints; each op normalizes once per result.
+  multiplies and adds plain ints; each op normalizes once per result.  A
+  substitution's Horner steps run through the same pair loop on bare
+  numerator dicts with a running denominator, and normalize once per call.
 
 Serialization is deterministic: terms are emitted in descending
 graded-lexicographic order, graded by total weighted degree with ties
@@ -243,6 +245,10 @@ class VarTable:
         _TABLE_REGISTRY[key] = self
         return self
 
+    def __reduce__(self):
+        # rebuilt through the interning constructor: the same object in one process
+        return VarTable, (self.names, self.weights)
+
     def index_of(self, name: str) -> int:
         return self._index[name]
 
@@ -323,12 +329,69 @@ def _check_numerators(names: Sequence[str], numerators: Mapping[tuple, int], den
         raise ValueError(f"not integer numerators over {names} and a positive denominator")
 
 
-def _from_rationals(table: VarTable, coeffs: dict, s: int, den: int = 1) -> "Polynomial":
-    """The polynomial sum of ``c * key / den`` over ``coeffs``, whose values
-    are ints and Fractions; zero values are dropped."""
+def _over_common(coeffs: dict) -> tuple[dict, int]:
+    """``(terms, common)``: the ints and Fractions of ``coeffs`` as integer
+    numerators over their least common denominator, zero values dropped."""
     common = lcm(*[c.denominator for c in coeffs.values() if type(c) is not int])
-    terms = {k: c.numerator * (common // c.denominator) for k, c in coeffs.items() if c}
-    return _reduced(table, terms, den * common, s)
+    return {k: c.numerator * (common // c.denominator) for k, c in coeffs.items() if c}, common
+
+
+def _repacked(terms: dict, s: int, s2: int) -> dict:
+    """``terms`` with the fields of their keys moved from ``s`` to ``s2`` bits."""
+    return {_pack(_pairs(k, s), s2): n for k, n in terms.items()}
+
+
+def _product(blocks) -> dict:
+    """The nonzero sums over the term pairs of ``blocks``, each block two
+    runs of ``(key, numerator)``, one per factor: the one pair loop behind
+    ``*``, ``mul_truncated``, ``mul_kept`` and the Horner steps of
+    ``substitute``."""
+    out: dict = {}
+    get = out.get
+    for ta, tb in blocks:
+        for ka, na in ta:
+            for kb, nb in tb:
+                k = ka + kb
+                out[k] = get(k, 0) + na * nb
+    return {k: n for k, n in out.items() if n}
+
+
+def _within(ga: dict, gb: dict, bound: int) -> list:
+    """The pairs of degree groups of ``ga`` and ``gb`` whose degrees sum to at most ``bound``."""
+    return [(ta, tb) for da, ta in ga.items() for db, tb in gb.items() if da + db <= bound]
+
+
+class _HornerValue:
+    """A rule value of two or more terms in :meth:`Polynomial.substitute`:
+    its numerators over ``den``, for a bounded call grouped by total degree
+    once, and the lowest total degree of its terms."""
+
+    __slots__ = ("offset", "terms", "den", "shift", "top", "groups", "low")
+
+    def __init__(self, offset: int, r: "Polynomial", bounded: bool):
+        self.offset, self.terms, self.den, self.shift = offset, r.terms, r.den, r.shift
+        self.top = _top(r.terms, r.shift)
+        self.groups = _grouped(r.terms, _degrees(r.terms, r.shift)) if bounded else None
+        self.low = min(self.groups) if bounded else 0
+
+    def times(self, acc: dict, w: int, cap: "int | None", bound: "int | None") -> tuple[dict, int]:
+        """``acc`` times the value, with every term above total degree ``cap``
+        dropped, and the product's field width: the width ``w`` of ``acc``,
+        doubled until no exponent it keeps reaches a guard bit.  In a call
+        bounded by ``bound``, no key of ``acc`` is above that degree."""
+        if cap is None or cap >= 1 << w - 1:
+            top = _top(acc, w) + self.top
+            s = _fit(w, top if cap is None else min(top, cap))
+            if s != w:
+                acc, w = _repacked(acc, w, s), s
+        terms, groups = self.terms, self.groups
+        if w != self.shift:
+            terms = _repacked(terms, self.shift, w)
+            groups = groups and _grouped(terms, _degrees(terms, w))
+        if cap is None:
+            small, big = (acc, terms) if len(acc) <= len(terms) else (terms, acc)
+            return _product([(small.items(), list(big.items()))]), w
+        return _product(_within(_grouped(acc, _reader(bound, w)), groups, cap)), w
 
 
 class Polynomial:
@@ -353,7 +416,8 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not fit {table}")
             _check_rational(c)
         s = _width_for([e for exps in items for e in exps])
-        return _from_rationals(table, {_pack(enumerate(e), s): c for e, c in items.items()}, s)
+        coeffs = {_pack(enumerate(e), s): c for e, c in items.items()}
+        return _reduced(table, *_over_common(coeffs), s)
 
     @staticmethod
     def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
@@ -405,19 +469,21 @@ class Polynomial:
         n = self.terms.get(0)
         return 0 if n is None else _coeff(n, self.den)
 
-    def _moved(self, table: VarTable, places, s: int) -> "Polynomial":
+    def _moved(self, table: VarTable, places) -> "Polynomial":
         """This polynomial on ``table``, index ``i`` going to ``places[i]``
-        (unchanged when None), with fields ``s`` bits wide."""
-        if places is None and s == self.shift:
+        (unchanged when None)."""
+        s = self.shift
+        if places is None:
             return Polynomial(table, self.terms, self.den, s)
-        old = self.shift
-        places = places or range(len(self.table))
-        terms = {_pack(((places[i], e) for i, e in _pairs(k, old)), s): n
+        terms = {_pack(((places[i], e) for i, e in _pairs(k, s)), s): n
                  for k, n in self.terms.items()}
         return Polynomial(table, terms, self.den, s)
 
     def _widened(self, s: int) -> "Polynomial":
-        return self if s == self.shift else self._moved(self.table, None, s)
+        """This polynomial with fields ``s`` bits wide."""
+        if s == self.shift:
+            return self
+        return Polynomial(self.table, _repacked(self.terms, self.shift, s), self.den, s)
 
     def compact(self) -> "Polynomial":
         """Rebuild over a table containing only the variables actually used."""
@@ -427,8 +493,7 @@ class Polynomial:
         table = VarTable([self.table.names[i] for i in used],
                          [self.table.weights[i] for i in used])
         prefix = used == list(range(len(used)))
-        return self._moved(table, None if prefix else {i: j for j, i in enumerate(used)},
-                           self.shift)
+        return self._moved(table, None if prefix else {i: j for j, i in enumerate(used)})
 
     def to_table(self, table: VarTable) -> "Polynomial":
         if table is self.table:
@@ -438,8 +503,7 @@ class Polynomial:
             return self
         names = self.table.names
         prefix = merged.names[:len(names)] == names
-        return self._moved(merged, None if prefix else [merged.index_of(v) for v in names],
-                           self.shift)
+        return self._moved(merged, None if prefix else [merged.index_of(v) for v in names])
 
     def _align(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         a, b = self, other
@@ -509,7 +573,7 @@ class Polynomial:
             return NotImplemented
         a, b = self._factors(other)
         small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-        return a._product(b, [(small.items(), list(big.items()))])
+        return a._times(b, [(small.items(), list(big.items()))])
 
     __rmul__ = __mul__
 
@@ -523,19 +587,9 @@ class Polynomial:
         s = _fit(s, top if bound is None else min(top, bound))
         return a._widened(s), b._widened(s)
 
-    def _product(self, other: "Polynomial", blocks) -> "Polynomial":
-        """The product over the term pairs of ``blocks``, each block two runs
-        of ``(key, numerator)``, one per factor: the one pair loop behind
-        ``*``, ``mul_truncated`` and ``mul_kept``."""
-        out: dict = {}
-        get = out.get
-        for ta, tb in blocks:
-            for ka, na in ta:
-                for kb, nb in tb:
-                    k = ka + kb
-                    out[k] = get(k, 0) + na * nb
-        return _reduced(self.table, {k: n for k, n in out.items() if n},
-                        self.den * other.den, self.shift)
+    def _times(self, other: "Polynomial", blocks) -> "Polynomial":
+        """The product over the term pairs of ``blocks`` of the two aligned factors."""
+        return _reduced(self.table, _product(blocks), self.den * other.den, self.shift)
 
     def __truediv__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -654,13 +708,21 @@ class Polynomial:
         and each further one adds the fewest new ones, so the inner results
         stay small; for the E6 reflection on t1..t6 that is t6 outermost.
 
+        The scheme runs on integer numerators over a running denominator:
+        a step multiplies the numerators of ``acc`` by those of ``r(v1)``
+        and the denominators likewise, a block joins over their common
+        multiple, and only the result is normalized.  Each value is grouped
+        by total degree once per call, and the fields widen only when a
+        step's exponents could reach a guard bit.
+
         With ``max_total_degree`` the result is the full result truncated
         to that total degree.  Degrees only add under multiplication, so a
         block multiplied by ``vi^e`` is needed only up to the budget minus
-        ``e * low(r(vi))``, the lowest total degree in the value: each
-        Horner step is a ``mul_truncated`` at that budget, and a term whose
-        image cannot reach below the budget is dropped before any product
-        is formed.  This keeps jet computations polynomial-sized.
+        ``e * low(r(vi))``, the lowest total degree in the value: a Horner
+        step forms only the pairs of degree groups of ``acc`` and the value
+        whose degrees stay within that budget, and a term whose image
+        cannot reach below the budget is dropped before any product is
+        formed.  This keeps jet computations polynomial-sized.
         """
         for r in rules.values():
             if not isinstance(r, Polynomial):
@@ -670,95 +732,132 @@ class Polynomial:
                 for n, r in rules.items() if n in self.table}
         if not live:
             return self if bound is None else self.truncate(bound)
-        table = reduce(VarTable.merged, [r.table for r in live.values()], self.table)
+        table = self.table
+        for r in live.values():
+            if r.table is not table:
+                table = table.merged(r.table)
         # the merged table lists this table's names first, so indices agree;
         # tops[i] bounds the exponents of index i in the input
         tops = _fields(reduce(or_, self.terms, 0), self.shift)
         live = {i: r for i, r in live.items() if i < len(tops) and tops[i]}
+        kept = [e for i, e in enumerate(tops) if i not in live]
         # a field of a block key holds an exponent kept from the input plus
         # what the one-term values bring; widen so that it stays clear of
         # the guard bit
-        top = max((e for i, e in enumerate(tops) if i not in live), default=0) + sum(
+        top = max(kept, default=0) + sum(
             tops[i] * _top(r.terms, r.shift) for i, r in live.items() if len(r.terms) == 1)
         s = _fit(max([self.shift] + [r.shift for r in live.values()]), top)
         field = (1 << s) - 1
-        direct: dict[int, tuple] = {}  # index -> (key, numerator, den) or None
         horner: dict[int, Polynomial] = {}
+        # each nonzero one-term value: its field's offset, key, numerator and
+        # denominator
+        ruled: list[tuple[int, int, int, int]] = []
+        dead = 0  # the fields of the variables whose value is zero
         for i, r in live.items():
-            r = r.to_table(table)._widened(s)
+            if r.table is not table or r.shift != s:
+                r = r.to_table(table)._widened(s)
             if len(r.terms) > 1:
                 horner[i] = r
             elif r.terms:
-                ((k, c),) = r.terms.items()
-                direct[i] = (k, c, r.den)
+                ((k, n),) = r.terms.items()
+                ruled.append((i * s, k, n, r.den))
             else:
-                direct[i] = None
-        own = self._widened(s)
-        uses = {i: set(r._used()) for i, r in horner.items()}
-        # innermost first, each time the value that brings the fewest new
-        # variables into the inner results: they stay over fewer variables
-        order: list[int] = []
-        seen: set[int] = set()
-        while uses:
-            i = min(uses, key=lambda i: (len(uses[i] - seen), i))
-            seen |= uses.pop(i)
-            order.append(i)
-        order.reverse()
-        values = [horner[i] for i in order]
-        lows = [min(map(_degrees(r.terms, s), r.terms)) for r in values]
-        offsets = [i * s for i in order]
-        ruled = [(i * s, v) for i, v in direct.items()]
-        keep = ~sum(field << o for o in offsets + [o for o, _ in ruled])
-        # the field sum of a block key: the input's kept exponents plus what
-        # each one-term value brings at the input's top exponent of its variable
-        degree = _reader(sum(e for i, e in enumerate(tops) if i not in live) + sum(
-            tops[i] * _degree(v[0], s) for i, v in direct.items() if v), s)
+                dead |= field << i * s
+        own = self._widened(s).terms
+        order = list(horner)
+        if len(order) > 1:
+            # innermost first, each time the value that brings the fewest new
+            # variables into the inner results: they stay over fewer variables
+            uses = {i: set(r._used()) for i, r in horner.items()}
+            order, seen = [], set()
+            while uses:
+                i = min(uses, key=lambda i: (len(uses[i] - seen), i))
+                seen |= uses.pop(i)
+                order.append(i)
+            order.reverse()
+        values = [_HornerValue(i * s, horner[i], bound is not None) for i in order]
+        hmask = sum(field << v.offset for v in values)
+        keep = ~(hmask | dead | sum(field << o for o, *_ in ruled))
+        if bound is not None:
+            # the field sum of a block key: the input's kept exponents plus what
+            # each one-term value brings at the input's top exponent of its variable
+            degree = _reader(sum(kept) + sum(tops[o // s] * _degree(k, s) for o, k, *_ in ruled), s)
+            costs: dict[int, int] = {}  # Horner part of a key -> its image's least degree
+        fractional = any(d != 1 for *_, d in ruled)
 
         # split the terms by their exponents of the Horner variables; the
-        # rest of each term, with the direct rules applied, forms the block
-        blocks: dict[tuple, dict] = {}
-        for k, c in own.terms.items():
-            key = tuple([(k >> o) & field for o in offsets])
+        # rest of each term, with the one-term values applied, forms the block
+        blocks: dict[int, dict] = {}
+        for k, c in own.items():
+            if k & dead:
+                continue
             rest = k & keep
-            q = 1
-            for o, v in ruled:
-                e = (k >> o) & field
-                if not e:
+            if ruled:
+                q = 1
+                for o, rk, rn, rd in ruled:
+                    e = k >> o & field
+                    if e:
+                        rest += rk * e
+                        c *= rn ** e
+                        q *= rd ** e
+                if q != 1:
+                    c = Fraction(c, q)
+            h = k & hmask
+            if bound is not None:
+                cost = costs.get(h)
+                if cost is None:
+                    cost = costs[h] = sum((h >> v.offset & field) * v.low for v in values)
+                if degree(rest) + cost > bound:
                     continue
-                if v is None:
-                    break  # a zero value kills the term
-                rk, rn, rd = v
-                rest += rk * e
-                c *= rn ** e
-                q *= rd ** e
-            else:
-                if bound is not None and (degree(rest)
-                                          + sum(e * low for e, low in zip(key, lows)) > bound):
-                    continue
-                block = blocks.setdefault(key, {})
-                block[rest] = block.get(rest, 0) + (c if q == 1 else Fraction(c, q))
-
-        def combine(group: dict, level: int, budget: "int | None") -> Polynomial:
-            if level == len(values):
-                (block,) = group.values()
-                return _from_rationals(table, block, s, own.den)
-            by_exp: dict[int, dict] = {}
-            for key, block in group.items():
-                by_exp.setdefault(key[level], {})[key] = block
-            r, low = values[level], lows[level]
-            acc = None
-            for e in range(max(by_exp), -1, -1):
-                cap = None if budget is None else budget - e * low
-                if acc is not None:
-                    acc = acc * r if cap is None else acc.mul_truncated(r, cap)
-                if e in by_exp:
-                    part = combine(by_exp[e], level + 1, cap)
-                    acc = part if acc is None else acc + part
-            return acc
-
+            block = blocks.setdefault(h, {})
+            block[rest] = block.get(rest, 0) + c
         if not blocks:
             return Polynomial(table, {})
-        return combine(blocks, 0, bound)
+
+        def combine(group: dict, level: int, budget: "int | None") -> tuple[dict, int, int]:
+            """The group's image: its numerators, their denominator and field width."""
+            if level == len(values):
+                (block,) = group.values()
+                if fractional:
+                    terms, common = _over_common(block)
+                    return terms, self.den * common, s
+                return {k: n for k, n in block.items() if n}, self.den, s
+            v = values[level]
+            by_exp: dict[int, dict] = {}
+            for h, block in group.items():
+                by_exp.setdefault(h >> v.offset & field, {})[h] = block
+            top = max(by_exp)
+            acc, den, w = combine(by_exp[top], level + 1,
+                                  None if budget is None else budget - top * v.low)
+            for e in range(top - 1, -1, -1):
+                cap = None if budget is None else budget - e * v.low
+                part = by_exp.get(e)
+                if part is not None:
+                    terms, d, wp = combine(part, level + 1, cap)
+                    if terms:
+                        # scale acc first, so that the product's den is a multiple of d
+                        f = d // gcd(den * v.den, d)
+                        if f != 1:
+                            acc, den = {k: n * f for k, n in acc.items()}, den * f
+                acc, w = v.times(acc, w, cap, bound)
+                den *= v.den
+                if part is not None:
+                    if w < wp:
+                        acc, w = _repacked(acc, w, wp), wp
+                    elif wp < w:
+                        terms = _repacked(terms, wp, w)
+                    f = den // d
+                    get = acc.get
+                    for k, n in terms.items():
+                        t = get(k, 0) + n * f
+                        if t:
+                            acc[k] = t
+                        else:
+                            del acc[k]
+            return acc, den, w
+
+        terms, den, w = combine(blocks, 0, bound)
+        return _reduced(table, terms, den, w)
 
     def _of_degree(self, low: int, high: int) -> "Polynomial":
         """The terms of total degree from ``low`` to ``high``."""
@@ -785,8 +884,7 @@ class Polynomial:
         a, b = self._factors(other, max(bound, 0))
         s = a.shift
         ga, gb = (_grouped(p.terms, _degrees(p.terms, s)) for p in (a, b))
-        return a._product(b, [(ta, tb) for da, ta in ga.items() for db, tb in gb.items()
-                              if da + db <= bound])
+        return a._times(b, _within(ga, gb, bound))
 
     def mul_kept(self, other: "Polynomial", names: Sequence[str],
                  cells: Iterable[tuple[int, ...]]) -> "Polynomial":
@@ -803,8 +901,8 @@ class Polynomial:
         kept = {sum(e << o for o, e in zip(offsets, c)) for c in cells
                 if max(c, default=0) < 1 << s - 1}
         ga, gb = (_grouped(p.terms, lambda k: k & mask) for p in (a, b))
-        return a._product(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
-                              if ca + cb in kept])
+        return a._times(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
+                            if ca + cb in kept])
 
     def derivative_along(self, direction: Mapping[str, int]) -> "Polynomial":
         """``sum c_v * d/dv`` of this polynomial over ``direction``, whose
@@ -988,7 +1086,7 @@ def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> 
     for m, c in terms:
         k = _pack(m.items(), s)
         coeffs[k] = coeffs.get(k, 0) + c
-    return _from_rationals(table, coeffs, s)
+    return _reduced(table, *_over_common(coeffs), s)
 
 
 # -- parsing ----------------------------------------------------------------

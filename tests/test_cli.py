@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,29 @@ def test_classify_undecidable_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, "classify", "--poly-file", str(target),
                              "--jet-order", jet_order)
         assert code == 1 and out == "" and err.startswith("undecidable:"), (text, err)
+
+
+#: criterion 9's normal forms at --jet-order 10 and 5, then one profile; each
+#: run as "classify <args>: <input>", its stdout, its stderr lines prefixed
+#: "stderr: ", and "exit <code>", as the CI job that diffs interpreters prints it
+CLASSIFY_TRANSCRIPT = Path(__file__).with_name("classify_transcript.txt")
+
+
+def test_classify_transcript_matches_the_pinned_one(tmp_path, capsys):
+    want = CLASSIFY_TRANSCRIPT.read_text()
+    got = []
+    for header in re.findall(r"^classify .*$", want, re.M):
+        args, text = header.split(": ", 1)
+        target = tmp_path / "input.txt"
+        target.write_text(text + "\n")
+        if args == "classify --profile-file":
+            argv = ["classify", "--profile-file", str(target)]
+        else:
+            argv = ["classify", "--poly-file", str(target), "--jet-order", args.split()[-1]]
+        code, out, err = run(capsys, *argv)
+        got += [header + "\n", out, *(f"stderr: {line}\n" for line in err.splitlines()),
+                f"exit {code}\n"]
+    assert "".join(got) == want
 
 
 def test_congruence_all_deterministic_across_jobs(capsys):

@@ -447,6 +447,53 @@ def test_substitute_matches_term_by_term_oracle(p, rules, bound):
     assert all(c and (type(c) is int or c.denominator != 1) for _, c in out.items())
 
 
+@st.composite
+def wide_draws(draw):
+    """``(p, rules, bound)`` for the choices a substitution makes once per
+    call: a term with an exponent of a from 100 to 300, so that a one-term
+    value of a or a Horner step through b's value must double the field
+    width, even from 8 bits to past 2**8; two multi-term values, so that the
+    recursion is two deep; multi-term and one-term values with denominators;
+    bounds at which the degree reader changes from ``k % m`` to decoding."""
+    a, b, c, d = (S.var(v) for v in "abcd")
+    # as often below 2**7 as above it, where the input's fields are already wider
+    big = (a ** draw(st.one_of(st.integers(100, 127), st.integers(128, 300)))
+           * b ** draw(st.one_of(st.integers(0, 30), st.integers(64, 127)))
+           * c ** draw(st.integers(0, 2)) * d ** draw(st.integers(0, 2)))
+    p = draw(sub_poly(S, 3, 2)) + draw(sub_q.filter(bool)) * big
+    rules = {"b": draw(st.sampled_from([a ** 2 + b, (a + 1) / 2, b + Fraction(1, 3) * d])),
+             "c": draw(st.sampled_from([(b - d) / 3, b * d + 1, a - 2 * c]))}
+    for name, values in (("a", [None, Fraction(2, 3) * b ** 3, Fraction(1, 2), 0]),
+                         ("d", [None, None, Fraction(3, 2) * c, Fraction(-1, 4)])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            rules[name] = value
+    return p, rules, draw(st.sampled_from([None, 127, 254, 255]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_draws())
+def test_substitute_matches_the_oracle_on_wide_draws(case):
+    test_substitute_matches_term_by_term_oracle.hypothesis.inner_test(*case)
+    # every exponent kept below the guard bit of its field, as the rows require
+    p, rules, bound = case
+    out = p.substitute(rules, max_total_degree=bound)
+    assert Polynomial.from_rows(out.table, *out.to_rows()) == out
+
+
+@pytest.mark.parametrize("text, value, bound", [
+    # a block of field sum 255 = 2**8 - 1, which k % 255 would read as 0
+    ("a^100*b*c^100*d^55", "b + 1", 254),
+    # a Horner step reaches field sum 255, and the next one must read it
+    ("a^100*b^2*c^100*d^54", "d + 1", 255),
+    # the steps widen the fields past 8 bits before the narrower block of d joins
+    ("a^120*b^10 + d", "a^2 + b", None),
+])
+def test_substitute_at_the_edges_of_an_8_bit_field(text, value, bound):
+    test_substitute_matches_term_by_term_oracle.hypothesis.inner_test(
+        parse(text, S), {"b": parse(value, S)}, bound)
+
+
 def test_substitute_without_live_rules_returns_self():
     p = S.var("a") * S.var("b") ** 2 + 1
     assert p.substitute({"zz": S.var("a")}) is p

@@ -208,10 +208,8 @@ def test_a_subclass_takes_its_base_fields_first():
         Reflection(r.rules + r.rules[:1], r.form, r.coroot)
 
 
-# A polynomial does not pickle (pickle cannot rebuild its interned VarTable)
-# and nothing here needs it to, since ``congruence --jobs N`` runs
-# its cases in one process; the round trips below check the record base
-# itself, so their polynomial fields hold other values.
+# The first round trips check the record base itself, so their polynomial
+# fields hold other values; the last puts polynomials in them.
 
 
 def test_key_results_and_rule_sets_survive_pickling():
@@ -226,6 +224,22 @@ def test_key_results_and_rule_sets_survive_pickling():
     assert back == rules and back["y"] == 2 and "x" in back
     with pytest.raises(AttributeError):
         back.rules = ()
+
+
+def test_records_of_polynomials_survive_pickling():
+    # a VarTable is rebuilt through its interning constructor, so every
+    # polynomial that comes back shares the one table of this process
+    t = VarTable(["x", "y"], [1, 2])
+    p = parse("x^2 - 1/3*y + 2", t)
+    q = parse("x*y", t)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back.table is t and back.serialize() == p.serialize()
+    rules = RuleSet.of({"x": p, "y": q})
+    back = pickle.loads(pickle.dumps(rules))
+    assert back == rules and back["x"].table is t and back["y"] == q
+    result = KeyResult(KEY_CASES[0], (Fraction(1, 3),), (Fraction(1, 3),), p, q)
+    back = pickle.loads(pickle.dumps(result))
+    assert back == result and back.eps_pullback.table is t and back.phi_pullback == q
 
 
 def test_vertex_split_and_solve_list_are_records():
