@@ -18,10 +18,11 @@ Macdonald, *Symmetric Functions* I.2, I.6).  Both work in integer
 numerators over one denominator, through the kernel's packed read and write
 (:meth:`Polynomial.numerators_over`, :meth:`Polynomial.from_numerators`),
 never per term.  Expanding a coordinate in the t's sums those products
-over its terms and keeps the result as an :class:`~rdpinv.poly.OrbitSums`
+over its terms and keeps the result as an :class:`~rdpinv.rootsys.OrbitSums`
 store, one numerator per orbit of the Young subgroup H of the blocks of t's
-it is given (S_n, one block, by default); no t-term is written out.
-Symmetric rewriting (from the t's back to the s_i) reads such a store,
+it is given (S_n, one block, by default); no t-term is written out.  The
+store type lives in :mod:`rdpinv.rootsys`, beside the reflection that
+moves it, and writes no terms out either.  Symmetric rewriting (from the t's back to the s_i) reads such a store,
 checks that every S_n orbit of exponent vectors is complete and carries one
 numerator, which certifies symmetry, and then peels the partitions from the
 top against the same products.  The literal invariance check expands a
@@ -44,8 +45,8 @@ from math import comb, factorial, lcm, prod
 from typing import Optional
 
 from ._record import Record
-from .poly import OrbitSums, Polynomial, VarTable, parse
-from .rootsys import Spec, part_functionals, reflection_blocks, weyl_action
+from .poly import Polynomial, VarTable, parse
+from .rootsys import OrbitSums, Spec, part_functionals, reflection_blocks, weyl_action
 from .solvelist import RuleSet
 
 

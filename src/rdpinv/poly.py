@@ -16,11 +16,7 @@ their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
 the keys, and :meth:`Polynomial.from_numerators` packs such groups
-straight into keys and normalizes once.  :class:`OrbitSums` keeps a
-polynomial symmetric under the permutations within blocks of consecutive
-names (a Young subgroup) as one numerator per orbit; only its
-:meth:`~OrbitSums.polynomial` writes every distinct rearrangement of each
-orbit's representative out.
+straight into keys and normalizes once.
 
 The store behind the view is private to this module; it follows the packed
 exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
@@ -60,13 +56,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate, compress
+from functools import reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import ge, itemgetter, lshift, mul, or_
+from operator import itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
-
-from ._record import Record
 
 
 class PolyError(Exception):
@@ -140,41 +134,6 @@ def _pairs(k: int, s: int) -> Iterator[tuple[int, int]]:
 
 def _pack(pairs: Iterable[tuple[int, int]], s: int) -> int:
     return sum(e << i * s for i, e in pairs)
-
-
-def _arrangements(lam: tuple[int, ...], offsets: list[int], memo: dict) -> list[int]:
-    """The keys of the distinct rearrangements of the descending tuple ``lam``
-    over the fields at the last ``len(lam)`` of ``offsets``, once each;
-    ``memo`` keeps those of the tails, which many tuples share."""
-    hit = memo.get(lam)
-    if hit is None:
-        hit = [] if lam else [0]
-        for i, v in enumerate(lam):
-            if not i or v != lam[i - 1]:
-                o = v << offsets[-len(lam)]
-                hit += [o + w for w in _arrangements(lam[:i] + lam[i + 1:], offsets, memo)]
-        memo[lam] = hit
-    return hit
-
-
-def _blocks(blocks: Sequence[int], m: int) -> tuple[int, ...]:
-    """``blocks`` as a tuple, if they are positive sizes that add up to ``m``."""
-    blocks = tuple(blocks)
-    if sum(blocks) != m or not all(type(b) is int and b > 0 for b in blocks):
-        raise ValueError(f"blocks {blocks} do not split {m} names")
-    return blocks
-
-
-def _spans(blocks: Sequence[int]) -> list[tuple[int, int]]:
-    """``(start, end)`` of each block of consecutive places."""
-    ends = list(accumulate(blocks))
-    return list(zip([0] + ends[:-1], ends))
-
-
-@lru_cache(maxsize=None)
-def _neighbours(blocks: tuple[int, ...]) -> list[tuple[itemgetter, itemgetter]]:
-    """Getters of each pair of neighbouring places inside one of ``blocks``."""
-    return [(itemgetter(i), itemgetter(i + 1)) for a, b in _spans(blocks) for i in range(a, b - 1)]
 
 
 def _degree(k: int, s: int) -> int:
@@ -321,14 +280,6 @@ def _grouped(terms: dict, part) -> dict[int, list[tuple[int, int]]]:
     return groups
 
 
-def _check_numerators(names: Sequence[str], numerators: Mapping[tuple, int], den: int) -> None:
-    """Raise ``ValueError`` unless ``numerators`` are ints keyed by exponent
-    tuples aligned with ``names`` and ``den`` is a positive int."""
-    if not (type(den) is int and den >= 1 and all(
-            type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
-        raise ValueError(f"not integer numerators over {names} and a positive denominator")
-
-
 def _over_common(coeffs: dict) -> tuple[dict, int]:
     """``(terms, common)``: the ints and Fractions of ``coeffs`` as integer
     numerators over their least common denominator, zero values dropped."""
@@ -423,8 +374,12 @@ class Polynomial:
     def from_numerators(table: VarTable, names: Sequence[str], numerators: Mapping[tuple, int],
                         den: int = 1) -> "Polynomial":
         """The sum of ``n/den * prod(names ** exps)`` over ``numerators``, each int
-        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped."""
-        _check_numerators(names, numerators, den)
+        ``n`` keyed by its ``exps`` aligned with ``names``, zeros dropped;
+        ``ValueError`` unless the numerators are ints keyed by tuples of
+        ``len(names)`` and ``den`` is a positive int."""
+        if not (type(den) is int and den >= 1 and all(
+                type(n) is int and len(exps) == len(names) for exps, n in numerators.items())):
+            raise ValueError(f"not integer numerators over {names} and a positive denominator")
         s = _width_for([e for exps in numerators for e in exps])
         offsets = [table.index_of(v) * s for v in names]
         keys = {sum(map(lshift, e, offsets)): n for e, n in numerators.items() if n}
@@ -1018,65 +973,6 @@ class Polynomial:
                 or any(k & guards for k in keys) or not all(nums) or gcd(den, *nums) != 1):
             raise ValueError("not a canonical polynomial store")
         return Polynomial(table, terms, den, shift)
-
-
-class OrbitSums(Record):
-    """A polynomial in ``names`` symmetric under H, the permutations within
-    each block of consecutive names (``blocks`` gives their sizes), kept as
-    one integer numerator over ``den`` per H-orbit of terms.
-
-    An orbit is keyed by its representative, the exponent vector descending
-    within each block.  One-element blocks keep every term, one block keeps S_n
-    orbits.  A store whose blocks do not split ``names``, or with a key that
-    is not such a representative, raises ``ValueError``.  :meth:`of` drops
-    zeros and reduces ``den``, so equal polynomials give equal stores.
-    """
-
-    table: VarTable
-    names: tuple[str, ...]
-    blocks: tuple[int, ...]
-    numerators: dict
-    den: int = 1
-
-    def __post_init__(self):
-        m, keys = len(self.names), self.numerators.keys()
-        neighbours = _neighbours(_blocks(self.blocks, m))
-        if set(map(len, keys)) - {m} or not all(
-                all(map(ge, map(a, keys), map(b, keys))) for a, b in neighbours):
-            raise ValueError(f"a key is not descending within blocks {self.blocks} of {m} names")
-
-    @staticmethod
-    def of(table: VarTable, names: Sequence[str], blocks: Sequence[int],
-           numerators: Mapping[tuple, int], den: int = 1) -> "OrbitSums":
-        nums = {r: a for r, a in numerators.items() if a}
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {r: a // g for r, a in nums.items()}
-        return OrbitSums(table, tuple(names), tuple(blocks), nums, den // g)
-
-    @property
-    def spans(self) -> list[tuple[int, int]]:
-        """``(start, end)`` of each block."""
-        return _spans(self.blocks)
-
-    def polynomial(self) -> Polynomial:
-        """Every term written out: the distinct rearrangements of each
-        representative within the blocks, once each, packed straight into
-        keys and normalized once."""
-        _check_numerators(self.names, self.numerators, self.den)
-        s = _width_for([e for r in self.numerators for e in r])
-        offsets = [self.table.index_of(v) * s for v in self.names]
-        spans = self.spans
-        memos = [{} for _ in spans]
-
-        def keys(r):
-            out = [0]
-            for (a, b), memo in zip(spans, memos):
-                out = [k + w for k in out for w in _arrangements(r[a:b], offsets[a:b], memo)]
-            return out
-
-        terms = {k: n for r, n in self.numerators.items() if n for k in keys(r)}
-        return _reduced(self.table, terms, self.den, s)
 
 
 def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:

@@ -15,18 +15,26 @@ The module knows three layers:
   functionals are expressed and inverted;
 * the functionals t_1..t_n themselves, on which each reflection generator
   acts as a rank-one map t -> t + l(t) * c.
+
+A polynomial in the t's that is symmetric under a Young subgroup, the
+permutations within blocks of consecutive t's, is kept as an
+:class:`OrbitSums` store, one numerator per orbit.  A generator commutes
+with the Young subgroup of :func:`reflection_blocks`, so
+:meth:`Reflection.apply` moves such a store on its orbit representatives
+without writing a term out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby
-from math import factorial, lcm
-from typing import Optional, Sequence
+from itertools import accumulate, chain, groupby
+from math import factorial, gcd, lcm
+from operator import ge, itemgetter
+from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .poly import OrbitSums, Polynomial, VarTable
+from .poly import Polynomial, VarTable
 from .solvelist import RuleSet
 
 Vector = tuple[Fraction, ...]
@@ -202,6 +210,70 @@ def dual_basis_in_t(spec: Spec) -> RuleSet:
             acc = acc + t(i)
             rules.append((f"vs{i}", Fraction(9 - i, n - 9) * s1 + acc))
     return RuleSet.of(rules)
+
+
+# -- orbit sums of a Young subgroup and the reflections that move them ------------
+
+
+def _spans(blocks: Sequence[int]) -> list[tuple[int, int]]:
+    """``(start, end)`` of each block of consecutive places."""
+    ends = list(accumulate(blocks))
+    return list(zip([0] + ends[:-1], ends))
+
+
+@lru_cache(maxsize=None)
+def _neighbours(blocks: tuple[int, ...]) -> list[tuple[itemgetter, itemgetter]]:
+    """Getters of each pair of neighbouring places inside one of ``blocks``."""
+    return [(itemgetter(i), itemgetter(i + 1)) for a, b in _spans(blocks) for i in range(a, b - 1)]
+
+
+class OrbitSums(Record):
+    """A polynomial in ``names`` symmetric under H, the permutations within
+    each block of consecutive names (``blocks`` gives their sizes), kept as
+    one integer numerator over ``den`` per H-orbit of terms.
+
+    An orbit is keyed by its representative, the exponent vector descending
+    within each block.  One-element blocks keep every term, one block keeps S_n
+    orbits.  A store whose blocks do not split ``names``, with a key that is
+    not such a representative, or with a numerator that is not an int or a
+    ``den`` that is not a positive int, raises ``ValueError``.  :meth:`of`
+    drops zeros and reduces ``den``, so equal polynomials give equal stores.
+    """
+
+    table: VarTable
+    names: tuple[str, ...]
+    blocks: tuple[int, ...]
+    numerators: dict
+    den: int = 1
+
+    def __post_init__(self):
+        m, keys, blocks = len(self.names), self.numerators.keys(), tuple(self.blocks)
+        if sum(blocks) != m or not all(type(b) is int and b > 0 for b in blocks):
+            raise ValueError(f"blocks {blocks} do not split {m} names")
+        if set(map(len, keys)) - {m} or not all(
+                all(map(ge, map(a, keys), map(b, keys))) for a, b in _neighbours(blocks)):
+            raise ValueError(f"a key is not descending within blocks {blocks} of {m} names")
+        den, kinds = self.den, set(map(type, self.numerators.values()))
+        if not (type(den) is int and den >= 1) or kinds - {int}:
+            raise ValueError(f"not integer numerators over a positive denominator ({den!r})")
+
+    @staticmethod
+    def of(table: VarTable, names: Sequence[str], blocks: Sequence[int],
+           numerators: Mapping[tuple, int], den: int = 1) -> "OrbitSums":
+        nums = {r: a for r, a in numerators.items() if a}
+        try:
+            g = gcd(den, *nums.values())
+        except TypeError:  # not all ints, which the constructor rejects
+            g = 1
+        if g > 1:
+            nums = {r: a // g for r, a in nums.items()}
+            den //= g
+        return OrbitSums(table, tuple(names), tuple(blocks), nums, den)
+
+    @property
+    def spans(self) -> list[tuple[int, int]]:
+        """``(start, end)`` of each block."""
+        return _spans(self.blocks)
 
 
 @lru_cache(maxsize=None)

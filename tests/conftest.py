@@ -1,8 +1,11 @@
 import os
+from fractions import Fraction
+from itertools import chain, permutations, product
 
 import pytest
 
 from rdpinv.envres import VersalPipeline
+from rdpinv.poly import Polynomial
 from rdpinv.solvelist import RuleCache
 
 
@@ -39,3 +42,18 @@ def pipe7(cache):
 @pytest.fixture(scope="session")
 def pipe8(cache):
     return VersalPipeline(8, cache=cache)
+
+
+def written(store):
+    """Every term of an orbit-sum store written out, through the public API
+    alone: each distinct rearrangement of each representative within each
+    block, at the representative's numerator over the store's denominator,
+    summed through ``Polynomial.from_items``."""
+    names = store.table.names
+    items: dict = {}
+    for r, n in store.numerators.items():
+        c = Fraction(n, store.den)
+        for w in product(*[set(permutations(r[a:b])) for a, b in store.spans]):
+            exps = dict(zip(store.names, chain.from_iterable(w)))
+            items[tuple(exps.get(v, 0) for v in names)] = c
+    return Polynomial.from_items(store.table, items)

@@ -32,10 +32,11 @@ print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
 """
 
 REFLECTION_SUBSTITUTION = """
-from rdpinv.distpoly import t_expand, ts_table
+from rdpinv.distpoly import s_to_t_rules, ts_table
 from rdpinv.rootsys import Spec, weyl_action
 s = ts_table(6).var
-pt = t_expand(s("s2") ** 3 - 4 * s("s3") ** 2 + s("s1") * s("s5") + s("s6"), 6).polynomial()
+phi = s("s2") ** 3 - 4 * s("s3") ** 2 + s("s1") * s("s5") + s("s6")
+pt = phi.substitute(s_to_t_rules(6))
 action = weyl_action(Spec("E", 6), 0)
 first = len(tracer.spans)
 moved = pt.substitute(action.mapping())

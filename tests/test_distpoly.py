@@ -3,6 +3,7 @@ from itertools import accumulate, combinations
 from math import prod
 
 import pytest
+from conftest import written
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
@@ -27,8 +28,8 @@ from rdpinv.distpoly import (
     t_expand,
     ts_table,
 )
-from rdpinv.poly import OrbitSums, Polynomial, VarTable, parse
-from rdpinv.rootsys import Spec, reflection_blocks, weyl_action
+from rdpinv.poly import Polynomial, VarTable, parse
+from rdpinv.rootsys import OrbitSums, Spec, reflection_blocks, weyl_action
 
 
 def _store(p, n):
@@ -244,7 +245,7 @@ def test_t_expand_matches_elementary_symmetric():
     table = ts_table(3)
     out = t_expand(table.var("s2"), 3)
     ts = [table.var(f"t{i}") for i in (1, 2, 3)]
-    assert out.polynomial() == elem_sym(ts, 2)
+    assert written(out) == elem_sym(ts, 2)
 
 
 def test_elem_sym_degree_bounds():
@@ -360,7 +361,7 @@ def test_t_expand_matches_the_substitution_oracle(case):
     oracle = phi.compact().substitute(s_to_t_rules(n))
     store = t_expand(phi, n)
     assert type(store) is OrbitSums and store.blocks == (n,) and store.table is ts_table(n)
-    pt = store.polynomial()
+    pt = written(store)
     assert dict(pt.items()) == dict(oracle.to_table(ts_table(n)).items())
     assert pt.serialize() == oracle.serialize()
 
@@ -374,7 +375,7 @@ def test_t_expand_rejects_non_s_variables(name):
 
 def _expanded(phi, n):
     """phi in the t's, on ts_table(n), whose exponent tuples read U, Z, t, s."""
-    return t_expand(phi, n).polynomial().to_table(ts_table(n))
+    return written(t_expand(phi, n)).to_table(ts_table(n))
 
 
 def _unequal_terms(p, n):
@@ -488,13 +489,13 @@ def test_product_table_is_unchanged_by_calls_that_raise():
     expanded = t_expand(phi, n)
     reduced = symmetric_reduce(expanded, n)
     with pytest.raises(NonSymmetricError):
-        symmetric_reduce(_store(expanded.polynomial() + t1 ** 5 * t2, n), n)
+        symmetric_reduce(_store(written(expanded) + t1 ** 5 * t2, n), n)
     with pytest.raises(ValueError, match="non-s variables"):
         t_expand(phi + table.var("U") * table.var("s4") ** 2, n)
     with pytest.raises(ValueError, match="not over"):
         symmetric_reduce(OrbitSums.of(table, ["t1", "t2", "t3", "U"], (4,), {(6, 1, 0, 0): 1}), n)
     assert t_expand(phi, n) == expanded
-    assert expanded.polynomial() == phi.substitute(s_to_t_rules(n, table))
+    assert written(expanded) == phi.substitute(s_to_t_rules(n, table))
     assert symmetric_reduce(expanded, n) == reduced == phi
     assert _e_products(n) is _e_products(n)
 
@@ -510,9 +511,12 @@ def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
 def test_literal_e8_invariance_with_symmetric_reduction(pipe8):
     e8 = Spec("E", 8)
     rules = pipe8.versal_rules()
-    for name in ("eps2", "eps8", "eps12", "eps14"):
+    for name in ("eps2", "eps8", "eps12", "eps14", "eps18", "eps20"):
         assert invariant_under_literal(e8, rules[name], 0, reduce_back=True), name
-    assert not invariant_under_literal(e8, ts_table(8).var("s1"), 0, reduce_back=True)
+    s1 = ts_table(8).var("s1")
+    assert not invariant_under_literal(e8, s1, 0, reduce_back=True)
+    # compacted: the pipeline's table carries a Z of another weight
+    assert not invariant_under_literal(e8, rules["eps18"].compact() + s1 ** 18, 0, reduce_back=True)
 
 
 # -- both literal modes, and the packed expansion and reduction -------------------
@@ -574,7 +578,7 @@ def test_t_expand_and_reduce_with_wide_fields(n, text):
     # t-exponents from 128 up need 16-bit fields; the second text has denominators
     phi = parse(text.replace("s2", "s1") if n == 1 else text, ts_table(n))
     store = t_expand(phi, n)
-    pt = store.polynomial()
+    pt = written(store)
     oracle = phi.substitute(s_to_t_rules(n)).to_table(ts_table(n))
     assert pt == oracle and pt.serialize() == oracle.serialize()
     assert max(max(exps) for exps, _ in pt.items()) >= 128
@@ -585,14 +589,14 @@ def test_t_expand_and_reduce_with_wide_fields(n, text):
 def test_t_expand_and_reduce_the_zero_polynomial(n):
     zero = ts_table(n).zero()
     store = t_expand(zero, n)
-    assert store.numerators == {} and store.table is ts_table(n) and store.polynomial().is_zero
+    assert store.numerators == {} and store.table is ts_table(n) and written(store).is_zero
     assert symmetric_reduce(store, n).is_zero and symmetric_reduce(_store(zero, n), n).is_zero
 
 
 def _wide_expansion():
     """A symmetric input with 16-bit fields, a denominator, and orbits of
     sizes 1 and 2; it reduces to s1^129 + 1/3*s2^2."""
-    return t_expand(parse("s1^129 + 1/3*s2^2", ts_table(2)), 2).polynomial()
+    return written(t_expand(parse("s1^129 + 1/3*s2^2", ts_table(2)), 2))
 
 
 @pytest.mark.parametrize("change", ["coefficient", "dropped", "added"])
@@ -628,7 +632,7 @@ def test_t_expand_on_blocks_is_the_expansion_in_orbit_sums(case, data):
     blocks = data.draw(st.sampled_from(_blockings(n)))
     store = t_expand(phi, n, blocks)
     assert store.blocks == blocks and store.table is ts_table(n)
-    assert store.polynomial().serialize() == t_expand(phi, n).polynomial().serialize()
+    assert written(store).serialize() == written(t_expand(phi, n)).serialize()
     assert symmetric_reduce(store, n).serialize() == phi.serialize()
 
 
@@ -652,8 +656,8 @@ def test_literal_check_on_orbit_sums_matches_the_written_out_check(name):
         act = weyl_action(spec, g)
         for phi in inputs:
             moved = act.apply(t_expand(phi, spec.n, reflection_blocks(spec, g)))
-            whole = act.apply(t_expand(phi, spec.n).polynomial())
-            assert moved.polynomial() == whole, (g, phi)
+            whole = act.apply(written(t_expand(phi, spec.n)))
+            assert written(moved) == whole, (g, phi)
             assert _outcome(symmetric_reduce, moved, spec.n) == _outcome(
                 symmetric_reduce, _store(whole, spec.n), spec.n), (g, phi)
 

@@ -1,19 +1,19 @@
+import ast
 import random
 import re
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate, permutations, product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rdpinv.poly
 from rdpinv.poly import (
     AbsentVariableError,
     InconsistentSystemError,
     LinearSystem,
     NonLinearError,
-    OrbitSums,
     ParseError,
     Polynomial,
     VarTable,
@@ -271,89 +271,11 @@ def test_numerators_match_the_term_view(items, moved, order, k):
     assert q == p and q.serialize() == p.serialize()
 
 
-def _block_spans(blocks):
-    ends = list(accumulate(blocks))
-    return list(zip([0] + ends[:-1], ends))
-
-
-def _descending_in_blocks(e, blocks):
-    return tuple(x for a, b in _block_spans(blocks) for x in sorted(e[a:b], reverse=True))
-
-
-def _orbit_groups(p, names, blocks):
-    """``(den, groups)``: p's numerators over ``names``, grouped by the
-    representative of each exponent vector under the permutations within
-    ``blocks``."""
-    den, terms = p.numerators_over(names)
-    groups: dict = {}
-    for e, (n,) in terms.items():
-        groups.setdefault(_descending_in_blocks(e, blocks), []).append(n)
-    return den, groups
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.permutations(R_MERGED.names), st.data(), st.integers(1, 30))
-def test_orbit_writer_matches_every_rearrangement(order, data, den):
-    """``OrbitSums.polynomial`` against an independent writer: each distinct
-    permutation within each block of each representative, summed through
-    ``from_items``.  The store is built directly, so it may hold zeros and a
-    denominator not coprime to its numerators."""
-    names = order[:data.draw(st.integers(1, len(order)))]
-    cut = data.draw(st.lists(st.booleans(), min_size=len(names) - 1, max_size=len(names) - 1))
-    ends = [i + 1 for i, c in enumerate(cut) if c] + [len(names)]
-    blocks = tuple(b - a for a, b in zip([0] + ends, ends))
-    reps = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 130)] * len(names)).map(
-        lambda e: _descending_in_blocks(e, blocks)), st.integers(-20, 20), max_size=5))
-    items: dict = {}
-    for r, n in reps.items():
-        for w in product(*[set(permutations(r[a:b])) for a, b in _block_spans(blocks)]):
-            exps = dict(zip(names, sum(w, ())))
-            items[tuple(exps.get(v, 0) for v in R_MERGED.names)] = Fraction(n, den)
-    p = OrbitSums(R_MERGED, tuple(names), blocks, reps, den).polynomial()
-    want = Polynomial.from_items(R_MERGED, items)
-    assert p == want and p.serialize() == want.serialize()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from([(3,), (2, 1), (1, 2), (1, 1, 1)]).flatmap(lambda blocks: st.tuples(
-           st.just(blocks), st.dictionaries(st.tuples(*[st.integers(0, 130)] * 3).map(
-               lambda e: _descending_in_blocks(e, blocks)), st.integers(-20, 20), max_size=5))),
-       st.integers(1, 30), st.permutations(R_MERGED.names))
-def test_orbit_store_round_trips_on_blocks(case, den, order):
-    """A store on blocks of consecutive names writes each representative's
-    rearrangements within the blocks, once each, and the terms read back and
-    grouped by representative give every orbit with its one numerator."""
-    blocks, reps = case
-    names = order[:3]
-    orbit = lambda r: set(product(*[permutations(r[a:b]) for a, b in _block_spans(blocks)]))
-    items: dict = {}
-    for r, n in reps.items():
-        for w in orbit(r):
-            exps = dict(zip(names, sum(w, ())))
-            items[tuple(exps.get(v, 0) for v in R_MERGED.names)] = Fraction(n, den)
-    store = OrbitSums.of(R_MERGED, names, blocks, reps, den)
-    p = store.polynomial()
-    want = Polynomial.from_items(R_MERGED, items)
-    assert p == want and p.serialize() == want.serialize()
-    d, groups = _orbit_groups(p, names, blocks)
-    assert d == store.den
-    assert {r: sorted(ns) for r, ns in groups.items()} == {
-        r: [n] * len(orbit(r)) for r, n in store.numerators.items()}
-    assert OrbitSums.of(R_MERGED, names, blocks, {r: ns[0] for r, ns in groups.items()}, d) == store
-
-
-@pytest.mark.parametrize("blocks", [(2,), (3, 1), (2, 0, 1), [1, 2.0]])
-def test_orbit_store_rejects_blocks_that_do_not_split_the_names(blocks):
-    names = R_MERGED.names[:3]
-    with pytest.raises(ValueError, match="do not split"):
-        OrbitSums.of(R_MERGED, names, blocks, {(1, 0, 0): 1})
-
-
-@pytest.mark.parametrize("blocks, key", [((1, 2), (1, 0)), ((1, 2), (1, 0, 0, 0)),
-                                         ((1, 2), (1, 0, 1)), ((3,), (0, 1, 0))])
-def test_orbit_store_rejects_a_key_that_is_no_representative(blocks, key):
-    with pytest.raises(ValueError, match="not descending"):
-        OrbitSums.of(R_MERGED, R_MERGED.names[:3], blocks, {key: 1})
+def test_the_kernel_is_a_leaf():
+    # the kernel imports nothing from the package and keeps no orbit-sum store
+    tree = ast.parse(resources.files("rdpinv").joinpath("poly.py").read_text())
+    assert [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level] == []
+    assert not hasattr(rdpinv.poly, "OrbitSums")
 
 
 @pytest.mark.parametrize("numerators, den", [({(1, 0): Fraction(1, 2)}, 1), ({(1, 0): 1.0}, 1),

@@ -21,8 +21,8 @@ from rdpinv.classify import RdpType, SectionBound, ValuationProfile
 from rdpinv.congruence import KEY_CASES, KeyCase, KeyResult, RelationReport, RestrictedPoly
 from rdpinv.distpoly import DistData, E45Report, ts_table
 from rdpinv.envres import GoodGenSet
-from rdpinv.poly import OrbitSums, VarTable, parse
-from rdpinv.rootsys import Reflection, Spec, VertexSplit, vertex_split, weyl_action
+from rdpinv.poly import VarTable, parse
+from rdpinv.rootsys import OrbitSums, Reflection, Spec, VertexSplit, vertex_split, weyl_action
 from rdpinv.solvelist import RuleSet, SolveList
 
 # every record type and its fields, in the order the dataclasses had them

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import accumulate, permutations, product
 
 import pytest
+from conftest import written
 from hypothesis import assume, given, settings, strategies as st
 
 from rdpinv.distpoly import elem_sym, ts_table
-from rdpinv.poly import OrbitSums, VarTable
+from rdpinv.poly import VarTable
 from rdpinv.rootsys import (
+    OrbitSums,
     Spec,
     UnsupportedSplitError,
     distinguished_functionals,
@@ -113,6 +116,76 @@ def test_e_generator_action():
     assert act["t5"] == tt.var("t5") + Fraction(1, 3) * sigma
 
 
+# -- the orbit-sum store ----------------------------------------------------------
+
+#: x, y and z after two more names, so a store's names need not start the table
+WVXYZ = VarTable(["w", "v", "x", "y", "z"], [3, 1, 1, 2, 0])
+
+
+def _block_spans(blocks):
+    ends = list(accumulate(blocks))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _descending_in_blocks(e, blocks):
+    return tuple(x for a, b in _block_spans(blocks) for x in sorted(e[a:b], reverse=True))
+
+
+def _orbit_groups(p, names, blocks):
+    """``(den, groups)``: p's numerators over ``names``, grouped by the
+    representative of each exponent vector under the permutations within
+    ``blocks``."""
+    den, terms = p.numerators_over(names)
+    groups: dict = {}
+    for e, (n,) in terms.items():
+        groups.setdefault(_descending_in_blocks(e, blocks), []).append(n)
+    return den, groups
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([(3,), (2, 1), (1, 2), (1, 1, 1)]).flatmap(lambda blocks: st.tuples(
+           st.just(blocks), st.dictionaries(st.tuples(*[st.integers(0, 130)] * 3).map(
+               lambda e: _descending_in_blocks(e, blocks)), st.integers(-20, 20), max_size=5))),
+       st.integers(1, 30), st.permutations(WVXYZ.names))
+def test_orbit_store_round_trips_on_blocks(case, den, order):
+    """A store on blocks of consecutive names, written out, reads back
+    grouped by representative as every orbit with its one numerator, and
+    those numerators give the store again."""
+    blocks, reps = case
+    names = order[:3]
+    orbit = lambda r: set(product(*[permutations(r[a:b]) for a, b in _block_spans(blocks)]))
+    store = OrbitSums.of(WVXYZ, names, blocks, reps, den)
+    d, groups = _orbit_groups(written(store), names, blocks)
+    assert d == store.den
+    assert {r: sorted(ns) for r, ns in groups.items()} == {
+        r: [n] * len(orbit(r)) for r, n in store.numerators.items()}
+    assert OrbitSums.of(WVXYZ, names, blocks, {r: ns[0] for r, ns in groups.items()}, d) == store
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3, 1), (2, 0, 1), [1, 2.0]])
+def test_orbit_store_rejects_blocks_that_do_not_split_the_names(blocks):
+    names = WVXYZ.names[:3]
+    with pytest.raises(ValueError, match="do not split"):
+        OrbitSums.of(WVXYZ, names, blocks, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("blocks, key", [((1, 2), (1, 0)), ((1, 2), (1, 0, 0, 0)),
+                                         ((1, 2), (1, 0, 1)), ((3,), (0, 1, 0))])
+def test_orbit_store_rejects_a_key_that_is_no_representative(blocks, key):
+    with pytest.raises(ValueError, match="not descending"):
+        OrbitSums.of(WVXYZ, WVXYZ.names[:3], blocks, {key: 1})
+
+
+@pytest.mark.parametrize("numerators, den", [
+    ({(1, 0): 1.5}, 1), ({(1, 0): Fraction(3, 2)}, 1), ({(1, 0): True}, 1), ({(1, 0): 2}, -4),
+    ({(1, 0): 1}, 0), ({}, 0), ({}, -1), ({(1, 0): 1}, 2.0)])
+@pytest.mark.parametrize("build", [OrbitSums, OrbitSums.of])
+def test_orbit_store_rejects_numerators_that_are_not_canonical(build, numerators, den):
+    # int numerators over a positive int, else stores of one polynomial could differ
+    with pytest.raises(ValueError, match="not integer numerators"):
+        build(ts_table(2), ("t1", "t2"), (2,), numerators, den)
+
+
 @st.composite
 def stores(draw, spec, blocks):
     """A store on the t-table on the given blocks: up to four orbits of
@@ -158,12 +231,12 @@ def test_reflection_matches_substitution_and_is_an_involution(name, data):
     for g in spec.generators():
         blocks = reflection_blocks(spec, g)
         store = data.draw(stores(spec, blocks))
-        p = store.polynomial()
+        p = written(store)
         assume(len(blocks) == 1 or any(p.substitute(swap) != p for swap in swaps))
         act = weyl_action(spec, g)
         moved = act.apply(store)
         oracle = p.substitute(act.mapping())
-        assert moved.blocks == blocks and moved.polynomial() == oracle, (name, g)
+        assert moved.blocks == blocks and written(moved) == oracle, (name, g)
         assert act.apply(moved) == store, (name, g)
 
 
@@ -177,7 +250,7 @@ def test_reflection_rejects_a_store_it_does_not_commute_with():
         weyl_action(spec, 0).apply(OrbitSums.of(spec.t_table(), names[:5], (3, 2), {}))
     # finer blocks than the reflection's are fine
     fine = OrbitSums.of(spec.t_table(), names, (1,) * 6, rep)
-    assert weyl_action(spec, 0).apply(fine).polynomial() == fine.polynomial().substitute(
+    assert written(weyl_action(spec, 0).apply(fine)) == written(fine).substitute(
         weyl_action(spec, 0).mapping())
 
 
