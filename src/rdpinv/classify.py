@@ -1,17 +1,19 @@
 """Newton-polygon classification of rational double points.
 
 ``rdp_type`` decides the type of an isolated surface double point from a
-sufficiently long jet of its defining polynomial.  Squares are split off
-in the given coordinates (the splitting lemma), up to two of them; their
-number picks the branch.  Two leave an A tail read off its order; one
-leaves a binary cubic, whose factorization shape (read off its Hessian)
-and then the orders of the tail decide D or E.  Both splits are one
-closed-form step (``_root``): a square is split off at the zero of its
-variable's first derivative and a D tail at the zero of dg/dy, each found
-degree by degree, exact and truncated at the caller's jet order; an E
-tail needs no split, as the orders it is decided on are read the same
-off the unsplit coefficients.  No square root is ever needed, as the
-tree only consumes counts, factor multiplicities and vanishing orders.
+jet of its defining polynomial, split only as deep as its branch reads
+(finite determinacy).  The exact rank of the quadratic part picks the branch
+before any split: rank 3 is A1 (the Morse lemma); rank 2 splits off two
+squares in the given coordinates (the splitting lemma), after a shear
+u -> u + v where only cross terms are left (rank 2 alone needs it), and
+reads an A tail off the order of the rest; rank 1 splits off its square to
+degree 3, where the binary cubic's factorization shape (read off its
+Hessian) gives D4, to degree 5 for an E tail, and to the jet order for a D
+tail.  Both splits are one closed-form step (``_root``), at the zero of the
+square's variable's first derivative or of the D tail's dg/dy, found degree
+by degree, exact and truncated; an E tail needs no split, as the orders it
+is decided on read the same off the unsplit coefficients.  No square root
+is ever needed: the tree consumes ranks, factor multiplicities and orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -23,10 +25,11 @@ deformation, via the monomial table of low-degree terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Optional
 
 from ._record import Record
-from .poly import Polynomial, exact_div
+from .poly import Polynomial
 
 
 class RdpType(Record):
@@ -65,9 +68,7 @@ def length_type(length: int) -> RdpType:
 
 
 def _order(p: Polynomial) -> Optional[int]:
-    if p.is_zero:
-        return None
-    return min(sum(m) for m, _ in p.items())
+    return min((sum(m) for m, _ in p.items()), default=None)
 
 
 def _coeff(p: Polynomial, mono: Mapping[str, int]):
@@ -81,22 +82,28 @@ def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
 
     That derivative is lead*var + rest, ``lead`` a nonzero constant or a
     constant times one other variable, and phi = -rest(phi)/lead is fixed
-    one degree at a time by one truncated substitution each.  At each
-    caller, once phi is right below degree k, rest(phi)/lead is right to
-    degree k.  An error of order e in phi moves a split square only from
-    degree 2e on and a D tail from 2e + 1, so no order that a decision
-    reads needs phi beyond degree d // 2.
+    one degree at a time by one truncated substitution and an exact shift
+    each.  At each caller, once phi is right below degree k, rest(phi)/lead
+    is right to degree k.  An error of order e in phi moves a split square
+    only from degree 2e on and a D tail from 2e + 1, so no order that a
+    decision reads needs phi beyond degree d // 2.
     """
     g = g.derivative_along({var: 1})
-    by = lead.variables()
+    ((mono, c),) = lead.items()
+    by, names = sum(mono), g.table.names
     # phi has no constant term, so a term of rest above the last step's
-    # bound never reaches a kept degree
-    rest = (g - lead * g.table.var(var)).truncate(d // 2 + len(by))
+    # bound never reaches a kept degree; the minus sign and c go in once
+    rest = (lead * g.table.var(var) - g).truncate(d // 2 + by) / c
     phi = g.table.zero()
     for k in range(1, d // 2 + 1):
         # dividing by a variable lowers the degree, so rest(phi) needs one more
-        r = rest.substitute({var: phi}, max_total_degree=k + len(by))
-        phi = -(exact_div(r, lead, *by) if by else r / lead.constant_value())
+        phi = rest.substitute({var: phi}, max_total_degree=k + by)
+        if by:
+            den, groups = phi.numerators_over(names)
+            quotient = {tuple(map(sub, e, mono)): n for e, (n,) in groups.items()}
+            if any(min(e) < 0 for e in quotient):
+                raise ValueError(f"division by {lead.serialize()} leaves a remainder")
+            phi = Polynomial.from_numerators(g.table, names, quotient, den)
     return phi
 
 
@@ -107,6 +114,19 @@ def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
     if not a:
         raise ValueError("expected a pure square term")
     return p.substitute({var: _root(p, var, p.table.const(2 * a), d)}, max_total_degree=d)
+
+
+def _rank(q: Polynomial, names: list[str]) -> int:
+    """The rank of the quadratic form q, exactly: twice its denominator times
+    its matrix is integral, and a symmetric matrix of rank r has a nonzero
+    principal r x r minor."""
+    _, num = q.numerators_over(names)
+    # the matrix [[a, b, c], [b, d, e], [c, e, f]]
+    a, d, f = (2 * num.get(m, [0])[0] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    b, c, e = (num.get(m, [0])[0] for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    if a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d):
+        return 3
+    return 2 if a * d - b * b or a * f - c * c or d * f - e * e else int(bool(q))
 
 
 def _square_to_split(f: Polynomial, q: Polynomial,
@@ -170,7 +190,8 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     The polynomial must vanish at the origin and involve exactly the three
     variables of its table.  Raises :class:`UndecidableError` when the jet
     is too short and :class:`NotRDPError` when the singularity is not a
-    rational double point.
+    rational double point.  The quadratic rank is read first, then the jet
+    to degree 2 for A1, 3 for D4, 5 for E, and its order for D_k or A_k.
     """
     names = list(f.table.names[:3])
     if len(f.table) != 3:
@@ -182,36 +203,44 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         return RdpType("A", 0)
     if jet_order < 2:
         raise UndecidableError(jet_order, "the quadratic part needs a degree-2 jet")
-    g, left = f, list(names)
-    while len(left) > 1 and not (q := g.degree_part(2)).is_zero:
-        g, var = _square_to_split(g, q, left)
-        g = _split_off_square(g, var, jet_order)
-        left.remove(var)
-    squares = len(names) - len(left)
-    if squares == 0:
+    q = f.degree_part(2)
+    rank = _rank(q, names)
+    if rank == 0:
         raise NotRDPError("multiplicity at least three")
-    if squares == 2:
+    if rank == 3:
+        return RdpType("A", 1)
+    if rank == 2:
+        g, left = f, list(names)
+        while len(left) > 1:
+            g, var = _square_to_split(g, g.degree_part(2), left)
+            g = _split_off_square(g, var, jet_order)
+            left.remove(var)
         m = _order(g)
         if m is None:
             raise UndecidableError(jet_order, "residual tail vanishes to jet order")
         return RdpType("A", m - 1)
     if jet_order < 3:
         raise UndecidableError(jet_order, "the cubic part needs a degree-3 jet")
-    y, z = left
+    _, var = _square_to_split(f, q, names)
+    y, z = (v for v in names if v != var)
+    g = _split_off_square(f, var, 3)
     g3 = g.degree_part(3)
     if g3.is_zero:
         raise NotRDPError("no cubic part after splitting the square")
     shape = _binary_cubic_shape(g3, y, z)
     if shape[0] == "distinct":
         return RdpType("D", 4)
-    g = _straighten_double_factor(g, shape[1], y, z, jet_order)
+    # a D tail reads the whole jet, an E tail no degree above 5
+    d = jet_order if shape[0] == "double" else min(jet_order, 5)
+    g = _split_off_square(f, var, d) if d > 3 else g
+    g = _straighten_double_factor(g, shape[1], y, z, d)
     if shape[0] == "double":
         c3 = _coeff(g, {y: 2, z: 1})
         if not c3:
             raise NotRDPError("double factor did not straighten")
         # the y^0 coefficient of g(y + phi), the tail once y*z^b is split off
-        phi = _root(g, y, 2 * c3 * g.table.var(z), jet_order)
-        order = _order(g.substitute({y: phi}, max_total_degree=jet_order))
+        phi = _root(g, y, 2 * c3 * g.table.var(z), d)
+        order = _order(g.substitute({y: phi}, max_total_degree=d))
         if order is None:
             raise UndecidableError(jet_order, "pure tail vanishes to jet order")
         return RdpType("D", order + 1)

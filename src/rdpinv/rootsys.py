@@ -247,7 +247,8 @@ class OrbitSums(Record):
     den: int = 1
 
     def __post_init__(self):
-        m, keys, blocks = len(self.names), self.numerators.keys(), tuple(self.blocks)
+        self.__dict__.update(names=tuple(self.names), blocks=tuple(self.blocks))
+        m, keys, blocks = len(self.names), self.numerators.keys(), self.blocks
         if sum(blocks) != m or not all(type(b) is int and b > 0 for b in blocks):
             raise ValueError(f"blocks {blocks} do not split {m} names")
         if set(map(len, keys)) - {m} or not all(

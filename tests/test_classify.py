@@ -15,6 +15,7 @@ from rdpinv.classify import (
     ValuationProfile,
     _binary_cubic_shape,
     _order,
+    _rank,
     _root,
     _split_off_square,
     _square_to_split,
@@ -320,6 +321,96 @@ def test_a_d_tail_root_divides_by_its_variable():
     with pytest.raises(UndecidableError, match="pure tail"):
         rdp_type(P("-X^2") + g, jet_order=5)
     assert rdp_type(P("-X^2 + Z^7") + g, jet_order=7).name == "D8"
+
+
+def test_a_d_tail_root_with_a_remainder_raises():
+    # the y-derivative 2*Y*Z + 1 leaves the constant 1, which Z does not divide
+    with pytest.raises(ValueError, match="remainder"):
+        _root(P("Y^2*Z + Y"), "Y", 2 * T.var("Z"), 4)
+
+
+def matrix_rank(rows):
+    """The rank of a rational matrix, by Gaussian elimination."""
+    rows, rank = [list(map(Fraction, r)) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            r[:] = [x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=6,
+                max_size=6))
+# x^2 + y^2 + z^2 + 2xy - 2xz + 2yz: rank 3, every 2 x 2 principal minor zero
+@example([1, 1, 1, 2, -2, 2])
+@example([0, 0, 0, 1, 0, 0])
+def test_rank_of_the_quadratic_part(coeffs):
+    # the coefficients of X^2, Y^2, Z^2, X*Y, X*Z, Y*Z
+    xx, yy, zz, xy, xz, yz = coeffs
+    q = Polynomial.from_items(T, {(2, 0, 0): xx, (0, 2, 0): yy, (0, 0, 2): zz,
+                                  (1, 1, 0): xy, (1, 0, 1): xz, (0, 1, 1): yz})
+    half = Fraction(1, 2)
+    matrix = [[xx, half * xy, half * xz], [half * xy, yy, half * yz], [half * xz, half * yz, zz]]
+    assert _rank(q, list(T.names)) == matrix_rank(matrix)
+
+
+# -- how deep each branch reads the jet: the bound of every substitution
+# rdp_type makes
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """The ``max_total_degree`` of each ``Polynomial.substitute`` call from here on."""
+    seen = []
+    substitute = Polynomial.substitute
+
+    def counted(self, rules, max_total_degree=None):
+        seen.append(max_total_degree)
+        return substitute(self, rules, max_total_degree)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    return seen
+
+
+def moved_forms(text):
+    """The normal form, five seeded linear moves of it and three triangular ones."""
+    rng = random.Random(f"depth {text}")
+    base = P(text)
+    moves = [base.substitute(random_linear_rules(rng), max_total_degree=10) for _ in range(5)]
+    for _ in range(3):
+        moved = base.substitute(random_triangular_rules(rng), max_total_degree=10)
+        moves.append(moved.substitute(random_linear_rules(rng), max_total_degree=10))
+    return [base, *moves]
+
+
+def test_a1_needs_no_substitution(bounds):
+    # rank 3 is A1 by the Morse lemma, however the quadratic part looks
+    for f in [P("X*Y + Y*Z + Z*X")] + moved_forms("-X*Y + Z^2"):
+        bounds.clear()
+        assert rdp_type(f, jet_order=10).name == "A1"
+        assert bounds == [], f.serialize()
+
+
+def test_d4_reads_no_degree_above_3(bounds):
+    for f in moved_forms("-X^2 - Y^2*Z + Z^3"):
+        bounds.clear()
+        assert rdp_type(f, jet_order=10).name == "D4"
+        assert bounds and all(b is not None and b <= 3 for b in bounds), (f.serialize(), bounds)
+
+
+@pytest.mark.parametrize("text,want", [(t, w) for t, w in NORMAL_FORMS if w[0] == "E"])
+def test_e_types_read_no_degree_above_5(text, want, bounds):
+    for f in moved_forms(text):
+        assert rdp_type(f, jet_order=5).name == want, f.serialize()
+        bounds.clear()
+        assert rdp_type(f, jet_order=10).name == want, f.serialize()
+        assert bounds and all(b is not None and b <= 5 for b in bounds), (f.serialize(), bounds)
 
 
 @st.composite

@@ -186,6 +186,19 @@ def test_orbit_store_rejects_numerators_that_are_not_canonical(build, numerators
         build(ts_table(2), ("t1", "t2"), (2,), numerators, den)
 
 
+def test_orbit_store_keeps_names_and_blocks_as_tuples():
+    # a store built from lists is the one that of() builds from the same data;
+    # its numerators are a dict, so the store itself has no hash, but its
+    # names and blocks hash as of()'s do
+    t = ts_table(2)
+    direct = OrbitSums(t, ["t1", "t2"], [1, 1], {(1, 0): 1})
+    built = OrbitSums.of(t, ["t1", "t2"], [1, 1], {(1, 0): 1})
+    assert direct == built
+    assert hash((direct.names, direct.blocks)) == hash((built.names, built.blocks))
+    assert repr(direct) == repr(built)
+    assert "names=('t1', 't2'), blocks=(1, 1)" in repr(direct)
+
+
 @st.composite
 def stores(draw, spec, blocks):
     """A store on the t-table on the given blocks: up to four orbits of
