@@ -8,12 +8,15 @@ squares in the given coordinates (the splitting lemma), after a shear
 u -> u + v where only cross terms are left (rank 2 alone needs it), and
 reads an A tail off the order of the rest; rank 1 splits off its square to
 degree 3, where the binary cubic's factorization shape (read off its
-Hessian) gives D4, to degree 5 for an E tail, and to the jet order for a D
-tail.  Both splits are one closed-form step (``_root``), at the zero of the
-square's variable's first derivative or of the D tail's dg/dy, found degree
-by degree, exact and truncated; an E tail needs no split, as the orders it
-is decided on read the same off the unsplit coefficients.  No square root
-is ever needed: the tree consumes ranks, factor multiplicities and orders.
+Hessian) gives D4, and to degree 5 for an E or a D tail.  An A or D tail
+is split in rungs: to degree 5, which shows every tail order up to 5, and
+to the jet order only if the tail vanishes through degree 5, each root
+resumed where the last rung left it.  Both splits are one closed-form step
+(``_root``), at the zero of the square's variable's first derivative or of
+the D tail's dg/dy, found degree by degree, exact and truncated; an E tail
+needs no split, as the orders it is decided on read the same off the
+unsplit coefficients.  No square root is ever needed: the tree consumes
+ranks, factor multiplicities and orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -76,7 +79,8 @@ def _coeff(p: Polynomial, mono: Mapping[str, int]):
     return p.coeff_of(mono, p.table.names).constant_value()
 
 
-def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
+def _root(g: Polynomial, var: str, lead: Polynomial, d: int,
+          resume: Optional[tuple[Polynomial, int]] = None) -> Polynomial:
     """phi, free of ``var``, where the ``var``-derivative of g vanishes, to
     degree d // 2 (the splitting lemma).
 
@@ -86,16 +90,18 @@ def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
     each.  At each caller, once phi is right below degree k, rest(phi)/lead
     is right to degree k.  An error of order e in phi moves a split square
     only from degree 2e on and a D tail from 2e + 1, so no order that a
-    decision reads needs phi beyond degree d // 2.
+    decision reads needs phi beyond degree d // 2.  ``resume`` = (phi, e) is
+    what a call for degree e <= d returned, on a g equal to this one to
+    degree e; that phi is exact to degree e // 2, and the loop goes on.
     """
-    g = g.derivative_along({var: 1})
     ((mono, c),) = lead.items()
     by, names = sum(mono), g.table.names
-    # phi has no constant term, so a term of rest above the last step's
-    # bound never reaches a kept degree; the minus sign and c go in once
-    rest = (lead * g.table.var(var) - g).truncate(d // 2 + by) / c
-    phi = g.table.zero()
-    for k in range(1, d // 2 + 1):
+    # phi has no constant term, so a term of rest (of g, one degree up) above
+    # the last step's bound never reaches a kept degree; -1 and c go in once
+    g = g.truncate(d // 2 + by + 1).derivative_along({var: 1})
+    rest = (lead * g.table.var(var) - g) / c
+    phi, e = resume or (g.table.zero(), 0)
+    for k in range(e // 2 + 1, d // 2 + 1):
         # dividing by a variable lowers the degree, so rest(phi) needs one more
         phi = rest.substitute({var: phi}, max_total_degree=k + by)
         if by:
@@ -107,13 +113,17 @@ def _root(g: Polynomial, var: str, lead: Polynomial, d: int) -> Polynomial:
     return phi
 
 
-def _split_off_square(p: Polynomial, var: str, d: int) -> Polynomial:
+def _split_off_square(p: Polynomial, var: str, d: int, resume: Optional[tuple] = None
+                      ) -> tuple[Polynomial, Polynomial]:
     """The ``var``-free part of p, to degree d, once a*var^2 is split off:
-    p(phi, rest), where var = phi(rest) solves dp/dvar = 0."""
+    p(phi, rest), where var = phi(rest) solves dp/dvar = 0, and phi (from
+    ``_root``, given ``resume``).  Exact to degree d: a deeper split,
+    truncated to d, is the same."""
     a = _coeff(p, {var: 2})
     if not a:
         raise ValueError("expected a pure square term")
-    return p.substitute({var: _root(p, var, p.table.const(2 * a), d)}, max_total_degree=d)
+    phi = _root(p, var, p.table.const(2 * a), d, resume)
+    return p.substitute({var: phi}, max_total_degree=d), phi
 
 
 def _rank(q: Polynomial, names: list[str]) -> int:
@@ -129,20 +139,20 @@ def _rank(q: Polynomial, names: list[str]) -> int:
     return 2 if a * d - b * b or a * f - c * c or d * f - e * e else int(bool(q))
 
 
-def _square_to_split(f: Polynomial, q: Polynomial,
-                     left: list[str]) -> tuple[Polynomial, str]:
+def _square_to_split(f: Polynomial, q: Polynomial, left: list[str],
+                     d: Optional[int] = None) -> tuple[Polynomial, str]:
     """A variable of ``left`` whose square occurs in f, with f made to show it.
 
     The terms of f lie in the variables of ``left`` and its quadratic part
     q is nonzero.  If q has only cross terms c*u*v, f is first sheared by
-    u -> u + v, which adds c*v^2 and no other square.
+    u -> u + v, which adds c*v^2 and no other square, and kept to degree d.
     """
     for var in left:
         if _coeff(q, {var: 2}):
             return f, var
     m, _ = next(iter(q.items()))
     u, v = (name for name, e in zip(f.table.names, m) if e)
-    return f.substitute({u: f.table.var(u) + f.table.var(v)}), v
+    return f.substitute({u: f.table.var(u) + f.table.var(v)}, max_total_degree=d), v
 
 
 def _binary_cubic_shape(g3: Polynomial, y: str, z: str):
@@ -191,7 +201,8 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     variables of its table.  Raises :class:`UndecidableError` when the jet
     is too short and :class:`NotRDPError` when the singularity is not a
     rational double point.  The quadratic rank is read first, then the jet
-    to degree 2 for A1, 3 for D4, 5 for E, and its order for D_k or A_k.
+    to degree 2 for A1, 3 for D4, 5 for E, and 5 for an A or D tail of
+    order at most 5; only a longer tail is split again to the jet order.
     """
     names = list(f.table.names[:3])
     if len(f.table) != 3:
@@ -209,41 +220,53 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         raise NotRDPError("multiplicity at least three")
     if rank == 3:
         return RdpType("A", 1)
+    # a split exact to degree d shows every tail order up to d, so an A or D
+    # tail is split to degree 5 first and to the jet order only if it
+    # vanishes there, each root resumed where the last rung left it
+    rungs = sorted({min(jet_order, 5), jet_order})
     if rank == 2:
-        g, left = f, list(names)
-        while len(left) > 1:
-            g, var = _square_to_split(g, g.degree_part(2), left)
-            g = _split_off_square(g, var, jet_order)
-            left.remove(var)
-        m = _order(g)
-        if m is None:
-            raise UndecidableError(jet_order, "residual tail vanishes to jet order")
-        return RdpType("A", m - 1)
+        roots = {}
+        for d in rungs:
+            g, left = f, list(names)
+            while len(left) > 1:
+                g, var = _square_to_split(g, g.degree_part(2), left, d)
+                g, phi = _split_off_square(g, var, d, roots.get(var))
+                roots[var] = phi, d
+                left.remove(var)
+            m = _order(g)
+            if m is not None:
+                return RdpType("A", m - 1)
+        raise UndecidableError(jet_order, "residual tail vanishes to jet order")
     if jet_order < 3:
         raise UndecidableError(jet_order, "the cubic part needs a degree-3 jet")
     _, var = _square_to_split(f, q, names)
     y, z = (v for v in names if v != var)
-    g = _split_off_square(f, var, 3)
+    g, phi = _split_off_square(f, var, 3)
     g3 = g.degree_part(3)
     if g3.is_zero:
         raise NotRDPError("no cubic part after splitting the square")
     shape = _binary_cubic_shape(g3, y, z)
     if shape[0] == "distinct":
         return RdpType("D", 4)
-    # a D tail reads the whole jet, an E tail no degree above 5
-    d = jet_order if shape[0] == "double" else min(jet_order, 5)
-    g = _split_off_square(f, var, d) if d > 3 else g
-    g = _straighten_double_factor(g, shape[1], y, z, d)
-    if shape[0] == "double":
+    square, tail_root = (phi, 3), None
+    for d in rungs:
+        if d > 3:
+            g, phi = _split_off_square(f, var, d, square)
+            square = phi, d
+        g = _straighten_double_factor(g, shape[1], y, z, d)
+        if shape[0] == "triple":  # an E tail reads no degree above 5
+            break
         c3 = _coeff(g, {y: 2, z: 1})
         if not c3:
             raise NotRDPError("double factor did not straighten")
         # the y^0 coefficient of g(y + phi), the tail once y*z^b is split off
-        phi = _root(g, y, 2 * c3 * g.table.var(z), d)
+        phi = _root(g, y, 2 * c3 * g.table.var(z), d, tail_root)
+        tail_root = phi, d
         order = _order(g.substitute({y: phi}, max_total_degree=d))
-        if order is None:
-            raise UndecidableError(jet_order, "pure tail vanishes to jet order")
-        return RdpType("D", order + 1)
+        if order is not None:
+            return RdpType("D", order + 1)
+    else:  # the D tail vanished on every rung
+        raise UndecidableError(jet_order, "pure tail vanishes to jet order")
     c3 = _coeff(g, {y: 3})
     if not c3:
         raise NotRDPError("triple factor did not straighten")

@@ -175,6 +175,8 @@ def _profile_order(name: str, value) -> "int | float":
 
 
 def cmd_classify(args) -> int:
+    if args.poly_file and args.profile_file:
+        return _usage_error("give --poly-file or --profile-file, not both")
     if args.poly_file:
         if args.jet_order < 0:
             return _usage_error(f"--jet-order must be nonnegative, got {args.jet_order}")

@@ -246,9 +246,32 @@ def square_jets(draw):
 @given(square_jets())
 def test_split_off_square_matches_square_completion(jet):
     p, var, d = jet
-    got, want = _split_off_square(p, var, d), sheared_square(p, var, d)
+    (got, _), want = _split_off_square(p, var, d), sheared_square(p, var, d)
     assert got.table is want.table
     assert got.serialize() == want.serialize(), (p.serialize(), var, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_jets(), st.data())
+def test_a_split_to_degree_d_is_the_deeper_split_truncated(jet, data):
+    # what lets a tail that shows by degree 5 stop at the first rung
+    p, var, _ = jet
+    d = data.draw(st.integers(3, 12))
+    j = data.draw(st.integers(d, 12))
+    (low, _), (high, _) = _split_off_square(p, var, d), _split_off_square(p, var, j)
+    assert low == high.truncate(d), (p.serialize(), var, d, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_jets(), st.data())
+def test_a_resumed_square_root_is_the_fresh_one(jet, data):
+    # started from the root of the degree-d jet, exact to degree d // 2
+    p, var, _ = jet
+    d = data.draw(st.integers(2, 12))
+    j = data.draw(st.integers(d, 12))
+    lead = T.const(2 * dict(p.items())[tuple(2 * (v == var) for v in T.names)])
+    start = _root(p.truncate(d), var, lead, d)
+    assert _root(p, var, lead, j, (start, d)) == _root(p, var, lead, j), (p.serialize(), d, j)
 
 
 def test_split_off_square_needs_the_square():
@@ -311,6 +334,18 @@ def test_tail_roots_match_the_sheared_normal_forms(jet):
     # the y^0 coefficient of g(y + phi) is g(phi)
     got = _order(g.substitute({"Y": phi}, max_total_degree=d))
     assert got == sheared_tail_D(g, Fraction(c3), d), (g.serialize(), d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straightened_tails(), st.data())
+def test_a_resumed_d_tail_root_is_the_fresh_one(jet, data):
+    branch, g, c3, _ = jet
+    assume(branch == "D")
+    d = data.draw(st.integers(3, 12))
+    j = data.draw(st.integers(d, 12))
+    lead = 2 * c3 * T.var("Z")
+    start = _root(g.truncate(d), "Y", lead, d)
+    assert _root(g, "Y", lead, j, (start, d)) == _root(g, "Y", lead, j), (g.serialize(), d, j)
 
 
 def test_a_d_tail_root_divides_by_its_variable():
@@ -411,6 +446,37 @@ def test_e_types_read_no_degree_above_5(text, want, bounds):
         bounds.clear()
         assert rdp_type(f, jet_order=10).name == want, f.serialize()
         assert bounds and all(b is not None and b <= 5 for b in bounds), (f.serialize(), bounds)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("-X*Y + Z^3", "A2"), ("-X*Y + Z^4", "A3"), ("-X*Y + Z^5", "A4"), ("-X*Y - Y*Z + Z^5", "A4"),
+    ("-X^2 - Y^2*Z + Z^2", "A3"), ("-X^2 - Y^2*Z + Z^4", "D5"), ("-X^2 - Y^2*Z + Z^5", "D6")])
+def test_tails_of_order_at_most_5_read_no_degree_above_5(text, want, bounds):
+    # they show their tail on the first rung
+    for f in moved_forms(text):
+        bounds.clear()
+        assert rdp_type(f, jet_order=10).name == want, f.serialize()
+        assert bounds and all(b is not None and b <= 5 for b in bounds), (f.serialize(), bounds)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("-X*Y + Z^6", "A5"), ("-X*Y + Z^7", "A6"), ("-X*Y + Z^8", "A7"), ("-X*Y + Z^9", "A8"),
+    ("-X^2 - Y^2*Z + Z^6", "D7"), ("-X^2 - Y^2*Z + Z^7", "D8")])
+def test_longer_tails_read_the_jet_order(text, want, bounds):
+    # the tail vanishes through degree 5, so the second rung runs
+    for f in moved_forms(text):
+        bounds.clear()
+        assert rdp_type(f, jet_order=10).name == want, f.serialize()
+        assert None not in bounds and max(bounds) == 10, (f.serialize(), bounds)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("X^2 + Y^2", "residual tail vanishes to jet order (jet order 10)"),
+    ("-X^2 - Y^2*Z", "pure tail vanishes to jet order (jet order 10)")])
+def test_a_tail_that_vanishes_on_both_rungs_is_undecidable(text, message):
+    with pytest.raises(UndecidableError) as caught:
+        rdp_type(P(text), jet_order=10)
+    assert str(caught.value) == message
 
 
 @st.composite

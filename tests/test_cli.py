@@ -159,6 +159,18 @@ def test_classify_profile_file(tmp_path, capsys):
     assert code == 0 and "at worst E7" in out
 
 
+def test_classify_takes_one_input_file(tmp_path, capsys):
+    # an equation and a profile together are a usage error, whichever comes first
+    (tmp_path / "surface.txt").write_text("-X^2 + Y^3 - Z^5\n")
+    (tmp_path / "profile.json").write_text(json.dumps({"type": "E8", "orders": {"eps8": 1}}))
+    poly = ["--poly-file", str(tmp_path / "surface.txt")]
+    profile = ["--profile-file", str(tmp_path / "profile.json")]
+    for argv in (poly + profile, profile + poly):
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: give --poly-file or --profile-file, not both\n"
+
+
 def test_classify_undecidable_exit_code(tmp_path, capsys):
     target = tmp_path / "surface.txt"
     for text, jet_order in (("-X*Y + Z^9", "5"), ("-X^2 - Y^2*Z + Z^3", "2")):
@@ -168,7 +180,7 @@ def test_classify_undecidable_exit_code(tmp_path, capsys):
         assert code == 1 and out == "" and err.startswith("undecidable:"), (text, err)
 
 
-#: criterion 9's normal forms at --jet-order 10, 5, 4, 3 and 2, then one profile; each
+#: criterion 9's normal forms at --jet-order 10, 7, 5, 4, 3 and 2, then one profile; each
 #: run as "classify <args>: <input>", its stdout, its stderr lines prefixed
 #: "stderr: ", and "exit <code>", as the CI job that diffs interpreters prints it
 CLASSIFY_TRANSCRIPT = Path(__file__).with_name("classify_transcript.txt")
