@@ -177,9 +177,9 @@ def _profile_order(name: str, value) -> "int | float":
 def cmd_classify(args) -> int:
     if args.poly_file and args.profile_file:
         return _usage_error("give --poly-file or --profile-file, not both")
+    if args.jet_order < 0:
+        return _usage_error(f"--jet-order must be nonnegative, got {args.jet_order}")
     if args.poly_file:
-        if args.jet_order < 0:
-            return _usage_error(f"--jet-order must be nonnegative, got {args.jet_order}")
         table = VarTable(["X", "Y", "Z"], [1, 1, 1])
         try:
             poly = parse(Path(args.poly_file).read_text().strip(), table)

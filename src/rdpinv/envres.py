@@ -287,8 +287,8 @@ def solve_e8_sextic() -> Polynomial:
             terms[carrier, sm] = terms.get((carrier, sm), 0) - value
     # pipeline_table starts x, y, z, s1..sn
     table = pipeline_table(n)
-    pad = (0,) * (len(table) - 3 - n)
-    return Polynomial.from_items(table, {m + t + pad: c for (m, t), c in terms.items()})
+    head = VarTable(table.names[:3 + n], table.weights[:3 + n])
+    return Polynomial.from_items(head, {m + t: c for (m, t), c in terms.items()}).to_table(table)
 
 
 @lru_cache(maxsize=None)

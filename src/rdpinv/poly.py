@@ -295,7 +295,7 @@ def _repacked(terms: dict, s: int, s2: int) -> dict:
 def _product(blocks) -> dict:
     """The nonzero sums over the term pairs of ``blocks``, each block two
     runs of ``(key, numerator)``, one per factor: the one pair loop behind
-    ``*``, ``mul_truncated``, ``mul_kept`` and the Horner steps of
+    ``*``, ``mul_truncated``, ``image_coefficients`` and the Horner steps of
     ``substitute``."""
     out: dict = {}
     get = out.get
@@ -305,6 +305,17 @@ def _product(blocks) -> dict:
                 k = ka + kb
                 out[k] = get(k, 0) + na * nb
     return {k: n for k, n in out.items() if n}
+
+
+def _routed(ga: dict, gb: dict, sums: dict) -> dict:
+    """``sums``, each cell's list extended by the pairs of runs of ``ga``
+    and ``gb``, both by cell, whose cells sum to it, the shorter run first."""
+    for ca, ta in ga.items():
+        for cb, tb in gb.items():
+            run = sums.get(ca + cb)
+            if run is not None:
+                run.append((ta, tb) if len(ta) <= len(tb) else (tb, ta))
+    return sums
 
 
 def _within(ga: dict, gb: dict, bound: int) -> list:
@@ -361,13 +372,15 @@ class Polynomial:
     @staticmethod
     def from_items(table: VarTable, items: Mapping[tuple, "int | Fraction"]) -> "Polynomial":
         """The polynomial with these terms; each key is an exponent tuple
-        aligned with ``table.names``, and zero coefficients are dropped."""
+        aligned with ``table.names``, and zero coefficients are dropped
+        before any key is packed from the nonzero exponents."""
         for exps, c in items.items():
             if len(exps) != len(table):
                 raise ValueError(f"exponent tuple {exps} does not fit {table}")
             _check_rational(c)
+        items = {exps: c for exps, c in items.items() if c}
         s = _width_for([e for exps in items for e in exps])
-        coeffs = {_pack(enumerate(e), s): c for e, c in items.items()}
+        coeffs = {_pack(compress(enumerate(e), e), s): c for e, c in items.items()}
         return _reduced(table, *_over_common(coeffs), s)
 
     @staticmethod
@@ -841,23 +854,70 @@ class Polynomial:
         ga, gb = (_grouped(p.terms, _degrees(p.terms, s)) for p in (a, b))
         return a._times(b, _within(ga, gb, bound))
 
-    def mul_kept(self, other: "Polynomial", names: Sequence[str],
-                 cells: Iterable[tuple[int, ...]]) -> "Polynomial":
-        """The terms of the product whose exponents in ``names`` form one of
-        ``cells``, nonnegative exponent tuples aligned with ``names``.  Both
-        factors are grouped by packed cell once, and a pair of cells whose
-        sum is not kept is skipped before any of its terms is formed."""
-        a, b = self._factors(other)
-        s = a.shift
-        offsets = [a.table.index_of(n) * s for n in names]
-        mask = sum(((1 << s) - 1) << o for o in offsets)
-        # every product exponent stays below the guard bit, so a cell at or
-        # above it is never reached, and packing it could only alias another
-        kept = {sum(e << o for o, e in zip(offsets, c)) for c in cells
-                if max(c, default=0) < 1 << s - 1}
-        ga, gb = (_grouped(p.terms, lambda k: k & mask) for p in (a, b))
-        return a._times(b, [(ta, tb) for ca, ta in ga.items() for cb, tb in gb.items()
-                            if ca + cb in kept])
+    def image_coefficients(self, rules: Mapping[str, "Polynomial"], names: Sequence[str],
+                           monos: Sequence[Mapping[str, int]]) -> list["Polynomial"]:
+        """The coefficient over ``names`` of each of ``monos`` in
+        ``self.substitute(rules)``, as :meth:`coefficients_over` gives it
+        (zero for a monomial off ``names``), with the image never formed.
+
+        A cell is a term's exponents in ``names``; cells add under
+        multiplication.  The image sums cofactors times products of rule
+        values, each a smaller product times one value, so a product is
+        needed only at a monomial less a cell of its cofactor, the smaller
+        one only at those cells less a cell of the value.  A product is kept
+        as cell -> terms over one unnormalized denominator, formed only where
+        needed; a pair of cells of a cofactor and its product that reaches a
+        monomial goes straight into its sum, over one common denominator.
+        Keys are packed once, wide enough for each value's top exponent
+        times its top exponent here plus those here of the other variables.
+        """
+        live = {self.table.index_of(v): r for v, r in rules.items() if v in self.table}
+        table = reduce(VarTable.merged, (r.table for r in live.values()), self.table)
+        tops = _fields(reduce(or_, self.terms, 0), self.shift)
+        live = {i: r for i, r in live.items() if i < len(tops) and tops[i]}
+        top = max([e for i, e in enumerate(tops) if i not in live], default=0) + sum(
+            tops[i] * _top(r.terms, r.shift) for i, r in live.items())
+        s = _fit(max([self.shift] + [r.shift for r in live.values()]), top)
+        field, half = (1 << s) - 1, 1 << s - 1
+        at = {v: table.index_of(v) * s for v in names}
+        cell, guard = sum(field << o for o in at.values()), sum(half << o for o in at.values())
+        values = {i * s: _grouped(r.to_table(table)._widened(s).terms, cell.__and__)
+                  for i, r in live.items()}
+        ruled = sum(field << o for o in values)
+        # each ruled part of the terms -> its cofactor, by cell
+        groups = {h: _grouped({k - h: n for k, n in t}, cell.__and__)
+                  for h, t in _grouped(self._widened(s).terms, ruled.__and__).items()}
+        # a monomial with an exponent no field holds is never reached
+        targets = [sum(e << at[v] for v, e in m.items())
+                   if m.keys() <= at.keys() and all(0 <= e < half for e in m.values()) else None
+                   for m in monos]
+        sums: dict = {t: [] for t in targets if t is not None}
+
+        def less(need, cells) -> set:
+            # n - c borrows the guard bit of a field where c exceeds n
+            return {n - c for n in need for c in cells if (n | guard) - c & guard == guard}
+
+        need = {h: less(sums, g) for h, g in groups.items()}
+        steps = {}  # a product's ruled part -> (the offset of its last value, the part it extends)
+        # every consumer of a product has a higher total degree than it
+        degree = _reader(sum(tops[i] for i in live), s)
+        for d in range(max(map(degree, need), default=0), 0, -1):
+            for h in [h for h in need if degree(h) == d]:
+                o = max(o for o in values if h >> o & field)
+                steps[h] = o, h - (1 << o)
+                need.setdefault(steps[h][1], set()).update(less(need[h], values[o]))
+        products, dens = {0: {0: {0: 1}.items()}}, {0: 1}
+        for h, (o, low) in reversed(steps.items()):
+            blocks = _routed(products[low], values[o], {c: [] for c in need[h]})
+            products[h] = {c: _product(b).items() for c, b in blocks.items()}
+            dens[h] = dens[low] * live[o // s].den
+        common = lcm(*(dens[h] for h in groups))
+        for h, cofactor in groups.items():
+            f = common // dens[h]
+            _routed({c: [(k, n * f) for k, n in t] for c, t in cofactor.items()}, products[h], sums)
+        found = {t: _product(b) for t, b in sums.items()}
+        return [_reduced(table, {k - t: n for k, n in found[t].items()}, self.den * common, s)
+                if t is not None and found[t] else table.zero() for t in targets]
 
     def derivative_along(self, direction: Mapping[str, int]) -> "Polynomial":
         """``sum c_v * d/dv`` of this polynomial over ``direction``, whose

@@ -11,11 +11,9 @@ ordered elimination, :func:`solve_in_order`, is the one exact triangular
 solver: it also inverts the change of generators and solves the
 restricted polynomials.
 
-The substituted template is never built whole.  Demand runs back from
-the pairs' monomials through the products of rule values that the image
-sums, and each product is formed only at the exponents of the monomial
-variables that can still reach a pair's monomial; for the plain E8
-versal stage that reads 4,871 of the image's 9,641 terms.
+The substituted template is never built whole: the kernel's
+:meth:`Polynomial.image_coefficients` sums only the terms that reach a
+pair's monomial, for the plain E8 versal stage 4,871 of its 9,641.
 
 Expanded rule sets can be persisted in a cache keyed by a hash of
 (base, template, pairs, extraction variables, expansion version), or by
@@ -35,7 +33,6 @@ import os
 import sys
 import tempfile
 from functools import cached_property, reduce
-from operator import ge, sub
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -185,53 +182,11 @@ class SolveList(Record):
         return SolveList(base, self.template.substitute(m), self.pairs, self.monomial_vars)
 
     def coefficient_equations(self) -> list[Polynomial]:
-        """The raw coefficients c_i before any unknown is eliminated.
-
-        c_i is the coefficient of the i-th pair's monomial in
-        ``base.apply(template)`` viewed over the monomial variables.  That
-        image is a sum of template cofactors times products of rule values,
-        each product a smaller one times one rule value.  Cells (exponents
-        in the monomial variables) add under multiplication, so demand runs
-        back from the pairs' monomials: a cofactor's product is needed only
-        at a target less a cell of the cofactor, and the smaller product
-        only at those cells less a cell of the rule value.  Each product is
-        formed only at the cells it is needed at
-        (:meth:`Polynomial.mul_kept`), and the sum only at the targets; the
-        result equals reading the coefficients off the whole image.
-        """
-        template, names = self.template, self.monomial_vars
-        live = [(v, p) for v, p in self.base.rules if v in template.table]
-        # the table of the whole image, so every c_i is over the same one
-        table = reduce(VarTable.merged, (p.table for _, p in live), template.table)
-        values = [p.to_table(table) for _, p in live]
-        # a monomial off the monomial variables is never reached
-        targets = [tuple(dict(mono).get(v, 0) for v in names)
-                   if all(v in names for v, _ in mono) else None
-                   for mono, _ in self.pairs]
-        wanted = {t for t in targets if t is not None}
-
-        def less(need: set, cells: Iterable[tuple]) -> set:
-            """The cells that one of ``cells`` raises into ``need``."""
-            return {tuple(map(sub, n, c)) for n in need for c in cells if all(map(ge, n, c))}
-
-        ruled = [value.coefficients_over(names) for value in values]
-        groups = template.to_table(table).coefficients_over(v for v, _ in live)
-        need = {key: less(wanted, c.coefficients_over(names)) for key, c in groups.items()}
-        steps = {}  # a product's key -> (its last rule value, the key it extends)
-        # every consumer of a product has a higher total degree than it
-        for d in range(max(map(sum, need), default=0), 0, -1):
-            for key in [key for key in need if sum(key) == d]:
-                i = max(k for k, e in enumerate(key) if e)
-                low = key[:i] + (key[i] - 1,) + key[i + 1:]
-                need.setdefault(low, set()).update(less(need[key], ruled[i]))
-                steps[key] = i, low
-        products = {(0,) * len(live): table.const(1)}
-        for key, (i, low) in reversed(steps.items()):
-            products[key] = products[low].mul_kept(values[i], names, need[key])
-        found = sum((cofactor.mul_kept(products[key], names, wanted)
-                     for key, cofactor in groups.items()), table.zero())
-        split = found.coefficients_over(names)
-        return [split.get(t, table.zero()) for t in targets]
+        """The raw coefficients c_i before any unknown is eliminated: c_i is the
+        i-th pair's monomial's coefficient in ``base.apply(template)`` over the
+        monomial variables (:meth:`Polynomial.image_coefficients`)."""
+        return self.template.image_coefficients(self.base.mapping(), self.monomial_vars,
+                                                [dict(m) for m, _ in self.pairs])
 
     def expand(self) -> RuleSet:
         """Solve the pairs in order, eliminating each unknown as found.

@@ -63,7 +63,8 @@ x, y = (VarTable(["x", "y"], [1, 1]).var(v) for v in "xy")
 a, b = 1 + x + y, 2 - x * y
 spans = {}
 for op, call in [("mul_truncated", lambda: a.mul_truncated(b, 2)),
-                 ("mul_kept", lambda: a.mul_kept(b, ["x"], [(1,)])), ("*", lambda: a * b)]:
+                 ("image_coefficients", lambda: a.image_coefficients({"y": b}, ["x"], [{"x": 1}])),
+                 ("*", lambda: a * b)]:
     first = len(tracer.spans)
     call()
     spans[op] = [n for n, _, _, _, _ in tracer.spans[first:]]
@@ -110,11 +111,11 @@ def test_reflection_substitution_is_one_traced_span(tmp_path):
 
 
 def test_only_the_full_product_is_a_traced_mul_span(tmp_path):
-    # the three products share one private pair loop; none calls another,
-    # so poly.mul counts direct products only
+    # the products and the image coefficients share one private pair loop;
+    # none calls another, so poly.mul counts direct products only
     spans = run_traced(PRODUCTS, tmp_path)
     assert spans["mul_truncated"].count("poly.mul") == 0
-    assert spans["mul_kept"].count("poly.mul") == 0
+    assert spans["image_coefficients"] == []
     assert spans["*"].count("poly.mul") == 1
     assert spans["mul_truncated"].count("poly.mul_truncated") == 1
 

@@ -88,6 +88,7 @@ def test_invariants_bad_type(capsys):
     ["classify", "--poly-file", "{dir}/binary.txt"],
     ["classify", "--profile-file", "{dir}/unknown_type.json"],
     ["classify", "--poly-file", "{dir}/d4.txt", "--jet-order", "-1"],
+    ["classify", "--profile-file", "{dir}/e8_profile.json", "--jet-order", "-3"],
     ["congruence", "--all", "--jobs", "0"],
     ["congruence", "--case", "E7:v2", "--jobs", "-1"],
     ["classify", "--profile-file", "{dir}/fractional_order.json"],
@@ -104,6 +105,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")  # not UTF-8
     (tmp_path / "d4.txt").write_text("-X^2 - Y^2*Z + Z^3\n")
     (tmp_path / "unknown_type.json").write_text(json.dumps({"type": "E9", "orders": {"eps8": 1}}))
+    (tmp_path / "e8_profile.json").write_text(json.dumps({"type": "E8", "orders": {"eps8": 1}}))
     for name, order in (("fractional", 1.5), ("bool", True), ("zero", 0)):
         (tmp_path / f"{name}_order.json").write_text(
             json.dumps({"type": "E6", "orders": {"eps2": order}}))

@@ -629,6 +629,18 @@ def test_from_items_rejects_non_rational():
         Polynomial.from_items(table, {(1, 0): 0.5})
 
 
+def test_from_items_packs_the_nonzero_exponents_of_a_wide_table():
+    # 400 fields, nearly every exponent zero; a zero coefficient is no term,
+    # so even at an exponent past the guard bit it widens no field
+    def e(**at):
+        return tuple(at.get(v, 0) for v in WIDE.names)
+    p = Polynomial.from_items(WIDE, {e(v0=2, v399=1): Fraction(1, 2), e(v7=127): -3,
+                                     e(): 0, e(v5=300): Fraction(0)})
+    assert (p.shift, p.den) == (8, 2)
+    assert dict(p.items()) == {e(v0=2, v399=1): Fraction(1, 2), e(v7=127): -3}
+    assert p == WIDE.var("v0", 2) * WIDE.var("v399") / 2 - 3 * WIDE.var("v7", 127)
+
+
 def test_substitute_rejects_non_rational_rule_value():
     table = VarTable(["x", "y"], [1, 1])
     p = table.var("x") * table.var("y")
@@ -780,30 +792,38 @@ def test_kernel_matches_dense_reference(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_kept_cell_product_is_the_product_filtered_by_cells(data):
-    """mul_kept against the full product with every term off the cells
-    dropped: cell variables at any place in the table, Fraction
-    coefficients, empty cell sets, zero factors, and exponents in 16-bit
-    fields, in the factors or only in a cell that no product reaches."""
+def test_image_coefficients_are_the_substituted_coefficients(data):
+    """image_coefficients against the whole image split by coefficients_over:
+    cell variables at any place in the merged table, ruled ones among them,
+    Fraction coefficients over mixed denominators, zero and one-term rule
+    values, rules on absent variables, and exponents in 16-bit fields, in
+    the input, in a value, or only in a monomial that no term reaches."""
     ta, tb = data.draw(st.sampled_from([(SMALL, SMALL), (SMALL, FOREIGN), (FOREIGN, SMALL),
                                         (WIDE, WIDE), (SMALL, WIDE)]))
     exps = st.one_of(st.integers(0, 3), st.sampled_from(data.draw(st.sampled_from(LARGE))))
-    a, b = (_kernel(data.draw(dense_polys(t, exps))) for t in (ta, tb))
-    full = a * b
-    table = full.table
-    names = data.draw(st.lists(st.sampled_from(table.names), max_size=3, unique=True))
-    reached = list(full.coefficients_over(names))
+    p = _kernel(data.draw(dense_polys(ta, exps)))
+    # a ruled variable occurs, to a small power: its value is raised to it
+    tops = [max(m[i] for m, _ in p.items()) for i in range(len(ta))] if p else []
+    small = [v for v, e in zip(ta.names, tops) if 0 < e <= 3]
+    ruled = data.draw(st.lists(st.sampled_from(small), min_size=1, max_size=3, unique=True)
+                      if small else st.just([]))
+    rules = {v: _kernel(data.draw(dense_polys(tb, exps, max_terms=3))) for v in ruled + ["q"]}
+    image = p.substitute(rules)
+    table = image.table
+    some = sorted(image.variables() | set(ruled) | set(table.names[:2]))
+    names = data.draw(st.lists(st.sampled_from(some), max_size=3, unique=True))
+    split = image.coefficients_over(names)
     cell = st.tuples(*[exps] * len(names))
-    cells = set(data.draw(st.lists(st.sampled_from(reached) | cell if reached else cell,
-                                   max_size=4)))
-    where = [table.index_of(v) for v in names]
-    kept = a.mul_kept(b, names, cells)
-    assert kept.table is table
-    assert dict(kept.items()) == {m: c for m, c in full.items()
-                                  if tuple(m[i] for i in where) in cells}
-    assert kept == Polynomial.from_items(table, dict(kept.items()))
-    assert b.mul_kept(a, names, cells).to_table(table) == kept
-    assert a.mul_kept(b, names, reached) == full
+    cells = data.draw(st.lists(st.sampled_from(list(split)) | cell if split else cell, max_size=4))
+    monos = [dict(zip(names, c)) for c in cells] + [{"q": 1}]  # q is off names: zero
+    got = p.image_coefficients(rules, names, monos)
+    assert len(got) == len(monos)
+    for mono, c in zip(monos, got):
+        want = split.get(tuple(mono.get(v, 0) for v in names), table.zero()) \
+            if set(mono) <= set(names) else table.zero()
+        assert c.table is table
+        assert c == want and c.den == want.den
+        assert dict(c.items()) == dict(want.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -837,9 +857,11 @@ def test_powers_cross_the_guard_bit():
     assert dict(image.items()) == {(0, 381, 0): 1}
     # a Horner rule into a term whose kept exponent is near the guard bit
     assert (x ** 126 * y).substitute({"y": x + 1}) == x ** 127 + x ** 126
-    # a kept cell past every field is never reached; packed, it would read as y
-    assert y.mul_kept(SMALL.const(1), ("x", "y"), [(256, 0)]).is_zero
-    assert y.mul_kept(x ** 255, ("x", "y"), [(256, 0), (255, 1)]) == x ** 255 * y
+    # a monomial past every field is never reached; packed, it would read as y
+    assert y.image_coefficients({}, ("x", "y"), [{"x": 256}])[0].is_zero
+    # a rule that fills a field past its guard bit widens the fields first
+    got = y.image_coefficients({"y": x ** 255 * y}, ("x", "y"), [{"x": 256}, {"x": 255, "y": 1}])
+    assert got == [SMALL.zero(), SMALL.const(1)]
 
 
 def test_degree_reads_exact_when_the_field_sum_reaches_the_modulus():

@@ -313,20 +313,33 @@ _COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
                     st.fractions(-3, 3, max_denominator=4).filter(bool))
 
 
+#: rule-value coefficients over denominators whose lcm is not any one of them
+_RULE_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                         st.sampled_from([1, 2, 3, 4, 5, 12]))
+#: large exponents of a draw: none, across the guard bit of an 8-bit field,
+#: or near and across that of a 16-bit one
+_LARGE = [(), (127, 128, 255), (2**15 - 2, 2**15 - 1, 2**15)]
+
+
 @st.composite
 def _random_solve_lists(draw, pivots=False):
     """Random small solve lists; with ``pivots`` each pair's unknown also
-    occurs times its monomial with a constant, so most of them expand."""
+    occurs times its monomial with a constant, so most of them expand.
+    Some draw large exponents for the monomial variables and, but for
+    ``pivots``, whose ring maps raise values to the powers of s, for s."""
     weight = {v: draw(st.integers(0, 3)) for v in _NAMES}
+    large = draw(st.sampled_from(_LARGE))
     exponent = st.sampled_from([0, 0, 1, 2])
+    wide = st.sampled_from([0, 0, 1, 2, *large])
+    big = set("xyz" if pivots else "xyzs")
 
-    def poly(table, names, max_terms):
+    def poly(table, names, max_terms, coeffs=_COEFFS):
         p = table.zero()
         for _ in range(draw(st.integers(0, max_terms))):
-            term = table.const(draw(_COEFFS))
+            term = table.const(draw(coeffs))
             for v in names:
                 if v in table:
-                    term = term * table.var(v) ** draw(exponent)
+                    term = term * table.var(v) ** draw(wide if v in big else exponent)
             p = p + term
         return p
 
@@ -334,8 +347,8 @@ def _random_solve_lists(draw, pivots=False):
     # holds the monomial variables, the unknowns and, in a drawn order,
     # some of the rest
     full = VarTable(_NAMES, [weight[v] for v in _NAMES])
-    base = RuleSet.of([("A", poly(full, ("x", "y", "s", "a", "b"), 4).compact()),
-                       ("B", poly(full, ("x", "z", "A", "s", "c"), 4).compact())])
+    base = RuleSet.of([("A", poly(full, ("x", "y", "s", "a", "b"), 4, _RULE_COEFFS).compact()),
+                       ("B", poly(full, ("x", "z", "A", "s", "c"), 4, _RULE_COEFFS).compact())])
     names = draw(st.permutations(
         ["x", "y", "z", "a", "b", "c"] + draw(st.lists(st.sampled_from("ABs"), unique=True))))
     table = VarTable(names, [weight[v] for v in names])
@@ -347,7 +360,8 @@ def _random_solve_lists(draw, pivots=False):
     image = base.apply(template)
     reached = [tuple((v, e) for v, e in zip("xyz", m) if e)
                for m in image.coefficients_over(("x", "y", "z"))]
-    anywhere = st.builds(lambda *e: tuple(zip("xyz", e)), *[st.integers(0, 3)] * 3)
+    anywhere = st.builds(lambda *e: tuple(zip("xyz", e)),
+                         *[st.integers(0, 3) | st.sampled_from((0, *large))] * 3)
     monos = draw(st.lists(st.sampled_from(reached) | anywhere if reached else anywhere,
                           min_size=1, max_size=4))
     unknowns = draw(st.permutations(["a", "b", "c"])) + ["s"]
