@@ -23,8 +23,9 @@ class UsageError(Exception):
 
 
 def _usage_error(message: str) -> int:
-    """Report a usage error on one stderr line; the command then exits 2."""
-    print(f"error: {message}", file=sys.stderr)
+    """Report a usage error on one stderr line, each line break in it (from a
+    name read off an input file) written as ``\\n``; the command then exits 2."""
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
     return USAGE_ERROR
 
 
@@ -183,7 +184,7 @@ def cmd_classify(args) -> int:
         table = VarTable(["X", "Y", "Z"], [1, 1, 1])
         try:
             poly = parse(Path(args.poly_file).read_text().strip(), table)
-        except (OSError, UnicodeDecodeError, ParseError) as exc:
+        except (OSError, ValueError, ParseError) as exc:  # a number past int's digit limit too
             return _usage_error(str(exc))
         try:
             result = classify_mod.rdp_type(poly, jet_order=args.jet_order)

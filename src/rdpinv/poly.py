@@ -41,8 +41,12 @@ exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
   makes the store canonical (``den`` is the lcm of the coefficients'
   denominators), so equality compares dicts, and an inner product loop
   multiplies and adds plain ints; each op normalizes once per result.  A
-  substitution's Horner steps run through the same pair loop on bare
+  substitution's Horner steps, or its one sum of products when the input is
+  affine in the multi-term values, run through the same pair loop on bare
   numerator dicts with a running denominator, and normalize once per call.
+* Moving a polynomial onto another table shifts each run of fields that
+  stays consecutive with one mask and one shift, planned once per pair of
+  tables and width.
 
 Serialization is deterministic: terms are emitted in descending
 graded-lexicographic order, graded by total weighted degree with ties
@@ -260,6 +264,25 @@ class VarTable:
 
 
 _MERGE_CACHE: dict[tuple[int, int], VarTable] = {}
+#: (source table, target table, field width) -> the moves of ``Polynomial._moved``
+_MOVE_CACHE: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+
+
+def _moves(source: VarTable, target: VarTable, s: int) -> list[tuple[int, int, int]]:
+    """``(mask, up, down)`` per maximal run of consecutive fields of ``source``
+    whose names sit in consecutive fields of ``target``: a key moves as the sum
+    of ``(k & mask) << up >> down``; empty when no field moves."""
+    runs: list[list[int]] = []  # [first index, last index, target index - index]
+    for i, v in enumerate(source.names):
+        j = target._index.get(v)
+        if j is not None and runs and runs[-1][1:] == [i - 1, j - i]:
+            runs[-1][1] = i
+        elif j is not None:
+            runs.append([i, i, j - i])
+    if len(runs) == 1 and runs[0][::2] == [0, 0]:
+        return []
+    return [(((1 << (b - a + 1) * s) - 1) << a * s, max(d, 0) * s, max(-d, 0) * s)
+            for a, b, d in runs]
 
 
 def _reduced(table: VarTable, terms: dict, den: int, s: int) -> "Polynomial":
@@ -336,11 +359,12 @@ class _HornerValue:
         self.groups = _grouped(r.terms, _degrees(r.terms, r.shift)) if bounded else None
         self.low = min(self.groups) if bounded else 0
 
-    def times(self, acc: dict, w: int, cap: "int | None", bound: "int | None") -> tuple[dict, int]:
-        """``acc`` times the value, with every term above total degree ``cap``
-        dropped, and the product's field width: the width ``w`` of ``acc``,
-        doubled until no exponent it keeps reaches a guard bit.  In a call
-        bounded by ``bound``, no key of ``acc`` is above that degree."""
+    def times(self, acc: dict, w: int, cap: "int | None", bound: "int | None") -> tuple[list, int]:
+        """The pair-loop blocks of ``acc`` times the value, with every term
+        above total degree ``cap`` left out, and the product's field width:
+        the width ``w`` of ``acc``, doubled until no exponent it keeps reaches
+        a guard bit.  In a call bounded by ``bound``, no key of ``acc`` is
+        above that degree."""
         if cap is None or cap >= 1 << w - 1:
             top = _top(acc, w) + self.top
             s = _fit(w, top if cap is None else min(top, cap))
@@ -352,8 +376,8 @@ class _HornerValue:
             groups = groups and _grouped(terms, _degrees(terms, w))
         if cap is None:
             small, big = (acc, terms) if len(acc) <= len(terms) else (terms, acc)
-            return _product([(small.items(), list(big.items()))]), w
-        return _product(_within(_grouped(acc, _reader(bound, w)), groups, cap)), w
+            return [(small.items(), list(big.items()))], w
+        return _within(_grouped(acc, _reader(bound, w)), groups, cap), w
 
 
 class Polynomial:
@@ -437,14 +461,22 @@ class Polynomial:
         n = self.terms.get(0)
         return 0 if n is None else _coeff(n, self.den)
 
-    def _moved(self, table: VarTable, places) -> "Polynomial":
-        """This polynomial on ``table``, index ``i`` going to ``places[i]``
-        (unchanged when None)."""
+    def _moved(self, table: VarTable) -> "Polynomial":
+        """This polynomial on ``table``, which holds every variable that occurs;
+        each run of fields that stays consecutive moves with one mask and shift."""
         s = self.shift
-        if places is None:
-            return Polynomial(table, self.terms, self.den, s)
-        terms = {_pack(((places[i], e) for i, e in _pairs(k, s)), s): n
-                 for k, n in self.terms.items()}
+        key = (id(self.table), id(table), s)
+        moves = _MOVE_CACHE.get(key)
+        if moves is None:
+            moves = _MOVE_CACHE[key] = _moves(self.table, table, s)
+        if not moves:
+            terms = self.terms
+        elif len(moves) == 1:
+            ((mask, up, down),) = moves
+            terms = {(k & mask) << up >> down: n for k, n in self.terms.items()}
+        else:
+            terms = {sum([(k & mask) << up >> down for mask, up, down in moves]): n
+                     for k, n in self.terms.items()}
         return Polynomial(table, terms, self.den, s)
 
     def _widened(self, s: int) -> "Polynomial":
@@ -460,8 +492,7 @@ class Polynomial:
             return self
         table = VarTable([self.table.names[i] for i in used],
                          [self.table.weights[i] for i in used])
-        prefix = used == list(range(len(used)))
-        return self._moved(table, None if prefix else {i: j for j, i in enumerate(used)})
+        return self._moved(table)
 
     def to_table(self, table: VarTable) -> "Polynomial":
         if table is self.table:
@@ -469,9 +500,7 @@ class Polynomial:
         merged = table.merged(self.table)
         if merged is self.table:
             return self
-        names = self.table.names
-        prefix = merged.names[:len(names)] == names
-        return self._moved(merged, None if prefix else [merged.index_of(v) for v in names])
+        return self._moved(merged)
 
     def _align(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         a, b = self, other
@@ -676,12 +705,20 @@ class Polynomial:
         and each further one adds the fewest new ones, so the inner results
         stay small; for the E6 reflection on t1..t6 that is t6 outermost.
 
+        When no term carries two of v1, ..., vk or one of them squared, as
+        in an elimination, the image is ``block_0 + sum block_i * r(vi)``:
+        one pair loop sums every block, scaled to the common denominator,
+        times its value's terms, with no Horner level re-merging a result.
+
         The scheme runs on integer numerators over a running denominator:
         a step multiplies the numerators of ``acc`` by those of ``r(v1)``
         and the denominators likewise, a block joins over their common
-        multiple, and only the result is normalized.  Each value is grouped
-        by total degree once per call, and the fields widen only when a
-        step's exponents could reach a guard bit.
+        multiple, and only the result is normalized.  A one-term value's
+        denominator d stays an integer too: every block is over the
+        product of d ** (the input's top exponent of its variable), and a
+        term with a lower exponent is scaled up to it.  Each value is
+        grouped by total degree once per call, and the fields widen only
+        when a step's exponents could reach a guard bit.
 
         With ``max_total_degree`` the result is the full result truncated
         to that total degree.  Degrees only add under multiplication, so a
@@ -732,18 +769,7 @@ class Polynomial:
             else:
                 dead |= field << i * s
         own = self._widened(s).terms
-        order = list(horner)
-        if len(order) > 1:
-            # innermost first, each time the value that brings the fewest new
-            # variables into the inner results: they stay over fewer variables
-            uses = {i: set(r._used()) for i, r in horner.items()}
-            order, seen = [], set()
-            while uses:
-                i = min(uses, key=lambda i: (len(uses[i] - seen), i))
-                seen |= uses.pop(i)
-                order.append(i)
-            order.reverse()
-        values = [_HornerValue(i * s, horner[i], bound is not None) for i in order]
+        values = [_HornerValue(i * s, r, bound is not None) for i, r in horner.items()]
         hmask = sum(field << v.offset for v in values)
         keep = ~(hmask | dead | sum(field << o for o, *_ in ruled))
         if bound is not None:
@@ -751,7 +777,9 @@ class Polynomial:
             # each one-term value brings at the input's top exponent of its variable
             degree = _reader(sum(kept) + sum(tops[o // s] * _degree(k, s) for o, k, *_ in ruled), s)
             costs: dict[int, int] = {}  # Horner part of a key -> its image's least degree
-        fractional = any(d != 1 for *_, d in ruled)
+        # every block's numerators are over this, times the input's denominator:
+        # each one-term value's denominator to the input's top exponent of its variable
+        one_den = reduce(mul, [rd ** tops[o // s] for o, *_, rd in ruled], 1)
 
         # split the terms by their exponents of the Horner variables; the
         # rest of each term, with the one-term values applied, forms the block
@@ -768,8 +796,8 @@ class Polynomial:
                         rest += rk * e
                         c *= rn ** e
                         q *= rd ** e
-                if q != 1:
-                    c = Fraction(c, q)
+                if q != one_den:
+                    c *= one_den // q
             h = k & hmask
             if bound is not None:
                 cost = costs.get(h)
@@ -781,15 +809,47 @@ class Polynomial:
             block[rest] = block.get(rest, 0) + c
         if not blocks:
             return Polynomial(table, {})
+        one_den *= self.den
+
+        # a Horner part 0, or one Horner variable to the first power: the bit
+        # at the start of its field (2 << offset is a power of two as well)
+        units = {1 << v.offset: v for v in values}
+        units[0] = None
+        if values and blocks.keys() <= units.keys():
+            # affine in the Horner variables: one sum of products, each block
+            # over the common denominator paired with its value's terms
+            common = lcm(*[units[h].den for h in blocks if h])
+            w = s
+            for h, block in blocks.items():
+                if h:
+                    top = _top(block, s) + units[h].top
+                    w = max(w, _fit(s, top if bound is None else min(top, bound)))
+            pairs = []
+            for h, block in blocks.items():
+                v = units[h]
+                f = common // v.den if v else common
+                if f != 1:
+                    block = {k: n * f for k, n in block.items()}
+                if w != s:
+                    block = _repacked(block, s, w)
+                pairs += v.times(block, w, bound, bound)[0] if v else [([(0, 1)], block.items())]
+            return _reduced(table, _product(pairs), one_den * common, w)
+        if len(values) > 1:
+            # innermost first, each time the value that brings the fewest new
+            # variables into the inner results: they stay over fewer variables
+            uses = {v: set(horner[v.offset // s]._used()) for v in values}
+            order, seen = [], set()
+            while uses:
+                v = min(uses, key=lambda v: (len(uses[v] - seen), v.offset))
+                seen |= uses.pop(v)
+                order.append(v)
+            values = order[::-1]
 
         def combine(group: dict, level: int, budget: "int | None") -> tuple[dict, int, int]:
             """The group's image: its numerators, their denominator and field width."""
             if level == len(values):
                 (block,) = group.values()
-                if fractional:
-                    terms, common = _over_common(block)
-                    return terms, self.den * common, s
-                return {k: n for k, n in block.items() if n}, self.den, s
+                return {k: n for k, n in block.items() if n}, one_den, s
             v = values[level]
             by_exp: dict[int, dict] = {}
             for h, block in group.items():
@@ -807,7 +867,8 @@ class Polynomial:
                         f = d // gcd(den * v.den, d)
                         if f != 1:
                             acc, den = {k: n * f for k, n in acc.items()}, den * f
-                acc, w = v.times(acc, w, cap, bound)
+                pairs, w = v.times(acc, w, cap, bound)
+                acc = _product(pairs)
                 den *= v.den
                 if part is not None:
                     if w < wp:

@@ -13,7 +13,11 @@ restricted polynomials.
 
 The substituted template is never built whole: the kernel's
 :meth:`Polynomial.image_coefficients` sums only the terms that reach a
-pair's monomial, for the plain E8 versal stage 4,871 of its 9,641.
+pair's monomial, for the plain E8 versal stage 4,871 of its 9,641.  The
+bar and versal equations hold each earlier unknown to the first power and
+never two in one term, so :meth:`Polynomial.substitute` puts the earlier
+solutions into them in one pair loop (a few psi equations and key-case
+restrictions hold a square or a product and take its Horner scheme).
 
 Expanded rule sets can be persisted in a cache keyed by a hash of
 (base, template, pairs, extraction variables, expansion version), or by
@@ -126,19 +130,22 @@ def solve_in_order(equations: Sequence[Polynomial], unknowns: Sequence[str]) -> 
     equals substituting each in turn into every later equation.
     """
     solved: list[tuple[str, Polynomial]] = []
+    mentions: list[set[str]] = []  # the variables of each solution
     for i, var in enumerate(unknowns):
         eq = equations[i]
-        eq = eq.substitute({w: wval for w, wval in solved if eq.contains_var(w)})
+        used = eq.variables()
+        eq = eq.substitute({w: wval for w, wval in solved if w in used})
         try:
             value = eq.solve_linear(var)
         except (NonLinearError, AbsentVariableError) as exc:
             raise ValidityViolation(i, var, str(exc)) from exc
-        for w, wval in solved:
-            if wval.contains_var(var):
+        for (w, _), names in zip(solved, mentions):
+            if var in names:
                 raise ValidityViolation(
                     i, var, f"already occurs in the coefficient solved for {w}"
                 )
         solved.append((var, value))
+        mentions.append(value.variables())
     return RuleSet(tuple(solved))
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rdpinv.cli import main
 from rdpinv.poly import VarTable
@@ -115,6 +119,93 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- the usage-error contract, as a property -------------------------------------
+
+#: vanishing orders of a drawn profile: valid ones and each kind that is refused
+_ORDER_VALUES = st.sampled_from([1, 2, 30, 0, -1, 1.5, True, None, "inf", "3", [1], {}])
+_PROFILES = st.one_of(
+    st.fixed_dictionaries({
+        "type": st.sampled_from(["E6", "E7", "E8", "A5", "D4", "E9", "", 6, "E6\nE7"]),
+        "orders": st.dictionaries(st.sampled_from(["eps2", "eps5", "eps8", "eps30", "alpha2",
+                                                   "eps99", "", "eps2\nx", "eps2\rx"]),
+                                  _ORDER_VALUES, max_size=3),
+    }).map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", '{"type": "E6"}', '{"orders": {}}',
+                     '{"type": "E6", "orders": []}', '{"type": "E8", "orders": {"eps8": 1}}']),
+)
+#: equations in X, Y, Z, most of them valid, with long numbers among them
+_EQUATIONS = st.one_of(
+    st.text(alphabet="XYZxw0123456789+-*^/ \n", max_size=24),
+    st.sampled_from(["-X^2 + Y^3 - Z^5", "-X*Y + Z^4", "X^2 + Y^2 + Z^2", "1/0*X",
+                     "X^" + "9" * 5000, "9" * 5000 + "*X^2"]),
+)
+
+
+@st.composite
+def _cli_calls(draw):
+    """``(argv, contents)``: a command line naming at most one input file,
+    ``{file}``, whose contents are text or bytes.  ``--cache-dir`` names that
+    file, so a command that would open the rule cache stops with a usage
+    error before any heavy work; now and then it, or a stray word, sits
+    where argparse refuses it."""
+    command = draw(st.sampled_from(["invariants", "verify", "congruence", "classify"]))
+    pools = {
+        "invariants": [["--type", t] for t in ("A1", "D4", "E3", "E6", "Q3", "", "e6")]
+                      + [["--type"], ["--format", "json"], ["--format", "xml"], ["--format"]],
+        "verify": [[t] for t in ("identities", "appendix1", "appendix9", "", "relations2")],
+        "congruence": [["--case", c] for c in ("E7:v2", "E9:v1", "E7:v9", "", "E7")]
+                      + [["--all"], ["--jobs", "1"], ["--jobs", "0"], ["--jobs", "-1"],
+                         ["--jobs", "x"], ["--jobs"]],
+        "classify": [["--poly-file", "{file}"], ["--profile-file", "{file}"],
+                     ["--poly-file", "{missing}"], ["--jet-order", "5"], ["--jet-order", "2"],
+                     ["--jet-order", "-1"], ["--jet-order", "x"], ["--jet-order"]],
+    }
+    groups = draw(st.lists(st.sampled_from(pools[command]), max_size=3))
+    if command == "classify" and draw(st.booleans()):
+        groups.insert(0, [draw(st.sampled_from(["--poly-file", "--profile-file"])), "{file}"])
+    argv = ["--cache-dir", "{file}", command, *(a for g in groups for a in g)]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "extra"])))
+    if draw(st.integers(0, 7)) == 0:
+        argv = argv[2:] + argv[:2]
+    kind = _PROFILES if "--profile-file" in argv else _EQUATIONS
+    return argv, draw(st.one_of(kind, st.binary(max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_calls())
+# a number past int's 4,300-digit limit, and a profile name holding a newline
+@example((["--cache-dir", "{file}", "classify", "--poly-file", "{file}"], "X^" + "9" * 5000))
+@example((["--cache-dir", "{file}", "classify", "--profile-file", "{file}"],
+          json.dumps({"type": "E6", "orders": {"eps2\nx": 1}})))
+def test_cli_usage_errors_keep_the_contract(call):
+    # any exit is 0, 1 or 2 with no traceback; a usage error (2) prints nothing
+    # on stdout and ends stderr in its one error line: argparse's usage block
+    # then "rdpinv [<command>]: error: ...", or cli.py's single "error: ..." line
+    argv, contents = call
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "input"
+        if isinstance(contents, bytes):
+            target.write_bytes(contents)
+        else:
+            target.write_text(contents)
+        argv = [a.format(file=target, missing=Path(tmp) / "missing") for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exits
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert out == "" and err.endswith("\n")
+        assert sum("error:" in line for line in lines) == 1
+        assert lines == [lines[-1]] and lines[-1].startswith("error: ") or (
+            lines[0].startswith("usage: rdpinv") and re.match(r"rdpinv( \w+)?: error: ", lines[-1]))
 
 
 def test_verify_identities(capsys):

@@ -299,6 +299,47 @@ def test_compact_drops_unused_variables():
     assert p.compact() == p
 
 
+#: the names of the moved tables, each with one weight
+MOVE_NAMES = {"m0": 0, "m1": 1, "m2": 2, "m3": 1, "m4": 0, "m5": 3, "m6": 1}
+
+
+@st.composite
+def move_tables(draw, min_size=0):
+    """A table of some of the move names, in a drawn order."""
+    names = draw(st.permutations(sorted(MOVE_NAMES)))[:draw(st.integers(min_size, len(MOVE_NAMES)))]
+    return VarTable(names, [MOVE_NAMES[v] for v in names])
+
+
+def by_name(p):
+    """The terms of ``p`` keyed by their nonzero (name, exponent) pairs."""
+    return {tuple(sorted((v, e) for v, e in zip(p.table.names, exps) if e)): c
+            for exps, c in p.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_moves_keep_every_term(data):
+    # a table in any order, the polynomial using only some of its names (the
+    # gaps), exponents up to 2**15 - 1 for 16-bit fields; moved by compact()
+    # and onto another table in any order, runs of fields moving together
+    table = data.draw(move_tables(min_size=1))
+    exps = st.one_of(st.integers(0, 3), st.sampled_from([127, 128, 2**15 - 1]))
+    used = data.draw(st.lists(st.sampled_from(table.names), unique=True))
+    items = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        exp = tuple(data.draw(exps) if v in used else 0 for v in table.names)
+        items[exp] = data.draw(sub_q)
+    p = Polynomial.from_items(table, items)
+    compact = p.compact()
+    assert compact.table.names == tuple(v for v in table.names if v in p.variables())
+    target = data.draw(move_tables())
+    moved = p.to_table(target)
+    assert moved.table is target.merged(table)
+    for q in (compact, moved):
+        assert by_name(q) == by_name(p) and q.shift == p.shift
+        assert Polynomial.from_rows(q.table, *q.to_rows()) == q == p
+
+
 # -- substitution against a term-by-term oracle ----------------------------------
 
 S = VarTable(["a", "b", "c", "d"], [1, 1, 2, 0])
@@ -354,9 +395,42 @@ def sub_rules(draw):
     return rules
 
 
+#: nonzero coefficients of the affine draws, over the denominators 1 to 3
+affine_q = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+#: multi-term rule values, on this table or on the foreign one
+multi_term = st.one_of(*(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(t)), affine_q,
+                    min_size=2, max_size=4).map(lambda items, t=t: Polynomial.from_items(t, items))
+    for t in (S, F)))
+
+
+@st.composite
+def affine_draws(draw):
+    """``(p, rules, bound)`` with p affine in two or three variables ruled
+    to multi-term values: each term carries at most one of them, to the
+    first power, so the image is one sum of products.  d, when ruled, goes
+    to one term over a denominator up to 12, next to the multi-term values;
+    the variables kept take exponents up to 127, so a product can cross the
+    guard bit of an 8-bit field."""
+    ruled = draw(st.lists(st.sampled_from("abc"), min_size=2, max_size=3, unique=True))
+    exps = st.one_of(st.integers(0, 2), st.sampled_from([100, 126, 127]))
+    items = {}
+    for _ in range(draw(st.integers(1, 6))):
+        unit = draw(st.sampled_from([None, *ruled]))
+        items[tuple(int(v == unit) if v in ruled else draw(exps) for v in S.names)] = draw(affine_q)
+    p = Polynomial.from_items(S, items)
+    rules = {name: draw(multi_term) for name in ruled}
+    if draw(st.booleans()):
+        rules["d"] = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 12))) \
+            * S.var(draw(st.sampled_from("abc")), draw(st.integers(0, 2)))
+    return p, rules, draw(st.one_of(st.none(), st.integers(0, 6), st.just(130)))
+
+
 @settings(max_examples=500, deadline=None)
-@given(sub_poly(S), sub_rules(), st.one_of(st.none(), st.integers(0, 6)))
-def test_substitute_matches_term_by_term_oracle(p, rules, bound):
+@given(st.one_of(st.tuples(sub_poly(S), sub_rules(), st.one_of(st.none(), st.integers(0, 6))),
+                 affine_draws()))
+def test_substitute_matches_term_by_term_oracle(case):
+    p, rules, bound = case
     out = p.substitute(rules, max_total_degree=bound)
     table = p.table
     for name, value in rules.items():
@@ -367,6 +441,8 @@ def test_substitute_matches_term_by_term_oracle(p, rules, bound):
     assert dict(out.items()) == dict(want.items())
     assert out.serialize() == want.serialize()
     assert all(c and (type(c) is int or c.denominator != 1) for _, c in out.items())
+    # every exponent kept below the guard bit of its field, as the rows require
+    assert Polynomial.from_rows(out.table, *out.to_rows()) == out
 
 
 @st.composite
@@ -396,11 +472,7 @@ def wide_draws(draw):
 @settings(max_examples=150, deadline=None)
 @given(wide_draws())
 def test_substitute_matches_the_oracle_on_wide_draws(case):
-    test_substitute_matches_term_by_term_oracle.hypothesis.inner_test(*case)
-    # every exponent kept below the guard bit of its field, as the rows require
-    p, rules, bound = case
-    out = p.substitute(rules, max_total_degree=bound)
-    assert Polynomial.from_rows(out.table, *out.to_rows()) == out
+    test_substitute_matches_term_by_term_oracle.hypothesis.inner_test(case)
 
 
 @pytest.mark.parametrize("text, value, bound", [
@@ -413,7 +485,7 @@ def test_substitute_matches_the_oracle_on_wide_draws(case):
 ])
 def test_substitute_at_the_edges_of_an_8_bit_field(text, value, bound):
     test_substitute_matches_term_by_term_oracle.hypothesis.inner_test(
-        parse(text, S), {"b": parse(value, S)}, bound)
+        (parse(text, S), {"b": parse(value, S)}, bound))
 
 
 def test_substitute_without_live_rules_returns_self():

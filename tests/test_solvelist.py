@@ -28,7 +28,7 @@ from rdpinv.envres import (
     phibar_template,
     pipeline_table,
 )
-from rdpinv.poly import AbsentVariableError, NonLinearError, VarTable, parse
+from rdpinv.poly import AbsentVariableError, NonLinearError, Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec
 from rdpinv.solvelist import RuleCache, RuleSet, SolveList, ValidityViolation, solve_in_order
 
@@ -107,22 +107,44 @@ _UNKNOWNS = ("u0", "u1", "u2", "u3")
 _ELIM = VarTable(["p", "q", *_UNKNOWNS], [0] * 6)
 
 
+#: coefficients of the affine systems, over the denominators 1 to 12
+_ELIM_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
+#: large exponents of p and q in an affine system: below the guard bit of an
+#: 8-bit field, so that a product of 126 or 127 and a small one crosses it, or
+#: past it as well
+_ELIM_LARGE = [(126, 127), (126, 127, 128, 255)]
+
+
 @st.composite
-def _elimination_systems(draw, triangular=True, tables=False):
+def _elimination_systems(draw, triangular=True, tables=False, affine=False):
     """Equations and their unknowns, in a drawn order.  Triangular: equation
     i is a nonzero constant times unknown i plus a polynomial in p, q and
     the earlier unknowns; otherwise any polynomial in p, q and all of them.
-    With ``tables`` each equation lives on its own table: some of the
-    variables in a drawn order, then the rest of those it uses."""
+    Affine: triangular, with two to four more terms, each in at most one
+    earlier unknown, to the first power, so that most solutions substituted
+    have several terms.  With ``tables`` each equation lives on its own
+    table: some of the variables in a drawn order, then the rest of those it
+    uses."""
     unknowns = draw(st.permutations(_UNKNOWNS))[:draw(st.integers(1, len(_UNKNOWNS)))]
+    if affine:
+        exps = st.one_of(st.integers(0, 2), st.sampled_from(draw(st.sampled_from(_ELIM_LARGE))))
     equations = []
     for i, u in enumerate(unknowns):
-        eq = draw(_COEFFS) * _ELIM.var(u) if triangular else _ELIM.zero()
-        for _ in range(draw(st.integers(0, 3))):
-            term = _ELIM.const(draw(_COEFFS))
-            for v in ("p", "q", *(unknowns[:i] if triangular else _UNKNOWNS)):
-                term = term * _ELIM.var(v) ** draw(st.integers(0, 2))
-            eq = eq + term
+        if affine:
+            # built from items, so that the fields are as narrow as the exponents allow
+            items = {(0, 0, *(int(v == u) for v in _UNKNOWNS)): draw(_COEFFS)}
+            for _ in range(draw(st.integers(2, 4))):
+                w = draw(st.sampled_from([None, *unknowns[:i]]))
+                exp = (draw(exps), draw(exps), *(int(v == w) for v in _UNKNOWNS))
+                items[exp] = items.get(exp, 0) + draw(_ELIM_COEFFS)
+            eq = Polynomial.from_items(_ELIM, items)
+        else:
+            eq = draw(_COEFFS) * _ELIM.var(u) if triangular else _ELIM.zero()
+            for _ in range(draw(st.integers(0, 3))):
+                term = _ELIM.const(draw(_COEFFS))
+                for v in ("p", "q", *(unknowns[:i] if triangular else _UNKNOWNS)):
+                    term = term * _ELIM.var(v) ** draw(st.integers(0, 2))
+                eq = eq + term
         if tables:
             names = draw(st.permutations(_ELIM.names))[:draw(st.integers(0, len(_ELIM)))]
             eq = eq.compact().to_table(VarTable(names, [0] * len(names)))
@@ -130,14 +152,27 @@ def _elimination_systems(draw, triangular=True, tables=False):
     return equations, list(unknowns)
 
 
+def _term_by_term(p, rules):
+    """``p`` with ``rules`` substituted, each term as the product of its rule
+    powers: no substitution routine of the kernel's."""
+    out = p.table.zero()
+    for exps, c in p.items():
+        term = p.table.const(c)
+        for name, e in zip(p.table.names, exps):
+            term = term * (rules[name] if name in rules else p.table.var(name)) ** e
+        out = out + term
+    return out
+
+
 @settings(max_examples=150, deadline=None)
-@given(_elimination_systems())
+@given(_elimination_systems() | _elimination_systems(affine=True))
 def test_elimination_solves_a_triangular_system(system):
     equations, unknowns = system
     rules = solve_in_order(equations, unknowns)
     assert [v for v, _ in rules.rules] == unknowns
     for eq in equations:
         assert rules.apply(eq).is_zero
+        assert _term_by_term(eq, rules.mapping()).is_zero
     for v, value in rules.rules:
         assert not any(value.contains_var(u) for u in unknowns), v
 
@@ -149,10 +184,19 @@ def _zero_solution_system():
     return [3 * one.var("u1"), u0 + u1 * q - p], ["u1", "u0"]
 
 
-@settings(max_examples=150, deadline=None)
+def _squared_unknown_system():
+    """u0, solved to three terms, occurs squared in the next equation: a
+    Horner part 2 << offset is a power of two, but no unit of a field."""
+    p, q, u0, u1 = (_ELIM.var(v) for v in ("p", "q", "u0", "u1"))
+    return [2 * u0 - p ** 127 - q + 1, u1 + u0 ** 2 * q - 3 * u0 + p / 5], ["u0", "u1"]
+
+
+@settings(max_examples=200, deadline=None)
 @given(_elimination_systems(triangular=False) | _elimination_systems()
-       | _elimination_systems(triangular=False, tables=True) | _elimination_systems(tables=True))
+       | _elimination_systems(triangular=False, tables=True) | _elimination_systems(tables=True)
+       | _elimination_systems(affine=True) | _elimination_systems(affine=True, tables=True))
 @example(_zero_solution_system())
+@example(_squared_unknown_system())
 def test_elimination_matches_the_old_loop(system):
     # the reverse clean-up of the old loop never has anything to clean: the
     # ordering check refuses a late unknown in an earlier solution first; and
@@ -161,6 +205,13 @@ def test_elimination_matches_the_old_loop(system):
     equations, unknowns = system
     assert _elimination_outcome(solve_in_order, equations, unknowns) == \
         _elimination_outcome(_old_expand_loop, equations, unknowns)
+    try:
+        rules = solve_in_order(equations, unknowns)
+    except (ValidityViolation, KeyError):
+        return
+    # every exponent kept below the guard bit of its field, as the rows require
+    for _, value in rules.rules:
+        assert Polynomial.from_rows(value.table, *value.to_rows()) == value
 
 
 def test_elimination_rejects_a_squared_or_absent_unknown():
