@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir",
                         help="directory for expanded-rule caching (default: $CACHE_DIR, "
                              "else ~/.cache/rdpinv)")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="emit standard coordinate functions")
     p_inv.add_argument("--type", required=True, help="root-system type, e.g. E6 or D4")
@@ -263,9 +263,6 @@ def main(argv=None) -> int:
     p_cls.set_defaults(func=cmd_classify)
 
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return USAGE_ERROR
     try:
         return args.func(args)
     except UsageError as exc:

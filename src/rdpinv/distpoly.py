@@ -80,14 +80,6 @@ def elementary(values: list[Polynomial]) -> list[Polynomial]:
     return es
 
 
-def elem_sym(values: list[Polynomial], j: int) -> Polynomial:
-    """The elementary symmetric function e_j; 1 for j = 0, zero above len(values)."""
-    if j < 0:
-        raise ValueError(f"no elementary symmetric function of negative degree {j}")
-    es = elementary(values)
-    return es[j] if j < len(es) else values[0].table.zero()
-
-
 def monic(U: Polynomial, coeffs: list[Polynomial]) -> Polynomial:
     """U^m + sum c_i U^(m-i) for coeffs = [c_1, ..., c_m]; the inverse of
     :func:`rules_from_monic`."""

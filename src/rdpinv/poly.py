@@ -50,7 +50,10 @@ exponent vectors of Monagan & Pearce (CASC 2007, and Maple 14, 2009):
 
 Serialization is deterministic: terms are emitted in descending
 graded-lexicographic order, graded by total weighted degree with ties
-broken lexicographically in the table's variable order.
+broken lexicographically in the table's variable order.  :func:`parse`
+reads the layout ``serialize`` writes with string splits, each distinct
+factor once; any other spelling its grammar allows goes through the
+grammar walk, which alone reports a :class:`ParseError` and its position.
 
 Two polynomials over different tables may be combined as long as shared
 names carry equal weights; the tables are merged by name.
@@ -61,7 +64,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -1096,19 +1099,70 @@ class Polynomial:
         return Polynomial(table, terms, den, shift)
 
 
-def _from_pairs(table: VarTable, terms: list[tuple[dict, "int | Fraction"]]) -> Polynomial:
-    """The sum of ``c * prod(var_i ** e)`` over ``({i: e}, c)`` in ``terms``."""
-    s = _width_for([e for m, _ in terms for e in m.values()])
+def _summed(table: VarTable, terms: Iterable[tuple[int, "int | Fraction"]], s: int) -> Polynomial:
+    """The sum of ``c`` times the monomial of key ``k`` over ``(k, c)`` in ``terms``."""
     coeffs: dict = {}
-    for m, c in terms:
-        k = _pack(m.items(), s)
+    for k, c in terms:
         coeffs[k] = coeffs.get(k, 0) + c
     return _reduced(table, *_over_common(coeffs), s)
 
 
 # -- parsing ----------------------------------------------------------------
 
-# a factor: a coefficient p or p/q, or a variable name or name^e
+def _read_serialized(text: str, table: VarTable) -> "Polynomial | None":
+    """``text`` read with string splits in the one layout :meth:`Polynomial.serialize`
+    writes, or None at the first piece outside it.
+
+    The layout: terms joined by ' + ' and ' - ', a '-' before the first term
+    only, each term a '*'-joined list of coefficients p or p/q (decimal, q
+    not 0) and of variables name or name^e (an ASCII identifier of the table,
+    a decimal exponent), each variable at most once.
+    Each distinct factor is read once, and each key packed once, at the width
+    :func:`_width_for` gives the exponents.
+    """
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    rows = []
+    for chunk in body[sign < 0:].split(" + "):
+        first, *rest = chunk.split(" - ")
+        rows.append((sign, first.split("*")))
+        rows += [(-1, piece.split("*")) for piece in rest]
+        sign = 1
+    index, numbers, powers = table._index, {}, {}
+    try:
+        for f in set(chain.from_iterable([factors for _, factors in rows])):
+            p, slash, q = f.partition("/")
+            name, hat, e = f.partition("^")
+            if p.isdecimal() and (not slash or q.isdecimal() and int(q)):
+                numbers[f] = int(p), int(q) if slash else 1
+            elif (name in index and name.isascii() and name.isidentifier()
+                  and (not hat or e.isdecimal())):
+                powers[f] = index[name], int(e) if hat else 1
+            else:
+                return None
+    except ValueError:  # a digit run past int's limit: the walk raises it
+        return None
+    s = _fit(_S, max([e for _, e in powers.values()], default=0))
+    # each variable factor as the mask of its field and its key
+    powers = {f: (((1 << s) - 1) << i * s, e << i * s) for f, (i, e) in powers.items()}
+    terms = []
+    for num, factors in rows:
+        den, k = 1, 0
+        for f in factors:
+            power = powers.get(f)
+            if power is None:
+                n, d = numbers[f]
+                num *= n
+                den *= d
+            elif k & power[0]:  # a variable the term already raised to a power
+                return None
+            else:
+                k += power[1]
+        terms.append((k, num if den == 1 else Fraction(num, den)))
+    return _summed(table, terms, s)
+
+
+# the grammar walk's factor: a coefficient p or p/q, or a variable name or name^e
 _FACTOR_TEXT = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?"
 #: a term, optionally signed (group 1), its '*'-joined factors (group 2)
 _TERM = re.compile(rf"\s*([-+]?)\s*((?:{_FACTOR_TEXT})(?:\s*\*\s*(?:{_FACTOR_TEXT}))*)")
@@ -1127,14 +1181,8 @@ def _syntax_error(text: str, pos: int, first: bool) -> ParseError:
     return ParseError(f"expected {expected}, got {got}", len(text) - len(rest))
 
 
-def parse(text: str, table: VarTable) -> Polynomial:
-    """Parse the canonical text format back into a polynomial.
-
-    Grammar: signed terms joined by + / -, each term a '*'-separated list
-    of an optional rational coefficient p or p/q and variable powers
-    name or name^e, with whitespace allowed between any two of these.
-    Round-trips with :meth:`Polynomial.serialize`.
-    """
+def _walk(text: str, table: VarTable) -> Polynomial:
+    """``text`` read term by term with the grammar of :func:`parse`."""
     end = len(text.rstrip())
     if not end:
         raise ParseError("empty input", 0)
@@ -1162,7 +1210,23 @@ def parse(text: str, table: VarTable) -> Polynomial:
             mono[i] = mono.get(i, 0) + (1 if e is None else int(e))
         terms.append((mono, num if den == 1 else Fraction(num, den)))
         pos = m.end()
-    return _from_pairs(table, terms)
+    s = _width_for([e for m, _ in terms for e in m.values()])
+    return _summed(table, ((_pack(m.items(), s), c) for m, c in terms), s)
+
+
+def parse(text: str, table: VarTable) -> Polynomial:
+    """Parse the canonical text format back into a polynomial.
+
+    Grammar: signed terms joined by + / -, each term a '*'-separated list
+    of an optional rational coefficient p or p/q and variable powers
+    name or name^e, with whitespace allowed between any two of these.
+    Round-trips with :meth:`Polynomial.serialize`.  Text in the layout
+    ``serialize`` writes is read with string splits; any other spelling
+    goes through the grammar walk, which alone raises ``ParseError``, with
+    the position of the first piece outside the grammar.
+    """
+    p = _read_serialized(text, table)
+    return _walk(text, table) if p is None else p
 
 
 # -- univariate-style helpers -------------------------------------------------

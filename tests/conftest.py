@@ -4,6 +4,7 @@ from itertools import chain, permutations, product
 
 import pytest
 
+from rdpinv.distpoly import elementary
 from rdpinv.envres import VersalPipeline
 from rdpinv.poly import Polynomial
 from rdpinv.solvelist import RuleCache
@@ -57,3 +58,12 @@ def written(store):
             exps = dict(zip(store.names, chain.from_iterable(w)))
             items[tuple(exps.get(v, 0) for v in names)] = c
     return Polynomial.from_items(store.table, items)
+
+
+def elem_sym(values, j):
+    """The elementary symmetric function e_j of ``values``, read off
+    ``distpoly.elementary``: 1 for j = 0, zero above ``len(values)``."""
+    if j < 0:
+        raise ValueError(f"no elementary symmetric function of negative degree {j}")
+    es = elementary(values)
+    return es[j] if j < len(es) else values[0].table.zero()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdpinv.cli import main
-from rdpinv.poly import VarTable
+from rdpinv.poly import Polynomial, VarTable
 from rdpinv.solvelist import ENTRY_FORMAT
 
 
@@ -135,12 +135,38 @@ _PROFILES = st.one_of(
     st.sampled_from(["", "{", "[]", "null", '{"type": "E6"}', '{"orders": {}}',
                      '{"type": "E6", "orders": []}', '{"type": "E8", "orders": {"eps8": 1}}']),
 )
-#: equations in X, Y, Z, most of them valid, with long numbers among them
-_EQUATIONS = st.one_of(
-    st.text(alphabet="XYZxw0123456789+-*^/ \n", max_size=24),
-    st.sampled_from(["-X^2 + Y^3 - Z^5", "-X*Y + Z^4", "X^2 + Y^2 + Z^2", "1/0*X",
-                     "X^" + "9" * 5000, "9" * 5000 + "*X^2"]),
-)
+#: the variables of an equation
+_XYZ = VarTable(["X", "Y", "Z"], [1, 1, 1])
+#: what may stand in one piece of an equation: stray characters, a zero
+#: denominator, an unknown name and digit runs past int's 4,300-digit limit
+_SPOILS = ["$", "(", ".", "\u00b2", "\n", "\u00e9", "+*", "^", "", "1/0*X", "2/00", "W^2", "x",
+           "9" * 5000 + "*X^2", "X^" + "9" * 5000, "1/" + "7" * 4301]
+
+
+@st.composite
+def _equations(draw):
+    """An equation in X, Y, Z: the text serialize() writes for a drawn
+    polynomial, or that text with its spacing changed, or with one of its
+    pieces (a term, a sign, a factor) replaced by a spoiling one."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * 3),
+        st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+        max_size=5))
+    text = Polynomial.from_items(_XYZ, terms).serialize()
+    how = draw(st.sampled_from(["as written", "spaced", "spoiled"]))
+    if how == "spaced":
+        for old in (" + ", " - ", "*", "^", "/"):
+            text = text.replace(old, draw(st.sampled_from(
+                [old.strip(), f" {old.strip()} ", f"\t{old.strip()}  "])))
+    elif how == "spoiled":
+        pieces = re.split(r"( [-+] |\*)", text)
+        pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.sampled_from(_SPOILS))
+        text = "".join(pieces)
+    return text
+
+
+#: equations in X, Y, Z: polynomial-shaped ones, and short random strings
+_EQUATIONS = st.one_of(_equations(), st.text(alphabet="XYZxw0123456789+-*^/ \n", max_size=24))
 
 
 @st.composite
@@ -149,9 +175,12 @@ def _cli_calls(draw):
     ``{file}``, whose contents are text or bytes.  ``--cache-dir`` names that
     file, so a command that would open the rule cache stops with a usage
     error before any heavy work; now and then it, or a stray word, sits
-    where argparse refuses it."""
-    command = draw(st.sampled_from(["invariants", "verify", "congruence", "classify"]))
+    where argparse refuses it, and now and then the command is left out."""
+    # classify twice over: the one command that reads an equation
+    command = draw(st.sampled_from(["invariants", "verify", "congruence", "classify", "classify",
+                                    None]))
     pools = {
+        None: [[]],
         "invariants": [["--type", t] for t in ("A1", "D4", "E3", "E6", "Q3", "", "e6")]
                       + [["--type"], ["--format", "json"], ["--format", "xml"], ["--format"]],
         "verify": [[t] for t in ("identities", "appendix1", "appendix9", "", "relations2")],
@@ -163,11 +192,14 @@ def _cli_calls(draw):
                      ["--jet-order", "-1"], ["--jet-order", "x"], ["--jet-order"]],
     }
     groups = draw(st.lists(st.sampled_from(pools[command]), max_size=3))
-    if command == "classify" and draw(st.booleans()):
+    if command == "classify" and draw(st.integers(0, 3)):
         groups.insert(0, [draw(st.sampled_from(["--poly-file", "--profile-file"])), "{file}"])
     argv = ["--cache-dir", "{file}", command, *(a for g in groups for a in g)]
+    if command is None:
+        # rdpinv alone, or with --cache-dir only
+        argv = argv[:draw(st.sampled_from([0, 2]))]
     if draw(st.integers(0, 7)) == 0:
-        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "extra"])))
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "extra"])))
     if draw(st.integers(0, 7)) == 0:
         argv = argv[2:] + argv[:2]
     kind = _PROFILES if "--profile-file" in argv else _EQUATIONS
@@ -180,6 +212,13 @@ def _cli_calls(draw):
 @example((["--cache-dir", "{file}", "classify", "--poly-file", "{file}"], "X^" + "9" * 5000))
 @example((["--cache-dir", "{file}", "classify", "--profile-file", "{file}"],
           json.dumps({"type": "E6", "orders": {"eps2\nx": 1}})))
+# an equation read by the string splits, one by the grammar walk, one the walk
+# refuses; then no command at all
+@example((["classify", "--poly-file", "{file}"], "-X^2 + Y^3 - Z^5\n"))
+@example((["classify", "--poly-file", "{file}"], "  -X^2  -  Y^2 * Z  +  Z^4"))
+@example((["classify", "--poly-file", "{file}"], "-X^2 + Y^3 +* Z^5"))
+@example(([], ""))
+@example((["--cache-dir", "{file}"], ""))
 def test_cli_usage_errors_keep_the_contract(call):
     # any exit is 0, 1 or 2 with no traceback; a usage error (2) prints nothing
     # on stdout and ends stderr in its one error line: argparse's usage block
@@ -273,9 +312,11 @@ def test_classify_undecidable_exit_code(tmp_path, capsys):
         assert code == 1 and out == "" and err.startswith("undecidable:"), (text, err)
 
 
-#: criterion 9's normal forms at --jet-order 10, 7, 5, 4, 3 and 2, then one profile; each
-#: run as "classify <args>: <input>", its stdout, its stderr lines prefixed
-#: "stderr: ", and "exit <code>", as the CI job that diffs interpreters prints it
+#: criterion 9's normal forms at --jet-order 10, 7, 5, 4, 3 and 2, each order ending in
+#: three spellings outside serialize()'s layout that the grammar walk reads (the last
+#: one it refuses), then one profile; each run as "classify <args>: <input>", its stdout,
+#: its stderr lines prefixed "stderr: ", and "exit <code>", as the CI job that diffs
+#: interpreters prints it
 CLASSIFY_TRANSCRIPT = Path(__file__).with_name("classify_transcript.txt")
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import elem_sym
 from hypothesis import assume, given, strategies as st
 
 from rdpinv import congruence
@@ -22,7 +23,7 @@ from rdpinv.congruence import (
     scf_names,
     vanishing_coordinates,
 )
-from rdpinv.distpoly import elem_sym, standard_coords, ts_table
+from rdpinv.distpoly import standard_coords, ts_table
 from rdpinv.poly import Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec, supported_splits, vertex_parts, vertex_split
 

@@ -3,7 +3,7 @@ from itertools import accumulate, combinations
 from math import prod
 
 import pytest
-from conftest import written
+from conftest import elem_sym, written
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
@@ -11,7 +11,6 @@ from rdpinv.distpoly import (
     _dealings,
     _e_products,
     e45_check,
-    elem_sym,
     elementary,
     f_dist,
     f_product,

@@ -6,7 +6,7 @@ from importlib import resources
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rdpinv.poly
 from rdpinv.poly import (
@@ -22,6 +22,7 @@ from rdpinv.poly import (
     parse,
     univar_divmod,
 )
+from rdpinv.poly import _read_serialized, _walk
 
 T = VarTable(["U", "t1", "t2", "s1", "s2", "lam2", "psi1", "phib1", "x", "y", "z"],
              [1, 1, 1, 1, 2, 2, 1, 1, 1, 3, 0])
@@ -191,6 +192,23 @@ def test_substitute_is_ring_homomorphism(data):
 def test_serialize_parse_round_trip(data):
     p = data.draw(st.composite(small_poly)())
     assert parse(p.serialize(), T) == p
+    # read by the string splits, not by the grammar walk
+    assert _read_serialized(p.serialize(), T) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.sampled_from([0, 1, 2, 127, 128, 255, 256])] * 3),
+                       st.one_of(coeffs, st.builds(Fraction, coeffs, st.integers(1, 12))),
+                       max_size=5),
+       st.lists(st.sampled_from(T.names), min_size=3, max_size=3, unique=True))
+def test_the_layout_reader_reads_serialize_back(terms, names):
+    # exponents on either side of the 8-bit field's guard bit, Fraction
+    # coefficients, any three of the table's variables
+    p = sum((c * V(names[0]) ** a * V(names[1]) ** b * V(names[2]) ** e
+             for (a, b, e), c in terms.items()), T.zero())
+    text = p.serialize()
+    read = _read_serialized(text, T)
+    assert read == p and _store(read) == _store(_walk(text, T)), text
 
 
 def test_homogeneous_substitution_preserves_weight():
@@ -1095,8 +1113,15 @@ def _summed(table, terms):
     return {e: c for e, c in out.items() if c}
 
 
+def _store(p):
+    """The private store of ``p``, term order and numerator types included."""
+    return [(k, n, type(n)) for k, n in p.terms.items()], p.den, p.shift
+
+
 def _agree(text, table):
-    """Both parsers accept ``text`` with equal results, or both refuse it."""
+    """Both parsers accept ``text`` with equal results, or both refuse it;
+    and where the string-split reader takes ``text``, the grammar walk takes
+    it too and builds the same store."""
     try:
         want = _old_parse(text, table)
     except ParseError:
@@ -1108,6 +1133,10 @@ def _agree(text, table):
         got = None
     assert (got is None) == (want is None), (text, got, want)
     assert got == want, text
+    assert got is None or all(type(n) is int for n in got.terms.values()), text
+    read = _read_serialized(text, table)
+    if read is not None:
+        assert _store(read) == _store(_walk(text, table)), text
 
 
 _PIECES = st.sampled_from(
@@ -1152,10 +1181,68 @@ def _shaped(draw):
     return "".join(parts)
 
 
+#: factors of the layout serialize() writes, and ones it never writes: an
+#: unknown name, a zero denominator, a whole p/q, exponents 0 and 1, a leading
+#: zero, an Arabic-Indic digit, exponents on either side of the 8-bit guard bit
+_LAID_FACTOR = st.sampled_from(
+    ["2", "10", "003", "0", "\u0663", "1/3", "2/4", "4/2", "7/0", "3/\u0660", "q"]
+    + [name + e for name in ("x", "s1", "lam2", "U") for e in ("", "^2", "^0", "^1", "^03")]
+    + ["y^\u0663", "x^127", "t1^127", "t2^128", "z^255", "s2^256"])
+
+
+@st.composite
+def _laid_out(draw):
+    """Text with ' + ' and ' - ' between terms and '*' between factors, and a
+    '-' before the first term now and then; now and then one of its pieces
+    is replaced by a random one."""
+    parts = [draw(st.sampled_from(["", "-"]))]
+    for k in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(_LAID_FACTOR, min_size=1, max_size=3))
+        if k:
+            parts.append(draw(st.sampled_from([" + ", " - "])))
+        parts.append("*".join(factors))
+    if not draw(st.integers(0, 3)):
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_PIECES)
+    return "".join(parts)
+
+
 @settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.lists(_PIECES, max_size=14).map("".join), _shaped()))
+@given(st.one_of(st.lists(_PIECES, max_size=14).map("".join), _shaped(), _laid_out()))
+# a variable twice in a term, a width set by a term that cancels, a sign alone
+@example("x*x^2 - x^3 + y^0*y")
+@example("0*x^200 + 2*y - 2*y")
+@example("x + -y")
 def test_parse_agrees_with_the_token_walk(text):
     _agree(text, T)
+
+
+#: spellings outside serialize()'s layout that the grammar walk reads
+_WALK_READS = ["+x", "x  + y", "x +y", "2 * x", " x\t- y\n"]
+
+
+@pytest.mark.parametrize("text", _WALK_READS + [
+    "a b", "\u00e9^2", "x + -y", "3/0*x", "x^", "x^-1", "x^2^3", "1/2/3", "--x", "x - - y",
+    "", "-", "x + ", "2x", "x*", "*x", "x**2"])
+def test_the_layout_reader_leaves_other_spellings_to_the_walk(text):
+    # a name outside the grammar that the table holds, a sign or a space out
+    # of place, a zero denominator, a dangling or doubled operator
+    table = VarTable(["x", "y", "a b", "\u00e9"], [1, 1, 1, 1])
+    assert _read_serialized(text, table) is None
+    if text in _WALK_READS:
+        assert _walk(text, table)
+    else:
+        with pytest.raises(ParseError):
+            _walk(text, table)
+
+
+def test_a_digit_run_past_ints_limit_is_left_to_the_walk():
+    for text in ("9" * 5000 + "*x", "x^" + "9" * 5000, "y - 1/" + "7" * 5000):
+        try:
+            want = _walk(text, T)
+        except ValueError:  # past the interpreter's limit on the digits int reads
+            assert _read_serialized(text, T) is None
+        else:
+            assert _store(_read_serialized(text, T)) == _store(want)
 
 
 @pytest.mark.parametrize("name,n", [("appendix0", 8), ("appendix1", 6), ("appendix2", 7)])
@@ -1168,7 +1255,7 @@ def test_parse_agrees_with_the_token_walk_on_golden_bodies(name, n):
     assert len(bodies) == {8: 3, 6: 6, 7: 7}[n]
     for body in bodies:
         _agree(body, pipeline_table(n))
-        assert parse(body, pipeline_table(n))
+        assert _read_serialized(body, pipeline_table(n))
 
 
 def test_parse_agrees_with_the_token_walk_on_a_classifier_battery():
@@ -1183,4 +1270,5 @@ def test_parse_agrees_with_the_token_walk_on_a_classifier_battery():
                       for v in "XYZ"}
             text = f.substitute(change, max_total_degree=10).serialize()
             _agree(text, table)
+            assert _read_serialized(text, table) is not None
             _agree(text.replace(" ", ""), table)

@@ -2,10 +2,10 @@ from fractions import Fraction
 from itertools import accumulate, permutations, product
 
 import pytest
-from conftest import written
+from conftest import elem_sym, written
 from hypothesis import assume, given, settings, strategies as st
 
-from rdpinv.distpoly import elem_sym, ts_table
+from rdpinv.distpoly import ts_table
 from rdpinv.poly import VarTable
 from rdpinv.rootsys import (
     OrbitSums,
