@@ -70,15 +70,6 @@ def length_type(length: int) -> RdpType:
 # -- jet utilities ----------------------------------------------------------------
 
 
-def _order(p: Polynomial) -> Optional[int]:
-    return min((sum(m) for m, _ in p.items()), default=None)
-
-
-def _coeff(p: Polynomial, mono: Mapping[str, int]):
-    """The rational coefficient of the monomial ``mono`` in ``p``."""
-    return p.coeff_of(mono, p.table.names).constant_value()
-
-
 def _root(g: Polynomial, var: str, lead: Polynomial, d: int,
           resume: Optional[tuple[Polynomial, int]] = None) -> Polynomial:
     """phi, free of ``var``, where the ``var``-derivative of g vanishes, to
@@ -119,7 +110,7 @@ def _split_off_square(p: Polynomial, var: str, d: int, resume: Optional[tuple] =
     p(phi, rest), where var = phi(rest) solves dp/dvar = 0, and phi (from
     ``_root``, given ``resume``).  Exact to degree d: a deeper split,
     truncated to d, is the same."""
-    a = _coeff(p, {var: 2})
+    a = p.coefficient({var: 2})
     if not a:
         raise ValueError("expected a pure square term")
     phi = _root(p, var, p.table.const(2 * a), d, resume)
@@ -148,7 +139,7 @@ def _square_to_split(f: Polynomial, q: Polynomial, left: list[str],
     u -> u + v, which adds c*v^2 and no other square, and kept to degree d.
     """
     for var in left:
-        if _coeff(q, {var: 2}):
+        if q.coefficient({var: 2}):
             return f, var
     m, _ = next(iter(q.items()))
     u, v = (name for name, e in zip(f.table.names, m) if e)
@@ -184,7 +175,7 @@ def _straighten_double_factor(g: Polynomial, h: Polynomial, y: str, z: str,
                               d: int) -> Polynomial:
     """Linear change making the repeated factor the first coordinate, to degree d."""
     table = g.table
-    a, b = Fraction(_coeff(h, {y: 1})), Fraction(_coeff(h, {z: 1}))
+    a, b = Fraction(h.coefficient({y: 1})), Fraction(h.coefficient({z: 1}))
     yv, zv = table.var(y), table.var(z)
     if a:
         # y -> (y - b z)/a keeps the substitution rational and invertible
@@ -233,7 +224,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
                 g, phi = _split_off_square(g, var, d, roots.get(var))
                 roots[var] = phi, d
                 left.remove(var)
-            m = _order(g)
+            m = g.order()
             if m is not None:
                 return RdpType("A", m - 1)
         raise UndecidableError(jet_order, "residual tail vanishes to jet order")
@@ -256,18 +247,18 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         g = _straighten_double_factor(g, shape[1], y, z, d)
         if shape[0] == "triple":  # an E tail reads no degree above 5
             break
-        c3 = _coeff(g, {y: 2, z: 1})
+        c3 = g.coefficient({y: 2, z: 1})
         if not c3:
             raise NotRDPError("double factor did not straighten")
         # the y^0 coefficient of g(y + phi), the tail once y*z^b is split off
         phi = _root(g, y, 2 * c3 * g.table.var(z), d, tail_root)
         tail_root = phi, d
-        order = _order(g.substitute({y: phi}, max_total_degree=d))
+        order = g.substitute({y: phi}, max_total_degree=d).order()
         if order is not None:
             return RdpType("D", order + 1)
     else:  # the D tail vanished on every rung
         raise UndecidableError(jet_order, "pure tail vanishes to jet order")
-    c3 = _coeff(g, {y: 3})
+    c3 = g.coefficient({y: 3})
     if not c3:
         raise NotRDPError("triple factor did not straighten")
     if jet_order < 5:
@@ -277,7 +268,7 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     # would change B only from degree 4 on and C from degree ord B + 2 on,
     # 6 once ord B >= 4: each decision below reads the same orders unsplit
     tail = g.coeffs_in(y)
-    ordB, ordC = (_order(tail.get(e, g.table.zero())) for e in (1, 0))
+    ordB, ordC = (tail.get(e, g.table.zero()).order() for e in (1, 0))
     if ordC == 4:
         return RdpType("E", 6)
     if ordB == 3:

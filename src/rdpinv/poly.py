@@ -12,7 +12,9 @@ The public contract is the term view and a packed read and write.
 ``Fraction`` otherwise, and :meth:`Polynomial.from_items` builds a
 polynomial from such pairs.  ``coefficients_over`` splits the terms by
 their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
-``truncate`` read through the same exponent tuples.
+``truncate`` read through the same exponent tuples.  ``coefficient`` reads
+one coefficient by one lookup of its packed key, and ``order`` the least
+total degree through the degree reader.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
 the keys, and :meth:`Polynomial.from_numerators` packs such groups
@@ -330,7 +332,18 @@ def _product(blocks) -> dict:
             for kb, nb in tb:
                 k = ka + kb
                 out[k] = get(k, 0) + na * nb
-    return {k: n for k, n in out.items() if n}
+    return {k: n for k, n in out.items() if n} if 0 in out.values() else out
+
+
+def _add_into(acc: dict, terms: dict, f: int) -> None:
+    """Add ``f`` times ``terms`` into ``acc`` in place; a sum that cancels drops out."""
+    get = acc.get
+    for k, n in terms.items():
+        t = get(k, 0) + n * f
+        if t:
+            acc[k] = t
+        else:
+            del acc[k]
 
 
 def _routed(ga: dict, gb: dict, sums: dict) -> dict:
@@ -358,8 +371,9 @@ class _HornerValue:
 
     def __init__(self, offset: int, r: "Polynomial", bounded: bool):
         self.offset, self.terms, self.den, self.shift = offset, r.terms, r.den, r.shift
-        self.top = _top(r.terms, r.shift)
-        self.groups = _grouped(r.terms, _degrees(r.terms, r.shift)) if bounded else None
+        f = _fields(reduce(or_, r.terms, 0), r.shift)  # bounds each key's fields
+        self.top = max(f)
+        self.groups = _grouped(r.terms, _reader(sum(f), r.shift)) if bounded else None
         self.low = min(self.groups) if bounded else 0
 
     def times(self, acc: dict, w: int, cap: "int | None", bound: "int | None") -> tuple[list, int]:
@@ -461,8 +475,20 @@ class Polynomial:
 
     def constant_value(self):
         """The coefficient of the constant monomial."""
-        n = self.terms.get(0)
+        return self.coefficient({})
+
+    def coefficient(self, mono: Mapping[str, int]) -> "int | Fraction":
+        """The coefficient of ``mono``, names to exponents (every other name to
+        the power 0): one lookup of its packed key; 0 for an exponent no field holds."""
+        s = self.shift
+        if not all(0 <= e < 1 << s - 1 for e in mono.values()):
+            return 0
+        n = self.terms.get(sum(e << self.table.index_of(v) * s for v, e in mono.items()))
         return 0 if n is None else _coeff(n, self.den)
+
+    def order(self) -> "int | None":
+        """The least total degree of a term; None for the zero polynomial."""
+        return min(map(_degrees(self.terms, self.shift), self.terms), default=None)
 
     def _moved(self, table: VarTable) -> "Polynomial":
         """This polynomial on ``table``, which holds every variable that occurs;
@@ -696,25 +722,26 @@ class Polynomial:
         """Simultaneous substitution; variables without rules pass through.
 
         The result lives on this table merged with every rule value's table.
-        A rule value of at most one term (zero, a constant, a scaled
-        monomial) is applied to each term directly.  The other ruled
-        variables present in the input, v1, ..., vk, go through one
-        recursive Horner scheme: split the terms by their exponent of v1,
-        substitute v2..vk into each block, and combine the blocks from the
-        top exponent down as ``acc = acc * r(v1) + block_e``.  Each block
-        comes from the input, so a rule value that contains ruled variables
-        (a swap, a reflection) is never substituted into again.  The
-        innermost variable is the one whose value uses the fewest variables,
-        and each further one adds the fewest new ones, so the inner results
-        stay small; for the E6 reflection on t1..t6 that is t6 outermost.
-
-        When no term carries two of v1, ..., vk or one of them squared, as
-        in an elimination, the image is ``block_0 + sum block_i * r(vi)``:
-        one pair loop sums every block, scaled to the common denominator,
-        times its value's terms, with no Horner level re-merging a result.
+        A zero value drops its variable's terms, and a value of one term (a
+        constant, a scaled monomial) is applied to each term directly.  The
+        other ruled variables present in the input, v1, ..., vk, go through
+        one Horner scheme: the terms split into blocks by their exponents of
+        v1..vk, and the blocks of the innermost variable vk run as one loop
+        from its top exponent present down to 0, ``acc = acc * r(vk) +
+        block_e``, each block added into the running numerators in place.
+        An outer variable runs the same steps over the images of its inner
+        groups.  Each block comes from the input, so a rule value that
+        contains ruled variables (a swap, a reflection) is never substituted
+        into again.  The innermost variable is the one whose value uses the
+        fewest variables, and each further one adds the fewest new ones, so
+        the inner results stay small; for the E6 reflection on t1..t6 that is
+        t6 outermost.  When no term carries two of v1..vk or one of them
+        squared, as in an elimination, the image is ``block_0 + sum block_i *
+        r(vi)``: one pair loop sums every block, scaled to the common
+        denominator, times its value's terms.
 
         The scheme runs on integer numerators over a running denominator:
-        a step multiplies the numerators of ``acc`` by those of ``r(v1)``
+        a step multiplies the numerators of ``acc`` by those of the value
         and the denominators likewise, a block joins over their common
         multiple, and only the result is normalized.  A one-term value's
         denominator d stays an integer too: every block is over the
@@ -772,14 +799,19 @@ class Polynomial:
             else:
                 dead |= field << i * s
         own = self._widened(s).terms
-        values = [_HornerValue(i * s, r, bound is not None) for i, r in horner.items()]
-        hmask = sum(field << v.offset for v in values)
-        keep = ~(hmask | dead | sum(field << o for o, *_ in ruled))
         if bound is not None:
             # the field sum of a block key: the input's kept exponents plus what
             # each one-term value brings at the input's top exponent of its variable
             degree = _reader(sum(kept) + sum(tops[o // s] * _degree(k, s) for o, k, *_ in ruled), s)
-            costs: dict[int, int] = {}  # Horner part of a key -> its image's least degree
+        if not (horner or ruled):  # zero values only: their variables' terms drop out
+            own = {k: n for k, n in own.items() if not k & dead and (bound is None or degree(k) <= bound)}
+            return _reduced(table, own, self.den, s) if own else Polynomial(table, {})
+        if dead:
+            own = {k: n for k, n in own.items() if not k & dead}
+        values = [_HornerValue(i * s, r, bound is not None) for i, r in horner.items()]
+        hmask = sum(field << v.offset for v in values)
+        keep = ~(hmask | sum(field << o for o, *_ in ruled))
+        costs: dict[int, int] = {}  # Horner part of a key -> its image's least degree
         # every block's numerators are over this, times the input's denominator:
         # each one-term value's denominator to the input's top exponent of its variable
         one_den = reduce(mul, [rd ** tops[o // s] for o, *_, rd in ruled], 1)
@@ -788,8 +820,6 @@ class Polynomial:
         # rest of each term, with the one-term values applied, forms the block
         blocks: dict[int, dict] = {}
         for k, c in own.items():
-            if k & dead:
-                continue
             rest = k & keep
             if ruled:
                 q = 1
@@ -809,7 +839,7 @@ class Polynomial:
                 if degree(rest) + cost > bound:
                     continue
             block = blocks.setdefault(h, {})
-            block[rest] = block.get(rest, 0) + c
+            block[rest] = block.get(rest, 0) + c if ruled else c  # only a one-term value merges terms
         if not blocks:
             return Polynomial(table, {})
         one_den *= self.den
@@ -837,6 +867,10 @@ class Polynomial:
                     block = _repacked(block, s, w)
                 pairs += v.times(block, w, bound, bound)[0] if v else [([(0, 1)], block.items())]
             return _reduced(table, _product(pairs), one_den * common, w)
+        if ruled:  # the merged terms' sums that cancelled drop out
+            blocks = {h: {k: n for k, n in block.items() if n} for h, block in blocks.items()}
+        if not values:  # one-term values only: the one block is the image
+            return _reduced(table, blocks[0], one_den, s)
         if len(values) > 1:
             # innermost first, each time the value that brings the fewest new
             # variables into the inner results: they stay over fewer variables
@@ -850,10 +884,21 @@ class Polynomial:
 
         def combine(group: dict, level: int, budget: "int | None") -> tuple[dict, int, int]:
             """The group's image: its numerators, their denominator and field width."""
-            if level == len(values):
-                (block,) = group.values()
-                return {k: n for k, n in block.items() if n}, one_den, s
             v = values[level]
+            if level + 1 == len(values):
+                # the innermost variable: its blocks, each over one_den, join
+                # the running numerators in place, from its top exponent down
+                parts = {h >> v.offset & field: block for h, block in group.items()}
+                top = max(parts)
+                acc, den, w = parts[top], one_den, s
+                for e in range(top - 1, -1, -1):
+                    pairs, w = v.times(acc, w, None if budget is None else budget - e * v.low, bound)
+                    acc = _product(pairs)
+                    den *= v.den
+                    block = parts.get(e)
+                    if block:
+                        _add_into(acc, block if w == s else _repacked(block, s, w), den // one_den)
+                return acc, den, w
             by_exp: dict[int, dict] = {}
             for h, block in group.items():
                 by_exp.setdefault(h >> v.offset & field, {})[h] = block
@@ -878,18 +923,10 @@ class Polynomial:
                         acc, w = _repacked(acc, w, wp), wp
                     elif wp < w:
                         terms = _repacked(terms, wp, w)
-                    f = den // d
-                    get = acc.get
-                    for k, n in terms.items():
-                        t = get(k, 0) + n * f
-                        if t:
-                            acc[k] = t
-                        else:
-                            del acc[k]
+                    _add_into(acc, terms, den // d)
             return acc, den, w
 
-        terms, den, w = combine(blocks, 0, bound)
-        return _reduced(table, terms, den, w)
+        return _reduced(table, *combine(blocks, 0, bound))
 
     def _of_degree(self, low: int, high: int) -> "Polynomial":
         """The terms of total degree from ``low`` to ``high``."""

@@ -175,7 +175,9 @@ def _cli_calls(draw):
     ``{file}``, whose contents are text or bytes.  ``--cache-dir`` names that
     file, so a command that would open the rule cache stops with a usage
     error before any heavy work; now and then it, or a stray word, sits
-    where argparse refuses it, and now and then the command is left out."""
+    where argparse refuses it, and now and then the command is left out.
+    Half of the classify calls read an equation and nothing else is wrong
+    with them, so each of those reaches the parser."""
     # classify twice over: the one command that reads an equation
     command = draw(st.sampled_from(["invariants", "verify", "congruence", "classify", "classify",
                                     None]))
@@ -191,6 +193,12 @@ def _cli_calls(draw):
                      ["--poly-file", "{missing}"], ["--jet-order", "5"], ["--jet-order", "2"],
                      ["--jet-order", "-1"], ["--jet-order", "x"], ["--jet-order"]],
     }
+    if command == "classify" and draw(st.booleans()):
+        # an equation to classify: one --poly-file, no --profile-file beside
+        # it and a jet order that is a nonnegative int or left out, so that
+        # the call reaches the parser and only the file's text varies
+        jet = draw(st.one_of(st.just([]), st.integers(0, 12).map(lambda d: ["--jet-order", str(d)])))
+        return ["--cache-dir", "{file}", "classify", "--poly-file", "{file}", *jet], draw(_EQUATIONS)
     groups = draw(st.lists(st.sampled_from(pools[command]), max_size=3))
     if command == "classify" and draw(st.integers(0, 3)):
         groups.insert(0, [draw(st.sampled_from(["--poly-file", "--profile-file"])), "{file}"])

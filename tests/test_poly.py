@@ -444,9 +444,29 @@ def affine_draws(draw):
     return p, rules, draw(st.one_of(st.none(), st.integers(0, 6), st.just(130)))
 
 
+#: the classifier's table: three variables of weight 1
+J = VarTable(["x", "y", "z"], [1, 1, 1])
+
+
+@st.composite
+def jet_draws(draw):
+    """``(p, rules, bound)`` of the classifier's shape: a dense jet in x, y, z
+    (every monomial up to its degree, no coefficient zero), one variable ruled
+    to zero, to one term or to several terms, and a bound below the degree."""
+    degree = draw(st.integers(2, 5))
+    monos = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1 - i)
+             for k in range(degree + 1 - i - j)]
+    p = Polynomial.from_items(J, {m: draw(affine_q) for m in monos})
+    value = draw(st.one_of(
+        st.just(0), st.just(J.zero()), sub_poly(J, 1, 2),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), affine_q, min_size=2, max_size=5)
+        .map(lambda items: Polynomial.from_items(J, items))))
+    return p, {draw(st.sampled_from(J.names)): value}, draw(st.integers(0, degree - 1))
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.tuples(sub_poly(S), sub_rules(), st.one_of(st.none(), st.integers(0, 6))),
-                 affine_draws()))
+                 affine_draws(), jet_draws()))
 def test_substitute_matches_term_by_term_oracle(case):
     p, rules, bound = case
     out = p.substitute(rules, max_total_degree=bound)
@@ -494,8 +514,13 @@ def test_substitute_matches_the_oracle_on_wide_draws(case):
 
 
 @pytest.mark.parametrize("text, value, bound", [
-    # a block of field sum 255 = 2**8 - 1, which k % 255 would read as 0
+    # a block of field sum 255 = 2**8 - 1, which k % 255 would read as 0, and
+    # which a reader sized by the bound instead of the keys would misread
     ("a^100*b*c^100*d^55", "b + 1", 254),
+    # the ruled b is absent and past the input's top field
+    ("a^3 + 2*a", "a + d", 2),
+    # b occurs to the powers 1 and 2 only, so the OR of the keys reads 3
+    ("a*b + b^2 + c", "a + d", 3),
     # a Horner step reaches field sum 255, and the next one must read it
     ("a^100*b^2*c^100*d^54", "d + 1", 255),
     # the steps widen the fields past 8 bits before the narrower block of d joins
@@ -536,6 +561,9 @@ def test_term_view_round_trips_and_splits(p, order, k):
         assert cof.table is S
         total = total + cof * _monomial(S, dict(zip(names, key)))
     assert total == p
+    # coefficient and order read the same terms, one key or degree at a time
+    assert all(p.coefficient(dict(zip(S.names, m))) == c for m, c in items.items())
+    assert p.order() == min((sum(m) for m in items), default=None)
     # coeff_of and coeffs_in read the same split
     for key, cof in split.items():
         assert p.coeff_of(dict(zip(names, key)), names) == cof
@@ -979,7 +1007,8 @@ def test_coeff_of_an_exponent_no_field_holds_is_zero():
     for mono in ({"x": 256}, {"y": -1}, {"y": -129, "z": 1}):
         got = p.coeff_of(mono, names)
         assert got.is_zero and got.table is table
-    assert p.coeff_of({"y": 1}, names) == 1
+        assert p.coefficient(mono) == 0
+    assert p.coeff_of({"y": 1}, names) == 1 == p.coefficient({"y": 1, "z": 0})
     got = p.coeff_of({"y": 1}, ["y"])
     assert got == table.var("x") + 1 and got.table is table
 
