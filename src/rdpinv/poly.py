@@ -11,10 +11,10 @@ The public contract is the term view and a packed read and write.
 ``p.table.names`` and ``c`` nonzero, an ``int`` when integral and a reduced
 ``Fraction`` otherwise, and :meth:`Polynomial.from_items` builds a
 polynomial from such pairs.  ``coefficients_over`` splits the terms by
-their exponents in chosen variables; ``coeffs_in``, ``coeff_of`` and
-``truncate`` read through the same exponent tuples.  ``coefficient`` reads
-one coefficient by one lookup of its packed key, and ``order`` the least
-total degree through the degree reader.
+their exponents in chosen variables; ``coeffs_in`` and ``truncate`` read
+through the same exponent tuples.  ``coefficient`` reads one coefficient
+by one lookup of its packed key, and ``order`` the least total degree
+through the degree reader.
 ``numerators_over`` instead gives the integer numerators over the common
 denominator, grouped by exponents in chosen variables read straight off
 the keys, and :meth:`Polynomial.from_numerators` packs such groups
@@ -479,11 +479,12 @@ class Polynomial:
 
     def coefficient(self, mono: Mapping[str, int]) -> "int | Fraction":
         """The coefficient of ``mono``, names to exponents (every other name to
-        the power 0): one lookup of its packed key; 0 for an exponent no field holds."""
-        s = self.shift
-        if not all(0 <= e < 1 << s - 1 for e in mono.values()):
+        the power 0): one lookup of its packed key; 0 for an exponent no field
+        holds or a positive power of a name not in the table."""
+        s, at = self.shift, self.table._index
+        if not all(0 <= e < 1 << s - 1 and (not e or v in at) for v, e in mono.items()):
             return 0
-        n = self.terms.get(sum(e << self.table.index_of(v) * s for v, e in mono.items()))
+        n = self.terms.get(sum(e << at[v] * s for v, e in mono.items() if e))
         return 0 if n is None else _coeff(n, self.den)
 
     def order(self) -> "int | None":
@@ -694,27 +695,6 @@ class Polynomial:
         """View as a univariate polynomial in ``name``: degree -> coefficient."""
         return {k: c for (k,), c in self.coefficients_over((name,)).items()}
 
-    def coeff_of(self, mono: Mapping[str, int], within: Iterable[str]) -> "Polynomial":
-        """Coefficient of the exact monomial ``mono`` when viewed over ``within``.
-
-        Variables of ``within`` absent from ``mono`` must appear with
-        exponent zero; returns 0 when the monomial is absent.
-        """
-        within = tuple(within)
-        if any(v not in within for v in mono):
-            raise ValueError("monomial involves variables outside the given subset")
-        s = self.shift
-        offsets = [self.table.index_of(v) * s for v in within]
-        exps = [mono.get(v, 0) for v in within]
-        # a stored exponent is nonnegative and below the guard bit, so no
-        # other exponent occurs, and packing one could only alias a field
-        if not all(0 <= e < 1 << s - 1 for e in exps):
-            return self.table.zero()
-        mask = sum(((1 << s) - 1) << o for o in offsets)
-        cell = sum(e << o for o, e in zip(offsets, exps))
-        terms = {k - cell: n for k, n in self.terms.items() if k & mask == cell}
-        return _reduced(self.table, terms, self.den, s) if terms else self.table.zero()
-
     # -- substitution ------------------------------------------------------
 
     def substitute(self, rules: Mapping[str, "Polynomial | int | Fraction"],
@@ -726,11 +706,11 @@ class Polynomial:
         constant, a scaled monomial) is applied to each term directly.  The
         other ruled variables present in the input, v1, ..., vk, go through
         one Horner scheme: the terms split into blocks by their exponents of
-        v1..vk, and the blocks of the innermost variable vk run as one loop
-        from its top exponent present down to 0, ``acc = acc * r(vk) +
-        block_e``, each block added into the running numerators in place.
-        An outer variable runs the same steps over the images of its inner
-        groups.  Each block comes from the input, so a rule value that
+        v1..vk, and each variable runs one loop from its top exponent present
+        down to 0, ``acc = acc * r(vi) + part_e``, each part added into the
+        running numerators in place: for the innermost variable vk a part is
+        one block, for an outer one the image of its inner group.  Each
+        block comes from the input, so a rule value that
         contains ruled variables (a swap, a reflection) is never substituted
         into again.  The innermost variable is the one whose value uses the
         fewest variables, and each further one adds the fewest new ones, so
@@ -803,9 +783,6 @@ class Polynomial:
             # the field sum of a block key: the input's kept exponents plus what
             # each one-term value brings at the input's top exponent of its variable
             degree = _reader(sum(kept) + sum(tops[o // s] * _degree(k, s) for o, k, *_ in ruled), s)
-        if not (horner or ruled):  # zero values only: their variables' terms drop out
-            own = {k: n for k, n in own.items() if not k & dead and (bound is None or degree(k) <= bound)}
-            return _reduced(table, own, self.den, s) if own else Polynomial(table, {})
         if dead:
             own = {k: n for k, n in own.items() if not k & dead}
         values = [_HornerValue(i * s, r, bound is not None) for i, r in horner.items()]
@@ -885,31 +862,25 @@ class Polynomial:
         def combine(group: dict, level: int, budget: "int | None") -> tuple[dict, int, int]:
             """The group's image: its numerators, their denominator and field width."""
             v = values[level]
-            if level + 1 == len(values):
-                # the innermost variable: its blocks, each over one_den, join
-                # the running numerators in place, from its top exponent down
-                parts = {h >> v.offset & field: block for h, block in group.items()}
-                top = max(parts)
-                acc, den, w = parts[top], one_den, s
-                for e in range(top - 1, -1, -1):
-                    pairs, w = v.times(acc, w, None if budget is None else budget - e * v.low, bound)
-                    acc = _product(pairs)
-                    den *= v.den
-                    block = parts.get(e)
-                    if block:
-                        _add_into(acc, block if w == s else _repacked(block, s, w), den // one_den)
-                return acc, den, w
-            by_exp: dict[int, dict] = {}
+            inner = level + 1 == len(values)
+            # the parts by exponent of v: at the innermost level one block
+            # each, over one_den, else the group that the next level images
+            parts: dict = {}
             for h, block in group.items():
-                by_exp.setdefault(h >> v.offset & field, {})[h] = block
-            top = max(by_exp)
-            acc, den, w = combine(by_exp[top], level + 1,
-                                  None if budget is None else budget - top * v.low)
+                if inner:
+                    parts[h >> v.offset & field] = block, one_den, s
+                else:
+                    parts.setdefault(h >> v.offset & field, {})[h] = block
+            # from the top exponent present down to 0, each part is added
+            # into the running numerators in place
+            top = max(parts)
+            acc, den, w = parts[top] if inner else combine(
+                parts[top], level + 1, None if budget is None else budget - top * v.low)
             for e in range(top - 1, -1, -1):
                 cap = None if budget is None else budget - e * v.low
-                part = by_exp.get(e)
+                part = parts.get(e)
                 if part is not None:
-                    terms, d, wp = combine(part, level + 1, cap)
+                    terms, d, wp = part if inner else combine(part, level + 1, cap)
                     if terms:
                         # scale acc first, so that the product's den is a multiple of d
                         f = d // gcd(den * v.den, d)

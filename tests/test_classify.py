@@ -186,7 +186,7 @@ def sheared_square(p, var, d):
         if m != square and m[vi]:
             return lowered(m, vi, 1), Fraction(c, -2 * a)
 
-    return shear(p, var, d, complete_square).coeff_of({var: 0}, [var])
+    return shear(p, var, d, complete_square).coeffs_in(var).get(0, T.zero())
 
 
 def absorb(keep, scale):
@@ -211,13 +211,14 @@ def sheared_tail_D(g, c3, d):
 
     g = shear(g, "Z", d, absorb(exps({"Y": 2, "Z": 1}), c3))
     g = shear(g, "Y", d, kill_linear)
-    return g.coeff_of({"Y": 0}, ["Y"]).order()
+    return g.coeffs_in("Y").get(0, T.zero()).order()
 
 
 def sheared_tail_E(g, c3, d):
     """Normalize g = c3*Y^3 + Y*B(Z) + C(Z) by shears; (ord B, ord C)."""
     g = shear(g, "Y", d, absorb(exps({"Y": 3}), 3 * c3))
-    return g.coeff_of({"Y": 1}, ["Y"]).order(), g.coeff_of({"Y": 0}, ["Y"]).order()
+    tail = g.coeffs_in("Y")
+    return tuple(tail.get(e, T.zero()).order() for e in (1, 0))
 
 
 @st.composite

@@ -75,8 +75,9 @@ def test_substitution_is_simultaneous():
 def test_coeff_of():
     x, y, z, psi1 = V("x"), V("y"), V("z"), V("psi1")
     p = 3 * psi1 * y ** 2 * z + y ** 3
-    assert p.coeff_of({"y": 2, "z": 1}, ["x", "y", "z"]) == 3 * psi1
-    assert p.coeff_of({"x": 5}, ["x", "y", "z"]).is_zero
+    split = p.coefficients_over("xyz")
+    assert split[0, 2, 1] == 3 * psi1 and (5, 0, 0) not in split
+    assert p.coefficient({"psi1": 1, "y": 2, "z": 1}) == 3 and p.coefficient({"x": 5}) == 0
 
 
 def test_homogeneous_weight():
@@ -564,15 +565,12 @@ def test_term_view_round_trips_and_splits(p, order, k):
     # coefficient and order read the same terms, one key or degree at a time
     assert all(p.coefficient(dict(zip(S.names, m))) == c for m, c in items.items())
     assert p.order() == min((sum(m) for m in items), default=None)
-    # coeff_of and coeffs_in read the same split
-    for key, cof in split.items():
-        assert p.coeff_of(dict(zip(names, key)), names) == cof
     if names:  # sub_poly draws exponents up to 3
-        assert p.coeff_of({v: 9 for v in names}, names).is_zero
+        assert p.coefficient({v: 9 for v in names}) == 0
+    # coeffs_in reads the same split
     for name in names:
         by_exp = {key[0]: cof for key, cof in p.coefficients_over([name]).items()}
         assert p.coeffs_in(name) == by_exp
-        assert all(p.coeff_of({name: e}, [name]) == cof for e, cof in by_exp.items())
 
 
 # -- the shared exact linear solver ----------------------------------------------
@@ -1002,14 +1000,15 @@ def test_coeff_of_an_exponent_no_field_holds_is_zero():
     table = VarTable(["x", "y", "z"], [1, 1, 1])
     p = parse("y^127 + x*y + y + 3", table)
     assert p.shift == 8
-    names = ["x", "y", "z"]
     # packed on 8-bit fields, x^256 is y and y^-129*z is y^127
     for mono in ({"x": 256}, {"y": -1}, {"y": -129, "z": 1}):
-        got = p.coeff_of(mono, names)
-        assert got.is_zero and got.table is table
         assert p.coefficient(mono) == 0
-    assert p.coeff_of({"y": 1}, names) == 1 == p.coefficient({"y": 1, "z": 0})
-    got = p.coeff_of({"y": 1}, ["y"])
+    assert p.coefficient({"y": 1, "z": 0}) == 1
+    # a name not in the table: to the power 0 it is left out, to a positive power
+    # no term holds it
+    assert p.coefficient({"y": 1, "w": 0}) == 1 and p.coefficient({"w": 0}) == 3
+    assert p.coefficient({"y": 1, "w": 2}) == 0 == p.coefficient({"w": 1})
+    got = p.coeffs_in("y")[1]
     assert got == table.var("x") + 1 and got.table is table
 
 
