@@ -9,14 +9,16 @@ u -> u + v where only cross terms are left (rank 2 alone needs it), and
 reads an A tail off the order of the rest; rank 1 splits off its square to
 degree 3, where the binary cubic's factorization shape (read off its
 Hessian) gives D4, and to degree 5 for an E or a D tail.  An A or D tail
-is split in rungs: to degree 5, which shows every tail order up to 5, and
-to the jet order only if the tail vanishes through degree 5, each root
-resumed where the last rung left it.  Both splits are one closed-form step
-(``_root``), at the zero of the square's variable's first derivative or of
-the D tail's dg/dy, found degree by degree, exact and truncated; an E tail
-needs no split, as the orders it is decided on read the same off the
-unsplit coefficients.  No square root is ever needed: the tree consumes
-ranks, factor multiplicities and orders.
+is split on a ladder of rungs, 5, 7, 10, 14, 20, ... (each the last times
+sqrt(2), rounded, in integers), the jet order the last: a split to degree
+d shows every tail order up to d, so the next rung runs only if the tail
+vanishes through d, each root resumed where the last rung left it.  Both
+splits are one closed-form step (``_root``), at the zero of the square's
+variable's first derivative or of the D tail's dg/dy, found degree by
+degree, exact and truncated; an E tail needs no split, as the orders it is
+decided on read the same off the unsplit coefficients.  No square root of
+a coefficient is ever needed: the tree consumes ranks, factor
+multiplicities and orders.
 
 ``section_type`` predicts the best general-hyperplane-section bound from
 the vanishing orders of versal-form coefficients along a one-parameter
@@ -28,6 +30,7 @@ deformation, via the monomial table of low-degree terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import sub
 from typing import Mapping, Optional
 
@@ -135,13 +138,15 @@ def _square_to_split(f: Polynomial, q: Polynomial, left: list[str],
     """A variable of ``left`` whose square occurs in f, with f made to show it.
 
     The terms of f lie in the variables of ``left`` and its quadratic part
-    q is nonzero.  If q has only cross terms c*u*v, f is first sheared by
-    u -> u + v, which adds c*v^2 and no other square, and kept to degree d.
+    q is nonzero.  If q has only cross terms, f is first sheared by
+    u -> u + v, c*u*v the one with the largest exponent tuple (so equal
+    polynomials take the same path), which adds c*v^2 and no other square,
+    and kept to degree d.
     """
     for var in left:
         if q.coefficient({var: 2}):
             return f, var
-    m, _ = next(iter(q.items()))
+    m = max(m for m, _ in q.items())
     u, v = (name for name, e in zip(f.table.names, m) if e)
     return f.substitute({u: f.table.var(u) + f.table.var(v)}, max_total_degree=d), v
 
@@ -192,8 +197,9 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
     variables of its table.  Raises :class:`UndecidableError` when the jet
     is too short and :class:`NotRDPError` when the singularity is not a
     rational double point.  The quadratic rank is read first, then the jet
-    to degree 2 for A1, 3 for D4, 5 for E, and 5 for an A or D tail of
-    order at most 5; only a longer tail is split again to the jet order.
+    to degree 2 for A1, 3 for D4, 5 for E, and for an A or D tail to the
+    first rung of the ladder 5, 7, 10, 14, ... (the jet order the last) at
+    or above its order.
     """
     names = list(f.table.names[:3])
     if len(f.table) != 3:
@@ -211,10 +217,11 @@ def rdp_type(f: Polynomial, jet_order: int = 10) -> RdpType:
         raise NotRDPError("multiplicity at least three")
     if rank == 3:
         return RdpType("A", 1)
-    # a split exact to degree d shows every tail order up to d, so an A or D
-    # tail is split to degree 5 first and to the jet order only if it
-    # vanishes there, each root resumed where the last rung left it
-    rungs = sorted({min(jet_order, 5), jet_order})
+    # a split to degree d costs about d^2.5, so the A and D tail rungs grow
+    # by sqrt(2), rounded (5, 7, 10, 14, ...), up to the jet order
+    rungs = [min(jet_order, 5)]
+    while rungs[-1] < jet_order:
+        rungs.append(min((isqrt(8 * rungs[-1] ** 2) + 1) // 2, jet_order))
     if rank == 2:
         roots = {}
         for d in rungs:

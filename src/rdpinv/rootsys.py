@@ -7,12 +7,10 @@ reducible types D2 and E3 are first-class values, and isomorphic types
 such as E4 / A4 are never conflated: every construction here depends on
 the declared family.
 
-The module knows three layers:
+The module knows two layers:
 
 * the ambient basis e_0..e_n with <e_0,e_0> = 1, <e_i,e_i> = -1, in which
   simple roots and the orthogonal-splitting vectors live;
-* the dual-basis coordinates vs0..vsn, in which the distinguished
-  functionals are expressed and inverted;
 * the functionals t_1..t_n themselves, on which each reflection generator
   acts as a rank-one map t -> t + l(t) * c.
 
@@ -89,10 +87,6 @@ class Spec(Record):
     def t_table(self) -> VarTable:
         return VarTable([f"t{i}" for i in range(1, self.n + 1)], [1] * self.n)
 
-    def dual_table(self) -> VarTable:
-        hi = self.n + 1
-        return VarTable([f"vs{i}" for i in range(hi)], [1] * hi)
-
 
 # -- ambient basis ------------------------------------------------------------
 
@@ -131,85 +125,6 @@ def combine(dim: int, parts: list[tuple[Fraction, Vector]]) -> Vector:
         for i, x in enumerate(v):
             out[i] += c * x
     return tuple(out)
-
-
-# -- distinguished functionals and the dual basis -----------------------------
-
-
-def distinguished_functionals(spec: Spec) -> list[Polynomial]:
-    """t_1..t_n as linear forms in the dual-basis coordinates vs*."""
-    table = spec.dual_table()
-    vs = lambda i: table.var(f"vs{i}")
-    n = spec.n
-    out: list[Polynomial] = []
-    if spec.family == "A":
-        # vs0 and vsn are identically zero here
-        for i in range(1, n + 1):
-            t = table.zero()
-            if i > 1:
-                t = t - vs(i - 1)
-            if i < n:
-                t = t + vs(i)
-            out.append(t)
-    elif spec.family == "D":
-        # vs0 is identically zero here
-        for i in range(1, n - 1):
-            t = vs(i)
-            if i > 1:
-                t = t - vs(i - 1)
-            out.append(t)
-        tail = vs(n - 1) + vs(n)
-        if n > 2:
-            tail = tail - vs(n - 2)
-        out.append(tail)
-        out.append(-vs(n - 1) + vs(n))
-    else:
-        # vsn is identically zero here
-        out.append(vs(1) - Fraction(2, 3) * vs(0))
-        out.append(-Fraction(2, 3) * vs(0) - vs(1) + vs(2))
-        t3 = -Fraction(2, 3) * vs(0) - vs(2)
-        if n > 3:
-            t3 = t3 + vs(3)
-        out.append(t3)
-        for i in range(4, n + 1):
-            t = Fraction(1, 3) * vs(0) - vs(i - 1)
-            if i < n:
-                t = t + vs(i)
-            out.append(t)
-    return out
-
-
-def dual_basis_in_t(spec: Spec) -> RuleSet:
-    """Each dual-basis coordinate as a linear form in t_1..t_n."""
-    table = spec.t_table()
-    t = lambda i: table.var(f"t{i}")
-    n = spec.n
-    s1 = table.zero()
-    for i in range(1, n + 1):
-        s1 = s1 + t(i)
-    rules: list[tuple[str, Polynomial]] = []
-    if spec.family == "A":
-        acc = table.zero()
-        for i in range(1, n):
-            acc = acc + t(i)
-            rules.append((f"vs{i}", acc))
-    elif spec.family == "D":
-        for i in range(1, n - 1):
-            v = s1
-            for j in range(i + 1, n + 1):
-                v = v - t(j)
-            rules.append((f"vs{i}", v))
-        rules.append((f"vs{n-1}", Fraction(1, 2) * s1 - t(n)))
-        rules.append((f"vs{n}", Fraction(1, 2) * s1))
-    else:
-        rules.append(("vs0", Fraction(3, n - 9) * s1))
-        rules.append(("vs1", Fraction(2, n - 9) * s1 + t(1)))
-        rules.append(("vs2", Fraction(4, n - 9) * s1 + t(1) + t(2)))
-        acc = t(1) + t(2)
-        for i in range(3, n):
-            acc = acc + t(i)
-            rules.append((f"vs{i}", Fraction(9 - i, n - 9) * s1 + acc))
-    return RuleSet.of(rules)
 
 
 # -- orbit sums of a Young subgroup and the reflections that move them ------------

@@ -459,21 +459,55 @@ def test_tails_of_order_at_most_5_read_no_degree_above_5(text, want, bounds):
         assert bounds and all(b is not None and b <= 5 for b in bounds), (f.serialize(), bounds)
 
 
-@pytest.mark.parametrize("text,want", [
-    ("-X*Y + Z^6", "A5"), ("-X*Y + Z^7", "A6"), ("-X*Y + Z^8", "A7"), ("-X*Y + Z^9", "A8"),
-    ("-X^2 - Y^2*Z + Z^6", "D7"), ("-X^2 - Y^2*Z + Z^7", "D8")])
-def test_longer_tails_read_the_jet_order(text, want, bounds):
-    # the tail vanishes through degree 5, so the second rung runs
+@pytest.mark.parametrize("text,want,deepest", [
+    ("-X*Y + Z^6", "A5", 7), ("-X*Y + Z^7", "A6", 7), ("-X*Y + Z^8", "A7", 10),
+    ("-X*Y + Z^9", "A8", 10), ("-X^2 - Y^2*Z + Z^6", "D7", 7), ("-X^2 - Y^2*Z + Z^7", "D8", 7)])
+def test_longer_tails_read_the_first_rung_at_their_order(text, want, deepest, bounds):
+    # the tail vanishes through degree 5, so the ladder 5, 7, 10 goes on to
+    # the first rung at or above the tail's order, and no further
     for f in moved_forms(text):
         bounds.clear()
         assert rdp_type(f, jet_order=10).name == want, f.serialize()
-        assert None not in bounds and max(bounds) == 10, (f.serialize(), bounds)
+        assert None not in bounds and max(bounds) == deepest, (f.serialize(), bounds)
+
+
+#: the rungs of the A and D tail ladder below 20, each the last times sqrt(2), rounded
+LADDER = (5, 7, 10, 14)
+
+
+def deepest_rung(tail, jet_order):
+    """The degree an A or D tail of order ``tail`` is split to at ``jet_order`` (at
+    least 5): the first rung at or above the tail's order, the jet order the last."""
+    return min([r for r in LADDER if tail <= r < jet_order] + [jet_order])
+
+
+@pytest.mark.parametrize("family,k", [("A", k) for k in range(2, 13)]
+                         + [("D", k) for k in range(5, 13)])
+def test_each_tail_is_decided_on_the_first_rung_at_its_order(family, k, bounds):
+    # the tail's order, read off the normal form: Z^(k+1) for A_k, Z^(k-1) for D_k
+    tail = k + 1 if family == "A" else k - 1
+    base = P(f"-X*Y + Z^{tail}" if family == "A" else f"-X^2 - Y^2*Z + Z^{tail}")
+    rng = random.Random(f"ladder {family}{k}")
+    moved = base.substitute(random_triangular_rules(rng), max_total_degree=14)
+    moved = moved.substitute(random_linear_rules(rng), max_total_degree=14)
+    for f in (base, moved):
+        for order in range(5, 15):
+            bounds.clear()
+            if tail <= order:
+                assert rdp_type(f, jet_order=order).name == f"{family}{k}", (f.serialize(), order)
+            else:
+                with pytest.raises(UndecidableError) as caught:
+                    rdp_type(f, jet_order=order)
+                rest = "residual" if family == "A" else "pure"
+                assert str(caught.value) == f"{rest} tail vanishes to jet order (jet order {order})"
+            assert None not in bounds and max(bounds) == deepest_rung(tail, order), (
+                f.serialize(), order, bounds)
 
 
 @pytest.mark.parametrize("text,message", [
     ("X^2 + Y^2", "residual tail vanishes to jet order (jet order 10)"),
     ("-X^2 - Y^2*Z", "pure tail vanishes to jet order (jet order 10)")])
-def test_a_tail_that_vanishes_on_both_rungs_is_undecidable(text, message):
+def test_a_tail_that_vanishes_on_every_rung_is_undecidable(text, message):
     with pytest.raises(UndecidableError) as caught:
         rdp_type(P(text), jet_order=10)
     assert str(caught.value) == message
@@ -513,6 +547,26 @@ def test_square_to_split_shows_a_square_by_an_invertible_change(jet):
         pairs = [(u, v) for u, v in permutations(left, 2) if g == f.substitute(shear(u, v, 1))]
         assert pairs, (f.serialize(), g.serialize())
         assert all(g.substitute(shear(u, v, -1)) == f for u, v in pairs)
+
+
+def test_square_to_split_shears_the_same_cross_term_in_any_term_order():
+    one, two = P("X*Y + Y*Z + Z^5"), P("Y*Z + X*Y + Z^5")
+    assert one == two and list(one.items()) != list(two.items())
+    names = list(T.names)
+    split = _square_to_split(one, one.degree_part(2), names)
+    assert split == _square_to_split(two, two.degree_part(2), names) == (
+        P("X*Y + Y^2 + Y*Z + Z^5"), "Y")
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_jets())
+def test_square_to_split_does_not_read_the_term_order(jet):
+    f, left = jet
+    assume(not any(f.coefficient({v: 2}) for v in left))
+    g = Polynomial.from_items(T, dict(reversed(list(f.items()))))
+    assert g == f
+    split = _square_to_split(f, f.degree_part(2), left)
+    assert _square_to_split(g, g.degree_part(2), left) == split
 
 
 def determinacy_degree(name):

@@ -320,9 +320,9 @@ def test_classify_undecidable_exit_code(tmp_path, capsys):
         assert code == 1 and out == "" and err.startswith("undecidable:"), (text, err)
 
 
-#: criterion 9's normal forms at --jet-order 10, 7, 5, 4, 3 and 2, each order ending in
-#: three spellings outside serialize()'s layout that the grammar walk reads (the last
-#: one it refuses), then one profile; each run as "classify <args>: <input>", its stdout,
+#: criterion 9's normal forms at --jet-order 12, 10, 9, 8, 7, 5, 4, 3 and 2, each order
+#: ending in three spellings outside serialize()'s layout that the grammar walk reads (the
+#: last one it refuses), then one profile; each run as "classify <args>: <input>", its stdout,
 #: its stderr lines prefixed "stderr: ", and "exit <code>", as the CI job that diffs
 #: interpreters prints it
 CLASSIFY_TRANSCRIPT = Path(__file__).with_name("classify_transcript.txt")

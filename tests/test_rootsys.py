@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations, product
 
 import pytest
-from conftest import elem_sym, written
+from conftest import distinguished_functionals, dual_basis_in_t, dual_table, elem_sym, written
 from hypothesis import assume, given, settings, strategies as st
 
 from rdpinv.distpoly import ts_table
@@ -11,8 +11,6 @@ from rdpinv.rootsys import (
     OrbitSums,
     Spec,
     UnsupportedSplitError,
-    distinguished_functionals,
-    dual_basis_in_t,
     inner,
     reflection_blocks,
     root_basis,
@@ -38,13 +36,13 @@ def test_spec_names_and_bounds():
 
 def test_table_one_examples():
     a = distinguished_functionals(Spec("A", 4))
-    ta = Spec("A", 4).dual_table()
+    ta = dual_table(Spec("A", 4))
     assert a[1] == -ta.var("vs1") + ta.var("vs2")
     d = distinguished_functionals(Spec("D", 5))
-    td = Spec("D", 5).dual_table()
+    td = dual_table(Spec("D", 5))
     assert d[4] == -td.var("vs4") + td.var("vs5")
     e = distinguished_functionals(Spec("E", 6))
-    te = Spec("E", 6).dual_table()
+    te = dual_table(Spec("E", 6))
     assert e[0] == te.var("vs1") - Fraction(2, 3) * te.var("vs0")
 
 
