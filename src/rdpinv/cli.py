@@ -145,6 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_congruence(args) -> int:
+    if args.all and args.case is not None:
+        return _usage_error("give --case or --all, not both")
     labels = [c.label for c in congruence.KEY_CASES] if args.all else [args.case]
     if not all(labels):
         return _usage_error("provide --case E7:v2 or --all")

@@ -8,27 +8,26 @@ exact polynomials in s_1..s_n for every type whose closed form is known
 (A, D including D2, E3, E4, E5); the three large E types are produced by
 the versal-form pipeline in :mod:`rdpinv.envres`.
 
-The elementary symmetric functions e_1..e_n of the t's come together from
-one product recurrence, prod(1 + t_i X).  Both directions between the s_i
-and the t's work on partitions, since a symmetric polynomial is
-sum c_lam m_lam over the orbit sums m_lam, and both use one table of
-products of the e_j kept as orbit totals on partitions (the triangular
-m -> e transition; Sturmfels, *Algorithms in Invariant Theory* 1.1,
-Macdonald, *Symmetric Functions* I.2, I.6).  Both work in integer
-numerators over one denominator, through the kernel's packed read and write
-(:meth:`Polynomial.numerators_over`, :meth:`Polynomial.from_numerators`),
-never per term.  Expanding a coordinate in the t's sums those products
-over its terms and keeps the result as an :class:`~rdpinv.rootsys.OrbitSums`
-store, one numerator per orbit of the Young subgroup H of the blocks of t's
-it is given (S_n, one block, by default); no t-term is written out.  The
-store type lives in :mod:`rdpinv.rootsys`, beside the reflection that
-moves it, and writes no terms out either.  Symmetric rewriting (from the t's back to the s_i) reads such a store,
-checks that every S_n orbit of exponent vectors is complete and carries one
-numerator, which certifies symmetry, and then peels the partitions from the
-top against the same products.  The literal invariance check expands a
-coordinate on the blocks of t's that the generator treats alike
-(:func:`rdpinv.rootsys.reflection_blocks`, S3 x S3 for E6 generator 0),
-applies the generator as the rank-one reflection of
+Both directions between the s_i and the t's work on partitions, since a
+symmetric polynomial is sum c_lam m_lam over the orbit sums m_lam, and both
+use one table of products of the e_j kept as orbit totals on partitions
+(the triangular m -> e transition; Sturmfels, *Algorithms in Invariant
+Theory* 1.1, Macdonald, *Symmetric Functions* I.2, I.6).  Both work in
+integer numerators over one denominator, through the kernel's packed read
+and write (:meth:`Polynomial.numerators_over`,
+:meth:`Polynomial.from_numerators`), never per term.  Expanding a
+coordinate in the t's sums those products over its terms and keeps the
+result as an :class:`~rdpinv.rootsys.OrbitSums` store, one numerator per
+orbit of the Young subgroup H of the blocks of t's it is given (S_n, one
+block, by default); no t-term is written out.  The store type lives in
+:mod:`rdpinv.rootsys`, beside the reflection that moves it, and writes no
+terms out either.  Symmetric rewriting (from the t's back to the s_i)
+reads such a store, checks that every S_n orbit of exponent vectors is
+complete and carries one numerator, which certifies symmetry, and then
+peels the partitions from the top against the same products.  The literal
+invariance check expands a coordinate on the blocks of t's that the
+generator treats alike (:func:`rdpinv.rootsys.reflection_blocks`, S3 x S3
+for E6 generator 0), applies the generator as the rank-one reflection of
 :func:`rdpinv.rootsys.weyl_action`, which moves the store on its
 representatives, and compares; expansion and reduction share one product
 table per n, kept for the life of the process.
@@ -69,17 +68,6 @@ def ts_table(n: int) -> VarTable:
     return VarTable(names, weights)
 
 
-def elementary(values: list[Polynomial]) -> list[Polynomial]:
-    """[e_0, e_1, ..., e_n] of the values, all from one product recurrence:
-    e_j is the coefficient of X^j in prod(1 + v_i X), built factor by factor."""
-    if not values:
-        raise ValueError("need at least one value")
-    es = [values[0].table.const(1)]
-    for v in values:
-        es = [es[0]] + [es[k] + es[k - 1] * v for k in range(1, len(es))] + [es[-1] * v]
-    return es
-
-
 def monic(U: Polynomial, coeffs: list[Polynomial]) -> Polynomial:
     """U^m + sum c_i U^(m-i) for coeffs = [c_1, ..., c_m]; the inverse of
     :func:`rules_from_monic`."""
@@ -109,13 +97,6 @@ def f_sform(spec: Spec, table: Optional[VarTable] = None) -> Polynomial:
     table = table or ts_table(spec.n)
     return monic(table.var("U"), [table.zero() if spec.family == "A" and i == 1
                                   else table.var(f"s{i}") for i in range(1, spec.n + 1)])
-
-
-def s_to_t_rules(n: int, table: Optional[VarTable] = None) -> dict[str, Polynomial]:
-    """The rules s_j -> e_j(t_1..t_n); substituting them is what :func:`t_expand` computes."""
-    table = table or ts_table(n)
-    es = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
-    return {f"s{j}": es[j] for j in range(1, n + 1)}
 
 
 class DistData(Record):
@@ -195,13 +176,6 @@ def pq_split(n: int) -> DistData:
     for e, coeff in G.to_table(table_uv).coeffs_in("U").items():
         G_hom = G_hom + coeff * uu ** e * vv ** (n - 2 - e)
     return DistData(spec, f_t, f_s, g=g, P=P, Q=Q, S=S, G=G, G_hom=G_hom)
-
-
-def f_dist(spec: Spec) -> DistData:
-    if spec.family == "D":
-        return pq_split(spec.n)
-    table = ts_table(spec.n)
-    return DistData(spec, f_product(spec, table), f_sform(spec, table))
 
 
 # -- expansion and symmetric reduction on partitions ---------------------------
@@ -496,24 +470,6 @@ def rules_from_monic(f: Polynomial, n: int) -> RuleSet:
     return RuleSet.of([(f"s{i}", by_u.get(n - i, zero).compact()) for i in range(1, n + 1)])
 
 
-def split_params_D(n: int) -> tuple[RuleSet, RuleSet]:
-    """s-parametrizations before/after the sign-swap generator of D_n.
-
-    The last two functionals enter only through a = t_{n-1} + t_n and
-    b = t_{n-1} t_n; the generator flips the sign of a.  Both rule sets
-    substitute the s_i by polynomials in p_1..p_{n-2}, a, b.
-    """
-    m = n - 2
-    names = [f"p{i}" for i in range(1, m + 1)] + ["aa", "bb"]
-    weights = list(range(1, m + 1)) + [1, 2]
-    ptab = VarTable(["U"] + names, [1] + weights)
-    U, aa, bb = ptab.var("U"), ptab.var("aa"), ptab.var("bb")
-    head = monic(U, [ptab.var(f"p{i}") for i in range(1, m + 1)])
-    plain = head * monic(U, [aa, bb])
-    flipped = head * monic(U, [-aa, bb])
-    return rules_from_monic(plain, n), rules_from_monic(flipped, n)
-
-
 def split_params_E(n: int) -> tuple[RuleSet, RuleSet]:
     """s-parametrizations before/after the extra E-family generator.
 
@@ -532,15 +488,3 @@ def split_params_E(n: int) -> tuple[RuleSet, RuleSet]:
     shifted = (f3.substitute({"U": U - Fraction(2, 3) * p1})
                * frest.substitute({"U": U + Fraction(1, 3) * p1}))
     return rules_from_monic(plain, n), rules_from_monic(shifted, n)
-
-
-def invariant_under_split(spec: Spec, phi: Polynomial) -> bool:
-    """Invariance under the non-permutation generator via split coordinates."""
-    if spec.family == "D":
-        plain, moved = split_params_D(spec.n)
-    elif spec.family == "E":
-        plain, moved = split_params_E(spec.n)
-    else:
-        return True  # permutations fix every polynomial in the s_i
-    phi = phi.compact()
-    return phi.substitute(plain.mapping()) == phi.substitute(moved.mapping())

@@ -114,13 +114,6 @@ def psi_n(n: int, table: Optional[VarTable] = None) -> Polynomial:
     return monic(table.var("U"), [(-1) ** i * table.var(f"s{i}") for i in range(1, n + 1)])
 
 
-def eta_star(p: Polynomial, n: int) -> Polynomial:
-    """Pull back along the cuspidal-cubic parametrization x, y, z = U, U^3, 1."""
-    table = pipeline_table(n)
-    U = table.var("U")
-    return p.substitute({"x": U, "y": U ** 3, "z": table.const(1)})
-
-
 def jacobian3(fy: Polynomial, fz: Polynomial, fw: Polynomial) -> Polynomial:
     rows = [[f.derivative_along({v: 1}) for v in ("x", "y", "z")] for f in (fy, fz, fw)]
     return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
@@ -310,13 +303,6 @@ def good_gens_bar(n: int) -> GoodGenSet:
     return GoodGenSet(8, xb, yb, zb, wb)
 
 
-def reduce_mod_m(p: Polynomial) -> Polynomial:
-    """Set every deformation parameter s_i to zero."""
-    rules = {name: 0 for name in p.variables()
-             if name.startswith("s") and name[1:].isdigit()}
-    return p.substitute(rules)
-
-
 # -- templates and solve-list data ----------------------------------------------
 
 
@@ -376,11 +362,6 @@ _BAR_PAIRS = {
     8: [(_e(x=4, y=14), "ebar2"), (_e(x=5, y=13), "phib4"),
         (_e(x=6, y=12), "phib6"), (_e(x=7, y=11), "ebar8"),
         (_e(x=8, y=10), "phib10")],
-}
-
-# extension pairs for the full barred expansion, recorded as reusable data
-BAR_EXTENSION = {
-    6: [(_e(x=7, y=2), "ebar8"), (_e(x=6, y=2, z=1), "ebar9"), (_e(x=9,), "ebar12")],
 }
 
 _PSI_PAIRS = {
@@ -480,15 +461,13 @@ class VersalPipeline:
 
     # stage 2: barred coefficients ----------------------------------------------
 
-    def bar_solvelist(self, extended: bool = False) -> SolveList:
-        pairs = list(_BAR_PAIRS[self.n])
-        if extended:
-            pairs += BAR_EXTENSION.get(self.n, [])
+    def bar_solvelist(self) -> SolveList:
         z_zero = self.n == 8
-        return SolveList.of(self.rbar_pi(z_zero), phibar_template(self.n), pairs, ("x", "y", "z"))
+        return SolveList.of(self.rbar_pi(z_zero), phibar_template(self.n), _BAR_PAIRS[self.n],
+                            ("x", "y", "z"))
 
-    def bar_rules(self, extended: bool = False) -> RuleSet:
-        return self.bar_solvelist(extended=extended).expand()
+    def bar_rules(self) -> RuleSet:
+        return self.bar_solvelist().expand()
 
     # stage 3: the triangular psi system ------------------------------------------
 
@@ -551,11 +530,3 @@ def _recipe_key(n: int) -> str:
 def versal_coeffs(n: int, cache: Optional[RuleCache] = None) -> dict[str, Polynomial]:
     """The standard coordinate functions eps_i of E6/E7/E8, in s_1..s_n."""
     return dict(VersalPipeline(n, cache=cache).versal_rules().rules)
-
-
-APPENDIX_MULTIPLIERS = {
-    6: {"eps2": 6, "eps5": 81, "eps6": 1944, "eps8": 34992, "eps9": 78732,
-        "eps12": 11337408},
-    7: {"eps2": 1, "eps6": 48, "eps8": 48, "eps10": 16, "eps12": 6912,
-        "eps14": 768, "eps18": 9 * 16 ** 3},
-}

@@ -465,14 +465,6 @@ class Polynomial:
         names = self.table.names
         return {names[i] for i in self._used()}
 
-    def contains_var(self, name: str) -> bool:
-        idx = self.table._index.get(name)
-        if idx is None:
-            return False
-        s = self.shift
-        field = ((1 << s) - 1) << idx * s
-        return any(k & field for k in self.terms)
-
     def constant_value(self):
         """The coefficient of the constant monomial."""
         return self.coefficient({})

@@ -4,11 +4,11 @@ from itertools import chain, permutations, product
 
 import pytest
 
-from rdpinv.distpoly import elementary
+from rdpinv.distpoly import monic, rules_from_monic, split_params_E, ts_table
 from rdpinv.envres import VersalPipeline
 from rdpinv.poly import Polynomial, VarTable
 from rdpinv.rootsys import Spec
-from rdpinv.solvelist import RuleCache, RuleSet
+from rdpinv.solvelist import RuleCache, RuleSet, SolveList
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -61,9 +61,28 @@ def written(store):
     return Polynomial.from_items(store.table, items)
 
 
+def elementary(values: list[Polynomial]) -> list[Polynomial]:
+    """[e_0, e_1, ..., e_n] of the values, all from one product recurrence:
+    e_j is the coefficient of X^j in prod(1 + v_i X), built factor by factor."""
+    if not values:
+        raise ValueError("need at least one value")
+    es = [values[0].table.const(1)]
+    for v in values:
+        es = [es[0]] + [es[k] + es[k - 1] * v for k in range(1, len(es))] + [es[-1] * v]
+    return es
+
+
+def s_to_t_rules(n: int, table: "VarTable | None" = None) -> dict[str, Polynomial]:
+    """The rules s_j -> e_j(t_1..t_n); substituting them is what
+    ``distpoly.t_expand`` computes."""
+    table = table or ts_table(n)
+    es = elementary([table.var(f"t{i}") for i in range(1, n + 1)])
+    return {f"s{j}": es[j] for j in range(1, n + 1)}
+
+
 def elem_sym(values, j):
     """The elementary symmetric function e_j of ``values``, read off
-    ``distpoly.elementary``: 1 for j = 0, zero above ``len(values)``."""
+    :func:`elementary`: 1 for j = 0, zero above ``len(values)``."""
     if j < 0:
         raise ValueError(f"no elementary symmetric function of negative degree {j}")
     es = elementary(values)
@@ -150,3 +169,48 @@ def dual_basis_in_t(spec: Spec) -> RuleSet:
             acc = acc + t(i)
             rules.append((f"vs{i}", Fraction(9 - i, n - 9) * s1 + acc))
     return RuleSet.of(rules)
+
+
+def split_params_D(n: int) -> tuple[RuleSet, RuleSet]:
+    """s-parametrizations before/after the sign-swap generator of D_n.
+
+    The last two functionals enter only through a = t_{n-1} + t_n and
+    b = t_{n-1} t_n; the generator flips the sign of a.  Both rule sets
+    substitute the s_i by polynomials in p_1..p_{n-2}, a, b.
+    """
+    m = n - 2
+    names = [f"p{i}" for i in range(1, m + 1)] + ["aa", "bb"]
+    weights = list(range(1, m + 1)) + [1, 2]
+    ptab = VarTable(["U"] + names, [1] + weights)
+    U, aa, bb = ptab.var("U"), ptab.var("aa"), ptab.var("bb")
+    head = monic(U, [ptab.var(f"p{i}") for i in range(1, m + 1)])
+    plain = head * monic(U, [aa, bb])
+    flipped = head * monic(U, [-aa, bb])
+    return rules_from_monic(plain, n), rules_from_monic(flipped, n)
+
+
+def invariant_under_split(spec: Spec, phi: Polynomial) -> bool:
+    """Invariance under the non-permutation generator via split coordinates."""
+    if spec.family == "D":
+        plain, moved = split_params_D(spec.n)
+    elif spec.family == "E":
+        plain, moved = split_params_E(spec.n)
+    else:
+        return True  # permutations fix every polynomial in the s_i
+    phi = phi.compact()
+    return phi.substitute(plain.mapping()) == phi.substitute(moved.mapping())
+
+
+# extension pairs for the full barred expansion of E6, whose solutions the
+# paper displays; the pipeline's own bar stage stops before them
+BAR_EXTENSION = {
+    6: [({"x": 7, "y": 2}, "ebar8"), ({"x": 6, "y": 2, "z": 1}, "ebar9"), ({"x": 9}, "ebar12")],
+}
+
+
+def full_bar_rules(pipe: VersalPipeline) -> RuleSet:
+    """The barred stage of ``pipe`` solved for its pairs and then the
+    extension pairs of its rank."""
+    bar = pipe.bar_solvelist()
+    return SolveList.of(bar.base, bar.template, bar.pairs + tuple(BAR_EXTENSION[pipe.n]),
+                        bar.monomial_vars).expand()

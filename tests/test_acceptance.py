@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import full_bar_rules, invariant_under_split
 
 from rdpinv.classify import ValuationProfile, rdp_type, section_type
 from rdpinv.cli import load_golden
@@ -16,13 +17,11 @@ from rdpinv.congruence import KEY_CASES, dist_relation, key_constant
 from rdpinv.distpoly import (
     e45_check,
     invariant_under_literal,
-    invariant_under_split,
     pq_split,
     split_params_E,
     standard_coords,
 )
 from rdpinv.envres import (
-    APPENDIX_MULTIPLIERS,
     VersalPipeline,
     eps_names,
     good_gens_bar,
@@ -44,7 +43,7 @@ def test_criterion_1_appendix1_exact(pipe6):
     for name in eps_names(6):
         mult, want = golden[name]
         ok = (mult * rules[name] == want) and ok
-    multipliers = tuple(APPENDIX_MULTIPLIERS[6][nm] for nm in eps_names(6))
+    multipliers = tuple(golden[nm][0] for nm in eps_names(6))
     assert multipliers == (6, 81, 1944, 34992, 78732, 11337408)
     assert report(1, "six-variable generators match appendix 1 term for term", ok)
 
@@ -56,7 +55,7 @@ def test_criterion_2_appendix2_exact(pipe7):
     for name in eps_names(7):
         mult, want = golden[name]
         ok = (mult * rules[name] == want) and ok
-    multipliers = tuple(APPENDIX_MULTIPLIERS[7][nm] for nm in eps_names(7))
+    multipliers = tuple(golden[nm][0] for nm in eps_names(7))
     assert multipliers == (1, 48, 48, 16, 6912, 768, 9 * 16 ** 3)
     assert report(2, "seven-variable generators match appendix 2 term for term", ok)
 
@@ -77,7 +76,7 @@ def test_criterion_4_full_barred_expansion(pipe6):
         "ebar9": "s1*s2*s6 - s3*s6",
         "ebar12": "-s1^2*s4*s6 + s1*s2*s3*s6 + s1*s5*s6 - s3^2*s6 - s6^2",
     }
-    bars = pipe6.bar_rules(extended=True)
+    bars = full_bar_rules(pipe6)
     table = pipeline_table(6)
     ok = all(bars[name] == parse(text, table) for name, text in expected.items())
     assert report(4, "extended solve-list reproduces the displayed barred polynomial", ok)

@@ -32,7 +32,9 @@ print(json.dumps({"type": name, "metrics": tracing.layer_metrics([spans])}))
 """
 
 REFLECTION_SUBSTITUTION = """
-from rdpinv.distpoly import s_to_t_rules, ts_table
+sys.path.append(sys.argv[3])
+from conftest import s_to_t_rules
+from rdpinv.distpoly import ts_table
 from rdpinv.rootsys import Spec, weyl_action
 s = ts_table(6).var
 phi = s("s2") ** 3 - 4 * s("s3") ** 2 + s("s1") * s("s5") + s("s6")
@@ -105,7 +107,7 @@ def test_tracer_installs_and_counts_one_classification(tmp_path):
 
 def test_reflection_substitution_is_one_traced_span(tmp_path):
     # the Horner recursion inside substitute never re-enters the public method
-    result = run_traced(REFLECTION_SUBSTITUTION, tmp_path)
+    result = run_traced(REFLECTION_SUBSTITUTION, tmp_path, str(ROOT / "tests"))
     assert result["terms"] > 100
     assert result["substitutions"] == [{"terms": result["terms"]}]
 

@@ -227,6 +227,8 @@ def _cli_calls(draw):
 @example((["classify", "--poly-file", "{file}"], "-X^2 + Y^3 +* Z^5"))
 @example(([], ""))
 @example((["--cache-dir", "{file}"], ""))
+# both selections of congruence, a case label that names no case among them
+@example((["congruence", "--all", "--case", "nonsense"], ""))
 def test_cli_usage_errors_keep_the_contract(call):
     # any exit is 0, 1 or 2 with no traceback; a usage error (2) prints nothing
     # on stdout and ends stderr in its one error line: argparse's usage block
@@ -283,6 +285,10 @@ def test_congruence_single_case(capsys):
 def test_congruence_requires_selection(capsys):
     code, _, err = run(capsys, "congruence")
     assert code == 2
+    # one selection only: --all beside --case runs no case
+    for label in ("nonsense", "E7:v2"):
+        code, out, err = run(capsys, "congruence", "--all", "--case", label)
+        assert (code, out, err) == (2, "", "error: give --case or --all, not both\n")
 
 
 def test_classify_poly_file(tmp_path, capsys):

@@ -18,12 +18,12 @@ from rdpinv.congruence import (
     dist_relation,
     key_case,
     key_constant,
-    low_order_congruences,
     pullback_eps,
     scf_names,
     vanishing_coordinates,
+    vertex_product,
 )
-from rdpinv.distpoly import standard_coords, ts_table
+from rdpinv.distpoly import g_from_f, monic, standard_coords, ts_table
 from rdpinv.poly import Polynomial, VarTable, parse
 from rdpinv.rootsys import Spec, supported_splits, vertex_parts, vertex_split
 
@@ -52,6 +52,85 @@ def test_dist_relation_missing_factor_divides_exactly():
 
 
 # -- low-order congruences --------------------------------------------------------
+
+
+def _scf_table(kind: str, left_n: int, right_n: int) -> VarTable:
+    names = ["U", "Z", "mu1"]
+    weights = [1, 2, 1]
+    for j in range(2, left_n + 1):
+        names.append(f"ap{j}")
+        weights.append(j)
+    if kind == "A":
+        for j in range(2, right_n + 1):
+            names.append(f"aq{j}")
+            weights.append(j)
+    else:
+        for j in range(1, right_n):
+            names.append(f"dq{2*j}")
+            weights.append(2 * j)
+        names.append("gq")
+        weights.append(right_n)
+    return VarTable(names, weights)
+
+
+def _fA(table: VarTable, m: int, prefix: str) -> Polynomial:
+    """A-type distinguished polynomial in its coordinates: U^m + sum a_j U^{m-j}."""
+    return monic(table.var("U"), [table.zero()] + [table.var(f"{prefix}{j}") for j in range(2, m + 1)])
+
+
+def low_order_congruences(spec: Spec, k: int) -> dict[str, bool]:
+    """The congruences between parent and part coordinates at low order."""
+    if spec.family == "E":
+        raise ValueError(f"low-order congruences cover the A and D families, not ({spec.name}, {k})")
+    left, right = vertex_parts(spec, k)
+    p, q = left.n, right.n if right else 0
+    out: dict[str, bool] = {}
+    if spec.family == "A":
+        table = _scf_table("A", p, q)
+        f = vertex_product(spec, k, _fA(table, p, "ap"), _fA(table, q, "aq"),
+                           table.var("mu1"), table.zero())
+        by_u = {e: c.substitute({"mu1": 0}) for e, c in f.coeffs_in("U").items()}
+
+        def a(prefix, j, m):
+            if j == 0:
+                return table.const(1)
+            if j == 1 or j > m:
+                return table.zero()
+            return table.var(f"{prefix}{j}")
+
+        want_n1 = a("ap", p - 1, p) * a("aq", q, q) \
+            + a("ap", p, p) * a("aq", q - 1, q)
+        out["alpha_n_minus_1"] = by_u.get(1, table.zero()) == want_n1
+        out["alpha_n"] = by_u.get(0, table.zero()) == a("ap", p, p) * a("aq", q, q)
+        return out
+    if right is None:
+        table = _scf_table("A", p, q)
+        f = vertex_product(spec, k, _fA(table, p, "ap"), table.const(1),
+                           table.var("mu1"), table.zero())
+        out["gamma"] = f.substitute({"U": 0, "mu1": 0}) == table.var(f"ap{p}")
+        return out
+    table = _scf_table("D", p, q)
+    U, Z, mu = table.var("U"), table.var("Z"), table.var("mu1")
+    fa = _fA(table, p, "ap").substitute({"U": U + Fraction(1, p) * mu})
+    gq = monic(Z, [table.var(f"dq{2*j}") for j in range(1, q)] + [table.var("gq") ** 2])
+    g = g_from_f(fa, table) * gq
+    ap_p = table.var(f"ap{p}") if p >= 2 else table.zero()
+    gamma = fa.substitute({"U": 0}) * table.var("gq")
+    out["gamma"] = gamma.substitute({"mu1": 0}) == ap_p * table.var("gq")
+    if p == 1:
+        # delta_{2n-4} of the parent restricts to the top delta of the part
+        delta_low = g.coeffs_in("Z").get(2, table.zero())
+        out["delta_2n_minus_4"] = delta_low.substitute({"mu1": 0}) == table.var(f"dq{2*q - 2}")
+    else:
+        delta_top = g.coeffs_in("Z").get(1, table.zero())
+        want = ap_p ** 2 * table.var(f"dq{2*q - 2}")
+        if p == 2:
+            # at k = p = 2 the generic degree count degenerates (the weight-0
+            # coefficient alpha'_0 = 1 appears) and one more degree-3 term
+            # survives the reduction
+            want = want - 2 * ap_p * table.var("gq") ** 2
+        out["delta_2n_minus_2"] = delta_top.truncate(3) == want
+    return out
 
 
 def test_low_order_congruences_a_and_d():

@@ -3,7 +3,7 @@ from itertools import accumulate, combinations
 from math import prod
 
 import pytest
-from conftest import elem_sym, written
+from conftest import elem_sym, elementary, invariant_under_split, s_to_t_rules, written
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rdpinv.distpoly import (
@@ -11,22 +11,19 @@ from rdpinv.distpoly import (
     _dealings,
     _e_products,
     e45_check,
-    elementary,
-    f_dist,
     f_product,
     f_sform,
     g_dist,
     invariant_under_literal,
-    invariant_under_split,
     monic,
     pq_split,
     rules_from_monic,
-    s_to_t_rules,
     standard_coords,
     symmetric_reduce,
     t_expand,
     ts_table,
 )
+from rdpinv.envres import eps_names
 from rdpinv.poly import Polynomial, VarTable, parse
 from rdpinv.rootsys import OrbitSums, Spec, reflection_blocks, weyl_action
 
@@ -41,38 +38,38 @@ def _store(p, n):
 
 
 def test_degenerate_type_has_trivial_polynomial():
-    d = f_dist(Spec("A", 1))
-    U = d.f_t.table.var("U")
-    assert d.f_t == U and d.f_s == U
+    f_t, f_s = f_product(Spec("A", 1)), f_sform(Spec("A", 1))
+    U = f_t.table.var("U")
+    assert f_t == U and f_s == U
 
 
 def test_a1_sform_drops_the_linear_coefficient():
-    d = f_dist(Spec("A", 2))
-    table = d.f_s.table
-    assert d.f_s == table.var("U") ** 2 + table.var("s2")
+    f_s = f_sform(Spec("A", 2))
+    table = f_s.table
+    assert f_s == table.var("U") ** 2 + table.var("s2")
 
 
 def test_d2_distinguished_polynomial():
-    d = f_dist(Spec("D", 2))
-    t = d.f_s.table
-    assert d.f_s == t.var("U") ** 2 + t.var("s1") * t.var("U") + t.var("s2")
+    f_s = f_sform(Spec("D", 2))
+    t = f_s.table
+    assert f_s == t.var("U") ** 2 + t.var("s1") * t.var("U") + t.var("s2")
 
 
 def test_forms_agree_under_symmetrization():
     for name in ("A3", "D4", "E5"):
         spec = Spec.from_name(name)
-        d = f_dist(spec)
-        subbed = d.f_s.substitute(s_to_t_rules(spec.n))
+        f_t, f_s = f_product(spec), f_sform(spec)
+        subbed = f_s.substitute(s_to_t_rules(spec.n))
         if spec.family == "A":
-            tt = d.f_t.table
+            tt = f_t.table
             s1 = tt.zero()
             for i in range(1, spec.n + 1):
                 s1 = s1 + tt.var(f"t{i}")
             last = f"t{spec.n}"
             reduce_rule = {last: tt.var(last) - s1}
-            assert subbed.substitute(reduce_rule) == d.f_t.substitute(reduce_rule)
+            assert subbed.substitute(reduce_rule) == f_t.substitute(reduce_rule)
         else:
-            assert subbed == d.f_t
+            assert subbed == f_t
 
 
 def test_gamma_and_first_delta():
@@ -503,19 +500,19 @@ def test_literal_e7_invariance_with_symmetric_reduction(pipe7):
     e7 = Spec("E", 7)
     rules = pipe7.versal_rules()
     for name in ("eps2", "eps6", "eps8", "eps10", "eps12", "eps14", "eps18"):
-        assert invariant_under_literal(e7, rules[name], 0, reduce_back=True), name
-    assert not invariant_under_literal(e7, ts_table(7).var("s1"), 0, reduce_back=True)
+        assert _both_modes(e7, rules[name], 0), name
+    assert not _both_modes(e7, ts_table(7).var("s1"), 0)
 
 
 def test_literal_e8_invariance_with_symmetric_reduction(pipe8):
     e8 = Spec("E", 8)
     rules = pipe8.versal_rules()
     for name in ("eps2", "eps8", "eps12", "eps14", "eps18", "eps20"):
-        assert invariant_under_literal(e8, rules[name], 0, reduce_back=True), name
+        assert _both_modes(e8, rules[name], 0), name
     s1 = ts_table(8).var("s1")
-    assert not invariant_under_literal(e8, s1, 0, reduce_back=True)
+    assert not _both_modes(e8, s1, 0)
     # compacted: the pipeline's table carries a Z of another weight
-    assert not invariant_under_literal(e8, rules["eps18"].compact() + s1 ** 18, 0, reduce_back=True)
+    assert not _both_modes(e8, rules["eps18"].compact() + s1 ** 18, 0)
 
 
 # -- both literal modes, and the packed expansion and reduction -------------------
@@ -533,7 +530,7 @@ def _literal_coords(name, request):
         return spec, standard_coords(spec)
     rules = request.getfixturevalue("pipe6").versal_rules()
     # compacted: the pipeline's table carries a Z of another weight
-    return spec, {nm: rules[nm].compact() for nm in ("eps2", "eps5", "eps6", "eps8")}
+    return spec, {nm: rules[nm].compact() for nm in eps_names(6)}
 
 
 def _both_modes(spec, phi, generator):

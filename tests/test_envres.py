@@ -3,20 +3,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import BAR_EXTENSION, full_bar_rules
 
 from rdpinv import envres, solvelist
 from rdpinv.envres import (
-    APPENDIX_MULTIPLIERS,
-    BAR_EXTENSION,
     SexticSolveError,
     VersalPipeline,
     eps_names,
-    eta_star,
     good_gens_bar,
     phibar_template,
     pipeline_table,
     psi_n,
-    reduce_mod_m,
     solve_e8_sextic,
     versal_template,
 )
@@ -29,6 +26,20 @@ from rdpinv.solvelist import RuleCache, RuleSet, SolveList
 
 def P(n, text):
     return parse(text, pipeline_table(n))
+
+
+def eta_star(p: Polynomial, n: int) -> Polynomial:
+    """Pull back along the cuspidal-cubic parametrization x, y, z = U, U^3, 1."""
+    table = pipeline_table(n)
+    U = table.var("U")
+    return p.substitute({"x": U, "y": U ** 3, "z": table.const(1)})
+
+
+def reduce_mod_m(p: Polynomial) -> Polynomial:
+    """Set every deformation parameter s_i to zero."""
+    rules = {name: 0 for name in p.variables()
+             if name.startswith("s") and name[1:].isdigit()}
+    return p.substitute(rules)
 
 
 # -- generator sets ----------------------------------------------------------------
@@ -248,7 +259,7 @@ E6_DISPLAYED_BARS = {
 
 
 def test_e6_full_barred_expansion_matches_display(pipe6):
-    bars = pipe6.bar_rules(extended=True)
+    bars = full_bar_rules(pipe6)
     for name, text in E6_DISPLAYED_BARS.items():
         assert bars[name] == P(6, text), name
 
@@ -338,6 +349,15 @@ def test_psi_values(pipe6, pipe7, pipe8):
 
 
 # -- versal coefficients -------------------------------------------------------------------
+
+
+# each coordinate's scale in the golden tables, as the appendices print it
+APPENDIX_MULTIPLIERS = {
+    6: {"eps2": 6, "eps5": 81, "eps6": 1944, "eps8": 34992, "eps9": 78732,
+        "eps12": 11337408},
+    7: {"eps2": 1, "eps6": 48, "eps8": 48, "eps10": 16, "eps12": 6912,
+        "eps14": 768, "eps18": 9 * 16 ** 3},
+}
 
 
 def test_e6_matches_appendix1(pipe6):
@@ -469,8 +489,7 @@ def test_recipe_key_is_built_once_per_rank(tmp_path, monkeypatch):
     calls = []
     bar_solvelist = VersalPipeline.bar_solvelist
     monkeypatch.setattr(VersalPipeline, "bar_solvelist",
-                        lambda self, extended=False: calls.append(self.n)
-                        or bar_solvelist(self, extended))
+                        lambda self: calls.append(self.n) or bar_solvelist(self))
     keys = {n: {VersalPipeline(n, cache=RuleCache(tmp_path)).versal_key() for _ in range(3)}
             for n in (6, 7, 8)}
     assert calls == [6, 7, 8] and all(len(k) == 1 for k in keys.values())

@@ -80,15 +80,15 @@ def _old_expand_loop(equations, unknowns):
         except (NonLinearError, AbsentVariableError) as exc:
             raise ValidityViolation(i, var, str(exc)) from exc
         for w, wval in solved:
-            if wval.contains_var(var):
+            if var in wval.variables():
                 raise ValidityViolation(i, var, f"already occurs in the coefficient solved for {w}")
         solved.append((var, value))
         for j in range(i + 1, len(coeffs)):
-            if coeffs[j].contains_var(var):
+            if var in coeffs[j].variables():
                 coeffs[j] = coeffs[j].substitute({var: value})
     for i in range(len(solved) - 2, -1, -1):
         var, value = solved[i]
-        later = {w: wval for w, wval in solved[i + 1:] if value.contains_var(w)}
+        later = {w: wval for w, wval in solved[i + 1:] if w in value.variables()}
         if later:
             solved[i] = (var, value.substitute(later))
     return RuleSet(tuple(solved))
@@ -174,7 +174,7 @@ def test_elimination_solves_a_triangular_system(system):
         assert rules.apply(eq).is_zero
         assert _term_by_term(eq, rules.mapping()).is_zero
     for v, value in rules.rules:
-        assert not any(value.contains_var(u) for u in unknowns), v
+        assert not value.variables() & set(unknowns), v
 
 
 def _zero_solution_system():
